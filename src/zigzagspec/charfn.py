@@ -72,22 +72,29 @@ _BRANCHES = ("full", "plus", "minus")
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_closed_form(gamma):
+    """(psi, dpsi) for U(x) = x^2/2 from one erfcx evaluation; arrays in and out.
+
+    Differentiating psi = 1 - sqrt(2 pi) gamma erfcx(sqrt2 gamma) with
+    erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi) collapses to
+    dpsi = -sqrt(2 pi) [(1 + 4 gamma^2) erfcx(sqrt2 gamma) - 2 sqrt2 gamma / sqrt(pi)].
+    """
+    g = np.asarray(gamma, dtype=complex)
+    e = erfcx_complex(_SQRT_2 * g)
+    psi = 1.0 - _SQRT_2PI * g * e
+    dpsi = -_SQRT_2PI * ((1.0 + 4.0 * g * g) * e - 2.0 * _SQRT_2 * g / _SQRT_PI)
+    return psi, dpsi
+
+
 def gaussian_closed_form_psi(gamma):
     """psi(gamma) for U(x) = x^2/2; vectorized over gamma."""
-    g = np.asarray(gamma, dtype=complex)
-    out = 1.0 - _SQRT_2PI * g * erfcx_complex(_SQRT_2 * g)
+    out = np.asarray(_gaussian_closed_form(gamma)[0])
     return out if out.ndim else complex(out)
 
 
 def gaussian_closed_form_dpsi(gamma):
-    """d psi / d gamma for U(x) = x^2/2.
-
-    Differentiating with erfcx'(z) = 2 z erfcx(z) - 2/sqrt(pi) collapses to
-    -sqrt(2 pi) [(1 + 4 gamma^2) erfcx(sqrt2 gamma) - 2 sqrt2 gamma / sqrt(pi)].
-    """
-    g = np.asarray(gamma, dtype=complex)
-    e = erfcx_complex(_SQRT_2 * g)
-    out = -_SQRT_2PI * ((1.0 + 4.0 * g * g) * e - 2.0 * _SQRT_2 * g / _SQRT_PI)
+    """d psi / d gamma for U(x) = x^2/2; vectorized over gamma."""
+    out = np.asarray(_gaussian_closed_form(gamma)[1])
     return out if out.ndim else complex(out)
 
 
@@ -376,8 +383,8 @@ class CharFunctionHandle:
             return hit
         if self.backend == "gaussian-closed-form":
             s = self.potential.sigma
-            pp = complex(gaussian_closed_form_psi(s * key))
-            dp = s * complex(gaussian_closed_form_dpsi(s * key))
+            pp, dp = _gaussian_closed_form(s * key)
+            pp, dp = complex(pp), s * complex(dp)
             vals = (pp, dp, pp, dp)
         elif self.potential.is_symmetric:
             pp, dp, _, _ = _psi_quadrature(self.potential, +1, key, self.cfg)
@@ -404,8 +411,8 @@ class CharFunctionHandle:
         g = np.atleast_1d(np.asarray(gammas, dtype=complex))
         if self.backend == "gaussian-closed-form":
             s = self.potential.sigma
-            pp = np.asarray(gaussian_closed_form_psi(s * g), dtype=complex)
-            dp = s * np.asarray(gaussian_closed_form_dpsi(s * g), dtype=complex)
+            pp, dp = _gaussian_closed_form(s * g)
+            dp = s * dp
             return pp, dp, pp, dp
         out = np.zeros((4, g.size), dtype=complex)
         miss = [i for i, z in enumerate(g) if complex(z) not in self._memo]

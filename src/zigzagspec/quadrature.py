@@ -2,13 +2,21 @@
 
 The workhorse is a 15-point Gauss-Kronrod rule with interval bisection.  The
 embedded 7-point Gauss value gives the error estimate |K - G| per panel,
-which is conservative for the analytic integrands that occur here.  Two
-features beyond a stock integrator:
+which is conservative for the analytic integrands that occur here.  The
+global test is QUADPACK's (Piessens et al. 1983): the summed |K - G| of each
+row must fall below max(abs_tol, rel_tol |K|, 8 times its roundoff floor).
+Refinement is level-synchronous, in the style of Shampine's vectorised quadgk
+(J. Comput. Appl. Math. 2008): each round bisects the worst panels that
+together carry the worst row's excess error, and evaluates all their
+children in one call of f, so per-call overhead (numpy dispatch, and for
+psi a whole nested quadrature) is paid per round.  f must therefore accept a
+node array of any length.  Two features beyond a stock integrator:
 
 * batch rows: the integrand may return an (m, n) array for n nodes, in which
-  case all m integrals share panels and refinement is driven by the worst
-  row.  This is what makes contour integration of (Z'/Z, zeta Z'/Z, ...)
-  along an edge a single adaptive pass.
+  case all m integrals share panels and refinement is driven by the rows
+  still failing, each panel scored by its worst e / tol among them.  This
+  is what makes contour integration of (Z'/Z, zeta Z'/Z, ...) along an edge
+  a single adaptive pass.
 * oscillation guard: callers integrating against exp(2 gamma xi) pass the
   frequency |2 Im gamma| so the initial subdivision places at least 8 nodes
   per period before any error estimate is trusted.
@@ -20,7 +28,6 @@ carry the analytic tail bound inside the reported error estimate.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
 from typing import Callable, Optional
 
@@ -165,29 +172,31 @@ _EPS = np.finfo(float).eps
 _NOISE_MULT = 8.0
 
 
-def _panel(f, a, b):
-    """Evaluate one Gauss-Kronrod panel.
+def _panels(f, a, b):
+    """Evaluate GK15 on every panel [a[i], b[i]] with one call of f.
 
-    Returns (K, E, N, batch_flag) where N is the roundoff floor per row,
-    eps times the L1 mass of the panel.  Panels whose |K - G| sits at that
-    floor cannot be improved by further bisection and are retired.
+    Returns (K, E, N, batch_flag), the first three shaped (panels, rows):
+    N is the roundoff floor, eps times the L1 mass of the panel.  Panels
+    whose |K - G| sits at that floor cannot be improved by further bisection
+    and are retired.  Panel-major storage keeps the per-round
+    gathers and sums contiguous when there are thousands of rows.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    x = c + h * _NODES
+    x = (c[:, None] + h[:, None] * _NODES).ravel()
     v = np.asarray(f(x))
     batch = v.ndim == 2
-    if v.ndim == 1:
-        v = v[None, :]
-    if not np.all(np.isfinite(v)):
-        j = np.argwhere(~np.isfinite(v))
+    v = v.reshape(-1, a.size, _NODES.size)
+    h = h[:, None]
+    noise = _EPS * h * (np.abs(v) @ _KRONROD_W).T
+    if not np.all(np.isfinite(noise)):  # the Kronrod weights are positive
+        bad = np.argwhere(~np.isfinite(v.reshape(v.shape[0], -1)))[0][-1]
         raise IntegrationError(
-            f"non-finite integrand sample near x = {x[j[0][-1]]:.6g}",
-            location=float(x[j[0][-1]]),
+            f"non-finite integrand sample near x = {x[bad]:.6g}",
+            location=float(x[bad]),
         )
-    k = h * (v @ _KRONROD_W)
-    g = h * (v @ _GAUSS_W)
-    noise = _EPS * h * (np.abs(v) @ _KRONROD_W)
+    k = h * (v @ _KRONROD_W).T
+    g = h * (v @ _GAUSS_W).T
     return k, np.abs(k - g), noise, batch
 
 
@@ -217,58 +226,63 @@ def _initial_edges(a, b, oscillation, breakpoints):
     return pts
 
 
-def _adaptive(f, segments, cfg):
-    """Shared adaptive loop over initial segments.
+def _adaptive(f, edges, cfg):
+    """Level-synchronous adaptive refinement over the initial cells of edges.
 
     Returns (value_rows, err_rows, batch_flag).  Convergence demands the
-    accumulated |K - G| drop below the requested tolerance or below the
-    accumulated roundoff floor, whichever is larger; individual panels whose
-    error is at their own floor are retired since bisection cannot help them.
+    accumulated |K - G| of every row drop below the requested tolerance or
+    below the accumulated roundoff floor, whichever is larger; individual
+    panels whose error is at their own floor are retired since bisection
+    cannot help them.  Each round scores every panel not retired by its
+    worst e / tol over the failing rows and bisects the best-scored panels
+    until their scores add up to the worst row's excess (total_e - tol) / tol:
+    were their error gone, that row would pass.  All their children are
+    evaluated with one call of f.  (Stopping at half the excess bisects the
+    same panels in about twice as many rounds.)
     """
-    heap = []
-    counter = 0
-    total_k = None
-    total_e = None
-    total_n = None
-    batch = False
-    for (a, b, depth) in segments:
-        k, e, n, batch = _panel(f, a, b)
-        total_k = k if total_k is None else total_k + k
-        total_e = e if total_e is None else total_e + e
-        total_n = n if total_n is None else total_n + n
-        heapq.heappush(heap, (-float(e.max()), counter, a, b, depth, k, e, n))
-        counter += 1
-
-    while heap:
+    a, b = edges[:-1], edges[1:]
+    depth = np.zeros(a.size, dtype=int)
+    k, e, n, batch = _panels(f, a, b)
+    count = a.size
+    while True:
+        total_k, total_e = k.sum(axis=0), e.sum(axis=0)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_k))
-        tol = np.maximum(tol, _NOISE_MULT * total_n)
-        if np.all(total_e <= tol):
-            break
-        neg, _, a, b, depth, k, e, n = heapq.heappop(heap)
-        if np.all(e <= _NOISE_MULT * n):
-            continue  # roundoff-limited panel: retire it
-        if depth >= cfg.max_depth:
+        tol = np.maximum(tol, _NOISE_MULT * n.sum(axis=0))
+        failing = total_e > tol
+        live = np.flatnonzero(np.any(e > _NOISE_MULT * n, axis=1))
+        if not failing.any() or live.size == 0:
+            return total_k, total_e, batch
+        score = (e[live][:, failing] / tol[failing]).max(axis=1)
+        excess = ((total_e - tol)[failing] / tol[failing]).max()
+        rank = np.argsort(-score, kind="stable")
+        chosen = int(np.searchsorted(np.cumsum(score[rank]), excess)) + 1
+        chosen = min(chosen, rank.size, (_MAX_PANELS - count) // 2)
+        if chosen <= 0:
+            mid = 0.5 * (a[live[rank[0]]] + b[live[rank[0]]])
             raise IntegrationError(
-                f"max refinement depth {cfg.max_depth} reached near x = {0.5 * (a + b):.6g} "
-                f"(panel error {-neg:.3e})",
-                location=0.5 * (a + b),
+                f"panel budget {_MAX_PANELS} exhausted near x = {mid:.6g}",
+                location=mid,
             )
-        if counter >= _MAX_PANELS:
+        pick = live[rank[:chosen]]
+        deep = pick[depth[pick] >= cfg.max_depth]
+        if deep.size:
+            mid = 0.5 * (a[deep[0]] + b[deep[0]])
             raise IntegrationError(
-                f"panel budget {_MAX_PANELS} exhausted near x = {0.5 * (a + b):.6g}",
-                location=0.5 * (a + b),
+                f"max refinement depth {cfg.max_depth} reached near x = {mid:.6g} "
+                f"(panel error {e[deep[0]].max():.3e})",
+                location=mid,
             )
-        m = 0.5 * (a + b)
-        k1, e1, n1, _ = _panel(f, a, m)
-        k2, e2, n2, _ = _panel(f, m, b)
-        total_k = total_k - k + k1 + k2
-        total_e = total_e - e + e1 + e2
-        total_n = total_n - n + n1 + n2
-        heapq.heappush(heap, (-float(e1.max()), counter, a, m, depth + 1, k1, e1, n1))
-        counter += 1
-        heapq.heappush(heap, (-float(e2.max()), counter, m, b, depth + 1, k2, e2, n2))
-        counter += 1
-    return total_k, total_e, batch
+        mid = 0.5 * (a[pick] + b[pick])
+        ck, ce, cn, _ = _panels(f, np.concatenate([a[pick], mid]), np.concatenate([mid, b[pick]]))
+        count += 2 * chosen
+        keep = np.ones(a.size, dtype=bool)
+        keep[pick] = False
+        a = np.concatenate([a[keep], a[pick], mid])
+        b = np.concatenate([b[keep], mid, b[pick]])
+        depth = np.concatenate([depth[keep], depth[pick] + 1, depth[pick] + 1])
+        k = np.concatenate([k[keep], ck])
+        e = np.concatenate([e[keep], ce])
+        n = np.concatenate([n[keep], cn])
 
 
 def integrate_finite(
@@ -293,9 +307,8 @@ def integrate_finite(
         zero = np.zeros(probe.shape[0], dtype=complex) if probe.ndim == 2 else 0.0 + 0.0j
         return zero, (np.zeros(probe.shape[0]) if probe.ndim == 2 else 0.0)
 
-    pts = _initial_edges(a, b, oscillation, breakpoints)
-    segments = [(p, q, 0) for p, q in zip(pts, pts[1:])]
-    total_k, total_e, batch = _adaptive(f, segments, cfg)
+    edges = np.asarray(_initial_edges(a, b, oscillation, breakpoints), dtype=float)
+    total_k, total_e, batch = _adaptive(f, edges, cfg)
     if batch:
         return total_k, total_e
     return complex(total_k[0]), float(total_e[0])
@@ -314,19 +327,8 @@ def gk_cells(f: Callable, edges):
         raise DomainError("gk_cells needs at least two edges")
     if np.any(np.diff(edges) <= 0.0):
         raise DomainError("gk_cells edges must be strictly increasing")
-    c = 0.5 * (edges[:-1] + edges[1:])
-    h = 0.5 * np.diff(edges)
-    nodes = c[:, None] + h[:, None] * _NODES[None, :]
-    v = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-    if not np.all(np.isfinite(v)):
-        bad = np.argwhere(~np.isfinite(v))[0]
-        raise IntegrationError(
-            f"non-finite integrand sample near x = {nodes[tuple(bad)]:.6g}",
-            location=float(nodes[tuple(bad)]),
-        )
-    k = h * (v @ _KRONROD_W)
-    g = h * (v @ _GAUSS_W)
-    return k, np.abs(k - g)
+    k, e, _, _ = _panels(lambda x: np.asarray(f(x), dtype=complex), edges[:-1], edges[1:])
+    return k[:, 0], e[:, 0]
 
 
 def integrate_semiinfinite(

@@ -5,6 +5,14 @@ of Z; for even potentials it splits into the zero sets of Z+ and Z- (found
 independently and labelled).  The imaginary extent of the search region is
 certified by |Z| >= 1 - |psi+ psi-| >= 1/2 once |psi+ psi-| < 1/2, which the
 Riemann-Lebesgue decay of psi guarantees for large |Im gamma|.
+
+For real U, Z(conj gamma) = conj Z(gamma), so the spectrum is closed under
+conjugation.  The search covers the whole region; `_validate` then checks
+that every eigenvalue found has a conjugate partner within 1e-8 (a missed
+root would break that), and `_mirror` replaces each Im < 0 eigenvalue with
+the exact conjugate of its Im > 0 partner on the same branch.  Pairs thus
+share their real part bit for bit, and the (-Re, Im) order of the result does
+not depend on last-ulp noise of the quadrature.
 """
 
 from __future__ import annotations
@@ -156,6 +164,25 @@ def _validate(records, descriptor):
     return defect
 
 
+def _mirror(records):
+    """Each Im < 0 eigenvalue becomes the exact conjugate of its partner, the
+    same-branch eigenvalue nearest its conjugate, when that lies in Im > 0."""
+    out = []
+    for r in records:
+        if r.gamma.imag < 0:
+            target = r.gamma.conjugate()
+            partner = min(
+                (o for o in records if o.branch == r.branch),
+                key=lambda o: abs(o.gamma - target),
+            )
+            if partner.gamma.imag > 0:
+                r = dataclasses.replace(
+                    r, gamma=partner.gamma.conjugate(), residual=partner.residual
+                )
+        out.append(r)
+    return out
+
+
 def compute_spectrum(
     potential: PotentialModel,
     region: Optional[ComplexRegion] = None,
@@ -188,8 +215,8 @@ def compute_spectrum(
         records, rs = _collect(handle, region, cfg)
         diagnostics["winding_full"] = rs.winding
 
-    records.sort(key=lambda r: (-r.gamma.real, r.gamma.imag))
     diagnostics["conjugate_defect"] = _validate(records, potential.descriptor())
+    records = sorted(_mirror(records), key=lambda r: (-r.gamma.real, r.gamma.imag))
 
     nonzero_res = [-r.gamma.real for r in records if r.gamma != 0]
     gap = min(nonzero_res) if nonzero_res else None

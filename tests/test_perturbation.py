@@ -76,6 +76,18 @@ def test_perturbed_spectrum_widens_gap(gaussian_spectrum):
     assert zero.shifted == 0.0
 
 
+def test_perturbed_spectrum_respects_conjugation(gaussian_spectrum):
+    # mu(conj g) = conj mu(g); the base spectrum holds exact conjugate pairs,
+    # so the coefficients of each pair must mirror each other too
+    p = perturbed_spectrum(gaussian_spectrum, 0.5)
+    coefficient = {e.gamma: e.coefficient for e in p.entries}
+    pairs = [g for g in coefficient if g.imag > 0]
+    assert len(pairs) == 21
+    for g in pairs:
+        partner = min(coefficient, key=lambda w: abs(w - g.conjugate()))
+        assert abs(coefficient[partner] - np.conj(coefficient[g])) < 1e-12, g
+
+
 def test_perturbed_spectrum_first_order_shift(gaussian_spectrum, gaussian_potential):
     p = perturbed_spectrum(gaussian_spectrum, 0.05)
     entry = next(e for e in p.entries if abs(e.gamma - G1) < 1e-9)

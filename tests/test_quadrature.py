@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -8,8 +9,12 @@ from hypothesis import strategies as st
 from zigzagspec.errors import DomainError, IntegrationError
 from zigzagspec.potential import beta_family, gaussian
 from zigzagspec.quadrature import (
+    _GAUSS_W,
+    _KRONROD_W,
+    _NODES,
     DecayProfile,
     QuadratureConfig,
+    _initial_edges,
     gk_cells,
     integrate_finite,
     integrate_semiinfinite,
@@ -163,3 +168,109 @@ def test_interval_additivity_property(split):
     left, _ = integrate_finite(f, 0.0, split, oscillation=2.0)
     right, _ = integrate_finite(f, split, 1.0, oscillation=2.0)
     assert abs(whole - (left + right)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# batched refinement against a per-panel heap loop
+#
+# The reference below is the classic QUADPACK-style loop: one GK15 panel per
+# integrand call, always bisecting the single worst panel.  The batched
+# integrator refines many panels per call, so its sums run in another order and
+# it may stop on a finer mesh; both must land within the requested tolerance.
+
+
+def _reference_panel(f, a, b):
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    v = np.atleast_2d(np.asarray(f(c + h * _NODES)))
+    k = h * (v @ _KRONROD_W)
+    noise = np.finfo(float).eps * h * (np.abs(v) @ _KRONROD_W)
+    return k, np.abs(k - h * (v @ _GAUSS_W)), noise
+
+
+def _reference_heap(f, edges, cfg):
+    heap, totals = [], None
+    for a, b in zip(edges, edges[1:]):
+        k, e, n = _reference_panel(f, a, b)
+        totals = [k, e, n] if totals is None else [totals[0] + k, totals[1] + e, totals[2] + n]
+        heapq.heappush(heap, (-float(e.max()), len(heap), a, b, k, e, n))
+    serial = len(heap)
+    while heap:
+        tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(totals[0])), 8.0 * totals[2])
+        if np.all(totals[1] <= tol):
+            break
+        _, _, a, b, k, e, n = heapq.heappop(heap)
+        if np.all(e <= 8.0 * n):
+            continue
+        m = 0.5 * (a + b)
+        for lo, hi in ((a, m), (m, b)):
+            k2, e2, n2 = _reference_panel(f, lo, hi)
+            totals = [totals[0] + k2, totals[1] + e2, totals[2] + n2]
+            heapq.heappush(heap, (-float(e2.max()), serial, lo, hi, k2, e2, n2))
+            serial += 1
+        totals = [totals[0] - k, totals[1] - e, totals[2] - n]
+    return totals[0], totals[1]
+
+
+def _exp_rows(rates, scales):
+    rates = np.asarray(rates, dtype=complex)
+    scales = np.asarray(scales, dtype=float)
+
+    def rows(x):
+        return scales[:, None] * np.exp(rates[:, None] * x[None, :])
+
+    def exact(a, b):
+        return scales * (np.exp(rates * b) - np.exp(rates * a)) / rates
+
+    return rows, exact
+
+
+_CFG = QuadratureConfig()
+
+
+@pytest.mark.parametrize(
+    "rates, scales, oscillation",
+    [
+        # oscillatory rows of different frequencies on shared panels
+        ([20j - 0.5, 5j, -1.0 + 40j], [1.0, 1.0, 1.0], 40.0),
+        # rows whose magnitudes differ by 1e6, so their tolerances differ too
+        ([1j - 0.3, 3j + 0.2, -2.0 + 7j], [1.0, 1e6, 1e-6], 7.0),
+        # oscillation left to the error estimate
+        ([15j, -0.1 + 9j], [1e3, 1e-3], 0.0),
+    ],
+)
+def test_batched_refinement_matches_heap_reference(rates, scales, oscillation):
+    rows, exact = _exp_rows(rates, scales)
+    a, b = -1.0, 2.0
+    vals, errs = integrate_finite(rows, a, b, _CFG, oscillation=oscillation)
+    ref, ref_errs = _reference_heap(rows, _initial_edges(a, b, oscillation, ()), _CFG)
+    want = exact(a, b)
+    tol = np.maximum(_CFG.abs_tol, _CFG.rel_tol * np.abs(want))
+    assert np.all(errs <= tol) and np.all(ref_errs <= tol)
+    assert np.all(np.abs(vals - ref) <= tol)
+    assert np.all(np.abs(vals - want) <= tol)
+
+
+def test_refinement_rounds_share_one_integrand_call():
+    calls, panels = [], []
+
+    def f(x):
+        calls.append(1)
+        panels.append(x.size // 15)
+        return np.exp(-x * x)
+
+    cfg = QuadratureConfig(max_depth=8)
+    val, _ = integrate_finite(f, -8.0, 8.0, cfg)
+    assert abs(val - math.sqrt(math.pi)) < ABS_FLOOR
+    # one call per refinement round, far fewer than the panels it evaluates
+    assert len(calls) <= cfg.max_depth + 1
+    assert 2 * len(calls) < sum(panels)
+
+
+def test_step_function_hits_max_depth():
+    with pytest.raises(IntegrationError, match="max refinement depth 5"):
+        integrate_finite(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, QuadratureConfig(max_depth=5))
+
+
+def test_unhinted_fast_oscillation_exhausts_panel_budget():
+    with pytest.raises(IntegrationError, match="panel budget .* exhausted"):
+        integrate_finite(lambda x: np.sin(1e6 * x), 0.0, 1.0)

@@ -48,6 +48,22 @@ def test_conjugate_closure_and_left_half_plane(gaussian_spectrum):
             assert g.real < 0
 
 
+def _assert_exact_conjugate_pairs(result):
+    upper = {(r.gamma, r.branch) for r in result.eigenvalues if r.gamma.imag > 0}
+    lower = [r for r in result.eigenvalues if r.gamma.imag < 0]
+    assert lower and len(lower) == len(upper)
+    for r in lower:
+        assert (r.gamma.conjugate(), r.branch) in upper
+
+
+def test_conjugate_pairs_are_exact_mirrors(gaussian_spectrum):
+    # Z(conj g) = conj Z(g) for real U: each Im < 0 eigenvalue is the exact
+    # conjugate of an Im > 0 eigenvalue on its branch, so pairs share Re
+    _assert_exact_conjugate_pairs(gaussian_spectrum)
+    beta = compute_spectrum(beta_family(2.5), ComplexRegion(-1.5, 0.1, -3.0, 3.0))
+    _assert_exact_conjugate_pairs(beta)
+
+
 def test_residuals_are_tiny(gaussian_spectrum):
     assert max(r.residual for r in gaussian_spectrum.eigenvalues) < 1e-12
 
