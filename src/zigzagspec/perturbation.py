@@ -125,6 +125,16 @@ class PerturbedSpectrum:
         return [(e.gamma, e.coefficient) for e in self.entries if e.resolved]
 
 
+def _coefficient(potential, rec, cfg) -> Optional[complex]:
+    """mu of a simple eigenvalue record; None when it is not simple."""
+    if rec.multiplicity != 1:
+        return None
+    try:
+        return refreshment_coefficient(potential, rec.gamma, cfg)
+    except NonSimpleEigenvalueError:
+        return None
+
+
 def perturbed_spectrum(
     base: SpectrumResult,
     epsilon: float,
@@ -142,17 +152,22 @@ def perturbed_spectrum(
         raise DomainError(f"epsilon must be nonnegative, got {epsilon!r}")
     if potential is None:
         potential = parse_potential(base.potential_descriptor)
-    entries = []
-    for rec in base.eigenvalues:
-        if rec.multiplicity != 1:
-            entries.append(PerturbedEigenvalue(rec.gamma, None, None, False))
-            continue
-        try:
-            mu = refreshment_coefficient(potential, rec.gamma, cfg)
-        except NonSimpleEigenvalueError:
-            entries.append(PerturbedEigenvalue(rec.gamma, None, None, False))
-            continue
-        entries.append(
-            PerturbedEigenvalue(rec.gamma, mu, rec.gamma + epsilon * mu, True)
-        )
-    return PerturbedSpectrum(base=base, epsilon=float(epsilon), entries=tuple(entries))
+    # base lists the Im < 0 member of a pair first, so the upper members are
+    # computed first; a simple lower member whose exact conjugate resolved
+    # takes conj(mu) (Z(conj g) = conj Z(g)), any other entry its own mu
+    recs = base.eigenvalues
+    mus = [None] * len(recs)
+    upper = {}
+    for i in sorted(range(len(recs)), key=lambda i: recs[i].gamma.imag < 0):
+        rec = recs[i]
+        mu = upper.get(rec.gamma.conjugate()) if rec.multiplicity == 1 else None
+        mus[i] = _coefficient(potential, rec, cfg) if mu is None else mu.conjugate()
+        if rec.gamma.imag > 0 and mus[i] is not None:
+            upper[rec.gamma] = mus[i]
+    entries = tuple(
+        PerturbedEigenvalue(rec.gamma, None, None, False)
+        if mu is None
+        else PerturbedEigenvalue(rec.gamma, mu, rec.gamma + epsilon * mu, True)
+        for rec, mu in zip(recs, mus)
+    )
+    return PerturbedSpectrum(base=base, epsilon=float(epsilon), entries=entries)

@@ -391,6 +391,8 @@ def autocorrelation(
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1 or lags.size == 0:
         raise DomainError("lags must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(lags)):
+        raise DomainError("lags must be finite")
     if np.any(lags < 0.0):
         raise DomainError("lags must be nonnegative")
     T = path.horizon

@@ -7,12 +7,19 @@ certified by |Z| >= 1 - |psi+ psi-| >= 1/2 once |psi+ psi-| < 1/2, which the
 Riemann-Lebesgue decay of psi guarantees for large |Im gamma|.
 
 For real U, Z(conj gamma) = conj Z(gamma), so the spectrum is closed under
-conjugation.  The search covers the whole region; `_validate` then checks
-that every eigenvalue found has a conjugate partner within 1e-8 (a missed
-root would break that), and `_mirror` replaces each Im < 0 eigenvalue with
-the exact conjugate of its Im > 0 partner on the same branch.  Pairs thus
-share their real part bit for bit, and the (-Re, Im) order of the result does
-not depend on last-ulp noise of the quadrature.
+conjugation, and only the upper half-plane is searched: per branch, the
+rectangle over the region's real span whose imaginary span covers the
+region's upper part and the reflection of its lower part.  When the region
+touches the real axis that rectangle starts at Im = -dilation, so real
+eigenvalues sit inside the contour.  Each root with Im > 0 is emitted with
+its exact conjugate (same branch, multiplicity and residual); real roots are
+emitted once.  A root found in the band -dilation <= Im < 0 must be the
+conjugate of a root found above the axis, within 1e-8 (a missed root would
+break that); the band roots are then dropped, and so is every eigenvalue
+outside the requested region.  Pairs thus share their real part bit for bit,
+and the (-Re, Im) order of the result does not depend on last-ulp noise of
+the quadrature.  Regions need not be symmetric, but they must contain the
+eigenvalue 0.
 """
 
 from __future__ import annotations
@@ -120,67 +127,56 @@ def auto_region(
     return ComplexRegion(re_min, 0.1, -float(bound), float(bound))
 
 
+def _search_region(region: ComplexRegion, cfg: RootfinderConfig) -> ComplexRegion:
+    """Upper-half image of the region and of its reflection in the real axis."""
+    if region.im_min <= 0.0 <= region.im_max:
+        bottom = -cfg.dilation
+    else:
+        bottom = min(abs(region.im_min), abs(region.im_max))
+    top = max(region.im_max, -region.im_min, -bottom)  # holds the band's mirror
+    return ComplexRegion(region.re_min, region.re_max, bottom, top, region.edge_samples)
+
+
 def _collect(handle: CharFunctionHandle, region: ComplexRegion, cfg: RootfinderConfig):
+    """One branch's eigenvalues in the region, and the conjugate defect of the
+    roots found in the band below the real axis."""
     fvec, ldvec = _branch_funcs(handle)
-    rs = locate_zeros(fvec, ldvec, region, cfg)
+    roots = locate_zeros(fvec, ldvec, _search_region(region, cfg), cfg).roots
+    upper = [r.location for r in roots if r.location.imag > 0]
+    defect = max(
+        (
+            min((abs(u.conjugate() - r.location) for u in upper), default=math.inf)
+            for r in roots
+            if r.location.imag < 0
+        ),
+        default=0.0,
+    )
     records = []
-    for r in rs.roots:
-        gamma = r.location
-        if abs(gamma) <= _ZERO_SNAP:
-            gamma = 0.0 + 0.0j
-        records.append(
-            EigenvalueRecord(
-                gamma=gamma,
-                branch=handle.branch,
-                multiplicity=r.multiplicity,
-                residual=r.residual,
-            )
+    for r in roots:
+        gamma = 0.0j if abs(r.location) <= _ZERO_SNAP else r.location
+        if gamma.imag < 0:
+            continue  # a band root, counted in the defect above
+        for g in (gamma, gamma.conjugate()) if gamma.imag > 0 else (gamma,):
+            if region.contains(g):
+                records.append(EigenvalueRecord(g, handle.branch, r.multiplicity, r.residual))
+    return records, defect
+
+
+def _validate(records, defect, descriptor):
+    """Structural sanity: conjugate defect, nonpositive real parts, 0 simple."""
+    if defect > _CONJ_TOL:
+        raise WindingError(
+            f"{descriptor}: conjugate closure violated by {defect:.2e} (roots missed?)"
         )
-    return records, rs
-
-
-def _validate(records, descriptor):
-    """Structural sanity: conjugate closure, nonpositive real parts, 0 simple."""
     zeros = [r for r in records if r.gamma == 0]
     if len(zeros) != 1 or zeros[0].multiplicity != 1:
         raise WindingError(
             f"{descriptor}: expected the simple eigenvalue 0, found {zeros!r} "
             "(search region may exclude it)"
         )
-    defect = 0.0
     for r in records:
         if r.gamma != 0 and r.gamma.real > 1e-8:
             raise WindingError(f"{descriptor}: eigenvalue {r.gamma} has positive real part")
-        if abs(r.gamma.imag) > 0:
-            partner = min(
-                (abs(o.gamma - r.gamma.conjugate()) for o in records),
-                default=math.inf,
-            )
-            defect = max(defect, partner)
-    if defect > _CONJ_TOL:
-        raise WindingError(
-            f"{descriptor}: conjugate closure violated by {defect:.2e} (roots missed?)"
-        )
-    return defect
-
-
-def _mirror(records):
-    """Each Im < 0 eigenvalue becomes the exact conjugate of its partner, the
-    same-branch eigenvalue nearest its conjugate, when that lies in Im > 0."""
-    out = []
-    for r in records:
-        if r.gamma.imag < 0:
-            target = r.gamma.conjugate()
-            partner = min(
-                (o for o in records if o.branch == r.branch),
-                key=lambda o: abs(o.gamma - target),
-            )
-            if partner.gamma.imag > 0:
-                r = dataclasses.replace(
-                    r, gamma=partner.gamma.conjugate(), residual=partner.residual
-                )
-        out.append(r)
-    return out
 
 
 def compute_spectrum(
@@ -203,20 +199,20 @@ def compute_spectrum(
     except Exception as exc:  # advisory by design
         diagnostics["assumptions"] = f"check failed: {exc}"
 
+    diagnostics["search_region"] = dataclasses.asdict(_search_region(region, cfg))
+    branches = ("plus", "minus") if potential.is_symmetric else ("full",)
     records = []
-    if potential.is_symmetric:
-        for branch in ("plus", "minus"):
-            handle = make_handle(potential, branch=branch, backend=backend)
-            recs, rs = _collect(handle, region, cfg)
-            records.extend(recs)
-            diagnostics[f"winding_{branch}"] = rs.winding
-    else:
-        handle = make_handle(potential, branch="full", backend=backend)
-        records, rs = _collect(handle, region, cfg)
-        diagnostics["winding_full"] = rs.winding
+    defect = 0.0
+    for branch in branches:
+        handle = make_handle(potential, branch=branch, backend=backend)
+        recs, branch_defect = _collect(handle, region, cfg)
+        records.extend(recs)
+        defect = max(defect, branch_defect)
+        diagnostics[f"winding_{branch}"] = sum(r.multiplicity for r in recs)
 
-    diagnostics["conjugate_defect"] = _validate(records, potential.descriptor())
-    records = sorted(_mirror(records), key=lambda r: (-r.gamma.real, r.gamma.imag))
+    _validate(records, defect, potential.descriptor())
+    diagnostics["conjugate_defect"] = defect
+    records.sort(key=lambda r: (-r.gamma.real, r.gamma.imag))
 
     nonzero_res = [-r.gamma.real for r in records if r.gamma != 0]
     gap = min(nonzero_res) if nonzero_res else None

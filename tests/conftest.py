@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zigzagspec.potential import gaussian
+from zigzagspec.potential import beta_family, gaussian
+from zigzagspec.rootfinder import ComplexRegion
 from zigzagspec.spectrum import compute_spectrum
 
 # rightmost Gaussian (sigma = 1) eigenvalues, upper half-plane representatives.
@@ -21,6 +22,10 @@ GAUSSIAN_GAP = 0.4256652293460281
 # branch of each entry above (the spectrum alternates between the two
 # symmetric components as Re gamma decreases)
 GAUSSIAN_BRANCHES = ("plus", "minus", "plus", "minus", "plus", "minus", "plus")
+
+
+# beta:2.5 region holding its 7 rightmost eigenvalues (the benchmark's)
+BETA25_REGION = ComplexRegion(-1.5, 0.1, -3.0, 3.0)
 
 
 # one verdict line per acceptance criterion, echoed after the test summary
@@ -43,6 +48,12 @@ def gaussian_potential():
 def gaussian_spectrum(gaussian_potential):
     """One full spectrum solve shared by every test that only reads it."""
     return compute_spectrum(gaussian_potential)
+
+
+@pytest.fixture(scope="session")
+def beta25_spectrum():
+    """One beta:2.5 spectrum on BETA25_REGION, shared likewise."""
+    return compute_spectrum(beta_family(2.5), BETA25_REGION)
 
 
 def upper_half(eigs):

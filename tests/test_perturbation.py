@@ -139,3 +139,40 @@ def test_entry_is_frozen(gaussian_spectrum):
         p.entries[0].coefficient = 0.0  # type: ignore[misc]
     assert isinstance(p.entries[0], PerturbedEigenvalue)
     assert isinstance(gaussian_spectrum.eigenvalues[0], EigenvalueRecord)
+
+
+def test_lower_members_take_the_conjugate_coefficient(gaussian_spectrum, monkeypatch):
+    # mu is computed once per conjugate pair, for the Im >= 0 member; the
+    # Im < 0 member takes its exact conjugate
+    from zigzagspec import perturbation
+
+    calls = []
+
+    def counted(potential, gamma, cfg):
+        calls.append(gamma)
+        return refreshment_coefficient(potential, gamma, cfg)
+
+    monkeypatch.setattr(perturbation, "refreshment_coefficient", counted)
+    p = perturbed_spectrum(gaussian_spectrum, 0.5)
+    assert len(calls) == 22 and all(g.imag >= 0 for g in calls)
+    coefficient = {e.gamma: e.coefficient for e in p.entries}
+    for g in calls:
+        assert coefficient[g.conjugate()] == np.conj(coefficient[g])
+
+
+def test_unresolved_upper_member_leaves_the_lower_one_its_own_path(
+    gaussian_spectrum, gaussian_potential
+):
+    # a doctored double upper member is unresolved; its simple conjugate
+    # cannot mirror it, so it gets its own coefficient
+    eigs = list(gaussian_spectrum.eigenvalues)
+    i = next(k for k, r in enumerate(eigs) if r.gamma.imag > 0)
+    upper = eigs[i]
+    eigs[i] = dataclasses.replace(upper, multiplicity=2)
+    doctored = dataclasses.replace(gaussian_spectrum, eigenvalues=tuple(eigs))
+    p = perturbed_spectrum(doctored, 0.1)
+    entry = {e.gamma: e for e in p.entries}
+    assert not entry[upper.gamma].resolved
+    lower = entry[upper.gamma.conjugate()]
+    assert lower.resolved
+    assert lower.coefficient == refreshment_coefficient(gaussian_potential, lower.gamma)

@@ -178,6 +178,13 @@ def test_acf_error_conditions(long_path):
         autocorrelation(long_path, lambda x, th: x, np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_acf_rejects_non_finite_lags(long_path, bad):
+    # comparisons with NaN are all false, so only an explicit check catches it
+    with pytest.raises(DomainError, match="lags must be finite"):
+        autocorrelation(long_path, lambda x, th: x, np.array([0.0, bad]))
+
+
 def test_envelope_rate_validation():
     with pytest.raises(DomainError):
         envelope_decay_rate(np.array([0.0, 1.0]), np.array([1.0, 0.5]))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from zigzagspec.errors import DomainError, GapUndeterminedError
+from zigzagspec import spectrum
+from zigzagspec.charfn import make_handle, z_log_derivative_batch, z_value_batch
+from zigzagspec.errors import DomainError, GapUndeterminedError, WindingError
 from zigzagspec.potential import beta_family, gaussian
-from zigzagspec.rootfinder import ComplexRegion
+from zigzagspec.rootfinder import ComplexRegion, RootRecord, RootSet, locate_zeros
 from zigzagspec.spectrum import (
     auto_region,
     compute_spectrum,
@@ -11,7 +13,13 @@ from zigzagspec.spectrum import (
     spectral_gap,
 )
 
-from conftest import GAUSSIAN_BRANCHES, GAUSSIAN_EIGENVALUES, GAUSSIAN_GAP, upper_half
+from conftest import (
+    BETA25_REGION,
+    GAUSSIAN_BRANCHES,
+    GAUSSIAN_EIGENVALUES,
+    GAUSSIAN_GAP,
+    upper_half,
+)
 
 
 def test_gaussian_rightmost_eigenvalues(gaussian_spectrum):
@@ -56,12 +64,91 @@ def _assert_exact_conjugate_pairs(result):
         assert (r.gamma.conjugate(), r.branch) in upper
 
 
-def test_conjugate_pairs_are_exact_mirrors(gaussian_spectrum):
+def test_conjugate_pairs_are_exact_mirrors(gaussian_spectrum, beta25_spectrum):
     # Z(conj g) = conj Z(g) for real U: each Im < 0 eigenvalue is the exact
     # conjugate of an Im > 0 eigenvalue on its branch, so pairs share Re
     _assert_exact_conjugate_pairs(gaussian_spectrum)
-    beta = compute_spectrum(beta_family(2.5), ComplexRegion(-1.5, 0.1, -3.0, 3.0))
-    _assert_exact_conjugate_pairs(beta)
+    _assert_exact_conjugate_pairs(beta25_spectrum)
+
+
+@pytest.mark.parametrize(
+    "case", ["gaussian:1 default region", "beta:2.5 benchmark region"]
+)
+def test_full_plane_search_agrees(case, request):
+    # the search covers only Im >= -dilation; an independent solve of each
+    # branch over the whole region must find the same eigenvalues
+    if case.startswith("gaussian"):
+        result, potential = request.getfixturevalue("gaussian_spectrum"), gaussian(1.0)
+    else:
+        result, potential = request.getfixturevalue("beta25_spectrum"), beta_family(2.5)
+    full = []
+    for branch in ("plus", "minus"):
+        handle = make_handle(potential, branch=branch)
+        rs = locate_zeros(
+            lambda z: z_value_batch(handle, z),
+            lambda z: z_log_derivative_batch(handle, z),
+            result.region,
+        )
+        full.extend((r.location, branch, r.multiplicity) for r in rs.roots)
+    assert len(full) == len(result.eigenvalues)
+    for r in result.eigenvalues:
+        g, branch, multiplicity = min(full, key=lambda f: abs(f[0] - r.gamma))
+        assert abs(g - r.gamma) <= 1e-12, r.gamma
+        assert (branch, multiplicity) == (r.branch, r.multiplicity)
+    assert sorted(b for _, b, _ in full) == sorted(r.branch for r in result.eigenvalues)
+
+
+@pytest.mark.parametrize("im_min, count", [(-1.2, 3), (-0.5, 2), (0.0, 2)])
+def test_asymmetric_region_is_a_subset_of_the_symmetric_one(im_min, count):
+    # both regions and their mirror image lie in the same upper-half search
+    # rectangle as the symmetric one, so the eigenvalues inside are identical
+    pot = gaussian(1.0)
+    whole = compute_spectrum(pot, ComplexRegion(-0.9, 0.1, -1.6, 1.6))
+    region = ComplexRegion(-0.9, 0.1, im_min, 1.6)
+    part = compute_spectrum(pot, region)
+    want = [
+        (r.gamma, r.branch, r.multiplicity)
+        for r in whole.eigenvalues
+        if region.contains(r.gamma)
+    ]
+    assert [(r.gamma, r.branch, r.multiplicity) for r in part.eigenvalues] == want
+    assert len(want) == count
+    assert part.diagnostics["search_region"] == whole.diagnostics["search_region"]
+    winding = part.diagnostics["winding_plus"] + part.diagnostics["winding_minus"]
+    assert winding == len(want)
+
+
+def test_region_without_zero_is_rejected():
+    with pytest.raises(WindingError, match="expected the simple eigenvalue 0"):
+        compute_spectrum(gaussian(1.0), ComplexRegion(-0.9, 0.1, 0.5, 1.6))
+
+
+def test_search_region_is_the_upper_half_image(gaussian_spectrum):
+    assert gaussian_spectrum.diagnostics["search_region"] == {
+        "re_min": -4.0,
+        "re_max": 0.1,
+        "im_min": -1e-4,
+        "im_max": 6.0,
+        "edge_samples": 64,
+    }
+    cfg = spectrum.DEFAULT_ROOT_CONFIG
+    lower = spectrum._search_region(ComplexRegion(-0.9, 0.1, -1.6, -0.5), cfg)
+    assert (lower.im_min, lower.im_max) == (0.5, 1.6)
+    straddling = spectrum._search_region(ComplexRegion(-0.9, 0.1, -2.0, 1.0), cfg)
+    assert (straddling.im_min, straddling.im_max) == (-1e-4, 2.0)
+
+
+def test_unpaired_root_below_the_axis_is_rejected(monkeypatch):
+    # a root in the band -dilation <= Im < 0 without a conjugate above the
+    # axis means the search missed one: the band cross-check must refuse
+    def with_stray_root(*args, **kwargs):
+        rs = locate_zeros(*args, **kwargs)
+        stray = RootRecord(-0.5 - 5e-5j, 1, 0.0)
+        return RootSet(rs.roots + (stray,), rs.region, rs.winding + 1)
+
+    monkeypatch.setattr(spectrum, "locate_zeros", with_stray_root)
+    with pytest.raises(WindingError, match="conjugate closure violated"):
+        compute_spectrum(gaussian(1.0), ComplexRegion(-0.2, 0.1, -0.4, 0.4))
 
 
 def test_residuals_are_tiny(gaussian_spectrum):
