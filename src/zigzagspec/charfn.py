@@ -63,6 +63,7 @@ _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 
 NEAR_ZERO_TOL = 1e-14
+MEMO_LIMIT = 200_000  # psi memo entries per quadrature handle
 
 _BRANCHES = ("full", "plus", "minus")
 
@@ -213,15 +214,20 @@ def _ab_on_ray(potential, sign, gamma, cfg, ab, errs):
     )
 
 
-def _ab_integrals(potential, sign, g, cfg):
-    """(A, B) rows for every gamma in g, with their errors and per-gamma
-    (phi, radius, tail).
+def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: QuadratureConfig):
+    """(psi, dpsi, err, phi) arrays for every gamma in g from one adaptive pass.
 
-    All gammas share real-axis panels, truncated at the radius of the worst
-    member of the batch.  A gamma whose A or B misses its requested tolerance
-    there (the panels retire at the roundoff floor of a cancelling integrand)
-    is integrated again on a rotated ray, or refused with IntegrationError.
+    Uses the partially integrated form psi = 1 - 2 gamma A with
+    A = INT e^{-2 gamma u - W}, B = INT u e^{-2 gamma u - W}, W(u) = U(sign u),
+    so dpsi = -2A + 4 gamma B comes out of the same panel sweep.  All gammas
+    share real-axis panels, truncated at the radius of the worst member of
+    the batch.  A gamma whose A or B misses its requested tolerance there (the
+    panels retire at the roundoff floor of a cancelling integrand) is
+    integrated again on a rotated ray, or refused with IntegrationError; phi
+    is the angle of the ray each gamma was integrated along.
     """
+    if sign not in (+1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     alpha = float(np.max(np.maximum(0.0, -2.0 * g.real)))
     profile = DecayProfile(potential=potential, alpha=alpha, direction=int(sign), center=0.0)
     radius, tail = truncation_radius(profile, cfg)
@@ -234,26 +240,19 @@ def _ab_integrals(potential, sign, g, cfg):
         ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = _ab_on_ray(
             potential, sign, complex(g[j]), cfg, ab[:, j].copy(), errs[:, j].copy()
         )
-    return ab, errs, phi, radii, tails
-
-
-def _psi_quadrature(potential: PotentialModel, sign: int, gamma: complex, cfg: QuadratureConfig):
-    """(psi, dpsi, err, phi) by adaptive quadrature of the folded integrals.
-
-    Uses the partially integrated form 1 - 2 gamma A with
-    A = INT e^{-2 gamma u - W}, B = INT u e^{-2 gamma u - W}, W(u) = U(sign u),
-    so dpsi = -2A + 4 gamma B comes out of the same panel sweep; phi is the
-    angle of the ray the integrals were taken along.
-    """
-    ab, errs, phi, radius, tail = _ab_integrals(potential, sign, np.array([gamma]), cfg)
-    a_val, b_val = ab[:, 0]
-    a_err, b_err = errs[:, 0]
-    value = 1.0 - 2.0 * gamma * a_val
-    deriv = -2.0 * a_val + 4.0 * gamma * b_val
+    a_val, b_val = ab
+    value = 1.0 - 2.0 * g * a_val
+    deriv = -2.0 * a_val + 4.0 * g * b_val
     # polynomial factor u in B is swallowed by the truncation margin
-    tail = tail[0]
-    err = (2.0 * abs(gamma) + 2.0) * (a_err + tail) + 4.0 * abs(gamma) * (b_err + tail * radius[0])
-    return complex(value), complex(deriv), float(err), float(phi[0])
+    size = np.abs(g)
+    err = (2.0 * size + 2.0) * (errs[0] + tails) + 4.0 * size * (errs[1] + tails * radii)
+    return value, deriv, err, phi
+
+
+def _psi_one(potential: PotentialModel, sign: int, gamma: complex, cfg: QuadratureConfig):
+    """(psi, dpsi, err, phi) at one gamma: the batch of one."""
+    value, deriv, err, phi = _psi_quadrature_batch(potential, sign, np.array([complex(gamma)]), cfg)
+    return complex(value[0]), complex(deriv[0]), float(err[0]), float(phi[0])
 
 
 def _psi_defining_integral(
@@ -300,10 +299,8 @@ def psi(
     verify=True also evaluates the defining integral with the U' factor and
     insists the two routes agree within their combined error estimates.
     """
-    if sign not in (+1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     gamma = complex(gamma)
-    value, _, err, phi = _psi_quadrature(potential, sign, gamma, cfg)
+    value, _, err, phi = _psi_one(potential, sign, gamma, cfg)
     if verify:
         alt, alt_err = _psi_defining_integral(potential, sign, gamma, cfg, phi)
         budget = err + alt_err + 1e-11
@@ -322,10 +319,7 @@ def psi_derivative(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> complex:
     """d psi_sign / d gamma by quadrature (shares panels and path with psi)."""
-    if sign not in (+1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    _, deriv, _, _ = _psi_quadrature(potential, sign, complex(gamma), cfg)
-    return deriv
+    return _psi_one(potential, sign, gamma, cfg)[1]
 
 
 def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -341,8 +335,8 @@ def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfi
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
     if g.size == 0:
         return np.zeros(0, complex), np.zeros(0, complex)
-    a_val, b_val = _ab_integrals(potential, sign, g, cfg)[0]
-    return 1.0 - 2.0 * g * a_val, -2.0 * a_val + 4.0 * g * b_val
+    value, deriv, _, _ = _psi_quadrature_batch(potential, sign, g, cfg)
+    return value, deriv
 
 
 # ---------------------------------------------------------------------------
@@ -375,47 +369,36 @@ class CharFunctionHandle:
         if self.branch in ("plus", "minus") and not self.potential.is_symmetric:
             raise DomainError("plus/minus branches require an even potential")
 
-    # psi+-(gamma) and derivatives, all four at once, memoized
-    def _values(self, gamma: complex):
-        key = complex(gamma)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if self.backend == "gaussian-closed-form":
-            s = self.potential.sigma
-            pp, dp = _gaussian_closed_form(s * key)
-            pp, dp = complex(pp), s * complex(dp)
-            vals = (pp, dp, pp, dp)
-        elif self.potential.is_symmetric:
-            pp, dp, _, _ = _psi_quadrature(self.potential, +1, key, self.cfg)
-            vals = (pp, dp, pp, dp)
-        else:
-            pp, dp, _, _ = _psi_quadrature(self.potential, +1, key, self.cfg)
-            pm, dm, _, _ = _psi_quadrature(self.potential, -1, key, self.cfg)
-            vals = (pp, dp, pm, dm)
-        if len(self._memo) > 200000:
-            self._memo.clear()
-        self._memo[key] = vals
-        return vals
-
     def psi_at(self, gamma: complex):
         """(psi+, dpsi+, psi-, dpsi-) at gamma, no near-zero guard.
 
         Unlike z_value this is safe to call at eigenvalues, where Z itself
-        vanishes but the psi values are perfectly regular.
+        vanishes but the psi values are perfectly regular.  It is
+        values_batch of one gamma, bit for bit.
         """
-        return self._values(complex(gamma))
+        return tuple(complex(v[0]) for v in self.values_batch(complex(gamma)))
 
     def values_batch(self, gammas):
-        """(psi+, dpsi+, psi-, dpsi-) row arrays for an array of gammas."""
+        """(psi+, dpsi+, psi-, dpsi-) row arrays for an array of gammas.
+
+        Quadrature values are memoized per gamma; the memo is emptied before
+        it would grow past MEMO_LIMIT entries.
+        """
         g = np.atleast_1d(np.asarray(gammas, dtype=complex))
         if self.backend == "gaussian-closed-form":
             s = self.potential.sigma
             pp, dp = _gaussian_closed_form(s * g)
             dp = s * dp
             return pp, dp, pp, dp
-        out = np.zeros((4, g.size), dtype=complex)
-        miss = [i for i, z in enumerate(g) if complex(z) not in self._memo]
+        keys = g.tolist()
+        out = np.empty((4, g.size), dtype=complex)
+        miss = []
+        for i, key in enumerate(keys):
+            hit = self._memo.get(key)
+            if hit is None:
+                miss.append(i)
+            else:
+                out[:, i] = hit
         if miss:
             zm = g[miss]
             pp, dp = psi_batch(self.potential, +1, zm, self.cfg)
@@ -423,15 +406,10 @@ class CharFunctionHandle:
                 pm, dm = pp, dp
             else:
                 pm, dm = psi_batch(self.potential, -1, zm, self.cfg)
-            for j, i in enumerate(miss):
-                self._memo[complex(g[i])] = (
-                    complex(pp[j]),
-                    complex(dp[j]),
-                    complex(pm[j]),
-                    complex(dm[j]),
-                )
-        for i, z in enumerate(g):
-            out[:, i] = self._memo[complex(z)]
+            out[:, miss] = pp, dp, pm, dm
+            if len(self._memo) + len(miss) > MEMO_LIMIT:
+                self._memo.clear()
+            self._memo.update(zip((keys[i] for i in miss), map(tuple, out[:, miss].T.tolist())))
         return out[0], out[1], out[2], out[3]
 
 
@@ -447,13 +425,22 @@ def make_handle(
     return CharFunctionHandle(potential=potential, branch=branch, backend=backend, cfg=cfg)
 
 
-def z_value(handle: CharFunctionHandle, gamma: complex) -> complex:
-    pp, _, pm, _ = handle._values(gamma)
+def _z_and_dz(handle: CharFunctionHandle, gammas):
+    """(Z, Z') arrays of the handle's branch at an array of gammas.
+
+    The one place that knows the branches: Z = 1 - psi+ psi- (full),
+    Z+ = 1 - psi (plus) and Z- = 1 + psi (minus), with their derivatives.
+    """
+    pp, dp, pm, dm = handle.values_batch(gammas)
     if handle.branch == "full":
-        return 1.0 - pp * pm
+        return 1.0 - pp * pm, -(pm * dp + pp * dm)
     if handle.branch == "plus":
-        return 1.0 - pp
-    return 1.0 + pp
+        return 1.0 - pp, -dp
+    return 1.0 + pp, dp
+
+
+def z_value(handle: CharFunctionHandle, gamma: complex) -> complex:
+    return complex(z_value_batch(handle, complex(gamma))[0])
 
 
 def z_log_derivative(handle: CharFunctionHandle, gamma: complex) -> complex:
@@ -462,46 +449,20 @@ def z_log_derivative(handle: CharFunctionHandle, gamma: complex) -> complex:
     Raises NearZeroError when |Z| < 1e-14; callers in the rootfinder treat
     that as having landed on a root.
     """
-    pp, dp, pm, dm = handle._values(gamma)
-    if handle.branch == "full":
-        z = 1.0 - pp * pm
-        num = -(pm * dp + pp * dm)
-    elif handle.branch == "plus":
-        z = 1.0 - pp
-        num = -dp
-    else:
-        z = 1.0 + pp
-        num = dp
-    if abs(z) < NEAR_ZERO_TOL:
-        raise NearZeroError(gamma, abs(z))
-    return num / z
+    return complex(z_log_derivative_batch(handle, complex(gamma))[0])
 
 
 def z_value_batch(handle: CharFunctionHandle, gammas):
     """Vectorized z_value; accepts and returns numpy arrays."""
-    pp, _, pm, _ = handle.values_batch(gammas)
-    if handle.branch == "full":
-        return 1.0 - pp * pm
-    if handle.branch == "plus":
-        return 1.0 - pp
-    return 1.0 + pp
+    return _z_and_dz(handle, gammas)[0]
 
 
 def z_log_derivative_batch(handle: CharFunctionHandle, gammas):
     """Vectorized Z'/Z; raises NearZeroError at the first numerically-zero Z."""
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
-    pp, dp, pm, dm = handle.values_batch(g)
-    if handle.branch == "full":
-        z = 1.0 - pp * pm
-        num = -(pm * dp + pp * dm)
-    elif handle.branch == "plus":
-        z = 1.0 - pp
-        num = -dp
-    else:
-        z = 1.0 + pp
-        num = dp
+    z, dz = _z_and_dz(handle, g)
     small = np.abs(z) < NEAR_ZERO_TOL
     if small.any():
         i = int(np.argmax(small))
         raise NearZeroError(complex(g[i]), float(np.abs(z[i])))
-    return num / z
+    return dz / z

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .charfn import CharFunctionHandle, make_handle
+from .charfn import _z_and_dz, make_handle, z_value
 from .errors import (
     DomainError,
     NonSimpleEigenvalueError,
@@ -261,24 +261,6 @@ class GridFunction:
 
 # --------------------------------------------------------------- eigenfunctions
 
-def _branch_z(handle: CharFunctionHandle, gamma: complex, variant: str) -> complex:
-    pp, _, pm, _ = handle.psi_at(gamma)
-    if variant == "full":
-        return 1.0 - pp * pm
-    if variant == "plus":
-        return 1.0 - pp
-    return 1.0 + pp
-
-
-def _branch_dz(handle: CharFunctionHandle, gamma: complex, variant: str) -> complex:
-    pp, dp, pm, dm = handle.psi_at(gamma)
-    if variant == "full":
-        return -(pm * dp + pp * dm)
-    if variant == "plus":
-        return -dp
-    return dp
-
-
 @dataclasses.dataclass(frozen=True)
 class PiecewiseEigenfunction:
     """Eigenfunction at gamma in the half-line-wise closed form.
@@ -408,7 +390,7 @@ def eigenfunction(
         raise DomainError(f"unknown eigenfunction variant {variant!r}")
     gamma = complex(gamma)
     handle = make_handle(potential, branch=variant, cfg=cfg)
-    z = _branch_z(handle, gamma, variant)
+    z = z_value(handle, gamma)
     if abs(z) > tol:
         raise NotAnEigenvalueError(gamma, abs(z), tol)
     pp = handle.psi_at(gamma)[0]
@@ -434,6 +416,17 @@ def eigenfunction_table(
 
 # ---------------------------------------------------------------- inner products
 
+def _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints):
+    """(sum of the row integrals, error) over [-rl, rr], the radii at which
+    e^{growth |x| - U} is certified negligible; the tails join the error."""
+    rr, tr = truncation_radius(DecayProfile(potential, alpha=growth, direction=+1), cfg)
+    rl, tl = truncation_radius(DecayProfile(potential, alpha=growth, direction=-1), cfg)
+    val, err = integrate_finite(
+        rows, -rl, rr, cfg, oscillation=oscillation, breakpoints=breakpoints
+    )
+    return complex(np.sum(val)), float(np.sum(err) + tr + tl)
+
+
 def inner_product_mu(
     f: Callable,
     g: Callable,
@@ -448,10 +441,6 @@ def inner_product_mu(
     growth bounds |f g| by e^{growth |x|} for the truncation certificate
     (eigenfunction callers pass |Re gamma_1| + |Re gamma_2|).
     """
-    pr = DecayProfile(potential, alpha=growth, direction=+1)
-    pl = DecayProfile(potential, alpha=growth, direction=-1)
-    rr, tr = truncation_radius(pr, cfg)
-    rl, tl = truncation_radius(pl, cfg)
 
     def rows(x):
         w = np.exp(-potential.U(x))
@@ -462,10 +451,7 @@ def inner_product_mu(
             ]
         )
 
-    val, err = integrate_finite(
-        rows, -rl, rr, cfg, oscillation=oscillation, breakpoints=breakpoints
-    )
-    return complex(np.sum(val)), float(np.sum(err) + tr + tl)
+    return _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints)
 
 
 def inner_product_nu(
@@ -478,18 +464,11 @@ def inner_product_nu(
     breakpoints=(0.0,),
 ) -> Tuple[complex, float]:
     """<f, g>_nu = int f(x) conj(g(x)) e^{-U} dx on R (symmetric-variant pairing)."""
-    pr = DecayProfile(potential, alpha=growth, direction=+1)
-    pl = DecayProfile(potential, alpha=growth, direction=-1)
-    rr, tr = truncation_radius(pr, cfg)
-    rl, tl = truncation_radius(pl, cfg)
 
     def rows(x):
         return f(x) * np.conj(g(x)) * np.exp(-potential.U(x))
 
-    val, err = integrate_finite(
-        rows, -rl, rr, cfg, oscillation=oscillation, breakpoints=breakpoints
-    )
-    return complex(val), float(err + tr + tl)
+    return _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints)
 
 
 # -------------------------------------------------------------------- resolvent
@@ -505,7 +484,7 @@ def _resolvent_pieces(
     gamma = complex(gamma)
     handle = make_handle(potential, branch="full", cfg=cfg)
     pp, _, pm, _ = handle.psi_at(gamma)
-    z = 1.0 - pp * pm
+    z = z_value(handle, gamma)
     if abs(z) <= tol:
         raise ResolventAtEigenvalueError(gamma, abs(z), tol)
 
@@ -742,7 +721,7 @@ def spectral_projection(
     gamma = complex(gamma)
     f = eigenfunction(potential, gamma, variant, cfg, tol)
     handle = make_handle(potential, branch=variant, cfg=cfg)
-    dz = _branch_dz(handle, gamma, variant)
+    dz = complex(_z_and_dz(handle, gamma)[1][0])
     if abs(dz) <= simple_tol:
         raise NonSimpleEigenvalueError(gamma, abs(dz))
 
@@ -798,7 +777,7 @@ def z_prime_consistency(
     gamma = complex(gamma)
     f = eigenfunction(potential, gamma, variant, cfg, tol)
     handle = make_handle(potential, branch=variant, cfg=cfg)
-    lhs = _branch_dz(handle, gamma, variant)
+    lhs = complex(_z_and_dz(handle, gamma)[1][0])
     if variant == "full":
         pm = handle.psi_at(gamma)[2]
         rhs = pm * _pair_full(f, f, potential, cfg)

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .charfn import make_handle
+from .charfn import _z_and_dz, make_handle
 from .errors import DomainError, NonSimpleEigenvalueError
 from .operator import (
     _pair_full,
@@ -42,14 +42,7 @@ _SIMPLE_TOL = 1e-8
 
 
 def _check_simple(potential: PotentialModel, gamma: complex, branch: str, cfg):
-    handle = make_handle(potential, branch=branch, cfg=cfg)
-    pp, dp, pm, dm = handle.psi_at(gamma)
-    if branch == "full":
-        dz = -(pm * dp + pp * dm)
-    elif branch == "plus":
-        dz = -dp
-    else:
-        dz = dp
+    dz = complex(_z_and_dz(make_handle(potential, branch=branch, cfg=cfg), gamma)[1][0])
     if abs(dz) <= _SIMPLE_TOL:
         raise NonSimpleEigenvalueError(gamma, abs(dz))
 
@@ -59,10 +52,7 @@ def refreshment_coefficient(
     gamma: complex,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> complex:
-    """mu
-
-    <f_gamma, conj f_gamma> / <f_gamma, F conj f_gamma> - 1 for B = F - I.
-    """
+    """mu = <f_gamma, conj f_gamma> / <f_gamma, F conj f_gamma> - 1 for B = F - I."""
     gamma = complex(gamma)
     _check_simple(potential, gamma, "full", cfg)
     f = eigenfunction(potential, gamma, "full", cfg)

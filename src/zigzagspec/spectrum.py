@@ -185,7 +185,7 @@ def compute_spectrum(
     cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG,
     backend: Optional[str] = None,
 ) -> SpectrumResult:
-    """All eigenvalues in the region (default: auto_region`).
+    """All eigenvalues in the region (default: `auto_region`).
 
     Even potentials are searched per branch (Z+ then Z-) and the union is
     returned with branch labels; otherwise the full Z is used.  Assumption

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zigzagspec import charfn
 from zigzagspec.charfn import (
     gaussian_closed_form_dpsi,
     gaussian_closed_form_psi,
     make_handle,
     psi,
+    psi_batch,
     psi_derivative,
     z_log_derivative,
+    z_log_derivative_batch,
     z_value,
     z_value_batch,
 )
 from zigzagspec.errors import DomainError, IntegrationError, NearZeroError
-from zigzagspec.potential import beta_family, custom, gaussian
+from zigzagspec.potential import beta_family, custom, gaussian, parse_potential
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -135,13 +139,50 @@ def test_branch_handles_satisfy_factorization():
         assert abs(zf - zp * zm) < 1e-12
 
 
+# beta:2.5 at -0.3 + 0.6j is where a separate scalar psi path once differed
+# from the batch in the last ulp
+SCALAR_BATCH_GAMMAS = [-0.3 + 0.6j, -0.8 + 1.2j, 0.05 - 0.4j]
+
+
 def test_batch_matches_scalar():
-    pot = gaussian(1.0)
-    handle = make_handle(pot)
-    gs = np.array([-0.3 + 0.6j, -0.8 + 1.2j, 0.05 - 0.4j])
-    batch = z_value_batch(handle, gs)
-    for g, v in zip(gs, batch):
-        assert abs(z_value(handle, complex(g)) - v) < 1e-14
+    # a scalar call is a batch of one, bit for bit, whatever the call order,
+    # on both backends and every branch
+    for descriptor, branch, g in itertools.product(
+        ("gaussian:1", "beta:2.5"), ("full", "plus", "minus"), SCALAR_BATCH_GAMMAS
+    ):
+        pot = parse_potential(descriptor)
+        scalar_first = make_handle(pot, branch)
+        scalar = scalar_first.psi_at(g)
+        assert tuple(v[0] for v in scalar_first.values_batch([g])) == scalar
+        batch_first = make_handle(pot, branch)
+        batch = tuple(v[0] for v in batch_first.values_batch([g]))
+        assert batch_first.psi_at(g) == batch
+        assert scalar == batch, (descriptor, branch, g)
+        assert z_value(make_handle(pot, branch), g) == z_value_batch(make_handle(pot, branch), [g])[0]
+        assert (
+            z_log_derivative(make_handle(pot, branch), g)
+            == z_log_derivative_batch(make_handle(pot, branch), [g])[0]
+        )
+    # the quadrature functions, on both half lines
+    for descriptor, sign, g in itertools.product(
+        ("gaussian:1", "beta:2.5"), (+1, -1), SCALAR_BATCH_GAMMAS
+    ):
+        pot = parse_potential(descriptor)
+        value, deriv = psi_batch(pot, sign, [g])
+        assert psi(pot, sign, g) == value[0]
+        assert psi(pot, sign, g, verify=True) == value[0]
+        assert psi_derivative(pot, sign, g) == deriv[0]
+
+
+def test_values_batch_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(charfn, "MEMO_LIMIT", 8)
+    handle = make_handle(beta_family(2.5))
+    for k in range(6):
+        gammas = -0.2 + 1j * (0.5 + k + np.arange(3) / 3.0)
+        first = handle.values_batch(gammas)
+        assert len(handle._memo) <= 8
+        # memoized values come back unchanged
+        assert all(np.array_equal(a, b) for a, b in zip(handle.values_batch(gammas), first))
 
 
 def test_quadrature_backend_agrees_with_closed_form_handle():
