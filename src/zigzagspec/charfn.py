@@ -63,7 +63,12 @@ _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 
 NEAR_ZERO_TOL = 1e-14
-MEMO_LIMIT = 200_000  # psi memo entries per quadrature handle
+# psi memo entries per quadrature handle.  The memo serves the rootfinder:
+# sibling boxes share edge nodes, which it answers from the first evaluation
+# (5,580 of 25,698 lookups on the beta:2.5 spectrum over [-1.5,0.1]x[-3,3]).
+# Reusing the parent box's edge panels in its children (ROADMAP item 6(a))
+# would replace it.
+MEMO_LIMIT = 200_000
 
 _BRANCHES = ("full", "plus", "minus")
 
@@ -425,16 +430,15 @@ def make_handle(
     return CharFunctionHandle(potential=potential, branch=branch, backend=backend, cfg=cfg)
 
 
-def _z_and_dz(handle: CharFunctionHandle, gammas):
-    """(Z, Z') arrays of the handle's branch at an array of gammas.
+def _z_and_dz(branch: str, pp, dp, pm, dm):
+    """(Z, Z') arrays of a branch from the values_batch rows (psi+, dpsi+, psi-, dpsi-).
 
     The one place that knows the branches: Z = 1 - psi+ psi- (full),
     Z+ = 1 - psi (plus) and Z- = 1 + psi (minus), with their derivatives.
     """
-    pp, dp, pm, dm = handle.values_batch(gammas)
-    if handle.branch == "full":
+    if branch == "full":
         return 1.0 - pp * pm, -(pm * dp + pp * dm)
-    if handle.branch == "plus":
+    if branch == "plus":
         return 1.0 - pp, -dp
     return 1.0 + pp, dp
 
@@ -454,13 +458,13 @@ def z_log_derivative(handle: CharFunctionHandle, gamma: complex) -> complex:
 
 def z_value_batch(handle: CharFunctionHandle, gammas):
     """Vectorized z_value; accepts and returns numpy arrays."""
-    return _z_and_dz(handle, gammas)[0]
+    return _z_and_dz(handle.branch, *handle.values_batch(gammas))[0]
 
 
 def z_log_derivative_batch(handle: CharFunctionHandle, gammas):
     """Vectorized Z'/Z; raises NearZeroError at the first numerically-zero Z."""
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
-    z, dz = _z_and_dz(handle, g)
+    z, dz = _z_and_dz(handle.branch, *handle.values_batch(g))
     small = np.abs(z) < NEAR_ZERO_TOL
     if small.any():
         i = int(np.argmax(small))

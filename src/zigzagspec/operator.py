@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .charfn import _z_and_dz, make_handle, z_value
+from .charfn import _z_and_dz, make_handle
 from .errors import (
     DomainError,
     NonSimpleEigenvalueError,
@@ -64,6 +64,7 @@ __all__ = [
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _LOG_GRID_TARGET = 14.0 * math.log(10.0)  # e^{-U(R)} < 1e-14
+SIMPLICITY_TOL = 1e-8  # |Z'(gamma)| at or below this: not a simple root
 
 
 # ----------------------------------------------------------------- phi helpers
@@ -272,12 +273,17 @@ class PiecewiseEigenfunction:
                  = psi+ e^{gamma x} pt^-(gamma;x) (x <= 0)
     plus/minus variants on R (even U):
         f(x) = e^{gamma x} (x <= 0),  +/- e^{-gamma x} pt^+(gamma;x) (x >= 0).
+
+    It carries the psi values at gamma and z_prime, the derivative of its
+    branch's Z there, so the pairings built on f need no second psi pass.
     """
 
     gamma: complex
     potential: PotentialModel
     variant: str
     psi_plus: complex
+    psi_minus: complex
+    z_prime: complex
     cfg: QuadratureConfig = DEFAULT_CONFIG
     _tilde_cache: dict = dataclasses.field(
         default_factory=dict, compare=False, repr=False
@@ -389,13 +395,19 @@ def eigenfunction(
     if variant not in ("full", "plus", "minus"):
         raise DomainError(f"unknown eigenfunction variant {variant!r}")
     gamma = complex(gamma)
-    handle = make_handle(potential, branch=variant, cfg=cfg)
-    z = z_value(handle, gamma)
+    values = make_handle(potential, branch=variant, cfg=cfg).values_batch(gamma)
+    z, dz = (complex(v[0]) for v in _z_and_dz(variant, *values))
     if abs(z) > tol:
         raise NotAnEigenvalueError(gamma, abs(z), tol)
-    pp = handle.psi_at(gamma)[0]
+    pp, _, pm, _ = (complex(v[0]) for v in values)
     return PiecewiseEigenfunction(
-        gamma=gamma, potential=potential, variant=variant, psi_plus=pp, cfg=cfg
+        gamma=gamma,
+        potential=potential,
+        variant=variant,
+        psi_plus=pp,
+        psi_minus=pm,
+        z_prime=dz,
+        cfg=cfg,
     )
 
 
@@ -482,9 +494,9 @@ def _resolvent_pieces(
 ):
     """Shared setup: psi values, K(gamma)h, the k constants, and cumulatives."""
     gamma = complex(gamma)
-    handle = make_handle(potential, branch="full", cfg=cfg)
-    pp, _, pm, _ = handle.psi_at(gamma)
-    z = z_value(handle, gamma)
+    values = make_handle(potential, branch="full", cfg=cfg).values_batch(gamma)
+    z = complex(_z_and_dz("full", *values)[0][0])
+    pp, _, pm, _ = (complex(v[0]) for v in values)
     if abs(z) <= tol:
         raise ResolventAtEigenvalueError(gamma, abs(z), tol)
 
@@ -662,42 +674,42 @@ def resolvent_defect(
 
 # ------------------------------------------------------------------ projections
 
-def _pair_full(
-    fa: PiecewiseEigenfunction,
-    fb: PiecewiseEigenfunction,
-    potential: PotentialModel,
-    cfg: QuadratureConfig,
-) -> complex:
-    """<f_a, F conj(f_b)> = sum_theta int f_a(x,theta) f_b(x,-theta) e^{-U} dx."""
-    growth = abs(fa.gamma.real) + abs(fb.gamma.real)
-    osc = 2.0 * (abs(fa.gamma.imag) + abs(fb.gamma.imag))
-    val, _ = inner_product_mu(
-        fa,
-        lambda x, th: np.conj(fb.component(x, -th)),
-        potential,
-        cfg,
-        growth=growth,
-        oscillation=osc,
-    )
-    return val
+def _require_simple(f: PiecewiseEigenfunction) -> None:
+    """Raise NonSimpleEigenvalueError where |Z'(gamma)| <= SIMPLICITY_TOL."""
+    if abs(f.z_prime) <= SIMPLICITY_TOL:
+        raise NonSimpleEigenvalueError(f.gamma, abs(f.z_prime))
 
 
-def _pair_sym(
-    fa: PiecewiseEigenfunction,
-    fb: PiecewiseEigenfunction,
-    potential: PotentialModel,
-    cfg: QuadratureConfig,
-    flip: bool,
-) -> complex:
-    """<f_a, J conj(f_b)>_nu (flip) or <f_a, conj(f_b)>_nu."""
-    growth = abs(fa.gamma.real) + abs(fb.gamma.real)
-    osc = 2.0 * (abs(fa.gamma.imag) + abs(fb.gamma.imag))
-    g = (lambda x: np.conj(fb.component(-x))) if flip else (
-        lambda x: np.conj(fb.component(x))
-    )
-    val, _ = inner_product_nu(
-        fa.component, g, potential, cfg, growth=growth, oscillation=osc
-    )
+def _pair(a: Callable, rate: complex, f: PiecewiseEigenfunction, sign: int) -> complex:
+    """Bilinear pairing of a with the eigenfunction f (no conjugate taken).
+
+    full f: sum_theta int a(x,theta) f(x, sign theta) e^{-U} dx on E;
+    plus/minus f: int a(x) f(sign x) e^{-U} dx on R.  sign -1 pairs against
+    F conj(f) or J conj(f), +1 against conj(f).  |a| <= e^{|Re rate| |x|}
+    oscillating at 2 |Im rate| (rate = gamma for an eigenfunction a, the
+    growth bound for a bare h); the truncation and oscillation guards sum
+    both sides' bounds.
+    """
+    growth = abs(rate.real) + abs(f.gamma.real)
+    osc = 2.0 * (abs(rate.imag) + abs(f.gamma.imag))
+    if f.variant == "full":
+        val, _ = inner_product_mu(
+            a,
+            lambda x, th: np.conj(f.component(x, sign * th)),
+            f.potential,
+            f.cfg,
+            growth=growth,
+            oscillation=osc,
+        )
+    else:
+        val, _ = inner_product_nu(
+            a,
+            lambda x: np.conj(f.component(sign * x)),
+            f.potential,
+            f.cfg,
+            growth=growth,
+            oscillation=osc,
+        )
     return val
 
 
@@ -707,58 +719,36 @@ def spectral_projection(
     h: Union[GridFunction, Callable],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     variant: str = "full",
-    simple_tol: float = 1e-8,
     tol: float = 1e-8,
     growth: float = 0.0,
 ) -> Tuple[complex, PiecewiseEigenfunction]:
     """Rank-one projection P_gamma h = coefficient * f_gamma at a simple root.
 
     full: coefficient = <h, F conj(f)> / <f, F conj(f)>;
-    plus/minus: <h, J conj(f)>_nu / <f, J conj(f)>_nu with h a function on R.
+    plus/minus: <h, J conj(f)>_nu / <f, J conj(f)>_nu with h a function on R
+    (a GridFunction, which lives on E, raises DomainError).
     growth bounds |h| by e^{growth |x|} when h is a bare callable (irrelevant
     for GridFunctions, which vanish off their grid).
     """
-    gamma = complex(gamma)
-    f = eigenfunction(potential, gamma, variant, cfg, tol)
-    handle = make_handle(potential, branch=variant, cfg=cfg)
-    dz = complex(_z_and_dz(handle, gamma)[1][0])
-    if abs(dz) <= simple_tol:
-        raise NonSimpleEigenvalueError(gamma, abs(dz))
-
-    if variant == "full":
-        den = _pair_full(f, f, potential, cfg)
-        if isinstance(h, GridFunction):
-            num = 0.0 + 0.0j
-            for theta in (+1, -1):
-                cells, _ = gk_cells(
-                    lambda xi, th=theta: h.component(xi, th)
-                    * f.component(xi, -th)
-                    * np.exp(-potential.U(xi)),
-                    h.xs,
-                )
-                num += np.sum(cells)
-        else:
-            val, _ = inner_product_mu(
-                h,
-                lambda x, th: np.conj(f.component(x, -th)),
-                potential,
-                cfg,
-                growth=growth + abs(gamma.real),
-                oscillation=2.0 * abs(gamma.imag),
-            )
-            num = val
-    else:
-        den = _pair_sym(f, f, potential, cfg, flip=True)
-        h_call = h.component if isinstance(h, GridFunction) else h
-        val, _ = inner_product_nu(
-            h_call,
-            lambda x: np.conj(f.component(-x)),
-            potential,
-            cfg,
-            growth=growth + abs(gamma.real),
-            oscillation=2.0 * abs(gamma.imag),
+    if variant != "full" and isinstance(h, GridFunction):
+        raise DomainError(
+            f"the {variant!r} projection takes a function on R, not a GridFunction on E"
         )
-        num = val
+    f = eigenfunction(potential, gamma, variant, cfg, tol)
+    _require_simple(f)
+    den = _pair(f, f.gamma, f, -1)
+    if isinstance(h, GridFunction):
+        num = 0.0 + 0.0j
+        for theta in (+1, -1):
+            cells, _ = gk_cells(
+                lambda xi, th=theta: h.component(xi, th)
+                * f.component(xi, -th)
+                * np.exp(-potential.U(xi)),
+                h.xs,
+            )
+            num += np.sum(cells)
+    else:
+        num = _pair(h, growth, f, -1)
     return num / den, f
 
 
@@ -774,16 +764,11 @@ def z_prime_consistency(
     full:  (Z'(gamma) by quadrature/closed form,  psi-(gamma) <f, F conj(f)>).
     plus/minus:  (dZ^pm/dgamma,  <f^pm, J conj(f^pm)>_nu).
     """
-    gamma = complex(gamma)
     f = eigenfunction(potential, gamma, variant, cfg, tol)
-    handle = make_handle(potential, branch=variant, cfg=cfg)
-    lhs = complex(_z_and_dz(handle, gamma)[1][0])
+    rhs = _pair(f, f.gamma, f, -1)
     if variant == "full":
-        pm = handle.psi_at(gamma)[2]
-        rhs = pm * _pair_full(f, f, potential, cfg)
-    else:
-        rhs = _pair_sym(f, f, potential, cfg, flip=True)
-    return lhs, rhs
+        rhs = f.psi_minus * rhs
+    return f.z_prime, rhs
 
 
 # -------------------------------------------------------------------- generator

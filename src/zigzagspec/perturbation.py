@@ -16,16 +16,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
-import numpy as np
-
-from .charfn import _z_and_dz, make_handle
 from .errors import DomainError, NonSimpleEigenvalueError
-from .operator import (
-    _pair_full,
-    _pair_sym,
-    eigenfunction,
-    inner_product_mu,
-)
+from .operator import _pair, _require_simple, eigenfunction
 from .potential import PotentialModel, parse_potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .spectrum import SpectrumResult
@@ -38,14 +30,6 @@ __all__ = [
     "perturbed_spectrum",
 ]
 
-_SIMPLE_TOL = 1e-8
-
-
-def _check_simple(potential: PotentialModel, gamma: complex, branch: str, cfg):
-    dz = complex(_z_and_dz(make_handle(potential, branch=branch, cfg=cfg), gamma)[1][0])
-    if abs(dz) <= _SIMPLE_TOL:
-        raise NonSimpleEigenvalueError(gamma, abs(dz))
-
 
 def refreshment_coefficient(
     potential: PotentialModel,
@@ -53,20 +37,10 @@ def refreshment_coefficient(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> complex:
     """mu = <f_gamma, conj f_gamma> / <f_gamma, F conj f_gamma> - 1 for B = F - I."""
-    gamma = complex(gamma)
-    _check_simple(potential, gamma, "full", cfg)
     f = eigenfunction(potential, gamma, "full", cfg)
-    den = _pair_full(f, f, potential, cfg)
-    # bilinear square: sum_theta int f(x,theta)^2 e^{-U} dx
-    num, _ = inner_product_mu(
-        f,
-        lambda x, th: np.conj(f.component(x, th)),
-        potential,
-        cfg,
-        growth=2.0 * abs(gamma.real),
-        oscillation=4.0 * abs(gamma.imag),
-    )
-    return num / den - 1.0
+    _require_simple(f)
+    den = _pair(f, f.gamma, f, -1)
+    return _pair(f, f.gamma, f, +1) / den - 1.0
 
 
 def refreshment_coefficient_symmetric(
@@ -78,13 +52,11 @@ def refreshment_coefficient_symmetric(
     """Branch form +/- <f, conj f>_nu / <f, J conj f>_nu - 1 for B = +/-J - I."""
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be plus or minus, got {branch!r}")
-    gamma = complex(gamma)
-    _check_simple(potential, gamma, branch, cfg)
     f = eigenfunction(potential, gamma, branch, cfg)
-    den = _pair_sym(f, f, potential, cfg, flip=True)
-    num = _pair_sym(f, f, potential, cfg, flip=False)
+    _require_simple(f)
+    den = _pair(f, f.gamma, f, -1)
     sign = 1.0 if branch == "plus" else -1.0
-    return sign * num / den - 1.0
+    return sign * _pair(f, f.gamma, f, +1) / den - 1.0
 
 
 @dataclasses.dataclass(frozen=True)

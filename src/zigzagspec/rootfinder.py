@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -236,39 +236,6 @@ def _winding_and_moments(fvec, ldvec, region, cfg):
     )
 
 
-def _winding_logderiv_only(ldvec, region, cfg):
-    """Winding without access to f: trust the quadrature plus the 0.25 rule.
-
-    Proximity of a zero to the contour is inferred from |logderiv| spikes.
-    """
-    n0 = region.edge_samples
-    for _ in range(4):
-        total = 0.0 + 0.0j
-        for (za, zb, name) in _edges(region):
-            length = abs(zb - za)
-            direction = (zb - za) / length
-            ts = np.linspace(0.0, length, n0 + 1)
-            ld_samples = np.asarray(ldvec(za + direction * ts), dtype=complex)
-            spikes = np.abs(ld_samples) > 1.0 / cfg.boundary_tol
-            if spikes.any():
-                raise BoundaryProximityError(name, za + direction * ts[np.argmax(spikes)])
-
-            def row(t, _za=za, _dir=direction):
-                return np.asarray(ldvec(_za + _dir * t), dtype=complex) * _dir
-
-            try:
-                val, _ = integrate_finite(row, 0.0, length, cfg.quad, breakpoints=ts[1:-1])
-            except NearZeroError as exc:
-                raise BoundaryProximityError(name, exc.gamma) from exc
-            total += val
-        w = total / (2.0j * math.pi)
-        w_int = int(round(w.real))
-        if abs(w - w_int) <= 0.25:
-            return w_int
-        n0 *= 4
-    raise BoundaryProximityError("unresolved", region.center)
-
-
 def _dilated(region: ComplexRegion, exc: BoundaryProximityError, amount: float) -> ComplexRegion:
     """Enlarge the region by `amount` on the side named by the error
     (all four sides when the edge is unknown)."""
@@ -440,33 +407,39 @@ def _as_vectorized(fn):
     return wrapped
 
 
-def count_zeros(
-    logderiv: Callable,
-    region: ComplexRegion,
-    cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG,
-    f: Optional[Callable] = None,
-) -> int:
-    """Number of zeros (with multiplicity) inside the region.
-
-    When f is supplied the winding is telescoped from its resolved phase and
-    cross-checked against quadrature; without f only the quadrature route is
-    available.  A zero detected on the boundary dilates the region by 1e-4
-    on that side (deterministically) and retries.
-    """
-    ldvec = _as_vectorized(logderiv)
-    fvec = _as_vectorized(f) if f is not None else None
+def _with_dilation(attempt: Callable, region: ComplexRegion, cfg: RootfinderConfig):
+    """attempt(region), retried up to 5 times: a zero detected on the boundary
+    dilates the region by cfg.dilation on that side (deterministically)."""
     current = region
     last_exc = None
     for _ in range(5):
         try:
-            if fvec is not None:
-                w, _ = _winding_and_moments(fvec, ldvec, current, cfg)
-                return w
-            return _winding_logderiv_only(ldvec, current, cfg)
+            return attempt(current)
         except BoundaryProximityError as exc:
             last_exc = exc
             current = _dilated(current, exc, cfg.dilation)
     raise last_exc
+
+
+def count_zeros(
+    logderiv: Callable,
+    region: ComplexRegion,
+    cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG,
+    *,
+    f: Callable,
+) -> int:
+    """Number of zeros (with multiplicity) inside the region.
+
+    The winding is telescoped from the resolved phase of f and cross-checked
+    against the quadrature of logderiv along the same edges.  A zero
+    detected on the boundary dilates the region by 1e-4 on that side
+    (deterministically) and retries.
+    """
+    fvec = _as_vectorized(f)
+    ldvec = _as_vectorized(logderiv)
+    return _with_dilation(
+        lambda current: _winding_and_moments(fvec, ldvec, current, cfg)[0], region, cfg
+    )
 
 
 def locate_zeros(
@@ -484,16 +457,10 @@ def locate_zeros(
     """
     fvec = _as_vectorized(f)
     ldvec = _as_vectorized(logderiv)
-    current = region
-    last_exc = None
-    for _ in range(5):
+
+    def attempt(current):
         out: List[RootRecord] = []
-        try:
-            w = _solve(fvec, ldvec, current, cfg, out)
-        except BoundaryProximityError as exc:
-            last_exc = exc
-            current = _dilated(current, exc, cfg.dilation)
-            continue
+        w = _solve(fvec, ldvec, current, cfg, out)
         merged = _merge_duplicates(out, cfg)
         total = sum(r.multiplicity for r in merged)
         if total != w:
@@ -502,7 +469,8 @@ def locate_zeros(
             )
         merged.sort(key=lambda r: (r.location.real, r.location.imag))
         return RootSet(roots=tuple(merged), region=current, winding=w)
-    raise last_exc
+
+    return _with_dilation(attempt, region, cfg)
 
 
 def _merge_duplicates(records: List[RootRecord], cfg: RootfinderConfig) -> List[RootRecord]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import GAUSSIAN_EIGENVALUES
+from zigzagspec import charfn, operator
 from zigzagspec.errors import (
     DomainError,
     NonSimpleEigenvalueError,
@@ -27,6 +28,10 @@ from zigzagspec.operator import (
     z_prime_consistency,
 )
 from zigzagspec.charfn import gaussian_closed_form_psi
+from zigzagspec.perturbation import (
+    refreshment_coefficient,
+    refreshment_coefficient_symmetric,
+)
 from zigzagspec.potential import SwitchingRateSpec, beta_family, gaussian
 
 G1 = GAUSSIAN_EIGENVALUES[1]  # minus branch
@@ -269,11 +274,49 @@ def test_projection_annihilates_other_eigenfunctions(gaussian_potential):
     assert abs(coeff) < 1e-8
 
 
-def test_projection_simplicity_gate(gaussian_potential):
+def test_projection_simplicity_gate(gaussian_potential, monkeypatch):
+    # |Z'(0)| is 2 sqrt(2 pi) on the full branch and sqrt(2 pi) on the plus
+    # branch, both below a floor of 10: every caller of the gate refuses
+    monkeypatch.setattr(operator, "SIMPLICITY_TOL", 10.0)
     with pytest.raises(NonSimpleEigenvalueError):
-        spectral_projection(
-            gaussian_potential, 0.0, lambda x, th: np.ones_like(x), simple_tol=10.0
-        )
+        spectral_projection(gaussian_potential, 0.0, lambda x, th: np.ones_like(x))
+    with pytest.raises(NonSimpleEigenvalueError):
+        refreshment_coefficient(gaussian_potential, 0.0)
+    with pytest.raises(NonSimpleEigenvalueError):
+        refreshment_coefficient_symmetric(gaussian_potential, 0.0, "plus")
+
+
+def test_symmetric_projection_refuses_a_grid_function(gaussian_potential):
+    # the plus/minus projections pair functions on R; a GridFunction lives on E
+    h = GridFunction.from_callable(
+        gaussian_potential, lambda x, th: np.exp(-np.asarray(x, dtype=float) ** 2)
+    )
+    with pytest.raises(DomainError, match="function on R"):
+        spectral_projection(gaussian_potential, G2, h, variant="plus")
+
+
+def test_one_psi_pass_per_gamma(beta25_spectrum, monkeypatch):
+    # the eigenfunction carries psi and Z', so no caller integrates psi again
+    pot = beta_family(2.5)
+    calls = []
+    psi_batch = charfn.psi_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return psi_batch(*args, **kwargs)
+
+    monkeypatch.setattr(charfn, "psi_batch", counted)
+    gammas = [r.gamma for r in beta25_spectrum.eigenvalues if r.gamma.imag > 0]
+    assert len(gammas) == 3
+    for g in gammas:
+        for call in (
+            lambda: spectral_projection(pot, g, lambda x, th: np.ones_like(x)),
+            lambda: z_prime_consistency(pot, g),
+            lambda: refreshment_coefficient(pot, g),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
 
 def test_projection_symmetric_variant(gaussian_potential):

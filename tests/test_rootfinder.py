@@ -61,12 +61,6 @@ def test_count_zeros_with_multiplicity():
     assert count_zeros(ld, region, f=f) == 3
 
 
-def test_count_zeros_logderiv_only_route():
-    region = ComplexRegion(-1.0, 1.0, -1.0, 1.0)
-    _, ld = poly_funcs([0.3 - 0.4j, -0.6 + 0.1j])
-    assert count_zeros(ld, region) == 2
-
-
 def test_boundary_zero_is_absorbed_by_dilation():
     # root exactly on the requested contour edge
     region = ComplexRegion(-1.0, 1.0, -1.0, 1.0)
