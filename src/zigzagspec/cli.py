@@ -36,7 +36,13 @@ from .rootfinder import (
     ComplexRegion,
     newton_polish,
 )
-from .spectrum import SpectrumResult, compute_spectrum, rescale_spectrum
+from .spectrum import (
+    SpectrumResult,
+    auto_region,
+    compute_spectrum,
+    default_re_range,
+    rescale_spectrum,
+)
 from .simulator import (
     autocorrelation,
     empirical_marginal,
@@ -301,18 +307,15 @@ def _require(cfg: RunConfig, field: str, parser: argparse.ArgumentParser):
 
 
 def _resolve_region(cfg: RunConfig, potential: PotentialModel):
-    from .spectrum import auto_region
-
-    if cfg.im_max is None:
-        if cfg.re_min is None and cfg.re_max is None:
-            return None  # let compute_spectrum pick its default
-        region = auto_region(potential, re_min=cfg.re_min)
-        re_max = cfg.re_max if cfg.re_max is not None else region.re_max
-        return ComplexRegion(region.re_min, re_max, region.im_min, region.im_max)
-    sigma = potential.sigma if potential.family == "gaussian" else 1.0
-    re_min = cfg.re_min if cfg.re_min is not None else -4.0 / sigma
-    re_max = cfg.re_max if cfg.re_max is not None else 0.1
-    return ComplexRegion(re_min, re_max, -cfg.im_max, cfg.im_max)
+    if cfg.im_max is None and cfg.re_min is None and cfg.re_max is None:
+        return None  # let compute_spectrum pick its default
+    re_min, re_max = default_re_range(potential)
+    re_min = re_min if cfg.re_min is None else cfg.re_min
+    re_max = re_max if cfg.re_max is None else cfg.re_max
+    im_max = cfg.im_max
+    if im_max is None:
+        im_max = auto_region(potential, re_min=re_min).im_max
+    return ComplexRegion(re_min, re_max, -im_max, im_max)
 
 
 def _root_config(cfg: RunConfig):

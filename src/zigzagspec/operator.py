@@ -485,93 +485,29 @@ def inner_product_nu(
 
 # -------------------------------------------------------------------- resolvent
 
-def _resolvent_pieces(
-    potential: PotentialModel,
-    gamma: complex,
-    h: GridFunction,
-    cfg: QuadratureConfig,
-    tol: float,
-):
-    """Shared setup: psi values, K(gamma)h, the k constants, and cumulatives."""
-    gamma = complex(gamma)
-    values = make_handle(potential, branch="full", cfg=cfg).values_batch(gamma)
-    z = complex(_z_and_dz("full", *values)[0][0])
-    pp, _, pm, _ = (complex(v[0]) for v in values)
-    if abs(z) <= tol:
-        raise ResolventAtEigenvalueError(gamma, abs(z), tol)
+def _outward_cells(potential, gamma, h, side, edges, inner, cfg):
+    """One 2-row GK15 sweep over the cells of an outward half line.
 
-    xs = h.xs
-    mid = int(np.argmin(np.abs(xs)))
-    if xs[mid] != 0.0:
-        raise DomainError("resolvent grid must contain x = 0 exactly")
-    xpos = xs[mid:]
-    xneg = xs[: mid + 1]
-    big_r = float(xs[-1])
+    side +1 is x >= 0 (inner = C^-), side -1 is x <= 0 (inner = D^+).  The
+    rows are w = side U' e^{-2 side gamma xi - U} and the k-integrand
+    a = e^{-side gamma xi - U} h^side + w inner; f^side there is
+    e^{side gamma x + U} times the outward sum of the cells of a + k w.
+    Returns (a cells, w cells, fac) with fac = e^{-2 gamma R - U(side R)}
+    pt^side(gamma; side R), the tail of w beyond side R.
+    """
 
-    # C^-(xi) = int_0^xi e^{gamma eta} h^-(eta) d eta            (xi >= 0)
-    cum_minus = _ExpCumulative(gamma, xpos, h.minus[mid:])
-    # E(xi) = int_{-R}^xi e^{-gamma eta} h^+(eta) d eta, D^+(xi) = E(0) - E(xi)
-    cum_plus = _ExpCumulative(-gamma, xneg, h.plus[: mid + 1])
-    e0 = cum_plus.total
-
-    def d_plus(xi):
-        return e0 - cum_plus(xi)
-
-    u_r = float(potential.U(big_r))
-    u_l = float(potential.U(-big_r))
-    pt_plus_r = complex(psi_tilde(potential, gamma, big_r, +1, cfg))
-    pt_minus_l = complex(psi_tilde(potential, gamma, -big_r, -1, cfg))
-    tail_k1 = cum_minus(big_r) * np.exp(-2.0 * gamma * big_r - u_r) * pt_plus_r
-    tail_k2 = d_plus(-big_r) * np.exp(-2.0 * gamma * big_r - u_l) * pt_minus_l
-
-    def k1_integrand(xi):
+    def rows(xi):
         u = potential.U(xi)
-        du = potential.dU(xi)
-        return np.exp(-gamma * xi - u) * h.component(xi, +1) + du * np.exp(
-            -2.0 * gamma * xi - u
-        ) * cum_minus(xi)
+        w = side * potential.dU(xi) * np.exp(-2.0 * side * gamma * xi - u)
+        a = np.exp(-side * gamma * xi - u) * h.component(xi, side) + w * inner(xi)
+        return np.stack([a, w])
 
-    def k2_integrand(xi):
-        u = potential.U(xi)
-        du = potential.dU(xi)
-        return np.exp(gamma * xi - u) * h.component(xi, -1) - du * np.exp(
-            2.0 * gamma * xi - u
-        ) * d_plus(xi)
-
-    k1_cells, _ = gk_cells(k1_integrand, xpos)
-    k2_cells, _ = gk_cells(k2_integrand, xneg)
-    k1 = complex(np.sum(k1_cells) + tail_k1)
-    k2 = complex(np.sum(k2_cells) + tail_k2)
-
-    kp = (k1 + pp * k2) / z
-    km = (pm * k1 + k2) / z
-    return {
-        "gamma": gamma,
-        "kp": kp,
-        "km": km,
-        "cum_minus": cum_minus,
-        "d_plus": d_plus,
-        "xpos": xpos,
-        "xneg": xneg,
-        "mid": mid,
-        "big_r": big_r,
-        "pt_plus_r": pt_plus_r,
-        "pt_minus_l": pt_minus_l,
-        "u_r": u_r,
-        "u_l": u_l,
-    }
-
-
-def k_coefficients(
-    potential: PotentialModel,
-    gamma: complex,
-    h: GridFunction,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    tol: float = 1e-8,
-) -> Tuple[complex, complex]:
-    """(k+, k-) = Z(gamma)^{-1} [[1, psi+], [psi-, 1]] K(gamma) h."""
-    p = _resolvent_pieces(potential, gamma, h, cfg, tol)
-    return p["kp"], p["km"]
+    (a, w), _ = gk_cells(rows, edges)
+    big_r = h.radius
+    fac = np.exp(-2.0 * gamma * big_r - float(potential.U(side * big_r))) * complex(
+        psi_tilde(potential, gamma, side * big_r, side, cfg)
+    )
+    return a, w, fac
 
 
 def apply_resolvent(
@@ -586,54 +522,69 @@ def apply_resolvent(
     Inward half lines use the constant-plus-cumulative displays; outward half
     lines use the equivalent decaying integrals (see module docstring), summed
     cell by cell with one GK15 panel per grid cell plus the analytic tail.
+    One sweep per outward half line gives both k1, k2 (hence k+, k-) and f.
     """
-    p = _resolvent_pieces(potential, gamma, h, cfg, tol)
-    g = p["gamma"]
-    kp, km = p["kp"], p["km"]
-    xpos, xneg, mid = p["xpos"], p["xneg"], p["mid"]
-    big_r = p["big_r"]
+    gamma = complex(gamma)
+    values = make_handle(potential, branch="full", cfg=cfg).values_batch(gamma)
+    z = complex(_z_and_dz("full", *values)[0][0])
+    pp, _, pm, _ = (complex(v[0]) for v in values)
+    if abs(z) <= tol:
+        raise ResolventAtEigenvalueError(gamma, abs(z), tol)
 
-    f_minus_pos = np.exp(-g * xpos) * (km + p["cum_minus"](xpos))
-    f_plus_neg = np.exp(g * xneg) * (kp + p["d_plus"](xneg))
+    xs = h.xs
+    mid = int(np.argmin(np.abs(xs)))
+    if xs[mid] != 0.0:
+        raise DomainError("resolvent grid must contain x = 0 exactly")
+    xpos = xs[mid:]
+    xneg = xs[: mid + 1]
 
-    # f+ on x > 0: suffix sums of I_j = int_cell e^{-g xi - U}(h+ + U' f-) dxi
-    def out_plus(xi):
-        u = potential.U(xi)
-        du = potential.dU(xi)
-        f_m = np.exp(-g * xi) * (km + p["cum_minus"](xi))
-        return np.exp(-g * xi - u) * (h.component(xi, +1) + du * f_m)
+    # C^-(xi) = int_0^xi e^{gamma eta} h^-(eta) d eta            (xi >= 0)
+    cum_minus = _ExpCumulative(gamma, xpos, h.minus[mid:])
+    # E(xi) = int_{-R}^xi e^{-gamma eta} h^+(eta) d eta, D^+(xi) = E(0) - E(xi)
+    cum_plus = _ExpCumulative(-gamma, xneg, h.plus[: mid + 1])
+    e0 = cum_plus.total
+    c_minus = cum_minus.node_cum  # C^- at xpos
+    d_plus = e0 - cum_plus.node_cum  # D^+ at xneg
 
-    cells_plus, _ = gk_cells(out_plus, xpos)
-    tail_plus = (
-        (km + p["cum_minus"](big_r))
-        * np.exp(-2.0 * g * big_r - p["u_r"])
-        * p["pt_plus_r"]
+    a_pos, w_pos, fac_pos = _outward_cells(potential, gamma, h, +1, xpos, cum_minus, cfg)
+    a_neg, w_neg, fac_neg = _outward_cells(
+        potential, gamma, h, -1, xneg, lambda xi: e0 - cum_plus(xi), cfg
     )
-    suffix = np.concatenate([np.cumsum(cells_plus[::-1])[::-1], [0.0 + 0.0j]])
-    f_plus_pos = np.exp(g * xpos + potential.U(xpos)) * (suffix + tail_plus)
+    k1 = complex(np.sum(a_pos) + c_minus[-1] * fac_pos)
+    k2 = complex(np.sum(a_neg) + d_plus[0] * fac_neg)
+    kp = (k1 + pp * k2) / z
+    km = (pm * k1 + k2) / z
 
-    # f- on x < 0: prefix sums of int_cell e^{g xi - U}(h- - U' f+) dxi
-    def out_minus(xi):
-        u = potential.U(xi)
-        du = potential.dU(xi)
-        f_p = np.exp(g * xi) * (kp + p["d_plus"](xi))
-        return np.exp(g * xi - u) * (h.component(xi, -1) - du * f_p)
+    # f+ on x > 0: suffix sums of the cells of e^{-g xi - U}(h+ + U' f-)
+    suffix = np.concatenate([np.cumsum((a_pos + km * w_pos)[::-1])[::-1], [0.0 + 0.0j]])
+    tail_plus = (c_minus[-1] + km) * fac_pos
+    f_plus_pos = np.exp(gamma * xpos + potential.U(xpos)) * (suffix + tail_plus)
+    # f- on x < 0: prefix sums of the cells of e^{g xi - U}(h- - U' f+)
+    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(a_neg + kp * w_neg)])
+    tail_minus = (d_plus[0] + kp) * fac_neg
+    f_minus_neg = np.exp(-gamma * xneg + potential.U(xneg)) * (prefix + tail_minus)
 
-    cells_minus, _ = gk_cells(out_minus, xneg)
-    tail_minus = (
-        (kp + p["d_plus"](-big_r))
-        * np.exp(-2.0 * g * big_r - p["u_l"])
-        * p["pt_minus_l"]
-    )
-    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(cells_minus)])
-    f_minus_neg = np.exp(-g * xneg + potential.U(xneg)) * (prefix + tail_minus)
-
-    plus = np.concatenate([f_plus_neg, f_plus_pos[1:]])
-    minus = np.concatenate([f_minus_neg[:-1], f_minus_pos])
     # the x = 0 node comes from the inward formulas: f+(0) = k+, f-(0) = k-
-    plus[mid] = kp
-    minus[mid] = km
+    # exactly, since D^+(0) = C^-(0) = 0
+    plus = np.concatenate([np.exp(gamma * xneg) * (kp + d_plus), f_plus_pos[1:]])
+    minus = np.concatenate([f_minus_neg[:-1], np.exp(-gamma * xpos) * (km + c_minus)])
     return GridFunction(h.xs, plus, minus)
+
+
+def k_coefficients(
+    potential: PotentialModel,
+    gamma: complex,
+    h: GridFunction,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    tol: float = 1e-8,
+) -> Tuple[complex, complex]:
+    """(k+, k-) = Z(gamma)^{-1} [[1, psi+], [psi-, 1]] K(gamma) h.
+
+    These are the x = 0 values of the resolvent, f+(0) and f-(0).
+    """
+    f = apply_resolvent(potential, gamma, h, cfg, tol)
+    mid = f.xs.size // 2
+    return complex(f.plus[mid]), complex(f.minus[mid])
 
 
 def resolvent_defect(
@@ -738,15 +689,17 @@ def spectral_projection(
     _require_simple(f)
     den = _pair(f, f.gamma, f, -1)
     if isinstance(h, GridFunction):
-        num = 0.0 + 0.0j
-        for theta in (+1, -1):
-            cells, _ = gk_cells(
-                lambda xi, th=theta: h.component(xi, th)
-                * f.component(xi, -th)
-                * np.exp(-potential.U(xi)),
-                h.xs,
+        cells, _ = gk_cells(
+            lambda xi: np.stack(
+                [
+                    h.component(xi, +1) * f.component(xi, -1),
+                    h.component(xi, -1) * f.component(xi, +1),
+                ]
             )
-            num += np.sum(cells)
+            * np.exp(-potential.U(xi)),
+            h.xs,
+        )
+        num = np.sum(cells)
     else:
         num = _pair(h, growth, f, -1)
     return num / den, f

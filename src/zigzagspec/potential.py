@@ -122,12 +122,6 @@ class PotentialModel:
             raise DomainError("custom potential has no second-derivative hook")
         return np.asarray(self.d2u_fn(x), dtype=float)
 
-    def evaluate(self, x: float) -> tuple:
-        """Scalar (U, U', U'') with input validation."""
-        if not np.isfinite(x):
-            raise DomainError(f"potential evaluated at non-finite x = {x!r}")
-        return (float(self.U(x)), float(self.dU(x)), float(self.d2U(x)))
-
     # -- structure ----------------------------------------------------
 
     @property

@@ -21,8 +21,9 @@ node array of any length.  Two features beyond a stock integrator:
   frequency |2 Im gamma| so the initial subdivision places at least 8 nodes
   per period before any error estimate is trusted.
 
-Half-infinite integrals truncate at a radius certified by a DecayProfile and
-carry the analytic tail bound inside the reported error estimate.
+Half-infinite integrals are left to the caller: truncation_radius certifies
+a radius from a DecayProfile and returns the tail bound, and the caller
+integrates the finite part with integrate_finite.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "QuadratureConfig",
     "DecayProfile",
     "integrate_finite",
-    "integrate_semiinfinite",
     "truncation_radius",
     "gk_cells",
 ]
@@ -121,7 +121,7 @@ class DecayProfile:
 
     The envelope at distance t from the origin is
 
-        amplitude * exp(|alpha| t - (U(center + direction t) - U(center)))
+        exp(|alpha| t - (U(center + direction t) - U(center)))
 
     with direction +1 for the tail at +infinity and -1 for -infinity.  The
     chosen truncation radius R satisfies envelope(R) < exp(-margin), so in
@@ -133,14 +133,13 @@ class DecayProfile:
     alpha: float
     direction: int = +1
     center: float = 0.0
-    amplitude: float = 1.0
 
     def log_envelope(self, t):
         t = np.asarray(t, dtype=float)
         shift = self.potential.U(self.center + self.direction * t) - self.potential.U(
             self.center
         )
-        return math.log(max(self.amplitude, 1e-300)) + abs(self.alpha) * t - shift
+        return abs(self.alpha) * t - shift
 
 
 def truncation_radius(profile: DecayProfile, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -319,35 +318,16 @@ def gk_cells(f: Callable, edges):
 
     For smooth integrands on fine grids a single panel per cell is already
     far below roundoff, so no refinement is attempted.  f maps a flat node
-    array to values; returns (per_cell_integrals, per_cell_errors), each of
-    length len(edges) - 1.
+    array of n values to shape (n,) or, for a batch of m rows, (m, n);
+    returns (per_cell_integrals, per_cell_errors), each of length
+    len(edges) - 1, or of shape (m, len(edges) - 1) for a batch.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise DomainError("gk_cells needs at least two edges")
     if np.any(np.diff(edges) <= 0.0):
         raise DomainError("gk_cells edges must be strictly increasing")
-    k, e, _, _ = _panels(lambda x: np.asarray(f(x), dtype=complex), edges[:-1], edges[1:])
+    k, e, _, batch = _panels(lambda x: np.asarray(f(x), dtype=complex), edges[:-1], edges[1:])
+    if batch:
+        return k.T, e.T
     return k[:, 0], e[:, 0]
-
-
-def integrate_semiinfinite(
-    f: Callable,
-    origin: float,
-    profile: DecayProfile,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    oscillation: float = 0.0,
-    breakpoints=(),
-):
-    """Integrate f on [origin, +inf) or (-inf, origin] per the profile.
-
-    The interval is truncated at the certified radius and integrated left to
-    right; the analytic tail bound is added to err_est.
-    """
-    r, tail = truncation_radius(profile, cfg)
-    if profile.direction >= 0:
-        a, b = origin, origin + r
-    else:
-        a, b = origin - r, origin
-    value, err = integrate_finite(f, a, b, cfg, oscillation=oscillation, breakpoints=breakpoints)
-    return value, err + tail

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     BoundaryProximityError,
+    DomainError,
     NearZeroError,
     PolishFailureError,
     UnresolvedClusterError,
@@ -61,8 +62,11 @@ class ComplexRegion:
     edge_samples: int = 64
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise DomainError(f"region bounds must be finite, got {bounds}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError(
+            raise DomainError(
                 f"degenerate region [{self.re_min},{self.re_max}]x[{self.im_min},{self.im_max}]"
             )
 

@@ -52,6 +52,7 @@ __all__ = [
     "spectral_gap",
     "rescale_spectrum",
     "auto_region",
+    "default_re_range",
 ]
 
 _ZERO_SNAP = 1e-8
@@ -85,6 +86,13 @@ def _branch_funcs(handle: CharFunctionHandle):
     return fvec, ldvec
 
 
+def default_re_range(potential: PotentialModel) -> Tuple[float, float]:
+    """Real range [-4/sigma, 0.1] of the default region (sigma = 1 for
+    non-gaussian families)."""
+    sigma = potential.sigma if potential.family == "gaussian" else 1.0
+    return -4.0 / sigma, 0.1
+
+
 def auto_region(
     potential: PotentialModel,
     re_min: Optional[float] = None,
@@ -92,16 +100,16 @@ def auto_region(
 ) -> ComplexRegion:
     """Default search region [re_min, 0.1] x [-B, B].
 
-    re_min defaults to -4/sigma (sigma = 1 for non-gaussian families).  B
-    climbs a half-unit ladder at alpha = re_min until |psi+ psi-| < 1/2 on
-    three consecutive rungs, then adds a half-unit margin; above B every
+    re_min defaults to the lower end of `default_re_range`.  B climbs a
+    half-unit ladder at alpha = re_min until |psi+ psi-| < 1/2 on three
+    consecutive rungs, then adds a half-unit margin; above B every
     |Z| >= 1/2, so no eigenvalue escapes the box.
     """
-    sigma = potential.sigma if potential.family == "gaussian" else 1.0
+    default_min, re_max = default_re_range(potential)
     if re_min is None:
-        re_min = -4.0 / sigma
-    if re_min >= 0.0:
-        raise DomainError("auto region needs re_min < 0")
+        re_min = default_min
+    if not -math.inf < re_min < 0.0:
+        raise DomainError(f"auto region needs a finite re_min < 0, got {re_min!r}")
     handle = make_handle(potential, branch="full", backend=backend)
     betas = 0.5 * np.arange(1, 257)
     streak = 0
@@ -124,7 +132,7 @@ def auto_region(
         raise GapUndeterminedError(
             f"could not certify an imaginary bound at Re = {re_min} (|psi+ psi-| stayed >= 1/2)"
         )
-    return ComplexRegion(re_min, 0.1, -float(bound), float(bound))
+    return ComplexRegion(re_min, re_max, -float(bound), float(bound))
 
 
 def _search_region(region: ComplexRegion, cfg: RootfinderConfig) -> ComplexRegion:

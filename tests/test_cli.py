@@ -312,6 +312,24 @@ def test_exit_numerical_with_error_json(capsys):
     assert "nonsense" in blob["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--re-min", "0.5", "--re-max", "0.1", "--im-max", "1"),
+        ("--re-min", "-0.9", "--re-max", "0.1", "--im-max", "-1"),
+        ("--re-min", "nan", "--re-max", "0.1", "--im-max", "1"),
+        ("--re-min", "-0.9", "--re-max", "0.1", "--im-max", "inf"),
+        ("--re-min", "nan"),
+    ],
+)
+def test_exit_numerical_on_bad_region(bounds, capsys):
+    code, _, err = run(["spectrum", "--potential", "gaussian:1", *bounds], capsys)
+    assert code == 2
+    blob = json.loads(err)["error"]
+    assert blob["type"] == "DomainError"
+    assert "region" in blob["message"]  # refused up front, not deep in quadrature
+
+
 def test_exit_io_on_unwritable_path(capsys):
     code, _, err = run(
         [

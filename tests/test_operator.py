@@ -221,6 +221,48 @@ def test_resolvent_defect_compact_input(gaussian_potential):
     assert resolvent_defect(gaussian_potential, 1.0, h, f) < 1e-5
 
 
+def _seeded_input(potential, seed):
+    # criterion 07's input family (a + b x + c x^2 + d theta x) e^{-x^2/2.5}
+    a, b, c, d = np.random.default_rng(seed).normal(size=4)
+    return GridFunction.from_callable(
+        potential,
+        lambda x, th: (a + b * x + c * x * x + d * th * x) * np.exp(-x * x / 2.5),
+    )
+
+
+def test_resolvent_defect_off_the_gaussian():
+    pot = beta_family(2.5)
+    h = _seeded_input(pot, 7)
+    for z in (2.0 + 0.0j, 1.0 + 0.5j, 0.25 - 1.0j):
+        f = apply_resolvent(pot, z, h)
+        assert resolvent_defect(pot, z, h, f) <= 1e-5
+
+
+def test_k_coefficients_are_the_resolvent_at_zero(gaussian_potential):
+    h = _seeded_input(gaussian_potential, 3)
+    g = 1.0 + 0.5j
+    f = apply_resolvent(gaussian_potential, g, h)
+    mid = int(np.flatnonzero(f.xs == 0.0)[0])
+    assert k_coefficients(gaussian_potential, g, h) == (f.plus[mid], f.minus[mid])
+
+
+def test_resolvent_sweeps_each_half_line_once(gaussian_potential, monkeypatch):
+    # k+- and f come from one GK15 sweep per outward half line, so each
+    # cumulative is evaluated once at that half line's GK nodes
+    h = _seeded_input(gaussian_potential, 5)
+    sizes = []
+    call = operator._ExpCumulative.__call__
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return call(self, x)
+
+    monkeypatch.setattr(operator._ExpCumulative, "__call__", counted)
+    apply_resolvent(gaussian_potential, 1.0 + 0.5j, h)
+    gk_nodes = 15 * (h.xs.size // 2)  # one GK15 panel per cell of a half line
+    assert sizes.count(gk_nodes) == 2
+
+
 def test_resolvent_rejects_spectrum_points(gaussian_potential):
     ones = GridFunction.from_callable(
         gaussian_potential, lambda x, th: np.ones_like(np.asarray(x, dtype=float))

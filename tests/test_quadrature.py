@@ -17,7 +17,6 @@ from zigzagspec.quadrature import (
     _initial_edges,
     gk_cells,
     integrate_finite,
-    integrate_semiinfinite,
     truncation_radius,
 )
 
@@ -96,26 +95,31 @@ def test_truncation_radius_growth_pushes_out():
     assert moved > base
 
 
+def _semiinfinite(f, profile):
+    """A half-line integral the way callers build one: integrate_finite up
+    to the certified truncation radius, with the tail bound in the error."""
+    r, tail = truncation_radius(profile)
+    a, b = (0.0, r) if profile.direction > 0 else (-r, 0.0)
+    val, err = integrate_finite(f, a, b)
+    return val, err + tail
+
+
 def test_semiinfinite_gaussian_halfline():
     prof = DecayProfile(potential=gaussian(1.0), alpha=0.0)
-    val, err = integrate_semiinfinite(
-        lambda x: np.exp(-x * x / 2.0), 0.0, prof
-    )
+    val, err = _semiinfinite(lambda x: np.exp(-x * x / 2.0), prof)
     assert abs(val - math.sqrt(math.pi / 2.0)) < ABS_FLOOR
 
 
 def test_semiinfinite_left_tail():
     prof = DecayProfile(potential=gaussian(1.0), alpha=0.0, direction=-1)
-    val, _ = integrate_semiinfinite(lambda x: np.exp(-x * x / 2.0), 0.0, prof)
+    val, _ = _semiinfinite(lambda x: np.exp(-x * x / 2.0), prof)
     assert abs(val - math.sqrt(math.pi / 2.0)) < ABS_FLOOR
 
 
 def test_semiinfinite_beta_family():
     pot = beta_family(2.5)
     prof = DecayProfile(potential=pot, alpha=0.5)
-    val, _ = integrate_semiinfinite(
-        lambda x: np.exp(0.5 * x - pot.U(x)), 0.0, prof
-    )
+    val, _ = _semiinfinite(lambda x: np.exp(0.5 * x - pot.U(x)), prof)
     # oracle: same integral on a generously wide finite interval
     ref, _ = integrate_finite(lambda x: np.exp(0.5 * x - pot.U(x)), 0.0, 40.0)
     assert abs(val - ref) < 1e-10
@@ -128,6 +132,18 @@ def test_gk_cells_matches_adaptive_on_smooth_cells():
     ref, _ = integrate_finite(lambda x: np.exp(-x) * np.cos(3 * x), 0.0, 2.0, oscillation=3.0)
     assert abs(total - ref) < 1e-13
     assert errs.max() < 1e-14
+
+
+def test_gk_cells_row_batch_matches_single_rows():
+    # an (m, n) integrand gives (m, cells) arrays, row for row the 1-d calls
+    edges = np.linspace(-1.0, 3.0, 65)
+    fns = (lambda x: np.exp(-x) * np.cos(3 * x), lambda x: np.exp(1j * x) * x**2)
+    vals, errs = gk_cells(lambda x: np.stack([fn(x) for fn in fns]), edges)
+    assert vals.shape == errs.shape == (2, 64)
+    for row, fn in enumerate(fns):
+        v, e = gk_cells(fn, edges)
+        assert np.array_equal(vals[row], v)
+        assert np.array_equal(errs[row], e)
 
 
 def test_gk_cells_validates_edges():

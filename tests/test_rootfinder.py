@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zigzagspec.errors import WindingError
+from zigzagspec.errors import DomainError, WindingError
 from zigzagspec.rootfinder import (
     DEFAULT_ROOT_CONFIG,
     ComplexRegion,
@@ -121,6 +121,21 @@ def test_negative_winding_rejected():
 
     with pytest.raises(WindingError):
         locate_zeros(f, ld, ComplexRegion(-1.0, 1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (0.5, 0.1, -1.0, 1.0),  # re_min > re_max
+        (-1.0, 0.1, 1.0, -1.0),  # im_min > im_max
+        (-1.0, 0.1, 0.0, 0.0),  # zero height
+        (float("nan"), 0.1, -1.0, 1.0),
+        (-1.0, 0.1, -float("inf"), float("inf")),
+    ],
+)
+def test_region_rejects_degenerate_and_nonfinite_bounds(bounds):
+    with pytest.raises(DomainError):
+        ComplexRegion(*bounds)
 
 
 def test_newton_polish_quadratic_convergence():

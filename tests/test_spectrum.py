@@ -177,6 +177,12 @@ def test_auto_region_rejects_nonnegative_start(gaussian_potential):
         auto_region(gaussian_potential, re_min=0.5)
 
 
+@pytest.mark.parametrize("re_min", [float("nan"), -float("inf")])
+def test_auto_region_rejects_nonfinite_start(gaussian_potential, re_min):
+    with pytest.raises(DomainError, match="finite"):
+        auto_region(gaussian_potential, re_min=re_min)
+
+
 def test_scaling_law_componentwise():
     # matched regions, otherwise the two runs cover different tail sets
     r1 = ComplexRegion(-2.2, 0.1, -3.0, 3.0)
