@@ -63,12 +63,6 @@ _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 
 NEAR_ZERO_TOL = 1e-14
-# psi memo entries per quadrature handle.  The memo serves the rootfinder:
-# sibling boxes share edge nodes, which it answers from the first evaluation
-# (5,580 of 25,698 lookups on the beta:2.5 spectrum over [-1.5,0.1]x[-3,3]).
-# Reusing the parent box's edge panels in its children (ROADMAP item 6(a))
-# would replace it.
-MEMO_LIMIT = 200_000
 
 _BRANCHES = ("full", "plus", "minus")
 
@@ -345,14 +339,15 @@ def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfi
 
 
 # ---------------------------------------------------------------------------
-# handles: branch + backend + memo
+# handles: branch + backend
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class CharFunctionHandle:
-    """Bound (potential, branch, backend, config) with per-gamma memoization.
+    """Bound (potential, branch, backend, config).
 
+    The handle keeps no state between calls: every call computes psi afresh.
     branch 'full' evaluates Z = 1 - psi+ psi-; 'plus'/'minus' evaluate the
     even-potential factors Z+- = 1 -+ psi.  The closed-form backend is only
     legal for the gaussian family.
@@ -362,7 +357,6 @@ class CharFunctionHandle:
     branch: str = "full"
     backend: str = "quadrature"
     cfg: QuadratureConfig = DEFAULT_CONFIG
-    _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.branch not in _BRANCHES:
@@ -386,8 +380,8 @@ class CharFunctionHandle:
     def values_batch(self, gammas):
         """(psi+, dpsi+, psi-, dpsi-) row arrays for an array of gammas.
 
-        Quadrature values are memoized per gamma; the memo is emptied before
-        it would grow past MEMO_LIMIT entries.
+        The quadrature backend makes one psi_batch call per sign (one in all
+        for an even potential), so a value depends only on the batch it is in.
         """
         g = np.atleast_1d(np.asarray(gammas, dtype=complex))
         if self.backend == "gaussian-closed-form":
@@ -395,27 +389,11 @@ class CharFunctionHandle:
             pp, dp = _gaussian_closed_form(s * g)
             dp = s * dp
             return pp, dp, pp, dp
-        keys = g.tolist()
-        out = np.empty((4, g.size), dtype=complex)
-        miss = []
-        for i, key in enumerate(keys):
-            hit = self._memo.get(key)
-            if hit is None:
-                miss.append(i)
-            else:
-                out[:, i] = hit
-        if miss:
-            zm = g[miss]
-            pp, dp = psi_batch(self.potential, +1, zm, self.cfg)
-            if self.potential.is_symmetric:
-                pm, dm = pp, dp
-            else:
-                pm, dm = psi_batch(self.potential, -1, zm, self.cfg)
-            out[:, miss] = pp, dp, pm, dm
-            if len(self._memo) + len(miss) > MEMO_LIMIT:
-                self._memo.clear()
-            self._memo.update(zip((keys[i] for i in miss), map(tuple, out[:, miss].T.tolist())))
-        return out[0], out[1], out[2], out[3]
+        pp, dp = psi_batch(self.potential, +1, g, self.cfg)
+        if self.potential.is_symmetric:
+            return pp, dp, pp, dp
+        pm, dm = psi_batch(self.potential, -1, g, self.cfg)
+        return pp, dp, pm, dm
 
 
 def make_handle(

@@ -153,9 +153,12 @@ def parse_complex(text: str) -> complex:
     """Accept 1+2i or 1+2j spellings (and plain reals)."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise DomainError(f"could not parse complex number {text!r}") from exc
+    if not np.isfinite(value):
+        raise DomainError(f"complex number {text!r} is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------

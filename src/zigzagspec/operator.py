@@ -395,6 +395,8 @@ def eigenfunction(
     if variant not in ("full", "plus", "minus"):
         raise DomainError(f"unknown eigenfunction variant {variant!r}")
     gamma = complex(gamma)
+    if not np.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma!r}")
     values = make_handle(potential, branch=variant, cfg=cfg).values_batch(gamma)
     z, dz = (complex(v[0]) for v in _z_and_dz(variant, *values))
     if abs(z) > tol:
@@ -525,6 +527,8 @@ def apply_resolvent(
     One sweep per outward half line gives both k1, k2 (hence k+, k-) and f.
     """
     gamma = complex(gamma)
+    if not np.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma!r}")
     values = make_handle(potential, branch="full", cfg=cfg).values_batch(gamma)
     z = complex(_z_and_dz("full", *values)[0][0])
     pp, _, pm, _ = (complex(v[0]) for v in values)

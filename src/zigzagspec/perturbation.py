@@ -110,8 +110,8 @@ def perturbed_spectrum(
     Non-simple entries (multiplicity > 1 or |Z'| at the simplicity floor) are
     kept but marked unresolved rather than failing the whole spectrum.
     """
-    if epsilon < 0.0:
-        raise DomainError(f"epsilon must be nonnegative, got {epsilon!r}")
+    if not 0.0 <= epsilon < float("inf"):
+        raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if potential is None:
         potential = parse_potential(base.potential_descriptor)
     # base lists the Im < 0 member of a pair first, so the upper members are

@@ -9,7 +9,8 @@ strategy:
    less than pi/2, which makes the telescoped winding number exact;
 2. integrate (f'/f) * (1, zeta, zeta^2) along the resolved edges in one
    batched adaptive pass and cross-check the quadrature winding against the
-   telescoped one;
+   telescoped one; each segment is integrated once per search, so sibling
+   boxes share their cut line and a child reuses the parent side it keeps;
 3. recurse by bisecting the longest side until each box holds one zero
    (Newton-polish the first moment) or a cluster collapses to a point
    (multiple root, polished with the multiplicity-aware Newton step).
@@ -183,50 +184,55 @@ def _phase_skeleton(fvec, z0, direction, length, n0, boundary_tol, edge_name):
     raise BoundaryProximityError(edge_name, z0 + direction * 0.5 * length)
 
 
-def _contour_moments(fvec, ldvec, region, cfg, n0):
-    """Telescoped winding plus quadrature moments (s0, s1, s2) of the contour.
+def _edge(fvec, ldvec, za, zb, name, cfg, n0, edges):
+    """(phase turn, moments, quadrature error) of the segment za -> zb.
 
-    s_k = (1/2pi i) contour-integral of zeta^k logderiv(zeta).  Also returns
-    the name of the edge with the worst quadrature error (suspect for any
-    trouble upstream).
+    The moments are the integrals of (f'/f) * (1, zeta, zeta^2) along it.  A
+    segment is integrated once per search, always from its lower endpoint to
+    its upper one: `edges` keys the results by (lower, upper, n0), and the
+    reverse traversal takes the negated turn and moments.  An edge that
+    raises stores nothing.
     """
-    total_phase = 0.0
-    moments = np.zeros(3, dtype=complex)
-    worst_err = -1.0
-    worst_edge = "bottom"
-    for (za, zb, name) in _edges(region):
-        length = abs(zb - za)
-        direction = (zb - za) / length
-        ts, dphase = _phase_skeleton(
-            fvec, za, direction, length, n0, cfg.boundary_tol, name
-        )
-        total_phase += dphase
+    lo, hi = sorted((za, zb), key=lambda z: (z.real, z.imag))
+    key = (lo, hi, n0)
+    if key not in edges:
+        length = abs(hi - lo)
+        direction = (hi - lo) / length
+        ts, dphase = _phase_skeleton(fvec, lo, direction, length, n0, cfg.boundary_tol, name)
 
-        def rows(t, _za=za, _dir=direction):
-            z = _za + _dir * t
-            ld = np.asarray(ldvec(z), dtype=complex)
-            return np.stack([ld, z * ld, z * z * ld]) * _dir
+        def rows(t):
+            z = lo + direction * t
+            ld = ldvec(z)
+            return np.stack([ld, z * ld, z * z * ld]) * direction
 
         try:
-            vals, errs = integrate_finite(
-                rows, 0.0, length, cfg.quad, breakpoints=ts[1:-1]
-            )
+            vals, errs = integrate_finite(rows, 0.0, length, cfg.quad, breakpoints=ts[1:-1])
         except NearZeroError as exc:
             raise BoundaryProximityError(name, exc.gamma) from exc
-        moments += vals
-        if float(errs[0]) > worst_err:
-            worst_err = float(errs[0])
-            worst_edge = name
-    moments /= 2.0j * math.pi
-    return total_phase / _TWO_PI, moments, worst_edge
+        edges[key] = (dphase, vals, float(errs[0]))
+    dphase, vals, err = edges[key]
+    return (dphase, vals, err) if za == lo else (-dphase, -vals, err)
 
 
-def _winding_and_moments(fvec, ldvec, region, cfg):
+def _contour_moments(fvec, ldvec, region, cfg, n0, edges):
+    """Telescoped winding plus quadrature moments (s0, s1, s2) of the contour.
+
+    s_k = (1/2pi i) contour-integral of zeta^k logderiv(zeta), summed over
+    the four `_edge` results.  Also returns the name of the edge with the
+    worst quadrature error (suspect for any trouble upstream).
+    """
+    sides = _edges(region)
+    turns, moments, errs = zip(*(_edge(fvec, ldvec, *side, cfg, n0, edges) for side in sides))
+    worst_edge = sides[int(np.argmax(errs))][2]
+    return sum(turns) / _TWO_PI, sum(moments) / (2.0j * math.pi), worst_edge
+
+
+def _winding_and_moments(fvec, ldvec, region, cfg, edges):
     """Integer winding number with moments; refines edge sampling on doubt."""
     n0 = region.edge_samples
     last = None
     for _ in range(3):
-        w_tel, moments, worst_edge = _contour_moments(fvec, ldvec, region, cfg, n0)
+        w_tel, moments, worst_edge = _contour_moments(fvec, ldvec, region, cfg, n0, edges)
         w_int = int(round(w_tel))
         tel_ok = abs(w_tel - w_int) < 0.05
         quad_ok = abs(moments[0] - w_int) <= 0.25
@@ -275,6 +281,8 @@ def newton_polish(
     iteration.  Five consecutive step growths abort with PolishFailureError.
     """
     z = complex(guess)
+    if not cmath.isfinite(z):
+        raise DomainError(f"Newton guess must be finite, got {z!r}")
     prev_step = math.inf
     growth = 0
     for _ in range(cfg.max_newton_iter):
@@ -366,9 +374,9 @@ def _emit_root(fvec, ldvec, centroid, multiplicity, cfg, out):
     out.append(RootRecord(root, int(multiplicity), residual, polished))
 
 
-def _solve(fvec, ldvec, region: ComplexRegion, cfg: RootfinderConfig, out: list) -> int:
+def _solve(fvec, ldvec, region: ComplexRegion, cfg: RootfinderConfig, out: list, edges) -> int:
     try:
-        w, moments = _winding_and_moments(fvec, ldvec, region, cfg)
+        w, moments = _winding_and_moments(fvec, ldvec, region, cfg, edges)
     except BoundaryProximityError:
         if max(region.width, region.height) < cfg.min_box_size:
             raise UnresolvedClusterError(
@@ -395,8 +403,8 @@ def _solve(fvec, ldvec, region: ComplexRegion, cfg: RootfinderConfig, out: list)
 
     axis, cut = _choose_cut(fvec, region, cfg)
     child_a, child_b = _split(region, axis, cut)
-    wa = _solve(fvec, ldvec, child_a, cfg, out)
-    wb = _solve(fvec, ldvec, child_b, cfg, out)
+    wa = _solve(fvec, ldvec, child_a, cfg, out, edges)
+    wb = _solve(fvec, ldvec, child_b, cfg, out, edges)
     if wa + wb != w:
         raise WindingError(
             f"winding additivity violated at {axis}-cut {cut:.6g}: {w} != {wa} + {wb}"
@@ -441,8 +449,9 @@ def count_zeros(
     """
     fvec = _as_vectorized(f)
     ldvec = _as_vectorized(logderiv)
+    edges: dict = {}
     return _with_dilation(
-        lambda current: _winding_and_moments(fvec, ldvec, current, cfg)[0], region, cfg
+        lambda current: _winding_and_moments(fvec, ldvec, current, cfg, edges)[0], region, cfg
     )
 
 
@@ -461,10 +470,11 @@ def locate_zeros(
     """
     fvec = _as_vectorized(f)
     ldvec = _as_vectorized(logderiv)
+    edges: dict = {}  # segment results shared by sibling boxes and dilation retries
 
     def attempt(current):
         out: List[RootRecord] = []
-        w = _solve(fvec, ldvec, current, cfg, out)
+        w = _solve(fvec, ldvec, current, cfg, out, edges)
         merged = _merge_duplicates(out, cfg)
         total = sum(r.multiplicity for r in merged)
         if total != w:

@@ -195,6 +195,14 @@ def test_perturb_rejects_sigma(tmp_path, capsys):
     assert "scaled descriptor" in err
 
 
+def test_perturb_rejects_nonfinite_eps(capsys):
+    code, _, err = run(["perturb", "--potential", "gaussian:1", "--eps", "nan", *REGION], capsys)
+    assert code == 2
+    blob = json.loads(err)["error"]
+    assert blob["type"] == "DomainError"
+    assert "epsilon" in blob["message"]
+
+
 def test_perturb_requires_eps(capsys):
     code, _, err = run(["perturb", "--potential", "gaussian:1", *REGION], capsys)
     assert code == 1
@@ -245,6 +253,20 @@ def test_eigfun_rejects_non_eigenvalue(capsys):
     )
     assert code == 2
     assert json.loads(err)["error"]["type"]
+
+
+@pytest.mark.parametrize("gamma", ["nan", "1e400", "-0.5+nani"])
+def test_eigfun_rejects_nonfinite_gamma(gamma, tmp_path, capsys):
+    csv = tmp_path / "f.csv"
+    code, out, err = run(
+        ["eigfun", "--potential", "gaussian:1", "--gamma", gamma, "--csv", str(csv)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    blob = json.loads(err)["error"]
+    assert blob["type"] == "DomainError"
+    assert "finite" in blob["message"]
+    assert not csv.exists()
 
 
 # ---------------------------------------------------------------- simulate

@@ -120,6 +120,19 @@ def test_eigenfunction_rejects_non_roots(gaussian_potential):
         eigenfunction(gaussian_potential, G1, "sideways")
 
 
+@pytest.mark.parametrize(
+    "gamma", [complex("nan"), complex(float("inf"), 0.0), complex(-0.5, float("nan"))]
+)
+def test_eigenfunction_and_resolvent_reject_nonfinite_gamma(gaussian_potential, gamma):
+    with pytest.raises(DomainError):
+        eigenfunction(gaussian_potential, gamma)
+    ones = GridFunction.from_callable(
+        gaussian_potential, lambda x, th: np.ones_like(np.asarray(x, dtype=float))
+    )
+    with pytest.raises(DomainError):
+        apply_resolvent(gaussian_potential, gamma, ones)
+
+
 def test_eigenfunction_conjugate_symmetry(gaussian_potential):
     f = eigenfunction(gaussian_potential, G1)
     fc = eigenfunction(gaussian_potential, np.conj(G1))

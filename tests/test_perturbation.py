@@ -66,6 +66,12 @@ def test_perturbed_spectrum_negative_epsilon(gaussian_spectrum):
         perturbed_spectrum(gaussian_spectrum, -0.1)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_perturbed_spectrum_nonfinite_epsilon(gaussian_spectrum, epsilon):
+    with pytest.raises(DomainError):
+        perturbed_spectrum(gaussian_spectrum, epsilon)
+
+
 def test_perturbed_spectrum_widens_gap(gaussian_spectrum):
     # in the refreshment-dominated regime every resolved eigenvalue moves
     # left at first order, so the gap cannot shrink

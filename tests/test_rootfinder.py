@@ -111,6 +111,27 @@ def test_winding_additivity_is_checked_on_every_cut(monkeypatch):
     assert len(cuts) >= 2
 
 
+def test_each_contour_segment_is_integrated_once(monkeypatch):
+    import zigzagspec.rootfinder as rf
+
+    segments = []
+    orig = rf._phase_skeleton
+
+    def spy(fvec, z0, direction, length, n0, *rest):
+        ends = sorted(
+            (round(z.real, 12), round(z.imag, 12)) for z in (z0, z0 + direction * length)
+        )
+        segments.append((tuple(ends), n0))  # either direction maps to one key
+        return orig(fvec, z0, direction, length, n0, *rest)
+
+    monkeypatch.setattr(rf, "_phase_skeleton", spy)
+    f, ld = poly_funcs([0.5 + 0.5j, -0.7 + 0.2j, -0.1 - 0.6j])
+    rs = locate_zeros(f, ld, ComplexRegion(-1.5, 1.5, -1.5, 1.5))
+    assert rs.total_multiplicity() == 3
+    assert len(segments) > 4  # the search subdivided
+    assert len(set(segments)) == len(segments)
+
+
 def test_negative_winding_rejected():
     # 1/(z - a) has a pole: winding -1 must be flagged, not silently returned
     def f(z):
@@ -142,6 +163,13 @@ def test_newton_polish_quadratic_convergence():
     f, ld = poly_funcs([1.0 + 1.0j])
     z = newton_polish(ld, 1.3 + 0.8j)
     assert abs(z - (1.0 + 1.0j)) < 1e-12
+
+
+@pytest.mark.parametrize("guess", [complex("nan"), complex(1e400, 0.0), complex(0.5, float("inf"))])
+def test_newton_polish_rejects_nonfinite_guess(guess):
+    f, ld = poly_funcs([1.0 + 1.0j])
+    with pytest.raises(DomainError):
+        newton_polish(ld, guess)
 
 
 def test_newton_polish_multiple_root_needs_multiplicity():
