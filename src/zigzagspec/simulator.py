@@ -91,8 +91,8 @@ class ZigzagPath:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise DomainError("path needs at least the initial state")
+        if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
+            raise DomainError("path needs the initial state at time 0")
         if np.any(np.diff(t) <= 0.0):
             raise DomainError("event times must be strictly increasing")
         th = np.asarray(self.thetas)
@@ -248,7 +248,10 @@ def simulate(
     x0 = float(x0)
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0!r}")
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    key = (seed, stream)
+    if not all(isinstance(v, (int, np.integer)) and 0 <= v < 2**64 for v in key):
+        raise DomainError(f"seed and stream must be integers in [0, 2**64), got {key!r}")
+    rng = np.random.Generator(np.random.Philox(key=[int(v) for v in key]))
     draws = _DrawBuffer(rng)
     lam_r = spec.lambda_refr
     if potential.family == "gaussian":
@@ -335,9 +338,8 @@ def empirical_marginal(path: ZigzagPath, bins=50) -> MarginalHistogram:
     """
     occ = _Occupation(path)
     if np.isscalar(bins):
-        nb = int(bins)
-        if nb < 10:
-            raise DomainError(f"need at least 10 bins, got {nb}")
+        if not isinstance(bins, (int, np.integer)) or bins < 10:
+            raise DomainError(f"need an integer bin count >= 10, got {bins!r}")
         lo = float(np.min(path.positions)) - 1e-9
         hi_edge = float(np.max(path.positions)) + 1e-9
         # the path can overshoot its event positions by up to the last flight
@@ -345,11 +347,12 @@ def empirical_marginal(path: ZigzagPath, bins=50) -> MarginalHistogram:
         reach = x0 + th * dt
         lo = min(lo, float(np.min(reach)) - 1e-9)
         hi_edge = max(hi_edge, float(np.max(reach)) + 1e-9)
-        edges = np.linspace(lo, hi_edge, nb + 1)
+        edges = np.linspace(lo, hi_edge, int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 11 or np.any(np.diff(edges) <= 0):
-            raise DomainError("explicit edges must be increasing with >= 10 bins")
+        bad = edges.ndim != 1 or edges.size < 11 or not np.all(np.isfinite(edges))
+        if bad or np.any(np.diff(edges) <= 0):
+            raise DomainError("explicit edges must be finite, increasing, >= 10 bins")
     masses = np.diff(occ.cdf_times_T(edges)) / occ.total
 
     span = max(abs(edges[0]), abs(edges[-1]))
@@ -363,14 +366,6 @@ def empirical_marginal(path: ZigzagPath, bins=50) -> MarginalHistogram:
 # autocorrelation
 
 
-def _pl_mean(path: ZigzagPath, observable) -> float:
-    """Time average of the observable, trapezoid-exact per segment."""
-    t0, dt, x0, th = path.segments()
-    left = np.asarray(observable(x0, th), dtype=float)
-    right = np.asarray(observable(x0 + th * dt, th), dtype=float)
-    return float(np.sum(0.5 * (left + right) * dt) / dt.sum())
-
-
 def autocorrelation(
     path: ZigzagPath,
     observable: Callable,
@@ -380,13 +375,16 @@ def autocorrelation(
 
     The estimator integrates the product of the centered observable at s and
     s + t over s in [0, T - t], on the merged breakpoint grid of the two time
-    shifts.  Each merged cell lies inside a single constant-velocity segment
-    of both copies, so for observables affine in x the cellwise product is
-    quadratic and the integral below is exact; smooth nonlinear observables
-    pick up an O(segment^2) quadrature error instead.
+    shifts.  Both breakpoint lists are sorted, so a stable argsort merges
+    them, and the merge order names the segment owning each cell in either
+    copy; where the lists tie (always at lag 0) it leaves a zero-width cell,
+    which adds exactly 0.  For observables affine in x the cellwise product
+    is quadratic and the integral below is exact; smooth nonlinear
+    observables pick up an O(segment^2) quadrature error instead.
 
     Velocity-dependent observables are fine: values at a cell boundary are
     taken from the segment owning the cell, so jumps at switches stay sharp.
+    Observable values must be real and finite at the segment ends.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1 or lags.size == 0:
@@ -401,41 +399,47 @@ def autocorrelation(
             f"max lag {np.max(lags):g} exceeds a tenth of the horizon {T:g}"
         )
 
-    mean = _pl_mean(path, observable)
+    # segment-end values: exact mean and variance of the linear interpolant
+    _, dt, x0s, ths = path.segments()
+    ends = np.array([observable(x, ths) for x in (x0s, x0s + ths * dt)])
+    if np.iscomplexobj(ends) or not np.all(np.isfinite(ends)):
+        raise DomainError("observable values must be real and finite along the path")
+    left, right = ends.astype(float)
+    mean = float(np.sum(0.5 * (left + right) * dt) / dt.sum())
 
     def g(x, th):
         return np.asarray(observable(x, th), dtype=float) - mean
 
-    # exact per-segment variance of the (piecewise-linear) centered observable
-    _, dt, x0s, ths = path.segments()
-    lv = g(x0s, ths)
-    rv = g(x0s + ths * dt, ths)
+    lv, rv = left - mean, right - mean
     var_direct = float(np.sum(dt / 3.0 * (lv * lv + lv * rv + rv * rv)) / dt.sum())
     if not (var_direct > 1e-12 * max(1.0, abs(mean)) ** 2):
         raise DegenerateObservableError(
             f"observable variance {var_direct:.3e} is numerically zero along the path"
         )
 
-    times = path.times
+    times, xs, thetas = path.times, path.positions, path.thetas
+    uptos = T - lags
+    # breakpoints of s -> g(s) in [0, upto] are times[:n1]; those of
+    # s -> g(s + lag) are times[j0:j1] - lag
+    n1s = np.searchsorted(times, uptos, side="left")
+    j0s = np.searchsorted(times, lags, side="right")
+    j1s = np.searchsorted(times, uptos + lags, side="left")
     covs = np.empty(lags.size)
-    for j, lag in enumerate(lags):
-        upto = T - lag
-        # merged grid: breakpoints of s -> g(s) and of s -> g(s+lag) in [0, upto]
-        b1 = times[times < upto]
-        b2 = times[(times > lag) & (times < upto + lag)] - lag
-        grid = np.unique(np.concatenate((b1, b2, [0.0, upto])))
+    for j, (lag, upto, n1, j0, j1) in enumerate(zip(lags, uptos, n1s, j0s, j1s)):
+        grid = np.concatenate((times[:n1], times[j0:j1] - lag, [upto]))
+        order = np.argsort(grid, kind="stable")  # merges the two sorted runs
+        grid = grid[order]
         a, b = grid[:-1], grid[1:]
         h = b - a
-        # assign each cell to its owning segment by midpoint: (t - lag) + lag
-        # can round an ulp past a breakpoint, midpoints cannot
-        seg1 = np.clip(np.searchsorted(times, a + 0.5 * h, side="right") - 1, 0, None)
-        seg2 = np.clip(
-            np.searchsorted(times, a + lag + 0.5 * h, side="right") - 1, 0, None
-        )
-        u_a = _eval_in_segment(path, g, a, seg1)
-        u_b = _eval_in_segment(path, g, b, seg1)
-        v_a = _eval_in_segment(path, g, a + lag, seg2)
-        v_b = _eval_in_segment(path, g, b + lag, seg2)
+        # cell m follows seg1 + 1 entries of the first list, m - seg1 of the second
+        seg1 = (order[:-1] < n1).astype(np.intp).cumsum() - 1
+        seg2 = j0 - 1 + np.arange(h.size) - seg1
+        x1, th1, t1 = xs[seg1], thetas[seg1], times[seg1]
+        x2, th2, t2 = xs[seg2], thetas[seg2], times[seg2]
+        u_a = g(x1 + th1 * (a - t1), th1)
+        u_b = g(x1 + th1 * (b - t1), th1)
+        v_a = g(x2 + th2 * (a + lag - t2), th2)
+        v_b = g(x2 + th2 * (b + lag - t2), th2)
         # integral of (linear u)(linear v) over each cell
         cells = h / 6.0 * (2.0 * u_a * v_a + u_a * v_b + u_b * v_a + 2.0 * u_b * v_b)
         covs[j] = cells.sum() / upto
@@ -444,12 +448,6 @@ def autocorrelation(
     at_zero = np.nonzero(lags == 0.0)[0]
     var = covs[at_zero[0]] if at_zero.size else var_direct
     return covs / var
-
-
-def _eval_in_segment(path, g, taus, seg_idx):
-    """g at times taus, positions extrapolated along the assigned segment."""
-    xs = path.positions[seg_idx] + path.thetas[seg_idx] * (taus - path.times[seg_idx])
-    return g(xs, path.thetas[seg_idx])
 
 
 def envelope_decay_rate(lags, values) -> float:
@@ -462,6 +460,8 @@ def envelope_decay_rate(lags, values) -> float:
     vals = np.abs(np.asarray(values, dtype=float))
     if lags.shape != vals.shape or lags.ndim != 1 or lags.size < 3:
         raise DomainError("need matching 1-d lags/values with >= 3 points")
+    if not (np.all(np.isfinite(lags)) and np.all(np.isfinite(vals))):
+        raise DomainError("lags and values must be finite")
     inner = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
     keep = np.zeros(lags.size, dtype=bool)
     keep[1:-1] = inner

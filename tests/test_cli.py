@@ -317,6 +317,18 @@ def test_simulate_short_horizon_skips_acf(tmp_path, capsys):
     assert json.loads(out.read_text())["acf"] is None
 
 
+@pytest.mark.parametrize("seed", ["1180591620717411303424", "-1"])
+def test_simulate_rejects_seed_outside_uint64(seed, tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    args = ["simulate", "--potential", "gaussian:1", "-T", "10", "--seed", seed]
+    code, _, err = run([*args, "--out", str(out)], capsys)
+    assert code == 2
+    blob = json.loads(err)["error"]
+    assert blob["type"] == "DomainError"
+    assert "seed" in blob["message"]
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- exit codes
 
 
