@@ -37,7 +37,7 @@ from .potential import (
     parse_potential,
     scale,
 )
-from .charfn import CharFunctionHandle, make_handle
+from .charfn import CharFunctionHandle
 from .rootfinder import ComplexRegion, RootfinderConfig, count_zeros, locate_zeros
 from .spectrum import (
     EigenvalueRecord,
@@ -95,7 +95,6 @@ __all__ = [
     "check_assumptions",
     # characteristic function and roots
     "CharFunctionHandle",
-    "make_handle",
     "ComplexRegion",
     "RootfinderConfig",
     "count_zeros",

@@ -11,14 +11,15 @@ where (after folding both half lines onto u >= 0)
 
 For even potentials psi_plus = psi_minus =: psi and Z factors as
 Z = (1 - psi)(1 + psi), whose factors Z+ and Z- are tracked as separate
-branches.  Two backends: adaptive quadrature for any potential, and for the
-Gaussian family the closed form
+branches.  The potential's family picks how psi is evaluated: the Gaussian
+family has the closed form
 
     psi_plus(gamma) = 1 - sqrt(2 pi) gamma erfcx(sqrt(2) gamma)      (sigma = 1)
 
-with psi_sigma(gamma) = psi_1(sigma gamma) handling general widths exactly.
+with psi_sigma(gamma) = psi_1(sigma gamma) handling general widths exactly;
+every other family uses adaptive quadrature.
 
-The quadrature backend integrates along the real axis first.  For
+Quadrature integrates along the real axis first.  For
 Re gamma < 0 the integrand can peak far above the integral (near e^18 at
 gamma = -3 - 4.5i for the Gaussian), and its panels then retire at the
 roundoff floor short of the requested tolerance max(abs_tol, rel_tol |A|).
@@ -35,7 +36,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -46,16 +46,11 @@ from .specialfn import erfcx_complex
 
 __all__ = [
     "CharFunctionHandle",
-    "make_handle",
     "psi",
-    "psi_derivative",
     "psi_batch",
-    "z_value",
-    "z_log_derivative",
     "z_value_batch",
     "z_log_derivative_batch",
-    "gaussian_closed_form_psi",
-    "gaussian_closed_form_dpsi",
+    "gaussian_closed_form",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -72,7 +67,7 @@ _BRANCHES = ("full", "plus", "minus")
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_closed_form(gamma):
+def gaussian_closed_form(gamma):
     """(psi, dpsi) for U(x) = x^2/2 from one erfcx evaluation; arrays in and out.
 
     Differentiating psi = 1 - sqrt(2 pi) gamma erfcx(sqrt2 gamma) with
@@ -86,20 +81,8 @@ def _gaussian_closed_form(gamma):
     return psi, dpsi
 
 
-def gaussian_closed_form_psi(gamma):
-    """psi(gamma) for U(x) = x^2/2; vectorized over gamma."""
-    out = np.asarray(_gaussian_closed_form(gamma)[0])
-    return out if out.ndim else complex(out)
-
-
-def gaussian_closed_form_dpsi(gamma):
-    """d psi / d gamma for U(x) = x^2/2; vectorized over gamma."""
-    out = np.asarray(_gaussian_closed_form(gamma)[1])
-    return out if out.ndim else complex(out)
-
-
 # ---------------------------------------------------------------------------
-# quadrature backend
+# quadrature
 # ---------------------------------------------------------------------------
 
 
@@ -248,12 +231,6 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
     return value, deriv, err, phi
 
 
-def _psi_one(potential: PotentialModel, sign: int, gamma: complex, cfg: QuadratureConfig):
-    """(psi, dpsi, err, phi) at one gamma: the batch of one."""
-    value, deriv, err, phi = _psi_quadrature_batch(potential, sign, np.array([complex(gamma)]), cfg)
-    return complex(value[0]), complex(deriv[0]), float(err[0]), float(phi[0])
-
-
 def _psi_defining_integral(
     potential: PotentialModel, sign: int, gamma: complex, cfg: QuadratureConfig, phi: float = 0.0
 ):
@@ -299,7 +276,8 @@ def psi(
     insists the two routes agree within their combined error estimates.
     """
     gamma = complex(gamma)
-    value, _, err, phi = _psi_one(potential, sign, gamma, cfg)
+    rows = _psi_quadrature_batch(potential, sign, np.array([gamma]), cfg)
+    value, _, err, phi = (v.item() for v in rows)  # the batch of one
     if verify:
         alt, alt_err = _psi_defining_integral(potential, sign, gamma, cfg, phi)
         budget = err + alt_err + 1e-11
@@ -309,16 +287,6 @@ def psi(
                 f"{value} vs defining integral {alt} (budget {budget:.2e})"
             )
     return value
-
-
-def psi_derivative(
-    potential: PotentialModel,
-    sign: int,
-    gamma: complex,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> complex:
-    """d psi_sign / d gamma by quadrature (shares panels and path with psi)."""
-    return _psi_one(potential, sign, gamma, cfg)[1]
 
 
 def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -339,54 +307,40 @@ def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfi
 
 
 # ---------------------------------------------------------------------------
-# handles: branch + backend
+# handles: potential + branch
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class CharFunctionHandle:
-    """Bound (potential, branch, backend, config).
+    """Bound (potential, branch, config).
 
     The handle keeps no state between calls: every call computes psi afresh.
     branch 'full' evaluates Z = 1 - psi+ psi-; 'plus'/'minus' evaluate the
-    even-potential factors Z+- = 1 -+ psi.  The closed-form backend is only
-    legal for the gaussian family.
+    even-potential factors Z+- = 1 -+ psi.
     """
 
     potential: PotentialModel
     branch: str = "full"
-    backend: str = "quadrature"
     cfg: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         if self.branch not in _BRANCHES:
             raise DomainError(f"branch must be one of {_BRANCHES}, got {self.branch!r}")
-        if self.backend not in ("quadrature", "gaussian-closed-form"):
-            raise DomainError(f"unknown backend {self.backend!r}")
-        if self.backend == "gaussian-closed-form" and self.potential.family != "gaussian":
-            raise DomainError("closed-form backend requires the gaussian family")
         if self.branch in ("plus", "minus") and not self.potential.is_symmetric:
             raise DomainError("plus/minus branches require an even potential")
-
-    def psi_at(self, gamma: complex):
-        """(psi+, dpsi+, psi-, dpsi-) at gamma, no near-zero guard.
-
-        Unlike z_value this is safe to call at eigenvalues, where Z itself
-        vanishes but the psi values are perfectly regular.  It is
-        values_batch of one gamma, bit for bit.
-        """
-        return tuple(complex(v[0]) for v in self.values_batch(complex(gamma)))
 
     def values_batch(self, gammas):
         """(psi+, dpsi+, psi-, dpsi-) row arrays for an array of gammas.
 
-        The quadrature backend makes one psi_batch call per sign (one in all
-        for an even potential), so a value depends only on the batch it is in.
+        The gaussian family takes the closed form at sigma gamma; every other
+        family makes one psi_batch call per sign (one in all for an even
+        potential), so a value depends only on the batch it is in.
         """
         g = np.atleast_1d(np.asarray(gammas, dtype=complex))
-        if self.backend == "gaussian-closed-form":
+        if self.potential.family == "gaussian":
             s = self.potential.sigma
-            pp, dp = _gaussian_closed_form(s * g)
+            pp, dp = gaussian_closed_form(s * g)
             dp = s * dp
             return pp, dp, pp, dp
         pp, dp = psi_batch(self.potential, +1, g, self.cfg)
@@ -394,18 +348,6 @@ class CharFunctionHandle:
             return pp, dp, pp, dp
         pm, dm = psi_batch(self.potential, -1, g, self.cfg)
         return pp, dp, pm, dm
-
-
-def make_handle(
-    potential: PotentialModel,
-    branch: str = "full",
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    backend: Optional[str] = None,
-) -> CharFunctionHandle:
-    """Build a handle, defaulting to the closed form when it is available."""
-    if backend is None:
-        backend = "gaussian-closed-form" if potential.family == "gaussian" else "quadrature"
-    return CharFunctionHandle(potential=potential, branch=branch, backend=backend, cfg=cfg)
 
 
 def _z_and_dz(branch: str, pp, dp, pm, dm):
@@ -421,26 +363,17 @@ def _z_and_dz(branch: str, pp, dp, pm, dm):
     return 1.0 + pp, dp
 
 
-def z_value(handle: CharFunctionHandle, gamma: complex) -> complex:
-    return complex(z_value_batch(handle, complex(gamma))[0])
-
-
-def z_log_derivative(handle: CharFunctionHandle, gamma: complex) -> complex:
-    """Z'(gamma)/Z(gamma) for the handle's branch.
-
-    Raises NearZeroError when |Z| < 1e-14; callers in the rootfinder treat
-    that as having landed on a root.
-    """
-    return complex(z_log_derivative_batch(handle, complex(gamma))[0])
-
-
 def z_value_batch(handle: CharFunctionHandle, gammas):
-    """Vectorized z_value; accepts and returns numpy arrays."""
+    """Z(gamma) of the handle's branch; accepts and returns numpy arrays."""
     return _z_and_dz(handle.branch, *handle.values_batch(gammas))[0]
 
 
 def z_log_derivative_batch(handle: CharFunctionHandle, gammas):
-    """Vectorized Z'/Z; raises NearZeroError at the first numerically-zero Z."""
+    """Z'/Z of the handle's branch; accepts and returns numpy arrays.
+
+    Raises NearZeroError at the first |Z| < 1e-14; callers in the rootfinder
+    treat that as having landed on a root.
+    """
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
     z, dz = _z_and_dz(handle.branch, *handle.values_batch(g))
     small = np.abs(z) < NEAR_ZERO_TOL

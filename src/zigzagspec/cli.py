@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import make_handle, z_log_derivative_batch
+from .charfn import CharFunctionHandle, z_log_derivative_batch
 from .errors import DomainError, ZigzagError
 from .operator import default_grid, eigenfunction_table
 from .perturbation import perturbed_spectrum
@@ -381,11 +382,7 @@ def cmd_perturb(cfg: RunConfig, parser) -> int:
 def cmd_eigfun(cfg: RunConfig, parser) -> int:
     potential = parse_potential(_require(cfg, "potential", parser))
     guess = parse_complex(_require(cfg, "gamma", parser))
-    handle = make_handle(potential)
-
-    def ld(z):
-        return z_log_derivative_batch(handle, np.asarray(z, dtype=complex))
-
+    ld = functools.partial(z_log_derivative_batch, CharFunctionHandle(potential))
     gamma = newton_polish(ld, guess)
     xs = default_grid(potential)
     tol = cfg.tol if cfg.tol is not None else 1e-8

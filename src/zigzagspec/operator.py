@@ -26,7 +26,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .charfn import _z_and_dz, make_handle
+from .charfn import CharFunctionHandle, _z_and_dz
 from .errors import (
     DomainError,
     NonSimpleEigenvalueError,
@@ -232,6 +232,8 @@ class GridFunction:
         object.__setattr__(self, "minus", np.asarray(self.minus, dtype=complex))
         if xs.ndim != 1 or xs.size < 3:
             raise DomainError("GridFunction needs a 1-d grid of at least 3 nodes")
+        if not all(np.all(np.isfinite(a)) for a in (xs, self.plus, self.minus)):
+            raise DomainError("GridFunction nodes and values must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("GridFunction grid must be strictly increasing")
         if np.max(np.abs(xs + xs[::-1])) > 1e-12 * (1.0 + abs(xs[-1])):
@@ -384,6 +386,16 @@ class PiecewiseEigenfunction:
         return float(np.sum(np.real(np.atleast_1d(val))))
 
 
+def _check_gamma_tol(gamma, tol: float) -> complex:
+    """gamma as a complex; DomainError unless gamma is finite and tol finite and > 0."""
+    gamma = complex(gamma)
+    if not np.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma!r}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    return gamma
+
+
 def eigenfunction(
     potential: PotentialModel,
     gamma: complex,
@@ -394,10 +406,8 @@ def eigenfunction(
     """Closed-form eigenfunction at gamma; raises unless |Z_branch(gamma)| <= tol."""
     if variant not in ("full", "plus", "minus"):
         raise DomainError(f"unknown eigenfunction variant {variant!r}")
-    gamma = complex(gamma)
-    if not np.isfinite(gamma):
-        raise DomainError(f"gamma must be finite, got {gamma!r}")
-    values = make_handle(potential, branch=variant, cfg=cfg).values_batch(gamma)
+    gamma = _check_gamma_tol(gamma, tol)
+    values = CharFunctionHandle(potential, variant, cfg).values_batch(gamma)
     z, dz = (complex(v[0]) for v in _z_and_dz(variant, *values))
     if abs(z) > tol:
         raise NotAnEigenvalueError(gamma, abs(z), tol)
@@ -526,10 +536,8 @@ def apply_resolvent(
     cell by cell with one GK15 panel per grid cell plus the analytic tail.
     One sweep per outward half line gives both k1, k2 (hence k+, k-) and f.
     """
-    gamma = complex(gamma)
-    if not np.isfinite(gamma):
-        raise DomainError(f"gamma must be finite, got {gamma!r}")
-    values = make_handle(potential, branch="full", cfg=cfg).values_batch(gamma)
+    gamma = _check_gamma_tol(gamma, tol)
+    values = CharFunctionHandle(potential, "full", cfg).values_batch(gamma)
     z = complex(_z_and_dz("full", *values)[0][0])
     pp, _, pm, _ = (complex(v[0]) for v in values)
     if abs(z) <= tol:

@@ -108,6 +108,14 @@ class RootfinderConfig:
     dilation: float = 1e-4        # deterministic boundary jitter
     quad: QuadratureConfig = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_depth=40)
 
+    def __post_init__(self):
+        for name in ("root_tol", "boundary_tol", "min_box_size", "cluster_tol", "dilation"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        n = self.max_newton_iter
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise DomainError(f"max_newton_iter must be an integer >= 1, got {n!r}")
+
 
 DEFAULT_ROOT_CONFIG = RootfinderConfig()
 

@@ -93,11 +93,20 @@ class ZigzagPath:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
             raise DomainError("path needs the initial state at time 0")
-        if np.any(np.diff(t) <= 0.0):
+        if not np.all(np.diff(t) > 0.0):
             raise DomainError("event times must be strictly increasing")
+        x = np.asarray(self.positions, dtype=float)
         th = np.asarray(self.thetas)
+        if x.shape != t.shape or th.shape != t.shape:
+            raise DomainError(f"positions {x.shape}, thetas {th.shape} and times {t.shape} differ")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("positions must be finite")
+        if not np.all(np.isin(th, (-1, 1))):
+            raise DomainError("every theta must be +1 or -1")
         if t.size > 1 and np.any(th[1:] == th[:-1]):
             raise DomainError("every event must switch the velocity")
+        if not t[-1] < self.horizon < math.inf:
+            raise DomainError(f"horizon {self.horizon!r} is not finite or not after time {t[-1]}")
 
     @property
     def n_events(self) -> int:

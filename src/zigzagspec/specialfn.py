@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import wofz
 
-__all__ = ["erfcx_complex", "erfc_complex"]
+__all__ = ["erfcx_complex"]
 
 
 def erfcx_complex(z):
@@ -25,18 +25,3 @@ def erfcx_complex(z):
         out = np.where(z.real >= 0.0, w, 2.0 * np.exp(z * z) - w)
     return out if out.ndim else complex(out)
 
-
-def erfc_complex(z):
-    """erfc(z) on the complex plane via the scaled form.
-
-    For Re z >= 0,  erfc = e^{-z^2} erfcx(z);  otherwise the reflection
-    erfc(z) = 2 - erfc(-z) keeps the exponential bounded.  Deep in the
-    left half plane with large |Im z| the true value itself overflows a
-    double; infs are returned there rather than garbage digits.
-    """
-    z = np.asarray(z, dtype=complex)
-    zr = np.where(z.real >= 0.0, z, -z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = np.exp(-zr * zr) * wofz(1j * zr)
-        out = np.where(z.real >= 0.0, base, 2.0 - base)
-    return out if out.ndim else complex(out)

@@ -25,17 +25,13 @@ eigenvalue 0.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .charfn import (
-    CharFunctionHandle,
-    make_handle,
-    z_log_derivative_batch,
-    z_value_batch,
-)
+from .charfn import CharFunctionHandle, z_log_derivative_batch, z_value_batch
 from .errors import DomainError, GapUndeterminedError, WindingError
 from .potential import PotentialModel, check_assumptions
 from .rootfinder import (
@@ -76,16 +72,6 @@ class SpectrumResult:
     diagnostics: dict
 
 
-def _branch_funcs(handle: CharFunctionHandle):
-    def fvec(z):
-        return z_value_batch(handle, np.asarray(z, dtype=complex))
-
-    def ldvec(z):
-        return z_log_derivative_batch(handle, np.asarray(z, dtype=complex))
-
-    return fvec, ldvec
-
-
 def default_re_range(potential: PotentialModel) -> Tuple[float, float]:
     """Real range [-4/sigma, 0.1] of the default region (sigma = 1 for
     non-gaussian families)."""
@@ -96,7 +82,6 @@ def default_re_range(potential: PotentialModel) -> Tuple[float, float]:
 def auto_region(
     potential: PotentialModel,
     re_min: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> ComplexRegion:
     """Default search region [re_min, 0.1] x [-B, B].
 
@@ -110,11 +95,11 @@ def auto_region(
         re_min = default_min
     if not -math.inf < re_min < 0.0:
         raise DomainError(f"auto region needs a finite re_min < 0, got {re_min!r}")
-    handle = make_handle(potential, branch="full", backend=backend)
+    handle = CharFunctionHandle(potential)
     betas = 0.5 * np.arange(1, 257)
     streak = 0
     bound = None
-    # rung batches keep the quadrature backend affordable
+    # rung batches keep quadrature psi affordable
     for start in range(0, len(betas), 8):
         chunk = betas[start : start + 8]
         pp, _, pm, _ = handle.values_batch(re_min + 1j * chunk)
@@ -148,7 +133,8 @@ def _search_region(region: ComplexRegion, cfg: RootfinderConfig) -> ComplexRegio
 def _collect(handle: CharFunctionHandle, region: ComplexRegion, cfg: RootfinderConfig):
     """One branch's eigenvalues in the region, and the conjugate defect of the
     roots found in the band below the real axis."""
-    fvec, ldvec = _branch_funcs(handle)
+    fvec = functools.partial(z_value_batch, handle)
+    ldvec = functools.partial(z_log_derivative_batch, handle)
     roots = locate_zeros(fvec, ldvec, _search_region(region, cfg), cfg).roots
     upper = [r.location for r in roots if r.location.imag > 0]
     defect = max(
@@ -191,7 +177,6 @@ def compute_spectrum(
     potential: PotentialModel,
     region: Optional[ComplexRegion] = None,
     cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG,
-    backend: Optional[str] = None,
 ) -> SpectrumResult:
     """All eigenvalues in the region (default: `auto_region`).
 
@@ -200,7 +185,7 @@ def compute_spectrum(
     checks are advisory only and land in diagnostics, never gating.
     """
     if region is None:
-        region = auto_region(potential, backend=backend)
+        region = auto_region(potential)
     diagnostics = {"region": dataclasses.asdict(region)}
     try:
         diagnostics["assumptions"] = check_assumptions(potential).statuses
@@ -212,7 +197,7 @@ def compute_spectrum(
     records = []
     defect = 0.0
     for branch in branches:
-        handle = make_handle(potential, branch=branch, backend=backend)
+        handle = CharFunctionHandle(potential, branch)
         recs, branch_defect = _collect(handle, region, cfg)
         records.extend(recs)
         defect = max(defect, branch_defect)

@@ -15,8 +15,8 @@ from test_rootfinder import poly_funcs, random_well_separated_roots
 
 import zigzagspec.rootfinder as rootfinder_mod
 from zigzagspec.charfn import (
-    gaussian_closed_form_psi,
-    make_handle,
+    CharFunctionHandle,
+    gaussian_closed_form,
     psi,
     z_log_derivative_batch,
     z_value_batch,
@@ -90,7 +90,7 @@ def test_criterion_02_branch_consistency(gaussian_potential):
     region = ComplexRegion(-2.0, 0.1, -2.5, 2.5)
 
     def roots_of(branch):
-        handle = make_handle(gaussian_potential, branch=branch)
+        handle = CharFunctionHandle(gaussian_potential, branch=branch)
 
         def f(z):
             return z_value_batch(handle, z)
@@ -115,10 +115,10 @@ def test_criterion_02_branch_consistency(gaussian_potential):
 
     zero_on_plus = min(abs(r.location) for r in plus.roots) <= 1e-8
 
-    handle = make_handle(gaussian_potential, branch="full")
+    handle = CharFunctionHandle(gaussian_potential, branch="full")
     min_zprime = np.inf
     for z in full_locs:
-        pp, dp, pm, dm = handle.psi_at(z)
+        pp, dp, pm, dm = (v[0] for v in handle.values_batch(z))
         min_zprime = min(min_zprime, abs(-(pp * dm + pm * dp)))
     all_simple = all(r.multiplicity == 1 for r in full.roots) and min_zprime > 1e-8
 
@@ -148,7 +148,7 @@ def test_criterion_03_closed_form_cross_check(gaussian_potential):
         for im in ims:
             g = complex(re, im)
             quad = psi(gaussian_potential, +1, g)
-            closed = gaussian_closed_form_psi(g)
+            closed = gaussian_closed_form(g)[0]
             diff = abs(quad - closed) / max(1.0, abs(closed))
             if diff > worst:
                 worst, worst_at = diff, g
@@ -227,9 +227,9 @@ def test_criterion_05_structural_invariants(gaussian_spectrum):
                 problems.append(f"{desc}: {g} has Re >= 0")
             if min(abs(np.conj(g) - w) for w in eigs) > 1e-8:
                 problems.append(f"{desc}: conjugate of {g} missing")
-        handle = make_handle(parse_potential(desc))
+        handle = CharFunctionHandle(parse_potential(desc))
         for g in eigs:
-            pp, _, pm, _ = handle.psi_at(g)
+            pp, _, pm, _ = (v[0] for v in handle.values_batch(g))
             worst_z = max(worst_z, abs(1.0 - pp * pm))
     if worst_z > 1e-8:
         problems.append(f"|Z| at reported roots up to {worst_z:.2e}")

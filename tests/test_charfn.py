@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zigzagspec.charfn import (
-    gaussian_closed_form_dpsi,
-    gaussian_closed_form_psi,
-    make_handle,
+    CharFunctionHandle,
+    gaussian_closed_form,
     psi,
     psi_batch,
-    psi_derivative,
-    z_log_derivative,
     z_log_derivative_batch,
-    z_value,
     z_value_batch,
 )
 from zigzagspec.errors import DomainError, IntegrationError, NearZeroError
@@ -45,17 +41,17 @@ DPSI_ORACLE = [
 
 @pytest.mark.parametrize("g,expected", PSI_ORACLE)
 def test_closed_form_psi_against_mpmath(g, expected):
-    assert abs(gaussian_closed_form_psi(g) - expected) <= 1e-13 * max(1.0, abs(expected))
+    assert abs(gaussian_closed_form(g)[0] - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
 @pytest.mark.parametrize("g,expected", DPSI_ORACLE)
 def test_closed_form_dpsi_against_mpmath(g, expected):
-    assert abs(gaussian_closed_form_dpsi(g) - expected) <= 1e-12 * abs(expected)
+    assert abs(gaussian_closed_form(g)[1] - expected) <= 1e-12 * abs(expected)
 
 
 def test_psi_at_zero_is_one():
     pot = gaussian(1.0)
-    assert gaussian_closed_form_psi(0.0) == 1.0
+    assert gaussian_closed_form(0.0)[0] == 1.0
     assert abs(psi(pot, +1, 0.0) - 1.0) < 1e-12
     assert abs(psi(pot, -1, 0.0) - 1.0) < 1e-12
 
@@ -66,7 +62,7 @@ def test_quadrature_psi_matches_closed_form_moderate_gammas():
     pot = gaussian(1.0)
     for g in (0.3 + 0.0j, -0.5 + 1.0j, -0.9 - 1.3j, 0.05 + 2.0j):
         q = psi(pot, +1, g)
-        c = gaussian_closed_form_psi(g)
+        c = gaussian_closed_form(g)[0]
         assert abs(q - c) < 5e-12, f"gamma={g}"
 
 
@@ -79,7 +75,7 @@ def test_psi_minus_equals_psi_plus_for_even_potential():
 def test_psi_verify_mode_cross_checks_defining_integral():
     pot = gaussian(1.0)
     v = psi(pot, +1, -0.4 + 0.9j, verify=True)
-    assert abs(v - gaussian_closed_form_psi(-0.4 + 0.9j)) < 5e-11
+    assert abs(v - gaussian_closed_form(-0.4 + 0.9j)[0]) < 5e-11
 
 
 def test_psi_sign_validation():
@@ -92,49 +88,60 @@ def test_psi_derivative_matches_finite_difference():
     g = -0.35 + 0.8j
     h = 1e-6
     fd = (psi(pot, +1, g + h) - psi(pot, +1, g - h)) / (2 * h)
-    assert abs(psi_derivative(pot, +1, g) - fd) < 1e-7
+    assert abs(psi_batch(pot, +1, [g])[1][0] - fd) < 1e-7
 
 
 def test_sigma_rescaling_identity():
     # psi_sigma(gamma) = psi_1(sigma gamma) for the gaussian family
     wide = gaussian(2.0)
     for g in (0.1 + 0.3j, -0.4 + 0.7j):
-        assert abs(psi(wide, +1, g) - gaussian_closed_form_psi(2.0 * g)) < 5e-12
+        assert abs(psi(wide, +1, g) - gaussian_closed_form(2.0 * g)[0]) < 5e-12
+
+
+def test_gaussian_family_takes_the_scaled_closed_form():
+    # the family picks the closed form, at sigma gamma with dpsi scaled by
+    # sigma, bit for bit
+    g = np.array([0.1 + 0.3j, -0.4 + 0.7j, -2.5 - 3.0j])
+    pp, dp, pm, dm = CharFunctionHandle(gaussian(2.0)).values_batch(g)
+    closed, dclosed = gaussian_closed_form(2.0 * g)
+    for value, deriv in ((pp, dp), (pm, dm)):
+        assert np.array_equal(value, closed)
+        assert np.array_equal(deriv, 2.0 * dclosed)
 
 
 def test_handle_z_value_and_roots():
     pot = gaussian(1.0)
-    handle = make_handle(pot)
+    handle = CharFunctionHandle(pot)
     # Z(0) = 0 exactly; its logarithmic derivative is guarded there
-    assert abs(z_value(handle, 0.0)) < 1e-14
+    assert abs(z_value_batch(handle, 0.0)[0]) < 1e-14
     with pytest.raises(NearZeroError):
-        z_log_derivative(handle, 0.0)
+        z_log_derivative_batch(handle, 0.0)
     # away from the spectrum Z is regular
-    z = z_value(handle, -0.2 + 0.5j)
+    z = z_value_batch(handle, -0.2 + 0.5j)[0]
     assert np.isfinite(z.real) and np.isfinite(z.imag)
 
 
 def test_z_log_derivative_at_regular_point():
     pot = gaussian(1.0)
-    handle = make_handle(pot)
+    handle = CharFunctionHandle(pot)
     g = -0.3 + 0.4j
     h = 1e-6
     fd = (
-        np.log(z_value(handle, g + h)) - np.log(z_value(handle, g - h))
+        np.log(z_value_batch(handle, g + h)[0]) - np.log(z_value_batch(handle, g - h)[0])
     ) / (2 * h)
-    assert abs(z_log_derivative(handle, g) - fd) < 1e-6
+    assert abs(z_log_derivative_batch(handle, g)[0] - fd) < 1e-6
 
 
 def test_branch_handles_satisfy_factorization():
     # Z = Z+ Z- for even potentials: 1 - psi^2 = (1 - psi)(1 + psi)
     pot = gaussian(1.0)
-    full = make_handle(pot, branch="full")
-    plus = make_handle(pot, branch="plus")
-    minus = make_handle(pot, branch="minus")
+    full = CharFunctionHandle(pot, branch="full")
+    plus = CharFunctionHandle(pot, branch="plus")
+    minus = CharFunctionHandle(pot, branch="minus")
     for g in (-0.3 + 0.6j, -0.8 + 1.2j):
-        zf = z_value(full, g)
-        zp = z_value(plus, g)
-        zm = z_value(minus, g)
+        zf = z_value_batch(full, g)[0]
+        zp = z_value_batch(plus, g)[0]
+        zm = z_value_batch(minus, g)[0]
         assert abs(zf - zp * zm) < 1e-12
 
 
@@ -144,33 +151,14 @@ SCALAR_BATCH_GAMMAS = [-0.3 + 0.6j, -0.8 + 1.2j, 0.05 - 0.4j]
 
 
 def test_batch_matches_scalar():
-    # a scalar call is a batch of one, bit for bit, whatever the call order,
-    # on both backends and every branch
-    for descriptor, branch, g in itertools.product(
-        ("gaussian:1", "beta:2.5"), ("full", "plus", "minus"), SCALAR_BATCH_GAMMAS
-    ):
-        pot = parse_potential(descriptor)
-        scalar_first = make_handle(pot, branch)
-        scalar = scalar_first.psi_at(g)
-        assert tuple(v[0] for v in scalar_first.values_batch([g])) == scalar
-        batch_first = make_handle(pot, branch)
-        batch = tuple(v[0] for v in batch_first.values_batch([g]))
-        assert batch_first.psi_at(g) == batch
-        assert scalar == batch, (descriptor, branch, g)
-        assert z_value(make_handle(pot, branch), g) == z_value_batch(make_handle(pot, branch), [g])[0]
-        assert (
-            z_log_derivative(make_handle(pot, branch), g)
-            == z_log_derivative_batch(make_handle(pot, branch), [g])[0]
-        )
-    # the quadrature functions, on both half lines
+    # scalar psi is psi_batch of one, bit for bit, on both half lines
     for descriptor, sign, g in itertools.product(
         ("gaussian:1", "beta:2.5"), (+1, -1), SCALAR_BATCH_GAMMAS
     ):
         pot = parse_potential(descriptor)
-        value, deriv = psi_batch(pot, sign, [g])
+        value, _ = psi_batch(pot, sign, [g])
         assert psi(pot, sign, g) == value[0]
         assert psi(pot, sign, g, verify=True) == value[0]
-        assert psi_derivative(pot, sign, g) == deriv[0]
 
 
 def test_values_batch_does_not_depend_on_call_history():
@@ -178,26 +166,26 @@ def test_values_batch_does_not_depend_on_call_history():
     # from the batch's own value in the last bits; a handle that kept it
     # would make the batch depend on what the handle saw before
     gammas = [-0.3 + 0.6j, -1.2 + 2.5j, -0.05 + 0.1j]
-    fresh = make_handle(beta_family(2.5))
-    used = make_handle(beta_family(2.5))
+    fresh = CharFunctionHandle(beta_family(2.5))
+    used = CharFunctionHandle(beta_family(2.5))
     used.values_batch(-0.3 + 0.6j)
     for a, b in zip(fresh.values_batch(gammas), used.values_batch(gammas)):
         assert np.array_equal(a, b)
 
 
 def test_quadrature_backend_agrees_with_closed_form_handle():
-    pot = gaussian(1.0)
-    fast = make_handle(pot, backend="gaussian-closed-form")
-    slow = make_handle(pot, backend="quadrature")
+    # beta:2 is x^2/2 exactly, evaluated by quadrature
+    fast = CharFunctionHandle(gaussian(1.0))
+    slow = CharFunctionHandle(beta_family(2.0))
     for g in (-0.4 + 0.8j, -0.7 + 1.4j):
-        assert abs(z_value(fast, g) - z_value(slow, g)) < 5e-12
+        assert abs(z_value_batch(fast, g)[0] - z_value_batch(slow, g)[0]) < 5e-12
 
 
 def test_z_prime_at_zero_equals_twice_mass():
     # dZ/dgamma at 0 is 2 int e^{-U} = 2 sqrt(2 pi) for the standard gaussian
     pot = gaussian(1.0)
-    handle = make_handle(pot)
-    pp, dp, pm, dm = handle.psi_at(0.0)
+    handle = CharFunctionHandle(pot)
+    pp, dp, pm, dm = (v[0] for v in handle.values_batch(0.0))
     dz = -(pm * dp + pp * dm)
     assert abs(dz - 2.0 * SQRT_2PI) < 1e-12
 
@@ -209,19 +197,19 @@ def test_z_prime_at_zero_equals_twice_mass():
 @settings(max_examples=40, deadline=None)
 def test_conjugate_symmetry_property(re, im):
     g = complex(re, im)
-    a = gaussian_closed_form_psi(np.conj(g))
-    b = np.conj(gaussian_closed_form_psi(g))
+    a = gaussian_closed_form(np.conj(g))[0]
+    b = np.conj(gaussian_closed_form(g)[0])
     assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
 
 def test_beta2_quadrature_psi_matches_gaussian_closed_form_under_cancellation():
     # beta:2 is x^2/2 exactly, reached through the beta code path
     pot = beta_family(2.0)
-    closed = gaussian_closed_form_psi(CANCELLATION_POINTS)
+    closed = gaussian_closed_form(CANCELLATION_POINTS)[0]
     scale = np.maximum(1.0, np.abs(closed))
     scalar = np.array([psi(pot, +1, g) for g in CANCELLATION_POINTS])
     assert np.all(np.abs(scalar - closed) <= 1e-9 * scale)
-    batch = make_handle(pot).values_batch(CANCELLATION_POINTS)[0]
+    batch = CharFunctionHandle(pot).values_batch(CANCELLATION_POINTS)[0]
     assert np.all(np.abs(batch - closed) <= 1e-9 * scale)
     # the defining integral follows the same rotated ray
     psi(pot, +1, CANCELLATION_POINTS[0], verify=True)
@@ -238,4 +226,4 @@ def test_custom_potential_refuses_psi_short_of_tolerance():
     with pytest.raises(IntegrationError, match=r"cancellation from e\^18"):
         psi(pot, +1, CANCELLATION_POINTS[0])
     # where the real axis meets its tolerance the custom route still answers
-    assert abs(psi(pot, +1, -0.5 + 1.0j) - gaussian_closed_form_psi(-0.5 + 1.0j)) < 5e-12
+    assert abs(psi(pot, +1, -0.5 + 1.0j) - gaussian_closed_form(-0.5 + 1.0j)[0]) < 5e-12

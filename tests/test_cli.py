@@ -329,6 +329,21 @@ def test_simulate_rejects_seed_outside_uint64(seed, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["spectrum", "eigfun"])
+def test_rejects_tol_not_finite_and_positive(command, tol, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    args = [command, "--potential", "gaussian:1", "--tol", tol, "--out", str(out)]
+    if command == "eigfun":
+        args += ["--gamma", "-0.4+1.0i", "--csv", str(tmp_path / "f.csv")]
+    code, _, err = run(args, capsys)
+    assert code == 2
+    blob = json.loads(err)["error"]
+    assert blob["type"] == "DomainError"
+    assert "tol" in blob["message"]
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- exit codes
 
 

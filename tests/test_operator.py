@@ -27,7 +27,7 @@ from zigzagspec.operator import (
     spectral_projection,
     z_prime_consistency,
 )
-from zigzagspec.charfn import gaussian_closed_form_psi
+from zigzagspec.charfn import gaussian_closed_form
 from zigzagspec.perturbation import (
     refreshment_coefficient,
     refreshment_coefficient_symmetric,
@@ -59,7 +59,7 @@ def test_psi_tilde_at_origin_is_psi(gaussian_potential):
     for g in (0.3 + 0.2j, -0.5 + 1.0j):
         for side in (+1, -1):
             pt = psi_tilde(gaussian_potential, g, 0.0, side)
-            assert abs(pt - gaussian_closed_form_psi(g)) < 1e-13
+            assert abs(pt - gaussian_closed_form(g)[0]) < 1e-13
 
 
 def test_psi_tilde_generic_path_matches_gaussian_route():
@@ -86,6 +86,16 @@ def test_grid_function_validation(gaussian_potential):
         GridFunction(xs[:-1], ones[:-1], ones[:-1])  # asymmetric grid
     with pytest.raises(DomainError):
         GridFunction(xs, ones[:-1], ones)  # shape mismatch
+
+
+@pytest.mark.parametrize("where", ["node", "plus", "minus"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grid_function_refuses_non_finite_entries(gaussian_potential, where, bad):
+    # a NaN node passes both the increasing and the symmetry comparison
+    arrays = {k: default_grid(gaussian_potential) for k in ("node", "plus", "minus")}
+    arrays[where][100] = bad
+    with pytest.raises(DomainError, match="finite"):
+        GridFunction(arrays["node"], arrays["plus"], arrays["minus"])
 
 
 def test_grid_function_interpolation_and_clipping(gaussian_potential):
@@ -282,6 +292,22 @@ def test_resolvent_rejects_spectrum_points(gaussian_potential):
     )
     with pytest.raises(ResolventAtEigenvalueError):
         apply_resolvent(gaussian_potential, G1, ones)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_tol_must_be_finite_and_positive(gaussian_potential, tol):
+    ones = GridFunction.from_callable(
+        gaussian_potential, lambda x, th: np.ones_like(np.asarray(x, dtype=float))
+    )
+    xs = np.linspace(-1.0, 1.0, 5)
+    for call in (
+        lambda: apply_resolvent(gaussian_potential, 0.0, ones, tol=tol),
+        lambda: eigenfunction(gaussian_potential, G1, tol=tol),
+        lambda: eigenfunction_table(gaussian_potential, -0.4 + 1.0j, xs, tol=tol),
+        lambda: spectral_projection(gaussian_potential, G1, ones, tol=tol),
+    ):
+        with pytest.raises(DomainError, match="tol"):
+            call()
 
 
 # ----------------------------------------------------------------- projections

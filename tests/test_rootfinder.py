@@ -5,6 +5,7 @@ from zigzagspec.errors import DomainError, WindingError
 from zigzagspec.rootfinder import (
     DEFAULT_ROOT_CONFIG,
     ComplexRegion,
+    RootfinderConfig,
     count_zeros,
     locate_zeros,
     newton_polish,
@@ -193,3 +194,19 @@ def test_polynomial_suite_small():
         for r in set(map(complex, roots)):
             best = min(abs(r - z) for z in rs.locations())
             assert best < 1e-9, f"trial {trial}: missed {r} by {best:.2e}"
+
+
+@pytest.mark.parametrize(
+    "field", ["root_tol", "boundary_tol", "min_box_size", "cluster_tol", "dilation"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_config_tolerances_must_be_finite_and_positive(field, value):
+    with pytest.raises(DomainError, match=field):
+        RootfinderConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5])
+def test_config_needs_at_least_one_newton_step(value):
+    with pytest.raises(DomainError, match="max_newton_iter"):
+        RootfinderConfig(max_newton_iter=value)
+    assert RootfinderConfig(max_newton_iter=1).max_newton_iter == 1

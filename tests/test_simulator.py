@@ -113,6 +113,27 @@ def test_path_must_start_at_time_zero():
         _hand_path([0.5, 1.0], [0.0, 0.5], [+1, -1], 2.0)
 
 
+@pytest.mark.parametrize(
+    "times,positions,thetas,horizon,match",
+    [
+        ([0.0, 1.0, 2.0], [0.0, 1.0], [1, -1, 1], 3.0, "differ"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [1, -1], 3.0, "differ"),
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 0.0], [1, -1, 1], 3.0, "positions must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, math.inf, 0.0], [1, -1, 1], 3.0, "positions must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [1, -1, 2], 3.0, r"\+1 or -1"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [1, 0, 1], 3.0, r"\+1 or -1"),
+        ([0.0, 1.0, 2.5], [0.0, 1.0, -0.5], [1, -1, 1], 2.0, "horizon"),
+        ([0.0, 1.0, 2.5], [0.0, 1.0, -0.5], [1, -1, 1], 2.5, "horizon"),
+        ([0.0, 1.0, 2.5], [0.0, 1.0, -0.5], [1, -1, 1], math.inf, "horizon"),
+        ([0.0, 1.0, 2.5], [0.0, 1.0, -0.5], [1, -1, 1], math.nan, "horizon"),
+        ([0.0, math.nan, 2.5], [0.0, 1.0, -0.5], [1, -1, 1], 3.0, "increasing"),
+    ],
+)
+def test_path_refuses_malformed_skeleton(times, positions, thetas, horizon, match):
+    with pytest.raises(DomainError, match=match):
+        _hand_path(times, positions, thetas, horizon)
+
+
 def test_interrogation_methods(long_path):
     p = long_path
     mid = 0.5 * (p.times[3] + p.times[4])

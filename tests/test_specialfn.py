@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zigzagspec.specialfn import erfc_complex, erfcx_complex
+from zigzagspec.specialfn import erfcx_complex
 
 # reference values from mpmath (erfcx(z) = exp(z^2) erfc(z), 40 digits)
 ERFCX_ORACLE = [
@@ -49,13 +49,6 @@ def test_erfcx_right_tail_asymptotics():
     assert complex(erfcx_complex(x)).real == pytest.approx(
         1.0 / (x * np.sqrt(np.pi)), rel=1e-3
     )
-
-
-def test_erfc_complex_matches_erfcx():
-    for z in (0.3 + 0.1j, -0.5 + 0.9j, 1.0 - 1.0j):
-        lhs = complex(erfc_complex(z))
-        rhs = np.exp(-z * z) * complex(erfcx_complex(z))
-        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
 
 def test_erfcx_conjugate_symmetry():
