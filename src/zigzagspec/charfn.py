@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, NearZeroError, TruncationError
 from .potential import PotentialModel
-from .quadrature import DEFAULT_CONFIG, DecayProfile, QuadratureConfig, integrate_finite, truncation_radius
+from .quadrature import DEFAULT_CONFIG, DecayProfile, QuadratureConfig, _tolerance, integrate_finite, truncation_radius
 from .specialfn import erfcx_complex
 
 __all__ = [
@@ -102,7 +102,7 @@ def _path(potential: PotentialModel, sign: int, phi: float):
         u0 = potential.U(0.0)
         return (lambda t: t), (lambda u: potential.U(sign * u) - u0), 1.0
     rot = cmath.exp(1j * phi)
-    return (lambda t: rot * t), (lambda u: potential.U_analytic(sign * u)), rot
+    return (lambda t: rot * t), (lambda u: potential.U(sign * u)), rot
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,11 +143,6 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
     return vals.reshape(2, g.size), errs.reshape(2, g.size)
 
 
-def _tolerance(ab, cfg):
-    """The requested tolerance max(abs_tol, rel_tol |value|) of each integral."""
-    return np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(ab))
-
-
 def _ab_on_ray(potential, sign, gamma, cfg, ab, errs):
     """(A, B), their errors, phi, radius and tail for one gamma whose
     real-axis integrals `ab` missed their tolerance by `errs`, taken along the
@@ -173,12 +168,12 @@ def _ab_on_ray(potential, sign, gamma, cfg, ab, errs):
             ray_ab, ray_errs = _ab_pass(potential, sign, np.array([gamma]), phi, radius, cfg)
         except IntegrationError:
             continue
-        if np.all(ray_errs <= _tolerance(ray_ab, cfg)):
+        if np.all(ray_errs <= _tolerance(ray_ab, 0.0, cfg)):
             return ray_ab[:, 0], ray_errs[:, 0], phi, radius, tail
         attempts.append((ray_ab[:, 0], ray_errs[:, 0]))
 
     def worst(ab, errs):  # (error, tolerance) of the integral furthest past it
-        tol = _tolerance(ab, cfg)
+        tol = _tolerance(ab, 0.0, cfg)
         i = int(np.argmax(errs / tol))
         return errs[i], tol[i]
 
@@ -218,7 +213,7 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
     phi = np.zeros(n)
     radii = np.full(n, radius)
     tails = np.full(n, tail)
-    for j in np.flatnonzero(np.any(errs > _tolerance(ab, cfg), axis=0)):
+    for j in np.flatnonzero(np.any(errs > _tolerance(ab, 0.0, cfg), axis=0)):
         ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = _ab_on_ray(
             potential, sign, complex(g[j]), cfg, ab[:, j].copy(), errs[:, j].copy()
         )
@@ -243,16 +238,14 @@ def _psi_defining_integral(
             direction=int(sign),
             center=0.0,
         )
-        du_of = potential.dU
     else:
         profile = _RayEnvelope(potential, sign, gamma, phi)
-        du_of = potential.dU_analytic
     radius, tail = truncation_radius(profile, cfg)
     u_of, w_of, rot = _path(potential, sign, phi)
 
     def f(t):
         u = u_of(t)
-        return rot * sign * du_of(sign * u) * np.exp(-2.0 * gamma * u - w_of(u))
+        return rot * sign * potential.dU(sign * u) * np.exp(-2.0 * gamma * u - w_of(u))
 
     oscillation = abs(2.0 * (gamma * rot).imag)
     value, err = integrate_finite(f, 0.0, radius, cfg, oscillation=oscillation)

@@ -8,11 +8,13 @@ exponentiation, giving
         = e^{-gamma x} (1 - 2 gamma J^+(gamma, x)) =: e^{-gamma x} pt^+(gamma; x)
 
 with J^+(gamma, x) = int_0^inf e^{-2 gamma u - (U(x+u) - U(x))} du, and the
-mirror image pt^- on the left half line.  Nothing here ever evaluates
-e^{U(x)} against a big x, which is what makes |x| ~ 12 grids usable for the
-Gaussian where e^{U} alone would reach 1e31.
+mirror image pt^- on the left half line.  The Gaussian takes J from erfcx;
+any other U gets pt at all requested x from one GK15 sweep of the left-hand
+integrand, summed cell by cell from the outer end.  Nothing here evaluates
+e^{U(x)} against a big x on its own, which is what makes |x| ~ 12 grids
+usable for the Gaussian where e^{U} alone would reach 1e31.
 
-The resolvent uses the same idea: on the outward half lines f is written as
+The resolvent uses the same w: on the outward half lines f is written as
 a plain decaying integral of (h + U' f_other) instead of the cancellation-
 prone constant-minus-cumulative form.
 """
@@ -24,11 +26,11 @@ import math
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .charfn import CharFunctionHandle, _z_and_dz
 from .errors import (
     DomainError,
+    IntegrationError,
     NonSimpleEigenvalueError,
     NotAnEigenvalueError,
     ResolventAtEigenvalueError,
@@ -38,6 +40,8 @@ from .quadrature import (
     DEFAULT_CONFIG,
     DecayProfile,
     QuadratureConfig,
+    _panels,
+    _tolerance,
     gk_cells,
     integrate_finite,
     truncation_radius,
@@ -65,6 +69,8 @@ __all__ = [
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _LOG_GRID_TARGET = 14.0 * math.log(10.0)  # e^{-U(R)} < 1e-14
 SIMPLICITY_TOL = 1e-8  # |Z'(gamma)| at or below this: not a simple root
+_CELL_PHASE = 2.0  # |2 gamma + U'| times a pt cell's width: GK15 at roundoff
+_MAX_RANGE = 600.0  # growth factors e^{..} one pt sweep spans without underflow
 
 
 # ----------------------------------------------------------------- phi helpers
@@ -140,10 +146,10 @@ class _ExpCumulative:
 
 # -------------------------------------------------------------------- psi tilde
 
-def _j_gaussian(gamma: complex, x, side: int, sigma: float):
-    # J^+ = sigma sqrt(pi/2) erfcx((x/sigma + 2 sigma gamma)/sqrt2), mirror for J^-
-    arg = (side * np.asarray(x, dtype=float) / sigma + 2.0 * sigma * gamma) / math.sqrt(2.0)
-    return sigma * _SQRT_HALF_PI * erfcx_complex(arg)
+def _w(potential: PotentialModel, gamma: complex, side: int, xi, shift: float = 0.0):
+    """w = side U'(xi) e^{shift - 2 side gamma xi - U(xi)}, the folded tail integrand:
+    its integral from x outward is e^{-2 side gamma x - U(x)} pt^side(gamma; x)."""
+    return side * potential.dU(xi) * np.exp(-2.0 * side * gamma * xi - (potential.U(xi) - shift))
 
 
 def psi_tilde(
@@ -156,34 +162,68 @@ def psi_tilde(
     """pt^side(gamma; x) = 1 - 2 gamma J^side(gamma, x); pt(gamma; 0) = psi^side.
 
     side +1 expects x >= 0 and probes U to the right of x, side -1 expects
-    x <= 0 and probes left.  Gaussian potentials go through erfcx; anything
-    else gets one batched adaptive pass over all requested x with the decay
-    certified at the slowest row (the x closest to the mode, since U' grows
-    outward for the unimodal potentials handled here).
+    x <= 0 and probes left.  Gaussian potentials go through erfcx.  Any other
+    gets one GK15 sweep of _w over a lattice of all requested x, run on by
+    the truncation radius DecayProfile certifies at the innermost x, with
+    gaps cut into cells of width _CELL_PHASE / (2 |gamma| + |U'|); pt(x) is
+    e^{L(x)}, L(x) = 2 side gamma x + U(x), times the sum of the cells
+    outward of x.  Their |K - G| and roundoff floors, summed alike, and the
+    tail bound must pass _adaptive's acceptance rule at every x,
+    or IntegrationError names gamma and x.  Points whose Re L exceeds the
+    innermost one's by _MAX_RANGE get a sweep of their own: no cell underflows.
     """
     gamma = complex(gamma)
-    if potential.family == "gaussian":
-        return 1.0 - 2.0 * gamma * _j_gaussian(gamma, x, side, potential.sigma)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    worst = float(xs.min()) if side > 0 else float(xs.max())
-    profile = DecayProfile(
-        potential,
-        alpha=max(0.0, -2.0 * gamma.real),
-        direction=side,
-        center=worst,
+    xs = np.asarray(x, dtype=float)
+    if side not in (1, -1):
+        raise DomainError(f"side must be +1 or -1, got {side!r}")
+    if not (np.isfinite(gamma) and np.all(np.isfinite(xs))):
+        raise DomainError(f"pt needs a finite gamma and finite x, got gamma={gamma!r}")
+    if potential.family == "gaussian":  # J = s sqrt(pi/2) erfcx((side x/s + 2 s gamma)/sqrt2)
+        s = potential.sigma
+        arg = (side * xs / s + 2.0 * s * gamma) / math.sqrt(2.0)
+        return 1.0 - 2.0 * gamma * (s * _SQRT_HALF_PI * erfcx_complex(arg))
+    if xs.size == 0:
+        return np.zeros(xs.shape, dtype=complex)
+    dist, back = np.unique(side * xs.ravel(), return_inverse=True)  # ascending outward
+    log_grow = 2.0 * gamma * dist + potential.U(side * dist)  # L(side dist)
+    far = log_grow.real - log_grow[0].real > _MAX_RANGE
+    out = np.empty(dist.size, dtype=complex)
+    if far.any():
+        out[far] = psi_tilde(potential, gamma, side * dist[far], side, cfg)
+    near, log_grow = dist[~far], log_grow[~far]
+    alpha = max(0.0, -2.0 * gamma.real)
+    r, tail = truncation_radius(DecayProfile(potential, alpha, side, side * near[0]), cfg)
+    pts = np.append(near, near[-1] + r)
+    gap = np.diff(pts)
+    rate = 2.0 * abs(gamma) + np.abs(potential.dU(side * pts))
+    n = np.maximum(1, np.ceil(gap * np.maximum(rate[:-1], rate[1:]) / _CELL_PHASE)).astype(int)
+    first = np.cumsum(n) - n  # lattice index of each requested point
+    cell = np.repeat(np.arange(gap.size), n)
+    step = (np.arange(cell.size) - first[cell]) / n[cell]
+    edges = np.append(pts[cell] + gap[cell] * step, pts[-1])
+    shift = float(log_grow[0].real)
+    # gk_cells' engine, which also hands back each cell's roundoff floor
+    cells, errs, floors, _ = _panels(
+        lambda t: _w(potential, gamma, side, side * t, shift), edges[:-1], edges[1:]
     )
-    r, tail = truncation_radius(profile, cfg)
-    ux = potential.U(xs)
 
-    def rows(u):
-        shift = potential.U(xs[:, None] + side * u[None, :]) - ux[:, None]
-        return np.exp(-2.0 * gamma * u[None, :] - shift)
+    def outward(c):
+        return np.cumsum(c[::-1, 0])[::-1][first]
 
-    val, _err = integrate_finite(rows, 0.0, r, cfg, oscillation=2.0 * abs(gamma.imag))
-    val = np.atleast_1d(val)
-    out = 1.0 - 2.0 * gamma * val
-    return complex(out[0]) if scalar else out.reshape(np.shape(x))
+    grow = np.exp(log_grow - shift)
+    val = grow * outward(cells)
+    # the cut drops e^{L(x) - L(x + r)} pt(x + r), pt = 1 - 2 gamma J, and the
+    # DecayProfile's tail bounds both that envelope and J's tail
+    err = np.abs(grow) * outward(errs) + (1.0 + 2.0 * abs(gamma)) * tail
+    tol = _tolerance(val, np.abs(grow) * outward(floors), cfg)
+    i = int(np.argmax(err / tol))
+    if err[i] > tol[i]:
+        x_i = float(side * near[i])
+        msg = f"pt^{side:+d} at gamma={gamma}, x={x_i:.6g} misses its tolerance"
+        raise IntegrationError(f"{msg}: error {err[i]:.2e} > {tol[i]:.2e}", location=x_i)
+    out[~far] = val
+    out = out[back]
+    return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 # ----------------------------------------------------------------- grid plumbing
@@ -287,59 +327,32 @@ class PiecewiseEigenfunction:
     psi_minus: complex
     z_prime: complex
     cfg: QuadratureConfig = DEFAULT_CONFIG
-    _tilde_cache: dict = dataclasses.field(
-        default_factory=dict, compare=False, repr=False
-    )
-
-    def _tilde(self, x, side: int):
-        """pt^side(gamma; x) for array x, cached behind a spline off-Gaussian."""
-        if self.potential.family == "gaussian":
-            return psi_tilde(self.potential, self.gamma, x, side, self.cfg)
-        x = np.asarray(x, dtype=float)
-        spline = self._tilde_cache.get(side)
-        if spline is None:
-            r = grid_radius(self.potential) + 6.0
-            grid = np.linspace(0.0, r, 2049) * (1 if side > 0 else -1)
-            grid = np.sort(grid)
-            vals = psi_tilde(self.potential, self.gamma, grid, side, self.cfg)
-            spline = (CubicSpline(grid, vals), float(grid[0]), float(grid[-1]))
-            self._tilde_cache[side] = spline
-        fit, lo, hi = spline
-        inside = (x >= lo) & (x <= hi)
-        out = np.empty(x.shape, dtype=complex)
-        out[inside] = fit(x[inside])
-        if np.any(~inside):  # rare: beyond the spline table, integrate directly
-            out[~inside] = psi_tilde(
-                self.potential, self.gamma, x[~inside], side, self.cfg
-            )
-        return out
 
     def component(self, x, theta: int = +1):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         g = self.gamma
+
+        def pt(mask, side):
+            return psi_tilde(self.potential, g, x[mask], side, self.cfg)
+
         out = np.empty(x.shape, dtype=complex)
         left = x <= 0.0
         right = ~left
         if self.variant == "full":
             if theta > 0:
                 out[left] = self.psi_plus * np.exp(g * x[left])
-                if np.any(right):
-                    out[right] = np.exp(-g * x[right]) * self._tilde(x[right], +1)
+                out[right] = np.exp(-g * x[right]) * pt(right, +1)
             else:
                 ge = x >= 0.0
                 out[ge] = np.exp(-g * x[ge])
                 lt = ~ge
-                if np.any(lt):
-                    out[lt] = (
-                        self.psi_plus * np.exp(g * x[lt]) * self._tilde(x[lt], -1)
-                    )
+                out[lt] = self.psi_plus * np.exp(g * x[lt]) * pt(lt, -1)
         else:
             sign = 1.0 if self.variant == "plus" else -1.0
             out[left] = np.exp(g * x[left])
-            if np.any(right):
-                out[right] = sign * np.exp(-g * x[right]) * self._tilde(x[right], +1)
+            out[right] = sign * np.exp(-g * x[right]) * pt(right, +1)
         return complex(out[0]) if scalar else out
 
     def __call__(self, x, theta: int = +1):
@@ -351,15 +364,14 @@ class PiecewiseEigenfunction:
         The two limits come from independent formulas (cached psi+ versus a
         fresh tail integral), so this doubles as an eigenvalue certificate.
         """
-        g = self.gamma
+
+        def pt0(side):
+            return complex(psi_tilde(self.potential, self.gamma, np.zeros(1), side, self.cfg)[0])
+
         if self.variant == "full":
-            d_plus = abs(self.psi_plus - complex(self._tilde(np.array([0.0]), +1)[0]))
-            d_minus = abs(
-                self.psi_plus * complex(self._tilde(np.array([0.0]), -1)[0]) - 1.0
-            )
-            return max(d_plus, d_minus)
+            return max(abs(self.psi_plus - pt0(+1)), abs(self.psi_plus * pt0(-1) - 1.0))
         sign = 1.0 if self.variant == "plus" else -1.0
-        return abs(1.0 - sign * complex(self._tilde(np.array([0.0]), +1)[0]))
+        return abs(1.0 - sign * pt0(+1))
 
     def l2_mass(self, radius: float) -> float:
         """int_{|x| <= radius} sum_theta |f|^2 e^{-U} dx (both thetas for full)."""
@@ -431,8 +443,10 @@ def eigenfunction_table(
     tol: float = 1e-8,
 ) -> np.ndarray:
     """Columns [x, Re f+, Im f+, Re f-, Im f-] for CSV export."""
-    f = eigenfunction(potential, gamma, "full", cfg, tol)
     xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("eigenfunction_table needs finite x")
+    f = eigenfunction(potential, gamma, "full", cfg, tol)
     fp = f.component(xs, +1)
     fm = f.component(xs, -1)
     return np.column_stack([xs, fp.real, fp.imag, fm.real, fm.imag])
@@ -501,7 +515,7 @@ def _outward_cells(potential, gamma, h, side, edges, inner, cfg):
     """One 2-row GK15 sweep over the cells of an outward half line.
 
     side +1 is x >= 0 (inner = C^-), side -1 is x <= 0 (inner = D^+).  The
-    rows are w = side U' e^{-2 side gamma xi - U} and the k-integrand
+    rows are pt's integrand w (see _w) and the k-integrand
     a = e^{-side gamma xi - U} h^side + w inner; f^side there is
     e^{side gamma x + U} times the outward sum of the cells of a + k w.
     Returns (a cells, w cells, fac) with fac = e^{-2 gamma R - U(side R)}
@@ -509,9 +523,8 @@ def _outward_cells(potential, gamma, h, side, edges, inner, cfg):
     """
 
     def rows(xi):
-        u = potential.U(xi)
-        w = side * potential.dU(xi) * np.exp(-2.0 * side * gamma * xi - u)
-        a = np.exp(-side * gamma * xi - u) * h.component(xi, side) + w * inner(xi)
+        w = _w(potential, gamma, side, xi)
+        a = np.exp(-side * gamma * xi - potential.U(xi)) * h.component(xi, side) + w * inner(xi)
         return np.stack([a, w])
 
     (a, w), _ = gk_cells(rows, edges)
@@ -656,24 +669,10 @@ def _pair(a: Callable, rate: complex, f: PiecewiseEigenfunction, sign: int) -> c
     growth = abs(rate.real) + abs(f.gamma.real)
     osc = 2.0 * (abs(rate.imag) + abs(f.gamma.imag))
     if f.variant == "full":
-        val, _ = inner_product_mu(
-            a,
-            lambda x, th: np.conj(f.component(x, sign * th)),
-            f.potential,
-            f.cfg,
-            growth=growth,
-            oscillation=osc,
-        )
+        pairing, b = inner_product_mu, lambda x, th: np.conj(f.component(x, sign * th))
     else:
-        val, _ = inner_product_nu(
-            a,
-            lambda x: np.conj(f.component(sign * x)),
-            f.potential,
-            f.cfg,
-            growth=growth,
-            oscillation=osc,
-        )
-    return val
+        pairing, b = inner_product_nu, lambda x: np.conj(f.component(sign * x))
+    return pairing(a, b, f.potential, f.cfg, growth=growth, oscillation=osc)[0]
 
 
 def spectral_projection(

@@ -33,6 +33,8 @@ __all__ = [
     "check_assumptions",
 ]
 
+_F64 = np.dtype(float)
+
 
 @dataclasses.dataclass(frozen=True)
 class PotentialModel:
@@ -41,6 +43,10 @@ class PotentialModel:
     ``family`` is one of ``"gaussian"``, ``"beta"`` or ``"custom"``.  For the
     builtin families the callables are ignored and closed forms are used.
     The stored offset keeps the normalisation U(0) = 0 for custom inputs.
+    U and dU follow their input's dtype: complex input gets the analytic
+    continuation of the closed forms (for beta the principal branch of
+    (1 + z^2)^(beta/2), holomorphic off |Im z| >= 1); a custom potential has
+    none and raises DomainError.
     """
 
     family: str
@@ -54,8 +60,18 @@ class PotentialModel:
 
     # -- evaluation ---------------------------------------------------
 
+    def _cast(self, x):
+        """A non-float64 array as float64, or a complex one as it is."""
+        if x.dtype.kind != "c":
+            return x.astype(float)
+        if self.family == "custom":
+            raise DomainError(f"{self.descriptor()} has no analytic continuation")
+        return x
+
     def U(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        if x.dtype is not _F64:  # the hot float64 path skips the call
+            x = self._cast(x)
         if self.family == "gaussian":
             return x * x / (2.0 * self.sigma**2)
         if self.family == "beta":
@@ -64,41 +80,19 @@ class PotentialModel:
         return np.asarray(self.u_fn(x), dtype=float) - self.offset
 
     def dU(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        if x.dtype is not _F64:  # the hot float64 path skips the call
+            x = self._cast(x)
         if self.family == "gaussian":
             return x / self.sigma**2
         if self.family == "beta":
             return x * np.power(1.0 + x * x, self.beta / 2.0 - 1.0)
         return np.asarray(self.du_fn(x), dtype=float)
 
-    def U_analytic(self, z):
-        """U continued to complex z, for the builtin families.
-
-        beta uses the principal branch of (1 + z^2)^(beta/2), holomorphic off
-        the imaginary rays |Im z| >= 1.  A custom potential has no
-        continuation; see ``ray_sector``.
-        """
-        z = np.asarray(z, dtype=complex)
-        if self.family == "gaussian":
-            return z * z / (2.0 * self.sigma**2)
-        if self.family == "beta":
-            b = self.beta
-            return (np.power(1.0 + z * z, b / 2.0) - 1.0) / b
-        raise DomainError(f"{self.descriptor()} has no analytic continuation")
-
-    def dU_analytic(self, z):
-        """U' continued to complex z, on the same branch as ``U_analytic``."""
-        z = np.asarray(z, dtype=complex)
-        if self.family == "gaussian":
-            return z / self.sigma**2
-        if self.family == "beta":
-            return z * np.power(1.0 + z * z, self.beta / 2.0 - 1.0)
-        raise DomainError(f"{self.descriptor()} has no analytic continuation")
-
     @property
     def ray_sector(self) -> float:
-        """Half-angle of the open sectors |arg(+-u)| < phi in which U_analytic
-        is holomorphic and Re U(u) -> +inf as |u| -> inf.
+        """Half-angle of the open sectors |arg(+-u)| < phi in which U continued
+        to complex u is holomorphic and Re U(u) -> +inf as |u| -> inf.
 
         pi/4 for the Gaussian (Re u^2 = |u|^2 cos 2 arg u), pi/(2 beta) for
         beta (Re (1+u^2)^(beta/2) ~ |u|^beta cos(beta arg u); since beta > 1

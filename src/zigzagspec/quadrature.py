@@ -171,6 +171,12 @@ _EPS = np.finfo(float).eps
 _NOISE_MULT = 8.0
 
 
+def _tolerance(value, floor, cfg):
+    """The acceptance bound max(abs_tol, rel_tol |value|, 8 floor), floor the
+    roundoff floor eps times the L1 mass behind value."""
+    return np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value)), _NOISE_MULT * floor)
+
+
 def _panels(f, a, b):
     """Evaluate GK15 on every panel [a[i], b[i]] with one call of f.
 
@@ -245,8 +251,7 @@ def _adaptive(f, edges, cfg):
     count = a.size
     while True:
         total_k, total_e = k.sum(axis=0), e.sum(axis=0)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_k))
-        tol = np.maximum(tol, _NOISE_MULT * n.sum(axis=0))
+        tol = _tolerance(total_k, n.sum(axis=0), cfg)
         failing = total_e > tol
         live = np.flatnonzero(np.any(e > _NOISE_MULT * n, axis=1))
         if not failing.any() or live.size == 0:

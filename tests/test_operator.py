@@ -7,6 +7,7 @@ from conftest import GAUSSIAN_EIGENVALUES
 from zigzagspec import charfn, operator
 from zigzagspec.errors import (
     DomainError,
+    IntegrationError,
     NonSimpleEigenvalueError,
     NotAnEigenvalueError,
     ResolventAtEigenvalueError,
@@ -32,7 +33,7 @@ from zigzagspec.perturbation import (
     refreshment_coefficient,
     refreshment_coefficient_symmetric,
 )
-from zigzagspec.potential import SwitchingRateSpec, beta_family, gaussian
+from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussian
 
 G1 = GAUSSIAN_EIGENVALUES[1]  # minus branch
 G2 = GAUSSIAN_EIGENVALUES[2]  # plus branch
@@ -74,6 +75,95 @@ def test_psi_tilde_generic_path_matches_gaussian_route():
         a = psi_tilde(gen, g, -xs, -1)
         b = psi_tilde(gau, g, -xs, -1)
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+# pt^side(gamma; x) on beta:2.5, 30 digits from mpmath 1.3 at 40 (and 50) digits:
+# 1 - 2 gamma int_0^inf e^{-2 gamma u - (U(x + side u) - U(x))} du over [0, 30]
+# cut at every 1/4, where the two precisions agree to 1e-40.
+PT_BETA25_MPMATH = (
+    (-3 + 5j, 0.0, +1, -0.00573848872760188631454458374083 + 0.0489902511423172476120128931760j),
+    (-0.3883 + 1.1559j, -2.0, -1, 0.780410982599769855286617161592 - 0.685913610398571889374019000369j),
+    (-1.2 + 2.6j, 3.5, +1, 0.677394064973291461147382792833 - 0.790020797782406334128349395048j),
+)
+
+
+@pytest.mark.parametrize("gamma,x,side,exact", PT_BETA25_MPMATH)
+def test_psi_tilde_sweep_matches_mpmath(gamma, x, side, exact):
+    # a float64 route loses about eps times the cancellation peak of its
+    # integrand, e^{max_u (2 |Re gamma| u - U(u))} (e^10.8 at Re gamma = -3;
+    # x = 0 is the worst x for a convex U); w carries U' ~ 2 |Re gamma| at
+    # the peak, so the tolerance is 32 eps times that peak
+    pot = beta_family(2.5)
+    u = np.linspace(0.0, 20.0, 20001)
+    tol = 32.0 * np.finfo(float).eps * np.exp(np.max(2.0 * abs(gamma.real) * u - pot.U(u)))
+    assert abs(psi_tilde(pot, gamma, x, side) - exact) <= tol
+
+
+def test_psi_tilde_refuses_a_feature_narrower_than_its_cells():
+    # a unit step of U over 1e-3 at x = 2: U' at the lattice points cannot see
+    # it, so the cells are far wider than the step and GK15's |K - G| says so
+    d = 1e-3
+    pot = custom(
+        lambda x: 0.5 * np.asarray(x) ** 2 + np.tanh((np.asarray(x) - 2.0) / d),
+        lambda x: np.asarray(x) + (1.0 - np.tanh((np.asarray(x) - 2.0) / d) ** 2) / d,
+        label="step",
+    )
+    with pytest.raises(IntegrationError, match=r"gamma=\(-0\.4\+1j\), x=0 misses"):
+        psi_tilde(pot, -0.4 + 1j, 0.0, +1)
+    # past the step the cells resolve U again
+    assert np.all(np.isfinite(psi_tilde(pot, -0.4 + 1j, [2.5, 3.0], +1)))
+
+
+def test_psi_tilde_far_points_are_swept_on_their_own():
+    # e^{U(30)} on beta:2.5 is e^1972: one sweep from x = 0 would underflow
+    pot = beta_family(2.5)
+    g = -0.4 + 0.9j
+    both = psi_tilde(pot, g, [0.0, 30.0], +1)
+    assert both[0] == psi_tilde(pot, g, 0.0, +1)
+    assert both[1] == psi_tilde(pot, g, 30.0, +1)
+    # far out pt -> 1 - 2 gamma / (U' + 2 gamma), U'(30) ~ 165
+    assert abs(both[1] - (1.0 - 2.0 * g / (pot.dU(30.0) + 2.0 * g))) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: psi_tilde(gaussian(1.0), -0.4 + 1j, 2.0, side=0),
+        lambda: psi_tilde(beta_family(2.5), -0.4 + 1j, -2.0, side=-2),
+        lambda: psi_tilde(gaussian(1.0), -0.4 + 1j, math.nan),
+        lambda: psi_tilde(beta_family(2.5), -0.4 + 1j, [0.0, math.nan]),
+        lambda: psi_tilde(beta_family(2.5), -0.4 + 1j, math.inf),
+        lambda: psi_tilde(gaussian(1.0), complex(math.nan, 1.0), 1.0),
+        lambda: psi_tilde(beta_family(2.5), complex(-0.4, math.inf), 1.0),
+        lambda: eigenfunction_table(gaussian(1.0), 0.0, [0.0, math.nan]),
+        lambda: eigenfunction_table(beta_family(2.5), 0.0, [-math.inf, 0.0]),
+    ],
+    ids=[
+        "side-0", "side-2", "nan-x", "nan-x-sweep", "inf-x-sweep",
+        "nan-gamma", "inf-gamma-sweep", "table-nan", "table-inf",
+    ],
+)
+def test_psi_tilde_and_table_refuse_bad_input(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("gamma", GAUSSIAN_EIGENVALUES[1:4])
+def test_beta2_reproduces_gaussian1_operators(gamma):
+    # beta:2 is x^2/2 exactly, but its pt comes from the GK15 sweep and its
+    # psi from quadrature, while gaussian:1 takes erfcx for both
+    gau, bet = gaussian(1.0), beta_family(2.0)
+    fg, fb = eigenfunction(gau, gamma), eigenfunction(bet, gamma)
+    grid = default_grid(gau)
+    for xs in (grid, np.linspace(-7.77, 7.91, 41)):
+        for th in (+1, -1):
+            diff = np.abs(fg.component(xs, th) - fb.component(xs, th))
+            assert np.max(diff * np.exp(-gau.U(xs) / 2.0)) < 1e-12
+    h = GridFunction(grid, (1.0 + 0.3 * grid) * np.exp(-grid**2 / 2.5), np.exp(-grid**2 / 3.0))
+    cg, cb = spectral_projection(gau, gamma, h)[0], spectral_projection(bet, gamma, h)[0]
+    assert abs(cg - cb) < 1e-12 * abs(cg)
+    mg, mb = refreshment_coefficient(gau, gamma), refreshment_coefficient(bet, gamma)
+    assert abs(mg - mb) < 1e-12 * abs(mg)
 
 
 def test_grid_function_validation(gaussian_potential):

@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +45,27 @@ def test_beta_family_derivative_consistency():
     h = 1e-6
     fd = (pot.U(xs + h) - pot.U(xs - h)) / (2 * h)
     assert np.allclose(pot.dU(xs), fd, atol=1e-8)
+
+
+def test_u_and_du_follow_the_input_dtype():
+    # complex input continues the closed forms (principal branch for beta);
+    # real input stays real, with no ComplexWarning on the way
+    z = np.array([1.0 + 1.0j, -2.0 + 0.5j, 0.3 - 0.7j])
+    b = beta_family(2.5)
+    cont = np.array([(cmath.exp(1.25 * cmath.log(1.0 + w * w)) - 1.0) / 2.5 for w in z])
+    assert np.allclose(b.U(z), cont, rtol=1e-14, atol=0)
+    assert b.U(1 + 1j) == pytest.approx(-0.197 + 1.075j, abs=1e-3)
+    h = 1e-5  # dU is U' on the same branch: a complex central difference
+    assert np.allclose(b.dU(z), (b.U(z + h) - b.U(z - h)) / (2 * h), rtol=1e-9, atol=0)
+    g = gaussian(2.0)
+    assert np.array_equal(g.U(z), z * z / 8.0) and np.array_equal(g.dU(z), z / 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert b.U(np.array([1, 2])).dtype == float and b.dU(3).dtype == float
+    with pytest.raises(DomainError, match="analytic continuation"):
+        custom(lambda x: x * x, lambda x: 2 * x).U(1j)
+    with pytest.raises(DomainError, match="analytic continuation"):
+        scale(b, 2.0).dU(np.array([1.0 + 0.5j]))
 
 
 def test_potential_normalized_at_zero():
