@@ -11,13 +11,13 @@ where (after folding both half lines onto u >= 0)
 
 For even potentials psi_plus = psi_minus =: psi and Z factors as
 Z = (1 - psi)(1 + psi), whose factors Z+ and Z- are tracked as separate
-branches.  The potential's family picks how psi is evaluated: the Gaussian
-family has the closed form
+branches.  A handle takes psi_sigma(gamma) = psi_1(sigma gamma) for every
+width sigma, and the family picks how psi_1 is evaluated: the closed form
 
-    psi_plus(gamma) = 1 - sqrt(2 pi) gamma erfcx(sqrt(2) gamma)      (sigma = 1)
+    psi_plus(gamma) = 1 - sqrt(2 pi) gamma erfcx(sqrt(2) gamma)
 
-with psi_sigma(gamma) = psi_1(sigma gamma) handling general widths exactly;
-every other family uses adaptive quadrature.
+for the Gaussian, adaptive quadrature for every other family (``psi`` and
+``psi_batch`` integrate the U they are given, width included).
 
 Quadrature integrates along the real axis first.  For
 Re gamma < 0 the integrand can peak far above the integral (near e^18 at
@@ -326,15 +326,18 @@ class CharFunctionHandle:
     def values_batch(self, gammas):
         """(psi+, dpsi+, psi-, dpsi-) row arrays for an array of gammas.
 
-        The gaussian family takes the closed form at sigma gamma; every other
-        family makes one psi_batch call per sign (one in all for an even
-        potential), so a value depends only on the batch it is in.
+        Width sigma takes the unit model at sigma gamma, dpsi times sigma.
+        Gaussians take the closed form; any other family one psi_batch call per
+        sign (one for an even U), so a value depends only on the batch it is in.
         """
         g = np.atleast_1d(np.asarray(gammas, dtype=complex))
+        s = self.potential.sigma
+        if s != 1.0:  # errors on the way name the unit model and sigma gamma
+            unit = dataclasses.replace(self, potential=self.potential._unit)
+            pp, dp, pm, dm = unit.values_batch(s * g)
+            return pp, s * dp, pm, s * dm
         if self.potential.family == "gaussian":
-            s = self.potential.sigma
-            pp, dp = gaussian_closed_form(s * g)
-            dp = s * dp
+            pp, dp = gaussian_closed_form(g)
             return pp, dp, pp, dp
         pp, dp = psi_batch(self.potential, +1, g, self.cfg)
         if self.potential.is_symmetric:

@@ -178,10 +178,11 @@ def psi_tilde(
         raise DomainError(f"side must be +1 or -1, got {side!r}")
     if not (np.isfinite(gamma) and np.all(np.isfinite(xs))):
         raise DomainError(f"pt needs a finite gamma and finite x, got gamma={gamma!r}")
-    if potential.family == "gaussian":  # J = s sqrt(pi/2) erfcx((side x/s + 2 s gamma)/sqrt2)
-        s = potential.sigma
-        arg = (side * xs / s + 2.0 * s * gamma) / math.sqrt(2.0)
-        return 1.0 - 2.0 * gamma * (s * _SQRT_HALF_PI * erfcx_complex(arg))
+    if potential.sigma != 1.0:  # pt_sigma(gamma; x) = pt_1(sigma gamma; x / sigma)
+        return psi_tilde(potential._unit, potential.sigma * gamma, xs / potential.sigma, side, cfg)
+    if potential.family == "gaussian":  # J = sqrt(pi/2) erfcx((side x + 2 gamma)/sqrt2)
+        arg = (side * xs + 2.0 * gamma) / math.sqrt(2.0)
+        return 1.0 - 2.0 * gamma * (_SQRT_HALF_PI * erfcx_complex(arg))
     if xs.size == 0:
         return np.zeros(xs.shape, dtype=complex)
     dist, back = np.unique(side * xs.ravel(), return_inverse=True)  # ascending outward

@@ -106,7 +106,7 @@ def perturbed_spectrum(
     """First-order shifted spectrum gamma + eps mu for every base eigenvalue.
 
     The potential is recovered from the descriptor recorded on ``base``; pass
-    it explicitly for custom models whose descriptors do not round-trip.
+    it for custom or scaled models, whose descriptors do not round-trip.
     Non-simple entries (multiplicity > 1 or |Z'| at the simplicity floor) are
     kept but marked unresolved rather than failing the whole spectrum.
     """

@@ -7,13 +7,14 @@ exp(-U) is integrable.  Two builtin families are provided:
 * ``beta_family`` with exponent beta > 1:  U(x) = ((1 + x^2)^(beta/2) - 1) / beta
 
 Arbitrary unimodal potentials can be wrapped through ``custom`` by supplying
-callables for U and its derivatives.
+callables for U and its derivatives.  ``scale`` widens any of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,10 +44,10 @@ class PotentialModel:
     ``family`` is one of ``"gaussian"``, ``"beta"`` or ``"custom"``.  For the
     builtin families the callables are ignored and closed forms are used.
     The stored offset keeps the normalisation U(0) = 0 for custom inputs.
-    U and dU follow their input's dtype: complex input gets the analytic
-    continuation of the closed forms (for beta the principal branch of
-    (1 + z^2)^(beta/2), holomorphic off |Im z| >= 1); a custom potential has
-    none and raises DomainError.
+    Every family has a width: U(x) = U_1(x / sigma).  U, dU and d2U follow
+    their input's dtype: complex input gets the analytic continuation of the
+    closed forms (for beta the principal branch of (1 + z^2)^(beta/2),
+    holomorphic off |Im z| >= 1); custom potentials raise DomainError.
     """
 
     family: str
@@ -68,12 +69,18 @@ class PotentialModel:
             raise DomainError(f"{self.descriptor()} has no analytic continuation")
         return x
 
+    @cached_property  # the unit-width model U_1, built once
+    def _unit(self) -> "PotentialModel":
+        return dataclasses.replace(self, sigma=1.0)
+
     def U(self, x):
         x = np.asarray(x)
         if x.dtype is not _F64:  # the hot float64 path skips the call
             x = self._cast(x)
+        if self.sigma != 1.0:  # U_1(x / sigma); unit widths skip this
+            return self._unit.U(x / self.sigma)
         if self.family == "gaussian":
-            return x * x / (2.0 * self.sigma**2)
+            return x * x / 2.0
         if self.family == "beta":
             b = self.beta
             return (np.power(1.0 + x * x, b / 2.0) - 1.0) / b
@@ -83,8 +90,10 @@ class PotentialModel:
         x = np.asarray(x)
         if x.dtype is not _F64:  # the hot float64 path skips the call
             x = self._cast(x)
+        if self.sigma != 1.0:
+            return self._unit.dU(x / self.sigma) / self.sigma
         if self.family == "gaussian":
-            return x / self.sigma**2
+            return x / 1.0  # a new array, like every other branch
         if self.family == "beta":
             return x * np.power(1.0 + x * x, self.beta / 2.0 - 1.0)
         return np.asarray(self.du_fn(x), dtype=float)
@@ -106,9 +115,11 @@ class PotentialModel:
         return 0.0
 
     def d2U(self, x):
-        x = np.asarray(x, dtype=float)
+        x = self._cast(np.asarray(x))
+        if self.sigma != 1.0:
+            return self._unit.d2U(x / self.sigma) / self.sigma**2
         if self.family == "gaussian":
-            return np.full_like(x, 1.0 / self.sigma**2)
+            return np.full_like(x, 1.0)
         if self.family == "beta":
             b = self.beta
             return np.power(1.0 + x * x, b / 2.0 - 2.0) * (1.0 + (b - 1.0) * x * x)
@@ -133,9 +144,8 @@ class PotentialModel:
     def descriptor(self) -> str:
         if self.family == "gaussian":
             return f"gaussian:{self.sigma:g}"
-        if self.family == "beta":
-            return f"beta:{self.beta:g}"
-        return self.label or "custom"
+        name = f"beta:{self.beta:g}" if self.family == "beta" else self.label or "custom"
+        return name if self.sigma == 1.0 else f"{name}@scale={self.sigma:g}"
 
     def __repr__(self):  # keep reprs short in error messages
         return f"PotentialModel({self.descriptor()})"
@@ -161,9 +171,7 @@ class SwitchingRateSpec:
 
 def gaussian(sigma: float = 1.0) -> PotentialModel:
     """U(x) = x^2 / (2 sigma^2); invariant marginal N(0, sigma^2)."""
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
-    return PotentialModel(family="gaussian", sigma=float(sigma))
+    return scale(PotentialModel(family="gaussian"), sigma)
 
 
 def beta_family(beta: float) -> PotentialModel:
@@ -218,26 +226,16 @@ def parse_potential(text: str) -> PotentialModel:
 
 
 def scale(model: PotentialModel, sigma: float) -> PotentialModel:
-    """Widen a potential: U_s(x) = U(x / sigma).
+    """Widen a potential: U_s(x) = U(x / sigma), in the same family.
 
-    scale(gaussian(s), c) returns gaussian(s*c); other models are wrapped with
-    rescaled callables (derivatives pick up 1/sigma factors).
+    The widths multiply: scale(gaussian(s), c) is gaussian(s*c), and a
+    widened beta keeps its closed form, continuation and ray sector.  Its
+    descriptor, ``beta:2.5@scale=2``, does not parse back.
     """
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise DomainError(f"scale factor must be positive, got {sigma!r}")
-    if model.family == "gaussian":
-        return gaussian(model.sigma * sigma)
-    base = model
-    s = float(sigma)
-    d2 = None
-    if base.has_curvature:
-        d2 = lambda x: base.d2U(np.asarray(x, dtype=float) / s) / s**2
-    return custom(
-        lambda x: base.U(np.asarray(x, dtype=float) / s),
-        lambda x: base.dU(np.asarray(x, dtype=float) / s) / s,
-        d2,
-        label=f"{base.descriptor()}@scale={s:g}",
-    )
+    width = model.sigma * float(sigma)
+    if not (sigma > 0.0 and 0.0 < width < math.inf):
+        raise DomainError(f"sigma must be positive and give a finite width, got {sigma!r}")
+    return dataclasses.replace(model, sigma=width)
 
 
 def switching_rate(model: PotentialModel, spec: SwitchingRateSpec, x, theta):

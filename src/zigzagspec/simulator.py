@@ -180,7 +180,7 @@ def _simulate_thinning(potential, x0, theta0, T, lam_r, draws):
     candidate is checked against the bound so a bad window fails loudly
     instead of silently biasing the law."""
     du = potential.dU
-    convex = potential.family in ("gaussian", "beta")
+    convex = potential.family == "beta"
     times = [0.0]
     xs = [x0]
     ths = [theta0]

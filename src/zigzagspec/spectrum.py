@@ -73,10 +73,8 @@ class SpectrumResult:
 
 
 def default_re_range(potential: PotentialModel) -> Tuple[float, float]:
-    """Real range [-4/sigma, 0.1] of the default region (sigma = 1 for
-    non-gaussian families)."""
-    sigma = potential.sigma if potential.family == "gaussian" else 1.0
-    return -4.0 / sigma, 0.1
+    """Real range [-4/sigma, 0.1] of the default region, sigma the width."""
+    return -4.0 / potential.sigma, 0.1
 
 
 def auto_region(

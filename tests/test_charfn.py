@@ -15,7 +15,7 @@ from zigzagspec.charfn import (
     z_value_batch,
 )
 from zigzagspec.errors import DomainError, IntegrationError, NearZeroError
-from zigzagspec.potential import beta_family, custom, gaussian, parse_potential
+from zigzagspec.potential import beta_family, custom, gaussian, parse_potential, scale
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -92,10 +92,22 @@ def test_psi_derivative_matches_finite_difference():
 
 
 def test_sigma_rescaling_identity():
-    # psi_sigma(gamma) = psi_1(sigma gamma) for the gaussian family
-    wide = gaussian(2.0)
-    for g in (0.1 + 0.3j, -0.4 + 0.7j):
-        assert abs(psi(wide, +1, g) - gaussian_closed_form(2.0 * g)[0]) < 5e-12
+    # psi_sigma(gamma) = psi_1(sigma gamma): quadrature on the wide U, given
+    # as the gaussian family and as a custom x^2/8, against the closed form
+    wide_custom = custom(lambda x: x * x / 8.0, lambda x: x / 4.0, label="x^2/8")
+    for wide in (gaussian(2.0), wide_custom):
+        for g in (0.1 + 0.3j, -0.4 + 0.7j):
+            assert abs(psi(wide, +1, g) - gaussian_closed_form(2.0 * g)[0]) < 5e-12, wide
+
+
+def test_a_scaled_model_is_its_unit_model_at_sigma_gamma():
+    # the widened beta keeps its rays: it answers at -3-4i wherever the unit
+    # model answers at -6-8i, with dpsi scaled by sigma, bit for bit
+    g = np.array([-3.0 - 4.0j, -0.2 + 0.6j, 0.1 + 0.3j])
+    wide = CharFunctionHandle(scale(beta_family(2.5), 2.0)).values_batch(g)
+    pp, dp, pm, dm = CharFunctionHandle(beta_family(2.5)).values_batch(2.0 * g)
+    for got, want in zip(wide, (pp, 2.0 * dp, pm, 2.0 * dm)):
+        assert np.array_equal(got, want)
 
 
 def test_gaussian_family_takes_the_scaled_closed_form():

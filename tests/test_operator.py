@@ -33,7 +33,7 @@ from zigzagspec.perturbation import (
     refreshment_coefficient,
     refreshment_coefficient_symmetric,
 )
-from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussian
+from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussian, scale
 
 G1 = GAUSSIAN_EIGENVALUES[1]  # minus branch
 G2 = GAUSSIAN_EIGENVALUES[2]  # plus branch
@@ -75,6 +75,16 @@ def test_psi_tilde_generic_path_matches_gaussian_route():
         a = psi_tilde(gen, g, -xs, -1)
         b = psi_tilde(gau, g, -xs, -1)
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_psi_tilde_of_a_scaled_model_is_the_unit_model_at_sigma_gamma():
+    # pt_sigma(gamma; x) = pt_1(sigma gamma; x / sigma), bit for bit
+    wide, unit = scale(beta_family(2.5), 2.0), beta_family(2.5)
+    xs = np.array([0.0, 0.5, 1.3, 4.0])
+    g = -0.3 + 1.1j
+    for side in (+1, -1):
+        got = psi_tilde(wide, g, side * xs, side)
+        assert np.array_equal(got, psi_tilde(unit, 2.0 * g, side * xs / 2.0, side))
 
 
 # pt^side(gamma; x) on beta:2.5, 30 digits from mpmath 1.3 at 40 (and 50) digits:

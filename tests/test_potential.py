@@ -16,6 +16,7 @@ from zigzagspec.potential import (
     scale,
     switching_rate,
 )
+from zigzagspec.spectrum import default_re_range
 
 
 def test_gaussian_values():
@@ -65,7 +66,28 @@ def test_u_and_du_follow_the_input_dtype():
     with pytest.raises(DomainError, match="analytic continuation"):
         custom(lambda x: x * x, lambda x: 2 * x).U(1j)
     with pytest.raises(DomainError, match="analytic continuation"):
-        scale(b, 2.0).dU(np.array([1.0 + 0.5j]))
+        scale(custom(lambda x: x * x, lambda x: 2 * x), 2.0).dU(np.array([1.0 + 0.5j]))
+
+
+def test_d2u_follows_the_input_dtype():
+    # d2U takes U's and dU's dtype rule: complex input continues the closed
+    # forms (d2U is dU' on the same branch), custom potentials refuse it, and
+    # real or integer input stays float64 with no warning
+    z = np.array([1.0 + 1.0j, -2.0 + 0.5j, 0.3 - 0.7j])
+    h = 1e-5
+    for pot in (beta_family(2.5), gaussian(2.0), scale(beta_family(2.5), 2.0)):
+        fd = (pot.dU(z + h) - pot.dU(z - h)) / (2 * h)
+        assert np.allclose(pot.d2U(z), fd, rtol=1e-9, atol=0), pot
+        assert pot.d2U(z[0]) == pytest.approx(complex(fd[0]), rel=1e-9)
+    cosh = custom(np.cosh, np.sinh, np.cosh, label="cosh")
+    with pytest.raises(DomainError, match="analytic continuation"):
+        cosh.d2U(np.array([1.0 + 0.5j]))
+    with pytest.raises(DomainError, match="analytic continuation"):
+        scale(cosh, 2.0).d2U(1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pot in (beta_family(2.5), gaussian(2.0), cosh, scale(cosh, 2.0)):
+            assert pot.d2U(np.array([1, 2])).dtype == float and pot.d2U(3).dtype == float
 
 
 def test_potential_normalized_at_zero():
@@ -118,6 +140,23 @@ def test_scale_gaussian_collapses_to_wider_gaussian():
     assert np.allclose(pot.dU(xs), base.dU(xs / 3.0) / 3.0, atol=1e-14)
     with pytest.raises(DomainError):
         scale(gaussian(1.0), 0.0)
+
+
+def test_scale_keeps_the_family():
+    # a widened beta keeps its closed form, continuation, ray sector and
+    # evenness, and the default region follows its width
+    unit = beta_family(2.5)
+    wide = scale(unit, 2.0)
+    assert (wide.family, wide.sigma, wide.descriptor()) == ("beta", 2.0, "beta:2.5@scale=2")
+    assert wide.ray_sector == math.pi / 5.0
+    assert wide.is_symmetric
+    assert default_re_range(wide) == (-2.0, 0.1)
+    assert scale(wide, 3.0) == scale(unit, 6.0)
+    z = np.array([0.7 + 0.4j, -3.0 - 1.0j])
+    assert np.array_equal(wide.U(z), unit.U(z / 2.0))
+    cosh = scale(custom(np.cosh, np.sinh, label="cosh"), 2.0)
+    assert (cosh.family, cosh.descriptor()) == ("custom", "cosh@scale=2")
+    assert cosh.U(2.0) == pytest.approx(math.cosh(1.0) - 1.0, rel=1e-15)
 
 
 def test_switching_rate_canonical():

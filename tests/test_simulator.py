@@ -9,7 +9,7 @@ from zigzagspec.errors import (
     DomainError,
     InsufficientHorizonError,
 )
-from zigzagspec.potential import SwitchingRateSpec, beta_family, gaussian
+from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussian, scale
 from zigzagspec.simulator import (
     ZigzagPath,
     autocorrelation,
@@ -159,8 +159,19 @@ def test_marginal_ks_gaussian(long_path):
     assert hist.ks_statistic < 0.01
 
 
-def test_marginal_ks_thinned_family():
-    p = simulate(beta_family(2.5), CANON, 0.0, +1, 1e5, seed=11)
+@pytest.mark.parametrize(
+    "potential,T",
+    [
+        (beta_family(2.5), 1e5),
+        # a custom well takes the 33-point probe bound, a widened beta the
+        # convex window bound of its family
+        (custom(np.cosh, np.sinh, label="cosh"), 2e4),
+        (scale(beta_family(2.5), 2.0), 2e4),
+    ],
+    ids=["beta2.5", "cosh", "beta2.5-scale2"],
+)
+def test_marginal_ks_thinned_family(potential, T):
+    p = simulate(potential, CANON, 0.0, +1, T, seed=11)
     hist = empirical_marginal(p)
     assert hist.ks_statistic < 0.02
 

@@ -4,7 +4,7 @@ import pytest
 from zigzagspec import spectrum
 from zigzagspec.charfn import CharFunctionHandle, z_log_derivative_batch, z_value_batch
 from zigzagspec.errors import DomainError, GapUndeterminedError, WindingError
-from zigzagspec.potential import beta_family, gaussian
+from zigzagspec.potential import beta_family, gaussian, scale
 from zigzagspec.rootfinder import ComplexRegion, RootRecord, RootSet, locate_zeros
 from zigzagspec.spectrum import (
     auto_region,
@@ -205,6 +205,19 @@ def test_rescale_spectrum_matches_direct_computation():
         assert abs(a.gamma - b.gamma) < 1e-10
     assert rescaled.diagnostics["rescaled_by"] == 2.0
     assert "(gamma / 2)" in rescaled.potential_descriptor
+
+
+def test_scaled_beta_spectrum_follows_the_scaling_law(beta25_spectrum):
+    # the scaling law off the gaussian: beta:2.5 widened by 2 on the halved
+    # region against the unit spectrum divided by 2
+    r = BETA25_REGION
+    half = ComplexRegion(r.re_min / 2.0, r.re_max / 2.0, r.im_min / 2.0, r.im_max / 2.0)
+    wide = compute_spectrum(scale(beta_family(2.5), 2.0), half)
+    expected = rescale_spectrum(beta25_spectrum, 2.0)
+    assert len(wide.eigenvalues) == len(expected.eigenvalues) == 7
+    for a, b in zip(wide.eigenvalues, expected.eigenvalues):
+        assert abs(a.gamma - b.gamma) < 1e-12
+        assert a.branch == b.branch
 
 
 def test_rescale_validation(gaussian_spectrum):
