@@ -183,12 +183,16 @@ def _ab_on_ray(potential, sign, gamma, cfg, ab, errs):
     if rays:
         why = f"the best {min(len(rays), _MAX_RAYS)} admissible rotated rays missed it too"
     else:
-        why = f"{potential.descriptor()} has no analytic continuation to rotate the path into"
+        why = "it has no analytic continuation to rotate the path into"
     raise IntegrationError(
-        f"psi at gamma={gamma} (sign {sign:+d}) misses its tolerance: error {err:.2e} > "
+        f"{_psi_head(potential, gamma)} (sign {sign:+d}) misses its tolerance: error {err:.2e} > "
         f"{tol:.2e}; on the real axis it needs cancellation from e^{peak:.0f}, and {why}",
         location=gamma,
     )
+
+
+def _psi_head(potential: PotentialModel, gamma: complex) -> str:
+    return f"psi of {potential.descriptor()} at gamma={gamma}"
 
 
 def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: QuadratureConfig):
@@ -332,9 +336,16 @@ class CharFunctionHandle:
         """
         g = np.atleast_1d(np.asarray(gammas, dtype=complex))
         s = self.potential.sigma
-        if s != 1.0:  # errors on the way name the unit model and sigma gamma
+        if s != 1.0:
             unit = dataclasses.replace(self, potential=self.potential._unit)
-            pp, dp, pm, dm = unit.values_batch(s * g)
+            try:
+                pp, dp, pm, dm = unit.values_batch(s * g)
+            except IntegrationError as exc:  # name the gamma psi refused as the caller passed it
+                hit = g[s * g == exc.location]
+                if hit.size == 0:
+                    raise
+                head = _psi_head(self.potential, complex(hit[0]))
+                raise exc.renamed(_psi_head(unit.potential, exc.location), head, complex(hit[0])) from None
             return pp, s * dp, pm, s * dm
         if self.potential.family == "gaussian":
             pp, dp = gaussian_closed_form(g)

@@ -57,21 +57,6 @@ __all__ = ["main", "RunConfig", "parse_complex", "render_svg"]
 # ---------------------------------------------------------------------------
 # config plumbing
 
-_CONFIG_KEYS = (
-    "potential",
-    "sigma",
-    "re-min",
-    "re-max",
-    "im-max",
-    "tol",
-    "eps",
-    "gamma",
-    "T",
-    "seed",
-    "out",
-    "plot",
-    "csv",
-)
 _FLOAT_KEYS = {"sigma", "re-min", "re-max", "im-max", "tol", "eps", "T"}
 _INT_KEYS = {"seed"}
 
@@ -95,7 +80,7 @@ class RunConfig:
     csv: Optional[str] = None
 
     def canonical(self) -> dict:
-        return {k.replace("-", "_"): getattr(self, k.replace("-", "_")) for k in _CONFIG_KEYS}
+        return dataclasses.asdict(self)
 
     def to_text(self) -> str:
         lines = []
@@ -104,6 +89,10 @@ class RunConfig:
             if val is not None:
                 lines.append(f"{key} = {val!r}" if isinstance(val, str) else f"{key} = {val}")
         return "\n".join(lines) + "\n"
+
+
+# flag spellings of the RunConfig fields, in field order
+_CONFIG_KEYS = tuple(f.name.replace("_", "-") for f in dataclasses.fields(RunConfig))
 
 
 def parse_config_text(text: str) -> dict:
@@ -201,12 +190,7 @@ def _spectrum_payload(result: SpectrumResult, cfg: RunConfig) -> dict:
 
 
 def _emit_json(payload: dict, out: Optional[str]):
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_text(json.dumps(_jsonable(payload), indent=2) + "\n", out)
 
 
 def _emit_text(text: str, out: Optional[str]):
@@ -218,9 +202,8 @@ def _emit_text(text: str, out: Optional[str]):
 
 
 def _spectrum_csv(result: SpectrumResult) -> str:
-    lines = ["re,im,branch,multiplicity"]
-    for r in result.eigenvalues:
-        lines.append(f"{r.gamma.real!r},{r.gamma.imag!r},{r.branch},{r.multiplicity}")
+    rows = [f"{r.gamma.real!r},{r.gamma.imag!r},{r.branch},{r.multiplicity}" for r in result.eigenvalues]
+    lines = ["re,im,branch,multiplicity"] + rows
     return "\n".join(lines) + "\n"
 
 
@@ -322,16 +305,11 @@ def _resolve_region(cfg: RunConfig, potential: PotentialModel):
     return ComplexRegion(re_min, re_max, -im_max, im_max)
 
 
-def _root_config(cfg: RunConfig):
-    if cfg.tol is None:
-        return DEFAULT_ROOT_CONFIG
-    return dataclasses.replace(DEFAULT_ROOT_CONFIG, root_tol=cfg.tol)
-
-
 def _base_spectrum(cfg: RunConfig, parser) -> SpectrumResult:
     potential = parse_potential(_require(cfg, "potential", parser))
     region = _resolve_region(cfg, potential)
-    return compute_spectrum(potential, region, cfg=_root_config(cfg))
+    root = DEFAULT_ROOT_CONFIG if cfg.tol is None else dataclasses.replace(DEFAULT_ROOT_CONFIG, root_tol=cfg.tol)
+    return compute_spectrum(potential, region, cfg=root)
 
 
 def cmd_spectrum(cfg: RunConfig, parser) -> int:
@@ -355,17 +333,8 @@ def cmd_perturb(cfg: RunConfig, parser) -> int:
     pert = perturbed_spectrum(result, eps, cfg=DEFAULT_ROOT_CONFIG.quad)
     payload = _spectrum_payload(result, cfg)
     payload["epsilon"] = pert.epsilon
-    payload["perturbation"] = [
-        {
-            "gamma": {"re": e.gamma.real, "im": e.gamma.imag},
-            "coefficient": None
-            if e.coefficient is None
-            else {"re": e.coefficient.real, "im": e.coefficient.imag},
-            "shifted": None
-            if e.shifted is None
-            else {"re": e.shifted.real, "im": e.shifted.imag},
-            "resolved": e.resolved,
-        }
+    payload["perturbation"] = [  # _jsonable writes each complex as {"re", "im"}
+        {"gamma": e.gamma, "coefficient": e.coefficient, "shifted": e.shifted, "resolved": e.resolved}
         for e in pert.entries
     ]
     payload["perturbed_gap"] = pert.gap()
@@ -387,9 +356,7 @@ def cmd_eigfun(cfg: RunConfig, parser) -> int:
     xs = default_grid(potential)
     tol = cfg.tol if cfg.tol is not None else 1e-8
     table = eigenfunction_table(potential, gamma, xs, tol=tol)
-    lines = ["x,re_plus,im_plus,re_minus,im_minus"]
-    for row in table:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines = ["x,re_plus,im_plus,re_minus,im_minus"] + [",".join(repr(float(v)) for v in row) for row in table]
     _emit_text("\n".join(lines) + "\n", cfg.csv)
     if cfg.out:
         _emit_json(
@@ -435,9 +402,8 @@ def cmd_simulate(cfg: RunConfig, parser) -> int:
     }
     _emit_json(payload, cfg.out)
     if cfg.csv:
-        lines = ["t,x,theta"]
-        for t, x, th in zip(path.times, path.positions, path.thetas):
-            lines.append(f"{float(t)!r},{float(x)!r},{int(th)}")
+        rows = zip(path.times, path.positions, path.thetas)
+        lines = ["t,x,theta"] + [f"{float(t)!r},{float(x)!r},{int(th)}" for t, x, th in rows]
         _emit_text("\n".join(lines) + "\n", cfg.csv)
     return 0
 

@@ -20,6 +20,10 @@ class IntegrationError(ZigzagError):
         super().__init__(message)
         self.location = location
 
+    def renamed(self, old: str, new: str, location):
+        """A copy saying `new` where this says `old`, at `location`: a scaled model's error retold."""
+        return type(self)(str(self).replace(old, new), location)
+
 
 class TruncationError(IntegrationError):
     """A semi-infinite integral could not be truncated to tolerance."""

@@ -152,6 +152,10 @@ def _w(potential: PotentialModel, gamma: complex, side: int, xi, shift: float = 
     return side * potential.dU(xi) * np.exp(-2.0 * side * gamma * xi - (potential.U(xi) - shift))
 
 
+def _pt_head(potential: PotentialModel, side: int, gamma: complex, x: float) -> str:
+    return f"pt^{side:+d} of {potential.descriptor()} at gamma={gamma}, x={x:.6g}"
+
+
 def psi_tilde(
     potential: PotentialModel,
     gamma: complex,
@@ -178,8 +182,13 @@ def psi_tilde(
         raise DomainError(f"side must be +1 or -1, got {side!r}")
     if not (np.isfinite(gamma) and np.all(np.isfinite(xs))):
         raise DomainError(f"pt needs a finite gamma and finite x, got gamma={gamma!r}")
-    if potential.sigma != 1.0:  # pt_sigma(gamma; x) = pt_1(sigma gamma; x / sigma)
-        return psi_tilde(potential._unit, potential.sigma * gamma, xs / potential.sigma, side, cfg)
+    s = potential.sigma
+    if s != 1.0:  # pt_sigma(gamma; x) = pt_1(sigma gamma; x / sigma), refused in the caller's terms
+        try:
+            return psi_tilde(potential._unit, s * gamma, xs / s, side, cfg)
+        except IntegrationError as exc:
+            head = _pt_head(potential._unit, side, s * gamma, exc.location)
+            raise exc.renamed(head, _pt_head(potential, side, gamma, s * exc.location), s * exc.location) from None
     if potential.family == "gaussian":  # J = sqrt(pi/2) erfcx((side x + 2 gamma)/sqrt2)
         arg = (side * xs + 2.0 * gamma) / math.sqrt(2.0)
         return 1.0 - 2.0 * gamma * (_SQRT_HALF_PI * erfcx_complex(arg))
@@ -220,7 +229,7 @@ def psi_tilde(
     i = int(np.argmax(err / tol))
     if err[i] > tol[i]:
         x_i = float(side * near[i])
-        msg = f"pt^{side:+d} at gamma={gamma}, x={x_i:.6g} misses its tolerance"
+        msg = f"{_pt_head(potential, side, gamma, x_i)} misses its tolerance"
         raise IntegrationError(f"{msg}: error {err[i]:.2e} > {tol[i]:.2e}", location=x_i)
     out[~far] = val
     out = out[back]

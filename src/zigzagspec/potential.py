@@ -81,10 +81,21 @@ class PotentialModel:
             return self._unit.U(x / self.sigma)
         if self.family == "gaussian":
             return x * x / 2.0
-        if self.family == "beta":
+        if self.family == "beta":  # expm1/log1p keep U(x) ~ x^2/2 exact near 0
             b = self.beta
-            return (np.power(1.0 + x * x, b / 2.0) - 1.0) / b
+            return np.expm1(b / 2.0 * np.log1p(x * x)) / b
         return np.asarray(self.u_fn(x), dtype=float) - self.offset
+
+    def U_inverse(self, u):
+        """The radius r >= 0 with U(r) = u >= 0; scalars and arrays."""
+        if self.family == "custom":
+            raise DomainError(f"{self.descriptor()} has no closed-form inverse of U")
+        if self.sigma != 1.0:
+            return self.sigma * self._unit.U_inverse(u)
+        u = np.asarray(u, dtype=float)
+        if self.family == "gaussian":
+            return np.sqrt(2.0 * u)
+        return np.sqrt(np.expm1(2.0 / self.beta * np.log1p(self.beta * u)))
 
     def dU(self, x):
         x = np.asarray(x)
@@ -155,8 +166,10 @@ class PotentialModel:
 class SwitchingRateSpec:
     """Event-rate specification lambda(x, theta) = max(theta U'(x), 0) + lambda_refr.
 
-    ``canonical`` is kept explicit so a future non-canonical rate cannot be
-    confused with the default; only canonical rates are implemented.
+    Refreshment is a competing clock: an Exp(lambda_refr) time races the
+    canonical switch, and whichever rings first flips theta.  ``canonical``
+    is kept explicit so a future non-canonical rate cannot be confused with
+    the default; only canonical rates are implemented.
     """
 
     lambda_refr: float = 0.0

@@ -6,12 +6,16 @@ position is exactly linear, so occupation times, marginal histograms and
 autocorrelations can all be computed from the event skeleton without any
 time discretization.
 
-Event times are exact: for the Gaussian family the integrated rate along a
-ray is piecewise quadratic and is inverted in closed form; other families
-use thinning with per-window upper bounds (window length 1 velocity-unit).
-Randomness comes from a counter-based Philox generator keyed as
-[seed, stream], so trajectories are reproducible and parallel chains can
-split streams without coordination.
+Event times are exact.  For the gaussian and beta families the integrated
+canonical rate along a flight is 0 up to the mode and then the increase of
+U, so every switch sits at an inverse U^{-1} of an Exp(1) draw: with zero
+refreshment whole blocks of events come from numpy at once, and a positive
+lambda_refr races its own exponential clock event by event.  Custom
+potentials, which have no inverse of U, use thinning with per-window upper
+bounds (window length 1 velocity-unit).  Randomness comes from a
+counter-based Philox generator keyed as [seed, stream], so trajectories
+are reproducible and parallel chains can split streams without
+coordination.
 """
 
 from __future__ import annotations
@@ -51,15 +55,16 @@ class _DrawBuffer:
         self._rng = rng
         self._exp = rng.standard_exponential(_BLOCK)
         self._uni = rng.random(_BLOCK)
-        self._ie = 0
-        self._iu = 0
+        self._ie = self._iu = 0
 
-    def exponential(self) -> float:
+    def exponentials(self, n: int = _BLOCK) -> np.ndarray:
+        """The next (at most n) draws of the current exponential block; a
+        spent block is refilled first, so the stream order never changes."""
         if self._ie == _BLOCK:
             self._exp = self._rng.standard_exponential(_BLOCK)
             self._ie = 0
-        v = self._exp[self._ie]
-        self._ie += 1
+        v = self._exp[self._ie : self._ie + n]
+        self._ie += v.size
         return v
 
     def uniform(self) -> float:
@@ -143,97 +148,97 @@ class ZigzagPath:
         return float(np.clip(hi, 0.0, None).sum() - np.clip(lo, 0.0, None).sum())
 
 
-def _simulate_gaussian(x0, theta0, T, sigma, lam_r, draws):
-    """Exact inversion: along a ray the integrated rate is piecewise quadratic."""
-    a = 1.0 / (2.0 * sigma * sigma)
-    times = [0.0]
-    xs = [x0]
-    ths = [theta0]
+def _flight(potential, c, e):
+    """Travel to the switch from outward coordinate c = theta x, given the
+    Exp(1) draw e: y - c for the radius y = U^{-1}(U(max(c, 0)) + e).  Far
+    outside the mode that difference cancels, so below 1e-5 c the midpoint
+    rule e / U'((c + y) / 2) replaces it (exact for the Gaussian)."""
+    with np.errstate(over="ignore"):  # U overflows far out; refused below
+        y = float(potential.U_inverse(potential.U(max(c, 0.0)) + e))
+    if not y < math.inf:
+        raise SimulationError(f"U overflows at outward coordinate {c:.6g}")
+    return y - c if y - c >= 1e-5 * c else e / float(potential.dU(0.5 * (c + y)))
+
+
+def _simulate_blocks(potential, x0, theta0, T, draws):
+    """Exact inversion at lambda_refr = 0, one exponential block at a time.
+
+    Along a flight the integrated rate is 0 up to the mode and then the
+    increase of U, which gives the first flight (_flight).  Every later one
+    starts at the mode's far side: event k sits at radius y_k = U^{-1}(E_k),
+    the flight to it is y_(k-1) + y_k, and theta alternates.
+    """
+    c = theta0 * x0
+    s = _flight(potential, c, draws.exponentials(1)[0])
+    radii = [np.array([c + s])]
+    times = [np.array([0.0, s])]
+    while times[-1][-1] < T:
+        r = potential.U_inverse(draws.exponentials())
+        flights = r + np.concatenate((radii[-1][-1:], r[:-1]))
+        times.append(np.cumsum(np.concatenate((times[-1][-1:], flights)))[1:])
+        radii.append(r)
+    t = np.concatenate(times)
+    n = int(np.searchsorted(t, T, side="left"))  # the start and events before T
+    ths = np.where(np.arange(n) % 2 == 0, theta0, -theta0)
+    xs = np.concatenate(([x0], -ths[1:] * np.concatenate(radii)[: n - 1]))
+    return t[:n], xs, ths
+
+
+def _simulate_refreshed(potential, x0, theta0, T, lam_r, draws):
+    """Exact inversion at lambda_refr > 0, one event at a time: each _flight
+    races an Exp(lambda_refr) refreshment clock, and whichever rings first
+    flips theta.  Flights from inside the mode take their radius U^{-1}(E)
+    from a block inverted at once."""
+    events = [(0.0, x0, theta0)]
     t, x, th = 0.0, x0, theta0
     while True:
-        e = draws.exponential()
-        c = th * x  # signed outward coordinate; canonical rate is max(c+s,0)/sigma^2
-        if c >= 0.0:
-            b = c / (sigma * sigma) + lam_r
-            s = 2.0 * e / (b + math.sqrt(b * b + 4.0 * a * e))
-        else:
-            s0 = -c
-            if lam_r > 0.0 and lam_r * s0 >= e:
-                s = e / lam_r
-            else:
-                e2 = e - lam_r * s0
-                s = s0 + 2.0 * e2 / (lam_r + math.sqrt(lam_r * lam_r + 4.0 * a * e2))
-        t += s
-        if t >= T:
-            break
-        x += th * s
-        th = -th
-        times.append(t)
-        xs.append(x)
-        ths.append(th)
-    return times, xs, ths
+        e = draws.exponentials()
+        clocks = draws.exponentials() / lam_r
+        for e_k, y, r in zip(e.tolist(), potential.U_inverse(e).tolist(), clocks.tolist()):
+            c = th * x
+            s = min(_flight(potential, c, e_k) if c > 0.0 else y - c, r)
+            t += s
+            if t >= T:
+                return zip(*events)
+            x += th * s
+            th = -th
+            events.append((t, x, th))
 
 
 def _simulate_thinning(potential, x0, theta0, T, lam_r, draws):
-    """Windowed thinning.  The bound on each window is the canonical rate at
-    the window's far end (valid for convex U) plus lambda_refr; every accepted
-    candidate is checked against the bound so a bad window fails loudly
-    instead of silently biasing the law."""
-    du = potential.dU
-    convex = potential.family == "beta"
-    times = [0.0]
-    xs = [x0]
-    ths = [theta0]
-    t, x, th = 0.0, x0, theta0
-    while t < T:
-        # advance within windows of travel length _WINDOW until an event fires
-        s_lo = 0.0
-        event_s = None
-        while event_s is None:
-            s_hi = s_lo + _WINDOW
-            if convex:
-                bound = max(th * du(x + th * s_hi), 0.0) + lam_r
-            else:
-                probe = x + th * (s_lo + np.linspace(0.0, _WINDOW, 33))
-                bound = 1.05 * float(np.max(np.maximum(th * du(probe), 0.0))) + lam_r
-            if not math.isfinite(bound):
+    """Windowed thinning for custom potentials, which have no inverse of U.
+
+    Each window of travel _WINDOW is bounded by 1.05 times the largest
+    canonical rate at 33 probes across it, plus lambda_refr; every candidate
+    is checked against the bound, so a bad window fails loudly instead of
+    silently biasing the law."""
+    events = [(0.0, x0, theta0)]
+    t, x, th, hi = 0.0, x0, theta0, 0.0  # hi: travel since the last event
+    while t + hi < T:
+        s, hi = hi, hi + _WINDOW
+        window = (t + s, t + hi)
+        probe = x + th * (s + np.linspace(0.0, _WINDOW, 33))
+        bound = 1.05 * float(np.max(np.maximum(th * potential.dU(probe), 0.0))) + lam_r
+        if not math.isfinite(bound):
+            raise SimulationError(f"non-finite rate bound on t in [{window[0]:.6g}, {window[1]:.6g}]", window)
+        while bound > 0.0:
+            s += draws.exponentials(1)[0] / bound
+            if s >= hi:
+                break
+            rate = max(th * potential.dU(x + th * s), 0.0) + lam_r
+            if rate > bound * (1.0 + 1e-9):
                 raise SimulationError(
-                    f"non-finite rate bound on window t in "
-                    f"[{t + s_lo:.6g}, {t + s_hi:.6g}]",
-                    window=(t + s_lo, t + s_hi),
+                    f"rate {rate:.6g} exceeds its window bound {bound:.6g} "
+                    f"on t in [{window[0]:.6g}, {window[1]:.6g}]",
+                    window,
                 )
-            if bound <= 0.0:
-                s_lo = s_hi
-                if t + s_lo >= T:
-                    return times, xs, ths
-                continue
-            s = s_lo
-            while True:
-                s += draws.exponential() / bound
-                if s >= s_hi:
-                    s_lo = s_hi
-                    break
-                rate = max(th * du(x + th * s), 0.0) + lam_r
-                if rate > bound * (1.0 + 1e-9):
-                    raise SimulationError(
-                        f"rate {rate:.6g} exceeds its window bound {bound:.6g} "
-                        f"on t in [{t + s_lo:.6g}, {t + s_hi:.6g}]",
-                        window=(t + s_lo, t + s_hi),
-                    )
-                if draws.uniform() * bound <= rate:
-                    event_s = s
-                    break
-            if event_s is None and t + s_lo >= T:
-                return times, xs, ths
-        t += event_s
-        if t >= T:
-            break
-        x += th * event_s
-        th = -th
-        times.append(t)
-        xs.append(x)
-        ths.append(th)
-    return times, xs, ths
+            if draws.uniform() * bound <= rate:
+                if t + s >= T:
+                    return zip(*events)
+                t, x, th, hi = t + s, x + th * s, -th, 0.0
+                events.append((t, x, th))
+                break
+    return zip(*events)
 
 
 def simulate(
@@ -260,17 +265,14 @@ def simulate(
     key = (seed, stream)
     if not all(isinstance(v, (int, np.integer)) and 0 <= v < 2**64 for v in key):
         raise DomainError(f"seed and stream must be integers in [0, 2**64), got {key!r}")
-    rng = np.random.Generator(np.random.Philox(key=[int(v) for v in key]))
-    draws = _DrawBuffer(rng)
+    draws = _DrawBuffer(np.random.Generator(np.random.Philox(key=[int(v) for v in key])))
     lam_r = spec.lambda_refr
-    if potential.family == "gaussian":
-        times, xs, ths = _simulate_gaussian(
-            x0, int(theta0), float(T), potential.sigma, lam_r, draws
-        )
+    if potential.family == "custom":
+        times, xs, ths = _simulate_thinning(potential, x0, int(theta0), float(T), lam_r, draws)
+    elif lam_r > 0.0:
+        times, xs, ths = _simulate_refreshed(potential, x0, int(theta0), float(T), lam_r, draws)
     else:
-        times, xs, ths = _simulate_thinning(
-            potential, x0, int(theta0), float(T), lam_r, draws
-        )
+        times, xs, ths = _simulate_blocks(potential, x0, int(theta0), float(T), draws)
     return ZigzagPath(
         times=np.asarray(times),
         positions=np.asarray(xs),
@@ -349,14 +351,10 @@ def empirical_marginal(path: ZigzagPath, bins=50) -> MarginalHistogram:
     if np.isscalar(bins):
         if not isinstance(bins, (int, np.integer)) or bins < 10:
             raise DomainError(f"need an integer bin count >= 10, got {bins!r}")
-        lo = float(np.min(path.positions)) - 1e-9
-        hi_edge = float(np.max(path.positions)) + 1e-9
         # the path can overshoot its event positions by up to the last flight
         _, dt, x0, th = path.segments()
-        reach = x0 + th * dt
-        lo = min(lo, float(np.min(reach)) - 1e-9)
-        hi_edge = max(hi_edge, float(np.max(reach)) + 1e-9)
-        edges = np.linspace(lo, hi_edge, int(bins) + 1)
+        ends = np.concatenate((x0, x0 + th * dt))
+        edges = np.linspace(ends.min() - 1e-9, ends.max() + 1e-9, int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
         bad = edges.ndim != 1 or edges.size < 11 or not np.all(np.isfinite(edges))
@@ -471,11 +469,10 @@ def envelope_decay_rate(lags, values) -> float:
         raise DomainError("need matching 1-d lags/values with >= 3 points")
     if not (np.all(np.isfinite(lags)) and np.all(np.isfinite(vals))):
         raise DomainError("lags and values must be finite")
-    inner = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    keep = np.zeros(lags.size, dtype=bool)
-    keep[1:-1] = inner
-    keep[0] = vals[0] >= vals[1]  # t = 0 is always an envelope point in practice
-    keep &= vals > 0.0
+    # local maxima, the last lag excluded; t = 0 is always an envelope point in practice
+    before = np.concatenate(([-np.inf], vals[:-1]))
+    after = np.concatenate((vals[1:], [np.inf]))
+    keep = (vals >= before) & (vals >= after) & (vals > 0.0)
     peaks_t = lags[keep]
     peaks_v = vals[keep]
     if peaks_t.size < 2:

@@ -239,3 +239,15 @@ def test_custom_potential_refuses_psi_short_of_tolerance():
         psi(pot, +1, CANCELLATION_POINTS[0])
     # where the real axis meets its tolerance the custom route still answers
     assert abs(psi(pot, +1, -0.5 + 1.0j) - gaussian_closed_form(-0.5 + 1.0j)[0]) < 5e-12
+
+
+def test_a_scaled_model_refusing_psi_names_the_callers_gamma_and_model():
+    # the handle evaluates quad@scale=2 as quad at 2 gamma = -3 - 4i, where
+    # the real axis needs cancellation from e^18; the error must still speak
+    # of the model and the gamma the caller passed
+    quad = custom(lambda x: 0.5 * np.asarray(x) ** 2, np.asarray, label="quad")
+    with pytest.raises(IntegrationError) as info:
+        CharFunctionHandle(scale(quad, 2.0)).values_batch(np.array([0.5, -1.5 - 2.0j]))
+    assert str(info.value).startswith("psi of quad@scale=2 at gamma=(-1.5-2j) (sign +1)")
+    assert "-3-4j" not in str(info.value)
+    assert info.value.location == -1.5 - 2.0j

@@ -124,6 +124,16 @@ def test_psi_tilde_refuses_a_feature_narrower_than_its_cells():
     assert np.all(np.isfinite(psi_tilde(pot, -0.4 + 1j, [2.5, 3.0], +1)))
 
 
+def test_a_scaled_model_refusing_pt_names_the_callers_gamma_x_and_model():
+    # quad@scale=2 runs as quad at 2 gamma and x / 2, which misses its
+    # tolerance at gamma = -6 - 8i; the error keeps the caller's terms
+    quad = custom(lambda x: 0.5 * np.asarray(x) ** 2, np.asarray, label="quad")
+    with pytest.raises(IntegrationError) as info:
+        psi_tilde(scale(quad, 2.0), -3.0 - 4.0j, np.array([2.0]), +1)
+    assert str(info.value).startswith("pt^+1 of quad@scale=2 at gamma=(-3-4j), x=2 misses")
+    assert info.value.location == 2.0
+
+
 def test_psi_tilde_far_points_are_swept_on_their_own():
     # e^{U(30)} on beta:2.5 is e^1972: one sweep from x = 0 would underflow
     pot = beta_family(2.5)

@@ -159,6 +159,26 @@ def test_scale_keeps_the_family():
     assert cosh.U(2.0) == pytest.approx(math.cosh(1.0) - 1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "pot",
+    [gaussian(1.0), gaussian(2.0), beta_family(1.5), beta_family(2.5), beta_family(3.0), scale(beta_family(2.5), 2.0)],
+    ids=lambda pot: pot.descriptor(),
+)
+def test_u_inverse_round_trips(pot):
+    # the radius the sampler puts each event at: U(U^{-1}(u)) = u from the
+    # mode's neighbourhood (U ~ x^2 / 2, no cancellation) to the far tail
+    u = np.array([1e-300, 1e-12, 1e-3, 1.0, 1e3, 1e6])
+    r = pot.U_inverse(u)
+    assert np.all(r > 0.0)
+    np.testing.assert_allclose(pot.U(r), u, rtol=1e-13, atol=0.0)
+    assert pot.U_inverse(0.0) == 0.0
+
+
+def test_u_inverse_refuses_a_custom_potential():
+    with pytest.raises(DomainError, match="cosh@scale=2 has no closed-form inverse"):
+        scale(custom(np.cosh, np.sinh, label="cosh"), 2.0).U_inverse(1.0)
+
+
 def test_switching_rate_canonical():
     pot = gaussian(1.0)
     spec = SwitchingRateSpec()

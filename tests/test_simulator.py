@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import GAUSSIAN_GAP
 from zigzagspec.errors import (
     DegenerateObservableError,
     DomainError,
     InsufficientHorizonError,
+    SimulationError,
 )
 from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussian, scale
 from zigzagspec.simulator import (
     ZigzagPath,
+    _DrawBuffer,
     autocorrelation,
     empirical_marginal,
     envelope_decay_rate,
@@ -32,6 +35,19 @@ def test_first_event_respects_deterministic_drift():
     p = simulate(gaussian(1.0), CANON, -3.0, +1, 50.0, seed=1)
     assert p.times[0] == 0.0  # the initial state heads the record
     assert p.times[1] > 3.0
+
+
+@pytest.mark.parametrize("potential", [gaussian(1.0), beta_family(2.5)], ids=["gaussian1", "beta2.5"])
+def test_first_flight_far_outside_the_mode(potential):
+    # heading outward from x0 = 1e7 the rate is U'(x0) at once, so the first
+    # switch comes after about E / U'(x0), which U^{-1}(U(x0) + E) - x0
+    # alone rounds to 0
+    p = simulate(potential, CANON, 1e7, +1, 10.0, seed=0)
+    e = _DrawBuffer(np.random.Generator(np.random.Philox(key=[0, 0]))).exponentials(1)[0]
+    assert p.times[1] == pytest.approx(e / float(potential.dU(1e7)), rel=1e-9)
+    # where U(x0) overflows the sampler refuses instead of returning no events
+    with pytest.raises(SimulationError, match="U overflows"):
+        simulate(potential, CANON, 1e200, +1, 10.0, seed=0)
 
 
 def test_reproducibility_and_stream_splitting():
@@ -146,10 +162,56 @@ def test_interrogation_methods(long_path):
     assert p.time_above_zero() / p.horizon == pytest.approx(0.5, abs=0.01)
 
 
-def test_switching_rate_matches_expectation(long_path):
-    # canonical gaussian rate: E[(theta x)_+] = E[x_+] = 1/sqrt(2 pi)
-    rate = long_path.n_events / long_path.horizon
-    assert rate == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=0.02)
+@pytest.mark.parametrize("lam_r", [0.0, 0.5], ids=["blocks", "refreshed"])
+@pytest.mark.parametrize("potential", [gaussian(1.0), beta_family(2.5)], ids=["gaussian1", "beta2.5"])
+def test_switching_rate_matches_expectation(potential, lam_r):
+    # canonical rate: E[(theta U')_+] = (1/Z) INT_0^inf U' e^{-U} = 1/Z with
+    # Z = INT e^{-U} (1/sqrt(2 pi) for gaussian:1), plus the refreshment
+    # clock; the marginal is e^{-U} / Z on both sampler routes
+    p = simulate(potential, SwitchingRateSpec(lam_r), 0.0, +1, 1e5, seed=7)
+    z = quad(lambda x: math.exp(-float(potential.U(x))), -math.inf, math.inf)[0]
+    assert p.n_events / p.horizon == pytest.approx(1.0 / z + lam_r, rel=0.02)
+    assert empirical_marginal(p).ks_statistic < 0.01
+
+
+def _reference_gaussian_path(sigma, x0, theta0, T, seed):
+    """The scalar closed-form Gaussian sampler that the block route replaced,
+    kept as an oracle at lambda_refr = 0: along a flight the integrated rate
+    is piecewise quadratic in the travel s, solved one event at a time."""
+    draws = _DrawBuffer(np.random.Generator(np.random.Philox(key=[seed, 0])))
+    a = 1.0 / (2.0 * sigma * sigma)
+    times, xs, ths = [0.0], [x0], [theta0]
+    t, x, th = 0.0, x0, theta0
+    while True:
+        e = draws.exponentials(1)[0]
+        c = th * x
+        if c >= 0.0:
+            b = c / (sigma * sigma)
+            s = 2.0 * e / (b + math.sqrt(b * b + 4.0 * a * e))
+        else:
+            s = -c + 2.0 * e / math.sqrt(4.0 * a * e)
+        t += s
+        if t >= T:
+            return np.array(times), np.array(xs), np.array(ths)
+        x += th * s
+        th = -th
+        times.append(t)
+        xs.append(x)
+        ths.append(th)
+
+
+@pytest.mark.parametrize(
+    "sigma, x0, T",
+    # about 80k events, past the 65,536-draw block; the first flight from
+    # outside the mode (c > 0) and from inside it (c < 0)
+    [(1.0, 1.5, 2e5), (2.0, -3.0, 2e4)],
+)
+def test_block_sampler_matches_the_scalar_gaussian_loop(sigma, x0, T):
+    p = simulate(gaussian(sigma), CANON, x0, +1, T, seed=5)
+    times, xs, ths = _reference_gaussian_path(sigma, x0, +1, T, seed=5)
+    assert p.times.size == times.size and np.array_equal(p.thetas, ths)
+    np.testing.assert_allclose(p.times, times, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(p.positions, xs, rtol=0.0, atol=1e-12)
 
 
 def test_marginal_ks_gaussian(long_path):
@@ -163,8 +225,8 @@ def test_marginal_ks_gaussian(long_path):
     "potential,T",
     [
         (beta_family(2.5), 1e5),
-        # a custom well takes the 33-point probe bound, a widened beta the
-        # convex window bound of its family
+        # a custom well takes thinning's 33-point probe bound; the beta
+        # cases run the inversion sampler, the widened one through U_inverse's width
         (custom(np.cosh, np.sinh, label="cosh"), 2e4),
         (scale(beta_family(2.5), 2.0), 2e4),
     ],
