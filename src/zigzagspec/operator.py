@@ -16,7 +16,11 @@ usable for the Gaussian where e^{U} alone would reach 1e31.
 
 The resolvent uses the same w: on the outward half lines f is written as
 a plain decaying integral of (h + U' f_other) instead of the cancellation-
-prone constant-minus-cumulative form.
+prone constant-minus-cumulative form.  The spectral projection at a simple
+root is the resolvent's residue there (Kato, Perturbation Theory for Linear
+Operators, III.6.5): its numerator is the pair of half-line sums the
+resolvent forms, and its denominator <f, F conj f> is Z'(gamma) / psi-(gamma)
+by the Z' identity, so projecting a grid input needs f at no quadrature node.
 """
 
 from __future__ import annotations
@@ -75,34 +79,38 @@ _MAX_RANGE = 600.0  # growth factors e^{..} one pt sweep spans without underflow
 
 # ----------------------------------------------------------------- phi helpers
 
+_K = np.arange(16)
+_FACT = np.cumprod(np.maximum(_K, 1)).astype(float)  # k!
+_PHI1_C = 1.0 / (_FACT * (_K + 1))  # phi1 = sum z^k / (k! (k + 1))
+_PHI2_C = 1.0 / (_FACT * (_K + 2))  # phi2 = sum z^k / (k! (k + 2))
+
+
 def _phi12(z):
     """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z (z - 1) + 1)/z^2.
 
     These are the moments int_0^1 e^{zt} dt and int_0^1 t e^{zt} dt; the
     closed forms cancel catastrophically near 0, so |z| < 0.25 switches to
-    16-term series (next term below 1e-23 there).
+    the Taylor series, summed by Horner with n terms, n the first k with
+    r^k / (k + 1)! < 1e-17 at the largest small |z| = r: 12 terms as
+    r -> 0.25, about 7 at the |z| ~ 1e-2 of default grids.
     """
     z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 0.25
-    zb = np.where(small, 1.0, z)
-    ez = np.exp(zb)
-    p1 = (ez - 1.0) / zb
-    p2 = (ez * (zb - 1.0) + 1.0) / (zb * zb)
-    if np.any(small):
+    mag = np.abs(z)
+    small = mag < 0.25
+    p1, p2 = np.empty_like(z), np.empty_like(z)
+    if not small.all():
+        zb = z[~small]
+        ez = np.exp(zb)
+        p1[~small] = (ez - 1.0) / zb
+        p2[~small] = (ez * (zb - 1.0) + 1.0) / (zb * zb)
+    if small.any():
         zs = z[small]
-        s1 = np.zeros_like(zs)
-        s2 = np.zeros_like(zs)
-        term = np.ones_like(zs)
-        kfac = 1.0
-        for k in range(16):
-            s1 = s1 + term / (kfac * (k + 1))
-            s2 = s2 + term / (kfac * (k + 2))
-            term = term * zs
-            kfac *= k + 1
-        p1 = np.asarray(p1)
-        p2 = np.asarray(p2)
-        p1[small] = s1
-        p2[small] = s2
+        n = int(np.argmax(mag[small].max() ** _K * _PHI1_C < 1e-17))
+        s1, s2 = np.full_like(zs, _PHI1_C[n - 1]), np.full_like(zs, _PHI2_C[n - 1])
+        for k in range(n - 2, -1, -1):
+            s1 = s1 * zs + _PHI1_C[k]
+            s2 = s2 * zs + _PHI2_C[k]
+        p1[small], p2[small] = s1, s2
     return p1, p2
 
 
@@ -357,8 +365,7 @@ class PiecewiseEigenfunction:
             else:
                 ge = x >= 0.0
                 out[ge] = np.exp(-g * x[ge])
-                lt = ~ge
-                out[lt] = self.psi_plus * np.exp(g * x[lt]) * pt(lt, -1)
+                out[~ge] = self.psi_plus * np.exp(g * x[~ge]) * pt(~ge, -1)
         else:
             sign = 1.0 if self.variant == "plus" else -1.0
             out[left] = np.exp(g * x[left])
@@ -387,25 +394,12 @@ class PiecewiseEigenfunction:
         """int_{|x| <= radius} sum_theta |f|^2 e^{-U} dx (both thetas for full)."""
 
         def rows(x):
-            w = np.exp(-self.potential.U(x))
-            if self.variant == "full":
-                return np.stack(
-                    [
-                        np.abs(self.component(x, +1)) ** 2 * w,
-                        np.abs(self.component(x, -1)) ** 2 * w,
-                    ]
-                )
-            return np.abs(self.component(x)) ** 2 * w
+            comps = [self.component(x, th) for th in ((+1, -1) if self.variant == "full" else (+1,))]
+            return np.abs(np.stack(comps)) ** 2 * np.exp(-self.potential.U(x))
 
-        val, _ = integrate_finite(
-            rows,
-            -radius,
-            radius,
-            self.cfg,
-            oscillation=2.0 * abs(self.gamma.imag),
-            breakpoints=(0.0,),
-        )
-        return float(np.sum(np.real(np.atleast_1d(val))))
+        osc = 2.0 * abs(self.gamma.imag)
+        val, _ = integrate_finite(rows, -radius, radius, self.cfg, oscillation=osc, breakpoints=(0.0,))
+        return float(np.sum(np.real(val)))
 
 
 def _check_gamma_tol(gamma, tol: float) -> complex:
@@ -434,15 +428,7 @@ def eigenfunction(
     if abs(z) > tol:
         raise NotAnEigenvalueError(gamma, abs(z), tol)
     pp, _, pm, _ = (complex(v[0]) for v in values)
-    return PiecewiseEigenfunction(
-        gamma=gamma,
-        potential=potential,
-        variant=variant,
-        psi_plus=pp,
-        psi_minus=pm,
-        z_prime=dz,
-        cfg=cfg,
-    )
+    return PiecewiseEigenfunction(gamma, potential, variant, pp, pm, dz, cfg)
 
 
 def eigenfunction_table(
@@ -457,22 +443,19 @@ def eigenfunction_table(
     if not np.all(np.isfinite(xs)):
         raise DomainError("eigenfunction_table needs finite x")
     f = eigenfunction(potential, gamma, "full", cfg, tol)
-    fp = f.component(xs, +1)
-    fm = f.component(xs, -1)
+    fp, fm = f.component(xs, +1), f.component(xs, -1)
     return np.column_stack([xs, fp.real, fp.imag, fm.real, fm.imag])
 
 
 # ---------------------------------------------------------------- inner products
 
 def _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints):
-    """(sum of the row integrals, error) over [-rl, rr], the radii at which
+    """(row integrals, error) over [-rl, rr], the radii at which
     e^{growth |x| - U} is certified negligible; the tails join the error."""
     rr, tr = truncation_radius(DecayProfile(potential, alpha=growth, direction=+1), cfg)
     rl, tl = truncation_radius(DecayProfile(potential, alpha=growth, direction=-1), cfg)
-    val, err = integrate_finite(
-        rows, -rl, rr, cfg, oscillation=oscillation, breakpoints=breakpoints
-    )
-    return complex(np.sum(val)), float(np.sum(err) + tr + tl)
+    val, err = integrate_finite(rows, -rl, rr, cfg, oscillation=oscillation, breakpoints=breakpoints)
+    return np.atleast_1d(val), float(np.sum(err) + tr + tl)
 
 
 def inner_product_mu(
@@ -491,15 +474,10 @@ def inner_product_mu(
     """
 
     def rows(x):
-        w = np.exp(-potential.U(x))
-        return np.stack(
-            [
-                f(x, +1) * np.conj(g(x, +1)) * w,
-                f(x, -1) * np.conj(g(x, -1)) * w,
-            ]
-        )
+        return np.stack([f(x, th) * np.conj(g(x, th)) for th in (+1, -1)]) * np.exp(-potential.U(x))
 
-    return _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints)
+    val, err = _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints)
+    return complex(np.sum(val)), err
 
 
 def inner_product_nu(
@@ -516,7 +494,8 @@ def inner_product_nu(
     def rows(x):
         return f(x) * np.conj(g(x)) * np.exp(-potential.U(x))
 
-    return _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints)
+    val, err = _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints)
+    return complex(val[0]), err
 
 
 # -------------------------------------------------------------------- resolvent
@@ -538,11 +517,53 @@ def _outward_cells(potential, gamma, h, side, edges, inner, cfg):
         return np.stack([a, w])
 
     (a, w), _ = gk_cells(rows, edges)
-    big_r = h.radius
-    fac = np.exp(-2.0 * gamma * big_r - float(potential.U(side * big_r))) * complex(
-        psi_tilde(potential, gamma, side * big_r, side, cfg)
-    )
-    return a, w, fac
+    r = h.radius
+    pt_r = complex(psi_tilde(potential, gamma, side * r, side, cfg))
+    return a, w, np.exp(-2.0 * gamma * r - float(potential.U(side * r))) * pt_r
+
+
+def _resolvent_sums(potential, gamma, h, cfg):
+    """(k1, k2, pos, neg): the resolvent's half-line sums for a GridFunction h.
+
+    k1 = int_{x >= 0} e^{-gamma x - U} (h+ + h- pt+) dx and
+    k2 = int_{x <= 0} e^{gamma x - U} (h- + h+ pt-) dx pair h with the
+    solutions that decay on each half line; each comes from one
+    _outward_cells sweep on h's grid plus the tail past +-R, by Fubini from
+    the inward cumulatives C^- and D^+ of h.  pos and neg are (nodes, C^- or
+    D^+ there, a cells, w cells, tail factor) for apply_resolvent.  A grid
+    without x = 0 gets that node, h interpolated there, so the
+    piecewise-linear h is unchanged.
+    """
+    xs, plus, minus = h.xs, h.plus, h.minus
+    mid = int(np.searchsorted(xs, 0.0))
+    if xs[mid] != 0.0:
+        zero = (0.0, h(0.0, +1), h(0.0, -1))
+        xs, plus, minus = (np.insert(v, mid, v0) for v, v0 in zip((xs, plus, minus), zero))
+    xpos, xneg = xs[mid:], xs[: mid + 1]
+    # C^-(xi) = int_0^xi e^{gamma eta} h^-(eta) d eta            (xi >= 0)
+    cum_minus = _ExpCumulative(gamma, xpos, minus[mid:])
+    # E(xi) = int_{-R}^xi e^{-gamma eta} h^+(eta) d eta, D^+(xi) = E(0) - E(xi)
+    cum_plus = _ExpCumulative(-gamma, xneg, plus[: mid + 1])
+    e0 = cum_plus.total
+    c_minus = cum_minus.node_cum  # C^- at xpos
+    d_plus = e0 - cum_plus.node_cum  # D^+ at xneg
+    a_pos, w_pos, fac_pos = _outward_cells(potential, gamma, h, +1, xpos, cum_minus, cfg)
+    a_neg, w_neg, fac_neg = _outward_cells(potential, gamma, h, -1, xneg, lambda xi: e0 - cum_plus(xi), cfg)
+    k1 = complex(np.sum(a_pos) + c_minus[-1] * fac_pos)
+    k2 = complex(np.sum(a_neg) + d_plus[0] * fac_neg)
+    return k1, k2, (xpos, c_minus, a_pos, w_pos, fac_pos), (xneg, d_plus, a_neg, w_neg, fac_neg)
+
+
+def _k_plus_minus(potential, gamma, h, cfg, tol):
+    """(k+, k-, pos, neg) with (k+, k-) = Z^{-1} [[1, psi+], [psi-, 1]] (k1, k2)
+    at a gamma off the spectrum; ResolventAtEigenvalueError where |Z| <= tol."""
+    values = CharFunctionHandle(potential, "full", cfg).values_batch(gamma)
+    z = complex(_z_and_dz("full", *values)[0][0])
+    pp, _, pm, _ = (complex(v[0]) for v in values)
+    if abs(z) <= tol:
+        raise ResolventAtEigenvalueError(gamma, abs(z), tol)
+    k1, k2, pos, neg = _resolvent_sums(potential, gamma, h, cfg)
+    return (k1 + pp * k2) / z, (pm * k1 + k2) / z, pos, neg
 
 
 def apply_resolvent(
@@ -552,7 +573,7 @@ def apply_resolvent(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     tol: float = 1e-8,
 ) -> GridFunction:
-    """f = (gamma - L)^{-1} h on h's grid.
+    """f = (gamma - L)^{-1} h on h's grid, which must hold x = 0.
 
     Inward half lines use the constant-plus-cumulative displays; outward half
     lines use the equivalent decaying integrals (see module docstring), summed
@@ -560,35 +581,10 @@ def apply_resolvent(
     One sweep per outward half line gives both k1, k2 (hence k+, k-) and f.
     """
     gamma = _check_gamma_tol(gamma, tol)
-    values = CharFunctionHandle(potential, "full", cfg).values_batch(gamma)
-    z = complex(_z_and_dz("full", *values)[0][0])
-    pp, _, pm, _ = (complex(v[0]) for v in values)
-    if abs(z) <= tol:
-        raise ResolventAtEigenvalueError(gamma, abs(z), tol)
-
-    xs = h.xs
-    mid = int(np.argmin(np.abs(xs)))
-    if xs[mid] != 0.0:
+    if not np.any(h.xs == 0.0):
         raise DomainError("resolvent grid must contain x = 0 exactly")
-    xpos = xs[mid:]
-    xneg = xs[: mid + 1]
-
-    # C^-(xi) = int_0^xi e^{gamma eta} h^-(eta) d eta            (xi >= 0)
-    cum_minus = _ExpCumulative(gamma, xpos, h.minus[mid:])
-    # E(xi) = int_{-R}^xi e^{-gamma eta} h^+(eta) d eta, D^+(xi) = E(0) - E(xi)
-    cum_plus = _ExpCumulative(-gamma, xneg, h.plus[: mid + 1])
-    e0 = cum_plus.total
-    c_minus = cum_minus.node_cum  # C^- at xpos
-    d_plus = e0 - cum_plus.node_cum  # D^+ at xneg
-
-    a_pos, w_pos, fac_pos = _outward_cells(potential, gamma, h, +1, xpos, cum_minus, cfg)
-    a_neg, w_neg, fac_neg = _outward_cells(
-        potential, gamma, h, -1, xneg, lambda xi: e0 - cum_plus(xi), cfg
-    )
-    k1 = complex(np.sum(a_pos) + c_minus[-1] * fac_pos)
-    k2 = complex(np.sum(a_neg) + d_plus[0] * fac_neg)
-    kp = (k1 + pp * k2) / z
-    km = (pm * k1 + k2) / z
+    kp, km, pos, neg = _k_plus_minus(potential, gamma, h, cfg, tol)
+    (xpos, c_minus, a_pos, w_pos, fac_pos), (xneg, d_plus, a_neg, w_neg, fac_neg) = pos, neg
 
     # f+ on x > 0: suffix sums of the cells of e^{-g xi - U}(h+ + U' f-)
     suffix = np.concatenate([np.cumsum((a_pos + km * w_pos)[::-1])[::-1], [0.0 + 0.0j]])
@@ -613,13 +609,13 @@ def k_coefficients(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     tol: float = 1e-8,
 ) -> Tuple[complex, complex]:
-    """(k+, k-) = Z(gamma)^{-1} [[1, psi+], [psi-, 1]] K(gamma) h.
+    """(k+, k-) = Z(gamma)^{-1} [[1, psi+], [psi-, 1]] (k1, k2).
 
-    These are the x = 0 values of the resolvent, f+(0) and f-(0).
+    These are the x = 0 values of the resolvent, f+(0) and f-(0), taken
+    from the half-line sums without assembling f on the grid.
     """
-    f = apply_resolvent(potential, gamma, h, cfg, tol)
-    mid = f.xs.size // 2
-    return complex(f.plus[mid]), complex(f.minus[mid])
+    kp, km, _, _ = _k_plus_minus(potential, _check_gamma_tol(gamma, tol), h, cfg, tol)
+    return complex(kp), complex(km)
 
 
 def resolvent_defect(
@@ -637,20 +633,12 @@ def resolvent_defect(
     """
     xs = f.xs
     step = f.step
-    lam_p = switching_rate(potential, SwitchingRateSpec(), xs, +1)
-    lam_m = switching_rate(potential, SwitchingRateSpec(), xs, -1)
     defects = []
-    for theta, vals, other, lam in (
-        (+1, f.plus, f.minus, lam_p),
-        (-1, f.minus, f.plus, lam_m),
-    ):
+    for theta, vals, other, target in ((+1, f.plus, f.minus, h.plus), (-1, f.minus, f.plus, h.minus)):
+        lam = switching_rate(potential, SwitchingRateSpec(), xs, theta)
         d = np.zeros_like(vals)
-        d[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (
-            12.0 * step
-        )
-        lf = theta * d + lam * (other - vals)
-        target = h.plus if theta > 0 else h.minus
-        defects.append(np.abs(complex(gamma) * vals - lf - target))
+        d[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12.0 * step)
+        defects.append(np.abs(complex(gamma) * vals - (theta * d + lam * (other - vals)) - target))
     mask = (np.abs(xs) >= exclude) & (np.abs(xs) <= xs[-1] - 2.5 * step)
     scale = max(np.max(np.abs(h.plus)), np.max(np.abs(h.minus)))
     if scale == 0.0:
@@ -666,23 +654,39 @@ def _require_simple(f: PiecewiseEigenfunction) -> None:
         raise NonSimpleEigenvalueError(f.gamma, abs(f.z_prime))
 
 
-def _pair(a: Callable, rate: complex, f: PiecewiseEigenfunction, sign: int) -> complex:
-    """Bilinear pairing of a with the eigenfunction f (no conjugate taken).
-
-    full f: sum_theta int a(x,theta) f(x, sign theta) e^{-U} dx on E;
-    plus/minus f: int a(x) f(sign x) e^{-U} dx on R.  sign -1 pairs against
-    F conj(f) or J conj(f), +1 against conj(f).  |a| <= e^{|Re rate| |x|}
-    oscillating at 2 |Im rate| (rate = gamma for an eigenfunction a, the
-    growth bound for a bare h); the truncation and oscillation guards sum
-    both sides' bounds.
-    """
-    growth = abs(rate.real) + abs(f.gamma.real)
-    osc = 2.0 * (abs(rate.imag) + abs(f.gamma.imag))
+def _pair(h: Callable, growth: float, f: PiecewiseEigenfunction) -> complex:
+    """<h, F conj f> on E for full f, <h, J conj f>_nu on R for plus/minus f:
+    h paired bilinearly with f reflected.  |h| <= e^{growth |x|}; the
+    truncation and oscillation guards add f's e^{|Re gamma| |x|} and its
+    frequency 2 |Im gamma|."""
+    kw = dict(growth=abs(growth) + abs(f.gamma.real), oscillation=2.0 * abs(f.gamma.imag))
     if f.variant == "full":
-        pairing, b = inner_product_mu, lambda x, th: np.conj(f.component(x, sign * th))
-    else:
-        pairing, b = inner_product_nu, lambda x: np.conj(f.component(sign * x))
-    return pairing(a, b, f.potential, f.cfg, growth=growth, oscillation=osc)[0]
+        return inner_product_mu(h, lambda x, th: np.conj(f.component(x, -th)), f.potential, f.cfg, **kw)[0]
+    return inner_product_nu(h, lambda x: np.conj(f.component(-x)), f.potential, f.cfg, **kw)[0]
+
+
+def _self_pairings(f: PiecewiseEigenfunction) -> Tuple[complex, complex]:
+    """(<f, conj f>, <f, F conj f>) on E, (<f, conj f>_nu, <f, J conj f>_nu) on R.
+
+    Both bilinear, from one adaptive pass whose integrand evaluates each
+    component of f once per call: rows [f+^2, f-^2, f+ f-] e^{-U} on E and
+    [f(x)^2, f(x) f(-x)] e^{-U} on R.
+    """
+
+    def rows(x):
+        if f.variant == "full":
+            fp, fm = f.component(x, +1), f.component(x, -1)
+            prods = [fp * fp, fm * fm, fp * fm]
+        else:
+            both = f.component(np.concatenate([x, -x]))
+            prods = [both[: x.size] ** 2, both[: x.size] * both[x.size :]]
+        return np.stack(prods) * np.exp(-f.potential.U(x))
+
+    g = f.gamma
+    val, _ = _truncated_pairing(rows, f.potential, f.cfg, 2.0 * abs(g.real), 4.0 * abs(g.imag), (0.0,))
+    if f.variant == "full":
+        return complex(val[0] + val[1]), complex(2.0 * val[2])
+    return complex(val[0]), complex(val[1])
 
 
 def spectral_projection(
@@ -696,34 +700,23 @@ def spectral_projection(
 ) -> Tuple[complex, PiecewiseEigenfunction]:
     """Rank-one projection P_gamma h = coefficient * f_gamma at a simple root.
 
-    full: coefficient = <h, F conj(f)> / <f, F conj(f)>;
-    plus/minus: <h, J conj(f)>_nu / <f, J conj(f)>_nu with h a function on R
-    (a GridFunction, which lives on E, raises DomainError).
-    growth bounds |h| by e^{growth |x|} when h is a bare callable (irrelevant
-    for GridFunctions, which vanish off their grid).
+    full: coefficient = <h, F conj(f)> / (Z'(gamma) / psi-(gamma));
+    plus/minus: <h, J conj(f)>_nu / Z'_branch(gamma) with h a function on R
+    (a GridFunction, which lives on E, raises DomainError).  P_gamma is the
+    residue of the resolvent at gamma, so a GridFunction's numerator is
+    k1 + psi+ k2 from the resolvent's half-line sums; a callable's is the
+    adaptive pairing, with growth bounding |h| by e^{growth |x|}.
     """
     if variant != "full" and isinstance(h, GridFunction):
-        raise DomainError(
-            f"the {variant!r} projection takes a function on R, not a GridFunction on E"
-        )
+        raise DomainError(f"the {variant!r} projection takes a function on R, not a GridFunction on E")
     f = eigenfunction(potential, gamma, variant, cfg, tol)
     _require_simple(f)
-    den = _pair(f, f.gamma, f, -1)
     if isinstance(h, GridFunction):
-        cells, _ = gk_cells(
-            lambda xi: np.stack(
-                [
-                    h.component(xi, +1) * f.component(xi, -1),
-                    h.component(xi, -1) * f.component(xi, +1),
-                ]
-            )
-            * np.exp(-potential.U(xi)),
-            h.xs,
-        )
-        num = np.sum(cells)
+        k1, k2, _, _ = _resolvent_sums(potential, f.gamma, h, cfg)
+        num = k1 + f.psi_plus * k2
     else:
-        num = _pair(h, growth, f, -1)
-    return num / den, f
+        num = _pair(h, growth, f)
+    return num / (f.z_prime / f.psi_minus if variant == "full" else f.z_prime), f
 
 
 def z_prime_consistency(
@@ -739,7 +732,7 @@ def z_prime_consistency(
     plus/minus:  (dZ^pm/dgamma,  <f^pm, J conj(f^pm)>_nu).
     """
     f = eigenfunction(potential, gamma, variant, cfg, tol)
-    rhs = _pair(f, f.gamma, f, -1)
+    rhs = _self_pairings(f)[1]
     if variant == "full":
         rhs = f.psi_minus * rhs
     return f.z_prime, rhs

@@ -17,7 +17,7 @@ import dataclasses
 from typing import Optional, Tuple
 
 from .errors import DomainError, NonSimpleEigenvalueError
-from .operator import _pair, _require_simple, eigenfunction
+from .operator import _require_simple, _self_pairings, eigenfunction
 from .potential import PotentialModel, parse_potential
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .spectrum import SpectrumResult
@@ -39,8 +39,8 @@ def refreshment_coefficient(
     """mu = <f_gamma, conj f_gamma> / <f_gamma, F conj f_gamma> - 1 for B = F - I."""
     f = eigenfunction(potential, gamma, "full", cfg)
     _require_simple(f)
-    den = _pair(f, f.gamma, f, -1)
-    return _pair(f, f.gamma, f, +1) / den - 1.0
+    num, den = _self_pairings(f)
+    return num / den - 1.0
 
 
 def refreshment_coefficient_symmetric(
@@ -54,9 +54,8 @@ def refreshment_coefficient_symmetric(
         raise DomainError(f"branch must be plus or minus, got {branch!r}")
     f = eigenfunction(potential, gamma, branch, cfg)
     _require_simple(f)
-    den = _pair(f, f.gamma, f, -1)
-    sign = 1.0 if branch == "plus" else -1.0
-    return sign * _pair(f, f.gamma, f, +1) / den - 1.0
+    num, den = _self_pairings(f)
+    return (num if branch == "plus" else -num) / den - 1.0
 
 
 @dataclasses.dataclass(frozen=True)

@@ -43,6 +43,22 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ------------------------------------------------------------- grids and tails
 
 
+def test_phi12_matches_mpmath_on_both_sides_of_the_series_switch():
+    # below |z| = 0.25 the Horner series takes only the terms the largest |z|
+    # needs: check each z alone (fewest terms) and in one mixed array
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    zs = np.array([0.0, 1e-9j, 0.004 - 0.009j, 0.1 + 0.2j, -0.2499, 0.2501j, 0.7 - 1.3j])
+    p1, p2 = operator._phi12(zs)
+    for i, z in enumerate(zs):
+        zm = mpmath.mpc(z)
+        e1 = (mpmath.exp(zm) - 1) / zm if z else mpmath.mpf(1)
+        e2 = (mpmath.exp(zm) * (zm - 1) + 1) / zm**2 if z else mpmath.mpf(0.5)
+        (a,), (b,) = operator._phi12(zs[i : i + 1])
+        for got, want, tol in ((a, e1, 1e-15), (b, e2, 4e-15), (p1[i], e1, 1e-15), (p2[i], e2, 4e-15)):
+            assert abs(got - complex(want)) <= tol * abs(complex(want))
+
+
 def test_grid_radius_gaussian(gaussian_potential):
     # smallest 1/256 lattice point with U > 14 log 10, i.e. x^2/2 > 32.24
     assert grid_radius(gaussian_potential) == 8.03125
@@ -372,11 +388,13 @@ def test_resolvent_defect_off_the_gaussian():
 
 
 def test_k_coefficients_are_the_resolvent_at_zero(gaussian_potential):
-    h = _seeded_input(gaussian_potential, 3)
+    # k_coefficients skips assembling f, yet equals f at x = 0 bit for bit
     g = 1.0 + 0.5j
-    f = apply_resolvent(gaussian_potential, g, h)
-    mid = int(np.flatnonzero(f.xs == 0.0)[0])
-    assert k_coefficients(gaussian_potential, g, h) == (f.plus[mid], f.minus[mid])
+    for pot in (gaussian_potential, beta_family(2.5)):
+        h = _seeded_input(pot, 3)
+        f = apply_resolvent(pot, g, h)
+        mid = int(np.flatnonzero(f.xs == 0.0)[0])
+        assert k_coefficients(pot, g, h) == (f.plus[mid], f.minus[mid])
 
 
 def test_resolvent_sweeps_each_half_line_once(gaussian_potential, monkeypatch):
@@ -508,6 +526,50 @@ def test_one_psi_pass_per_gamma(beta25_spectrum, monkeypatch):
             calls.clear()
             call()
             assert len(calls) == 1
+
+
+def _oracle_projection(pot, gamma, h):
+    # the per-node route: GK15 on each cell of h's grid, 0 added as an edge
+    # (f kinks there), of h f(., -theta) e^{-U}, over the adaptive <f, F conj f>
+    f = eigenfunction(pot, gamma)
+    cells, _ = operator.gk_cells(
+        lambda x: np.stack([h(x, th) * f.component(x, -th) for th in (+1, -1)]) * np.exp(-pot.U(x)),
+        np.union1d(h.xs, [0.0]),
+    )
+    growth, osc = 2.0 * abs(f.gamma.real), 4.0 * abs(f.gamma.imag)
+    b = lambda x, th: np.conj(f.component(x, -th))
+    den, _ = inner_product_mu(f.component, b, pot, growth=growth, oscillation=osc)
+    return np.sum(cells) / den
+
+
+def _even_grid(pot, n=1000):
+    # symmetric, with no node at x = 0
+    half = np.linspace(0.5, n - 0.5, n) * (grid_radius(pot) / (n - 0.5))
+    return np.concatenate([-half[::-1], half])
+
+
+@pytest.mark.parametrize("family", ["gaussian:1", "beta:2.5"])
+def test_grid_projection_matches_the_per_node_route(family, beta25_spectrum):
+    # P_gamma is the resolvent's residue: k1 + psi+ k2 over Z'/psi- must
+    # reproduce the per-node pairing, on an odd grid and on an even one
+    pot = gaussian(1.0) if family == "gaussian:1" else beta_family(2.5)
+    if family == "gaussian:1":
+        gammas = GAUSSIAN_EIGENVALUES[:4]
+    else:
+        gammas = [0j] + [r.gamma for r in beta25_spectrum.eigenvalues if r.gamma.imag > 0]
+    assert len(gammas) == 4
+    a, b, c, d = np.random.default_rng(11).normal(size=4)
+    fn = lambda x, th: (a + b * x + c * x * x + d * th * x) * np.exp(-x * x / 2.5)
+    even = _even_grid(pot)
+    hs = (GridFunction.from_callable(pot, fn), GridFunction(even, fn(even, +1), fn(even, -1)))
+    for g in gammas:
+        for h in hs:
+            got, _ = spectral_projection(pot, g, h)
+            want = _oracle_projection(pot, g, h)
+            assert abs(got - want) <= 1e-12 * abs(want)
+    # the resolvent itself still needs the x = 0 node
+    with pytest.raises(DomainError, match="x = 0"):
+        apply_resolvent(pot, 1.0 + 0.5j, hs[1])
 
 
 def test_projection_symmetric_variant(gaussian_potential):

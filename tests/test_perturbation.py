@@ -3,14 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import GAUSSIAN_EIGENVALUES, GAUSSIAN_GAP
+from conftest import GAUSSIAN_BRANCHES, GAUSSIAN_EIGENVALUES, GAUSSIAN_GAP
+from zigzagspec import operator
 from zigzagspec.errors import DomainError
+from zigzagspec.operator import eigenfunction, inner_product_mu, inner_product_nu
 from zigzagspec.perturbation import (
     PerturbedEigenvalue,
     perturbed_spectrum,
     refreshment_coefficient,
     refreshment_coefficient_symmetric,
 )
+from zigzagspec.potential import beta_family, gaussian
 from zigzagspec.spectrum import EigenvalueRecord
 
 G1 = GAUSSIAN_EIGENVALUES[1]
@@ -45,6 +48,71 @@ def test_full_route_matches_branch_route(gaussian_potential):
     mu_full = refreshment_coefficient(gaussian_potential, G2)
     mu_sym = refreshment_coefficient_symmetric(gaussian_potential, G2, "plus")
     assert abs(mu_full - mu_sym) / abs(mu_full) < 1e-6
+
+
+def _two_pass_coefficient(pot, gamma, branch):
+    # the separate pairings <f, conj f> and <f, F conj f> (J on R), each its
+    # own adaptive inner_product_mu / _nu pass
+    f = eigenfunction(pot, gamma, branch)
+    kw = dict(growth=2.0 * abs(gamma.real), oscillation=4.0 * abs(gamma.imag))
+    if branch == "full":
+        num, _ = inner_product_mu(f, lambda x, th: np.conj(f(x, th)), pot, **kw)
+        den, _ = inner_product_mu(f, lambda x, th: np.conj(f(x, -th)), pot, **kw)
+        return num / den - 1.0
+    num, _ = inner_product_nu(f, lambda x: np.conj(f(x)), pot, **kw)
+    den, _ = inner_product_nu(f, lambda x: np.conj(f(-x)), pot, **kw)
+    return (num if branch == "plus" else -num) / den - 1.0
+
+
+@pytest.mark.parametrize("family", ["gaussian:1", "beta:2.5"])
+def test_one_pass_coefficients_match_two_pairings(family, beta25_spectrum):
+    # the upper members of the rightmost 3 pairs (a lower member takes the
+    # conjugate in perturbed_spectrum), full and branch form
+    if family == "gaussian:1":
+        pot = gaussian(1.0)
+        pairs = list(zip(GAUSSIAN_EIGENVALUES[1:4], GAUSSIAN_BRANCHES[1:4]))
+    else:
+        pot = beta_family(2.5)
+        pairs = [(r.gamma, r.branch) for r in beta25_spectrum.eigenvalues if r.gamma.imag > 0]
+    assert len(pairs) == 3
+    for gamma, branch in pairs:
+        for got, form in (
+            (refreshment_coefficient(pot, gamma), "full"),
+            (refreshment_coefficient_symmetric(pot, gamma, branch), branch),
+        ):
+            want = _two_pass_coefficient(pot, gamma, form)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_a_coefficient_evaluates_each_component_once_per_call(monkeypatch):
+    # the rows [f+^2, f-^2, f+ f-] (on R: [f(x)^2, f(x) f(-x)]) share one
+    # component evaluation per theta per integrand call
+    pot = beta_family(2.5)
+    gamma = -0.38831292790997046 + 1.1558647440283112j
+    thetas, calls = [], []
+    component = operator.PiecewiseEigenfunction.component
+    integrate = operator.integrate_finite
+
+    def counted_component(self, x, theta=+1):
+        thetas.append(theta)
+        return component(self, x, theta)
+
+    def counted_integrate(f, *args, **kwargs):
+        def g(x):
+            calls.append(x.size)
+            return f(x)
+
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(operator.PiecewiseEigenfunction, "component", counted_component)
+    monkeypatch.setattr(operator, "integrate_finite", counted_integrate)
+    refreshment_coefficient(pot, gamma)
+    assert len(calls) >= 1
+    assert thetas.count(+1) == thetas.count(-1) == len(calls)
+    thetas.clear()
+    calls.clear()
+    refreshment_coefficient_symmetric(pot, gamma, "minus")
+    assert len(calls) >= 1 and thetas == [+1] * len(calls)
 
 
 def test_symmetric_route_rejects_bad_branch(gaussian_potential):
