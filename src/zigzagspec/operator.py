@@ -106,7 +106,7 @@ def _phi12(z):
     if small.any():
         zs = z[small]
         n = int(np.argmax(mag[small].max() ** _K * _PHI1_C < 1e-17))
-        s1, s2 = np.full_like(zs, _PHI1_C[n - 1]), np.full_like(zs, _PHI2_C[n - 1])
+        s1, s2 = _PHI1_C[n - 1], _PHI2_C[n - 1]  # scalars until the first step
         for k in range(n - 2, -1, -1):
             s1 = s1 * zs + _PHI1_C[k]
             s2 = s2 * zs + _PHI2_C[k]
@@ -127,10 +127,10 @@ class _ExpCumulative:
         self.xs = np.asarray(xs, dtype=float)
         self.vals = np.asarray(vals, dtype=complex)
         tau = np.diff(self.xs)
-        v0 = self.vals[:-1]
-        slope = np.diff(self.vals) / tau
+        self.slope = np.diff(self.vals) / tau
+        self.grow = np.exp(self.gamma * self.xs[:-1])
         p1, p2 = _phi12(self.gamma * tau)
-        segs = np.exp(self.gamma * self.xs[:-1]) * (v0 * tau * p1 + slope * tau * tau * p2)
+        segs = self.grow * (self.vals[:-1] * tau * p1 + self.slope * tau * tau * p2)
         self.node_cum = np.concatenate([[0.0 + 0.0j], np.cumsum(segs)])
 
     @property
@@ -143,11 +143,8 @@ class _ExpCumulative:
         xc = np.clip(np.atleast_1d(x), self.xs[0], self.xs[-1])
         i = np.clip(np.searchsorted(self.xs, xc, side="right") - 1, 0, len(self.xs) - 2)
         tau = xc - self.xs[i]
-        slope = (self.vals[i + 1] - self.vals[i]) / (self.xs[i + 1] - self.xs[i])
         p1, p2 = _phi12(self.gamma * tau)
-        part = np.exp(self.gamma * self.xs[i]) * (
-            self.vals[i] * tau * p1 + slope * tau * tau * p2
-        )
+        part = self.grow[i] * (self.vals[i] * tau * p1 + self.slope[i] * tau * tau * p2)
         out = self.node_cum[i] + part
         return complex(out[0]) if scalar else out
 

@@ -90,6 +90,7 @@ _GAUSS_W[7] = _WG[3]
 
 _MAX_PANELS = 20000
 _MAX_INITIAL = 512
+_BLOCK = 256  # panels per call of f in _panels
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,14 +179,18 @@ def _tolerance(value, floor, cfg):
 
 
 def _panels(f, a, b):
-    """Evaluate GK15 on every panel [a[i], b[i]] with one call of f.
+    """Evaluate GK15 on every panel [a[i], b[i]], one call of f per _BLOCK panels.
 
     Returns (K, E, N, batch_flag), the first three shaped (panels, rows):
     N is the roundoff floor, eps times the L1 mass of the panel.  Panels
     whose |K - G| sits at that floor cannot be improved by further bisection
-    and are retired.  Panel-major storage keeps the per-round
-    gathers and sums contiguous when there are thousands of rows.
+    and are retired.  Panel-major storage keeps the per-round gathers and
+    sums contiguous when there are thousands of rows; blocks keep every
+    temporary small however many panels there are.
     """
+    if a.size > _BLOCK:
+        *parts, batch = zip(*(_panels(f, a[i : i + _BLOCK], b[i : i + _BLOCK]) for i in range(0, a.size, _BLOCK)))
+        return (*map(np.concatenate, parts), batch[0])
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = (c[:, None] + h[:, None] * _NODES).ravel()
@@ -208,14 +213,8 @@ def _panels(f, a, b):
 def _initial_edges(a, b, oscillation, breakpoints):
     """Cut points for the initial subdivision: user breakpoints plus enough
     uniform cuts that each panel spans at most one oscillation period."""
-    pts = [a, b]
-    if breakpoints is None:
-        breakpoints = ()
-    for p in np.atleast_1d(np.asarray(breakpoints, dtype=float)):
-        p = float(p)
-        if a < p < b:
-            pts.append(p)
-    pts = sorted(set(pts))
+    inner = np.asarray(() if breakpoints is None else breakpoints, dtype=float).ravel()
+    pts = sorted({a, b, *(float(p) for p in inner if a < p < b)})
     if oscillation and oscillation > 0.0:
         period = 2.0 * math.pi / oscillation
         want = sum(max(1, math.ceil((q - p) / period)) for p, q in zip(pts, pts[1:]))

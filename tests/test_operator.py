@@ -399,19 +399,23 @@ def test_k_coefficients_are_the_resolvent_at_zero(gaussian_potential):
 
 def test_resolvent_sweeps_each_half_line_once(gaussian_potential, monkeypatch):
     # k+- and f come from one GK15 sweep per outward half line, so each
-    # cumulative is evaluated once at that half line's GK nodes
+    # cumulative is evaluated once at each of that half line's GK nodes (the
+    # sweep calls it block by block, in ascending order)
     h = _seeded_input(gaussian_potential, 5)
-    sizes = []
+    nodes = {}
     call = operator._ExpCumulative.__call__
 
     def counted(self, x):
-        sizes.append(np.size(x))
+        nodes.setdefault(id(self), []).append(np.asarray(x))
         return call(self, x)
 
     monkeypatch.setattr(operator._ExpCumulative, "__call__", counted)
     apply_resolvent(gaussian_potential, 1.0 + 0.5j, h)
     gk_nodes = 15 * (h.xs.size // 2)  # one GK15 panel per cell of a half line
-    assert sizes.count(gk_nodes) == 2
+    assert len(nodes) == 2
+    for parts in nodes.values():
+        xs = np.concatenate(parts)
+        assert xs.size == gk_nodes and np.all(np.diff(xs) > 0)
 
 
 def test_resolvent_rejects_spectrum_points(gaussian_potential):

@@ -133,6 +133,29 @@ def test_each_contour_segment_is_integrated_once(monkeypatch):
     assert len(set(segments)) == len(segments)
 
 
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
+def test_coarse_start_resolves_a_narrow_peak_near_an_edge(d):
+    # a root at distance d from an edge makes f'/f a peak of width d there;
+    # the edge quadrature starts on a quarter of the phase skeleton and must
+    # still find it, on a horizontal and on a vertical edge, from either side
+    import zigzagspec.rootfinder as rf
+
+    inside = [0.3 + (-1.0 + d) * 1j, (1.0 - d) - 0.2j]
+    outside = [-0.4 + (-1.0 - d) * 1j, (1.0 + d) + 0.45j]
+    f, ld = poly_funcs(inside + outside)
+    region = ComplexRegion(-1.0, 1.0, -1.0, 1.0)
+    w_tel, moments, _ = rf._contour_moments(
+        rf._as_vectorized(f), rf._as_vectorized(ld), region, DEFAULT_ROOT_CONFIG, region.edge_samples, {}
+    )
+    assert round(w_tel) == 2
+    assert abs(moments[0] - w_tel) < 0.05
+    assert count_zeros(ld, region, f=f) == 2
+    rs = locate_zeros(f, ld, region)
+    assert rs.total_multiplicity() == 2
+    for r in inside:
+        assert min(abs(z - r) for z in rs.locations()) < 1e-9
+
+
 def test_negative_winding_rejected():
     # 1/(z - a) has a pole: winding -1 must be flagged, not silently returned
     def f(z):

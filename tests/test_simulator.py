@@ -15,6 +15,7 @@ from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussia
 from zigzagspec.simulator import (
     ZigzagPath,
     _DrawBuffer,
+    _target_cdf,
     autocorrelation,
     empirical_marginal,
     envelope_decay_rate,
@@ -236,6 +237,27 @@ def test_marginal_ks_thinned_family(potential, T):
     p = simulate(potential, CANON, 0.0, +1, T, seed=11)
     hist = empirical_marginal(p)
     assert hist.ks_statistic < 0.02
+
+
+def test_beta2_target_cdf_matches_the_gaussian_erf():
+    # beta:2 is exactly x^2/2, so the quadrature CDF behind the KS statistic
+    # must reproduce erf (3.8e-9 is what a 2^16-point trapezoid achieved)
+    ys = np.linspace(-8.0, 8.0, 8001)
+    err = np.abs(_target_cdf(beta_family(2.0), ys) - _target_cdf(gaussian(1.0), ys))
+    assert err.max() <= 3.8e-9
+
+
+def test_target_cdf_on_the_widest_beta_grid():
+    # beta:1.1 has the heaviest tails, hence the widest grid and coarsest cells
+    p = beta_family(1.1)
+    ys = np.linspace(-8.0, 8.0, 33)
+
+    def dens(x):
+        return math.exp(-float(p.U(x)))
+
+    half = quad(dens, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+    exact = [0.5 + math.copysign(quad(dens, 0.0, abs(y), epsabs=0.0, epsrel=1e-13)[0], y) / (2.0 * half) for y in ys]
+    assert np.max(np.abs(_target_cdf(p, ys) - exact)) <= 3.8e-9
 
 
 def test_marginal_explicit_edges(long_path):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from conftest import (
     GAUSSIAN_BRANCHES,
     GAUSSIAN_EIGENVALUES,
     GAUSSIAN_GAP,
+    match_sets,
     upper_half,
 )
 
@@ -162,6 +166,27 @@ def test_multiplicities_all_one(gaussian_spectrum):
 def test_eigenvalues_sorted_rightmost_first(gaussian_spectrum):
     res = [r.gamma.real for r in gaussian_spectrum.eigenvalues]
     assert res == sorted(res, reverse=True)
+
+
+def test_gaussian_default_spectrum_work_count(monkeypatch):
+    # a deterministic guard on the contour work: the gammas handed to Z'/Z
+    # while finding the 43 default-region eigenvalues of gaussian:1 (174,412
+    # when every edge started its quadrature on all 64 skeleton cells)
+    gammas = []
+
+    def counting(handle, g):
+        gammas.append(np.size(g))
+        return z_log_derivative_batch(handle, g)
+
+    monkeypatch.setattr(spectrum, "z_log_derivative_batch", counting)
+    result = compute_spectrum(gaussian(1.0))
+    assert sum(gammas) <= 60_000
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "eigenvalues.json"
+    reference = [complex(re, im) for re, im in json.loads(path.read_text())["cases"]["gaussian:1"]["eigenvalues"]]
+    reg = result.region
+    inside = [z for z in reference if reg.contains(z)]
+    assert len(result.eigenvalues) == len(inside) == 43
+    match_sets((r.gamma for r in result.eigenvalues), inside, 1e-12)
 
 
 def test_auto_region_gaussian(gaussian_potential):
