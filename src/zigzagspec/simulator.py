@@ -26,26 +26,16 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateObservableError,
-    DomainError,
-    InsufficientHorizonError,
-    SimulationError,
-)
+from .errors import DegenerateObservableError, DomainError, InsufficientHorizonError, SimulationError
 from .potential import PotentialModel, SwitchingRateSpec
 
-__all__ = [
-    "ZigzagPath",
-    "MarginalHistogram",
-    "simulate",
-    "empirical_marginal",
-    "autocorrelation",
-    "envelope_decay_rate",
-]
+__all__ = ["ZigzagPath", "MarginalHistogram", "simulate", "empirical_marginal", "autocorrelation",
+           "envelope_decay_rate"]
 
 _BLOCK = 1 << 16  # exponential/uniform draws are buffered in blocks
 _WINDOW = 1.0  # thinning window, in velocity-units of travel
 _CDF_CELLS = 4096  # Simpson cells of the non-Gaussian target CDF
+_PAIRS = 2048  # segment pairs per autocorrelation block
 
 
 class _DrawBuffer:
@@ -142,8 +132,7 @@ class ZigzagPath:
         # per segment, |{s : x0 + theta s > 0}| = clip of a linear crossing
         _, dt, x0, th = self.segments()
         x1 = x0 + th * dt
-        lo = np.minimum(x0, x1)
-        hi = np.maximum(x0, x1)
+        lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
         # occupation measure of a unit-speed segment is Lebesgue on [lo, hi]
         return float(np.clip(hi, 0.0, None).sum() - np.clip(lo, 0.0, None).sum())
 
@@ -286,30 +275,22 @@ def simulate(
 class _Occupation:
     """Exact occupation measure of a unit-speed piecewise-linear path.
 
-    G(y) = |{t in [0,T] : x(t) <= y}| as a sum over segments of
-    clip(y - lo, 0, hi - lo); sorted prefix sums make each query O(log n).
+    G(y) = |{t in [0,T] : x(t) <= y}| = sum (y - lo)_+ - sum (y - hi)_+ over the
+    segments [lo, hi]; sorted endpoints and their prefix sums make each query O(log n).
     """
 
     def __init__(self, path: ZigzagPath):
         _, dt, x0, th = path.segments()
         x1 = x0 + th * dt
-        lo = np.minimum(x0, x1)
-        hi = np.maximum(x0, x1)
         self.total = float(dt.sum())
-        self._lo_sorted = np.sort(lo)
-        self._cum_lo = _cumsum0(self._lo_sorted)
-        order = np.argsort(hi)
-        self._hi_sorted = hi[order]
-        self._cum_len_by_hi = _cumsum0((hi - lo)[order])
-        self._cum_lo_by_hi = _cumsum0(lo[order])
+        self._lo, self._hi = np.sort(np.minimum(x0, x1)), np.sort(np.maximum(x0, x1))
+        self._cum_lo, self._cum_hi = _cumsum0(self._lo), _cumsum0(self._hi)
 
     def cdf_times_T(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        n_lo = np.searchsorted(self._lo_sorted, y, side="right")
-        n_hi = np.searchsorted(self._hi_sorted, y, side="right")
-        closed = self._cum_len_by_hi[n_hi]
-        active = y * (n_lo - n_hi) - (self._cum_lo[n_lo] - self._cum_lo_by_hi[n_hi])
-        return closed + active
+        n_lo = np.searchsorted(self._lo, y, side="right")
+        n_hi = np.searchsorted(self._hi, y, side="right")
+        return y * (n_lo - n_hi) - (self._cum_lo[n_lo] - self._cum_hi[n_hi])
 
 
 def _cumsum0(v):
@@ -358,10 +339,8 @@ def empirical_marginal(path: ZigzagPath, bins=50) -> MarginalHistogram:
     if np.isscalar(bins):
         if not isinstance(bins, (int, np.integer)) or bins < 10:
             raise DomainError(f"need an integer bin count >= 10, got {bins!r}")
-        # the path can overshoot its event positions by up to the last flight
-        _, dt, x0, th = path.segments()
-        ends = np.concatenate((x0, x0 + th * dt))
-        edges = np.linspace(ends.min() - 1e-9, ends.max() + 1e-9, int(bins) + 1)
+        # the segment ends span the path, which can overshoot its events by the last flight
+        edges = np.linspace(occ._lo[0] - 1e-9, occ._hi[-1] + 1e-9, int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
         bad = edges.ndim != 1 or edges.size < 11 or not np.all(np.isfinite(edges))
@@ -380,25 +359,77 @@ def empirical_marginal(path: ZigzagPath, bins=50) -> MarginalHistogram:
 # autocorrelation
 
 
-def autocorrelation(
-    path: ZigzagPath,
-    observable: Callable,
-    lags: Sequence[float],
-) -> np.ndarray:
+def _pair_blocks(t, t1, lam):
+    """Blocks of at most _PAIRS segment pairs (i, j >= i) whose lag interval
+    (t_j - t1_i, t1_j - t_i) can hold a lag of [lam[0], lam[-1]]; each pass
+    moves every j up by one from the first j with t1_j > t_i + lam[0]."""
+    t_end = np.append(t, np.inf)  # j past the last segment ends its i
+    i, j = np.arange(t.size), np.searchsorted(t1, t + lam[0], side="right")
+    while (keep := t_end[j] - t1[i] < lam[-1]).any():
+        i, j = i[keep], j[keep]
+        for lo in range(0, i.size, _PAIRS):
+            yield i[lo : lo + _PAIRS], j[lo : lo + _PAIRS]
+        j = j + 1
+
+
+def _overlap_integrals(t, t1, lv, rv, lam):
+    """S(L) = int_0^{T-L} u(s) u(s + L) ds at the sorted lags lam, for u
+    linear on each segment [t_i, t1_i] from lv_i to rv_i."""
+    K, h = lam.size, t1 - t
+    slope, key_type = (rv - lv) / h, np.min_scalar_type(2 * K)
+    tot = np.zeros((4, 2 * K))  # Taylor coefficients entering (even) and leaving (odd) at each lag
+    for i, j in _pair_blocks(t, t1, lam):
+        hi, hj, li, lj, ri, rj, bi, bj = (v[k] for v in (h, lv, rv, slope) for k in (i, j))
+        m, L0, L3 = np.minimum(hi, hj), t[j] - t1[i], t1[j] - t[i]
+        edges = np.array((L0, L0 + m, L3 - m, L3))
+        k = np.searchsorted(lam, edges)
+        np.maximum(k[1], k[2], out=k[2])  # the windows tile despite rounding
+        # the pair's overlap integral is a cubic in y = L - origin on each window:
+        # rising from L0, linear while the shorter segment is held whole, falling to L3
+        a3, c1, c2 = bi * bj / 6.0, ri * lj, 0.5 * (ri * bj - bi * lj)
+        held = np.where(hi <= hj, 0.5 * bj * hi * (li + ri), -0.5 * bi * hj * (lj + rj))
+        zero = np.zeros_like(m)
+        coef = np.array(((zero, m * (c1 + m * (c2 - m * a3)), zero), (c1, held, -li * rj),
+                         (c2, zero, 0.5 * (bi * rj - li * bj)), (-a3, zero, a3))).reshape(4, -1)
+        origin, k_in, k_out = edges[[0, 1, 3]].ravel(), k[:3].ravel(), k[1:].ravel()
+        enter = np.flatnonzero(k_in < k_out)  # windows that hold a lag
+        leave = enter[k_out[enter] < K]
+        key = np.concatenate((2 * k_in[enter], 2 * k_out[leave] + 1))
+        order = np.argsort(key.astype(key_type), kind="stable")  # a radix sort
+        key, w = key[order], np.concatenate((enter, leave))[order]
+        y = lam[key >> 1] - origin[w]
+        b0, b1, b2, b3 = np.take(coef, w, axis=1)
+        q2 = b2 + 3.0 * b3 * y
+        q = np.array((b0 + y * (b1 + y * (b2 + y * b3)), b1 + y * (b2 + q2), q2, b3))
+        # reduceat sums each lag's run pairwise; summed in sequence, the thousands
+        # of coherent cubics entering at lag 0 would lose 1e-10
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        tot[:, key[first]] += np.add.reduceat(q, first, axis=1)
+    out, (r0, r1, r2, r3), prev = np.empty(K), np.zeros(4), lam[0]
+    for k, (lag, e0, e1, e2, e3) in enumerate(zip(lam.tolist(), *(tot[:, 0::2] - tot[:, 1::2]).tolist())):
+        d, prev = lag - prev, lag  # Taylor-shift the running cubic to this lag, then add
+        out[k] = r0 = r0 + d * (r1 + d * (r2 + d * r3)) + e0
+        r1, r2, r3 = r1 + d * (2.0 * r2 + 3.0 * r3 * d) + e1, r2 + 3.0 * r3 * d + e2, r3 + e3
+    return out
+
+
+def autocorrelation(path: ZigzagPath, observable: Callable, lags: Sequence[float]) -> np.ndarray:
     """Stationary autocorrelation of g along the path at the given lags.
 
-    The estimator integrates the product of the centered observable at s and
-    s + t over s in [0, T - t], on the merged breakpoint grid of the two time
-    shifts.  Both breakpoint lists are sorted, so a stable argsort merges
-    them, and the merge order names the segment owning each cell in either
-    copy; where the lists tie (always at lag 0) it leaves a zero-width cell,
-    which adds exactly 0.  For observables affine in x the cellwise product
-    is quadratic and the integral below is exact; smooth nonlinear
-    observables pick up an O(segment^2) quadrature error instead.
+    g is read as u, the linear interpolant of its segment-end values, and
+    C(L) = int_0^{T-L} u(s) u(s + L) ds / (T - L) for u centred.  One pass over
+    segment pairs i <= j serves every lag: a pair's overlap integral is, in L,
+    a cubic on at most three windows (rising, the shorter segment held whole,
+    falling), each in its own local variable.  A window's cubic enters a
+    running cubic at the first sorted lag inside it and leaves at the first lag
+    past it; one Taylor-shift sweep reads C(L) (T - L) at each lag.  A new lag
+    group starts wherever sorted lags are more than a mean flight T / (n + 1)
+    apart, so the cost is O(pairs in each group's lag span + lags).
 
-    Velocity-dependent observables are fine: values at a cell boundary are
-    taken from the segment owning the cell, so jumps at switches stay sharp.
-    Observable values must be real and finite at the segment ends.
+    u is g for observables affine in x on each segment (x, theta, x theta), so
+    those are exact up to rounding; a g nonlinear within segments gets the ACF
+    of its interpolant, O(segment^2) off.  Each segment keeps its own end
+    values, so jumps at switches stay sharp; they must be real and finite.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1 or lags.size == 0:
@@ -409,52 +440,24 @@ def autocorrelation(
         raise DomainError("lags must be nonnegative")
     T = path.horizon
     if float(np.max(lags)) > T / 10.0:
-        raise InsufficientHorizonError(
-            f"max lag {np.max(lags):g} exceeds a tenth of the horizon {T:g}"
-        )
+        raise InsufficientHorizonError(f"max lag {np.max(lags):g} exceeds a tenth of the horizon {T:g}")
 
     # segment-end values: exact mean and variance of the linear interpolant
-    _, dt, x0s, ths = path.segments()
+    t, dt, x0s, ths = path.segments()
     ends = np.array([observable(x, ths) for x in (x0s, x0s + ths * dt)])
     if np.iscomplexobj(ends) or not np.all(np.isfinite(ends)):
         raise DomainError("observable values must be real and finite along the path")
     left, right = ends.astype(float)
     mean = float(np.sum(0.5 * (left + right) * dt) / dt.sum())
-
-    def g(x, th):
-        return np.asarray(observable(x, th), dtype=float) - mean
-
     lv, rv = left - mean, right - mean
     var_direct = float(np.sum(dt / 3.0 * (lv * lv + lv * rv + rv * rv)) / dt.sum())
     if not (var_direct > 1e-12 * max(1.0, abs(mean)) ** 2):
-        raise DegenerateObservableError(
-            f"observable variance {var_direct:.3e} is numerically zero along the path"
-        )
+        raise DegenerateObservableError(f"observable variance {var_direct:.3e} is numerically zero along the path")
 
-    times, xs, thetas = path.times, path.positions, path.thetas
-    uptos = T - lags
-    # breakpoints of s -> g(s) in [0, upto] are times[:n1]; those of
-    # s -> g(s + lag) are times[j0:j1] - lag
-    n1s = np.searchsorted(times, uptos, side="left")
-    j0s = np.searchsorted(times, lags, side="right")
-    j1s = np.searchsorted(times, uptos + lags, side="left")
-    covs = np.empty(lags.size)
-    for j, (lag, upto, n1, j0, j1) in enumerate(zip(lags, uptos, n1s, j0s, j1s)):
-        grid = np.concatenate((times[:n1], times[j0:j1] - lag, [upto]))
-        order = np.argsort(grid, kind="stable")  # merges the two sorted runs
-        grid = grid[order]
-        a, h = grid[:-1], np.diff(grid)
-        # cell m follows seg1 + 1 entries of the first list, m - seg1 of the second
-        seg1 = np.cumsum(order[:-1] < n1) - 1
-        seg2 = np.arange(j0 - 1, j0 - 1 + h.size) - seg1
-        th1, th2 = thetas[seg1], thetas[seg2]
-        x1 = xs[seg1] + th1 * (a - times[seg1])
-        x2 = xs[seg2] + th2 * ((a + lag) - times[seg2])
-        u_a, u_b = g(x1, th1), g(x1 + th1 * h, th1)
-        v_a, v_b = g(x2, th2), g(x2 + th2 * h, th2)
-        # integral of (linear u)(linear v) over each cell
-        covs[j] = np.sum(h * ((2.0 * u_a + u_b) * v_a + (u_a + 2.0 * u_b) * v_b)) / (6.0 * upto)
-
+    lam, inverse = np.unique(lags, return_inverse=True)
+    groups = np.split(lam, np.flatnonzero(np.diff(lam) > T / t.size) + 1)
+    S = np.concatenate([_overlap_integrals(t, np.append(t[1:], T), lv, rv, g) for g in groups])
+    covs = (S / (T - lam))[inverse]
     # normalize by the lag-0 estimate when present so ACF(0) is exactly 1
     at_zero = np.nonzero(lags == 0.0)[0]
     var = covs[at_zero[0]] if at_zero.size else var_direct
@@ -477,11 +480,8 @@ def envelope_decay_rate(lags, values) -> float:
     before = np.concatenate(([-np.inf], vals[:-1]))
     after = np.concatenate((vals[1:], [np.inf]))
     keep = (vals >= before) & (vals >= after) & (vals > 0.0)
-    peaks_t = lags[keep]
-    peaks_v = vals[keep]
+    peaks_t, peaks_v = lags[keep], vals[keep]
     if peaks_t.size < 2:
-        raise DomainError(
-            "envelope fit needs at least two |ACF| peaks; extend the lag range"
-        )
+        raise DomainError("envelope fit needs at least two |ACF| peaks; extend the lag range")
     slope = np.polyfit(peaks_t, np.log(peaks_v), 1)[0]
     return float(-slope)

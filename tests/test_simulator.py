@@ -1,4 +1,6 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from zigzagspec.errors import (
     InsufficientHorizonError,
     SimulationError,
 )
+from zigzagspec import simulator
 from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussian, scale
 from zigzagspec.simulator import (
     ZigzagPath,
@@ -517,3 +520,86 @@ def test_acf_exact_for_affine_observable_on_tent_path():
     # without lag 0 the direct variance 1/12 normalizes
     acf = autocorrelation(path, lambda x, th: x, np.array([0.125]))
     assert acf[0] == pytest.approx(79.0 / 96.0, rel=0.0, abs=1e-14)
+
+
+def _exact_autocorrelation(path, observable, lags):
+    """The autocorrelation of g's segment-end interpolant in exact rational
+    arithmetic: the product of the linear pieces at s and s + L integrated
+    cell by cell over their merged breakpoint grid, normalized at lags[0] = 0."""
+    assert lags[0] == 0.0
+    t = [Fraction(v) for v in path.times.tolist()]
+    T = Fraction(path.horizon)
+    t1 = t[1:] + [T]
+    th = [int(v) for v in path.thetas.tolist()]
+    x0 = [Fraction(v) for v in path.positions.tolist()]
+    left = [observable(x, s) for x, s in zip(x0, th)]
+    right = [observable(x + s * (b - a), s) for x, s, a, b in zip(x0, th, t, t1)]
+    mean = sum((lo + hi) / 2 * (b - a) for lo, hi, a, b in zip(left, right, t, t1)) / T
+
+    def u(k, s):
+        return left[k] - mean + (right[k] - left[k]) * (s - t[k]) / (t1[k] - t[k])
+
+    covs = []
+    for lag in map(Fraction, lags.tolist()):
+        upto = T - lag
+        grid = sorted({v for v in t if v < upto} | {v - lag for v in t if lag < v < T} | {Fraction(0), upto})
+        total = Fraction(0)
+        for a, b in zip(grid[:-1], grid[1:]):
+            k1, k2 = bisect.bisect_right(t, a) - 1, bisect.bisect_right(t, a + lag) - 1
+            ua, ub, va, vb = u(k1, a), u(k1, b), u(k2, a + lag), u(k2, b + lag)
+            total += (b - a) / 6 * (2 * ua * va + ua * vb + ub * va + 2 * ub * vb)
+        covs.append(total / upto)
+    return np.array([float(c / covs[0]) for c in covs])
+
+
+@pytest.mark.parametrize("name", [*OBSERVABLES, "x**2"])
+def test_acf_matches_exact_rational_oracle(name):
+    # x**2 is not linear within a segment: the estimator and the oracle both
+    # take the ACF of its segment-end interpolant
+    observable = OBSERVABLES.get(name, lambda x, th: x * x)
+    path = simulate(gaussian(1.0), CANON, 0.0, +1, 500.0, seed=3)
+    lags = np.array([0.0, 0.37, 1.0, 4.2, 8.0])
+    got = autocorrelation(path, observable, lags)
+    assert got[0] == 1.0
+    np.testing.assert_allclose(got, _exact_autocorrelation(path, observable, lags), rtol=0.0, atol=1e-13)
+
+
+def test_acf_lag_order_duplicates_and_groups(monkeypatch):
+    path = simulate(gaussian(1.0), CANON, 0.0, +1, 2000.0, seed=9)
+    T = path.horizon
+    lags = np.array([0.0, 0.37, 1.0, T / 10.0])
+    want = autocorrelation(path, OBSERVABLES["x"], lags)
+    shuffled = autocorrelation(path, OBSERVABLES["x"], lags[[2, 3, 0, 1, 2, 0, 1]])
+    np.testing.assert_array_equal(shuffled, want[[2, 3, 0, 1, 2, 0, 1]])
+    # lags more than a mean flight (about 2.5) apart go to separate passes
+    groups, one_group = [], simulator._overlap_integrals
+    monkeypatch.setattr(simulator, "_overlap_integrals", lambda *a: groups.append(a[-1].tolist()) or one_group(*a))
+    got = autocorrelation(path, OBSERVABLES["x"], lags)
+    assert groups == [[0.0, 0.37, 1.0], [T / 10.0]]
+    np.testing.assert_allclose(got, _reference_autocorrelation(path, OBSERVABLES["x"], lags), rtol=0.0, atol=1e-12)
+
+
+def test_acf_windows_tile_where_rounding_crosses_their_edges():
+    # segments [a, b] and [c, d] are equally long, but in floating point the
+    # pair's held window ends at (d - a) - m before it starts at (c - b) + m;
+    # a lag at that end must still count the pair's overlap integral once
+    a, b, c, d = 1.4900835088361708, 1.617454294336161, 20.911060062099587, 21.038430847599578
+    m = min(b - a, d - c)
+    assert (c - b) + m > (d - a) - m
+    thetas = np.array([1, -1, 1, -1, 1])
+    gaps = np.diff([0.0, a, b, c, d, 300.0])
+    positions = -0.3 + np.concatenate(([0.0], np.cumsum(thetas[:-1] * gaps[:-1])))
+    path = _hand_path([0.0, a, b, c, d], positions, thetas, 300.0)
+    lags = np.array([0.0, (d - a) - m])
+    for name in ("x", "th"):
+        got = autocorrelation(path, OBSERVABLES[name], lags)
+        np.testing.assert_allclose(got, _exact_autocorrelation(path, OBSERVABLES[name], lags), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lag", [0.37, 4.2, 8.0])
+def test_acf_without_lag_zero_normalizes_by_the_interpolant_variance(lag):
+    # for x**2 too, the lag-0 covariance is the direct variance of the interpolant
+    path = simulate(gaussian(1.0), CANON, 0.0, +1, 500.0, seed=3)
+    square = lambda x, th: x * x  # noqa: E731
+    with_zero = autocorrelation(path, square, np.array([0.0, lag]))[1]
+    assert with_zero == pytest.approx(autocorrelation(path, square, np.array([lag]))[0], rel=0.0, abs=1e-13)
