@@ -97,11 +97,7 @@ class GapUndeterminedError(ZigzagError):
 
 
 class SimulationError(ZigzagError):
-    """Event-time construction failed; carries the offending time window."""
-
-    def __init__(self, message, window=None):
-        super().__init__(message)
-        self.window = window
+    """Event-time construction failed: U overflows along a flight."""
 
 
 class InsufficientHorizonError(ZigzagError):

@@ -86,10 +86,12 @@ class PotentialModel:
             return np.expm1(b / 2.0 * np.log1p(x * x)) / b
         return np.asarray(self.u_fn(x), dtype=float) - self.offset
 
-    def U_inverse(self, u):
-        """The radius r >= 0 with U(r) = u >= 0; scalars and arrays."""
+    def U_inverse(self, u, side=1):
+        """The radius r >= 0 with U(side r) = u >= 0; scalars and arrays, side
+        +1 or -1 or an array of them.  gaussian and beta are even and ignore
+        side; a custom U is solved numerically on its unit model."""
         if self.family == "custom":
-            raise DomainError(f"{self.descriptor()} has no closed-form inverse of U")
+            return self.sigma * _solve_U(self._unit, u, side, self.descriptor())
         if self.sigma != 1.0:
             return self.sigma * self._unit.U_inverse(u)
         u = np.asarray(u, dtype=float)
@@ -182,6 +184,39 @@ class SwitchingRateSpec:
             raise DomainError("only canonical switching rates are supported")
 
 
+def _solve_U(model, u, side, name):
+    """Radii r >= 0 with U(side r) = u (inf at u = inf) on a unit-width custom
+    model.  U rises on each side (custom()'s contract), so doubling from
+    min(sqrt(2u), 1) brackets r in [lo, hi]; Newton on U - u bisects wherever a
+    step leaves it or shrinks less than half (rtsafe), to a step of 1e-13 r."""
+    u, side = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(side, dtype=float))
+    shape, u, side = u.shape, u.ravel(), side.ravel()
+    if not np.all(u >= 0.0):
+        raise DomainError(f"{name} inverts U only at u >= 0, got u = {u[~(u >= 0.0)][0]!r}")
+    k = np.flatnonzero(u < math.inf)
+    lo, hi = np.zeros_like(u), np.where(u < math.inf, np.minimum(np.sqrt(2.0 * u), 1.0), math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # U may overflow far out
+        while (k := k[~(model.U(side[k] * hi[k]) >= u[k])]).size:
+            if (i := k[hi[k] == math.inf]).size:
+                raise DomainError(f"{name}: U stays below u = {u[i[0]]:.6g} on side {side[i[0]]:+.0f} (bounded U)")
+            lo[k], hi[k] = hi[k], 2.0 * hi[k]
+        r, step, k = hi.copy(), hi - lo, np.flatnonzero(u < math.inf)
+        for _ in range(200):
+            x = side[k] * r[k]
+            f, df = model.U(x) - u[k], side[k] * model.dU(x)
+            if np.any(bad := df < 0.0):
+                raise DomainError(f"{name}: U' has the wrong sign at x = {x[bad][0]:.6g} "
+                                  f"(inverting U = {u[k][bad][0]:.6g})")
+            lo[k], hi[k] = np.where(f < 0.0, r[k], lo[k]), np.where(f > 0.0, r[k], hi[k])
+            nxt = r[k] - f / df
+            newton = (np.abs(2.0 * (nxt - r[k])) <= np.abs(step[k])) & (lo[k] <= nxt) & (nxt <= hi[k])
+            nxt = np.where(newton, nxt, 0.5 * (lo[k] + hi[k]))
+            step[k], r[k] = nxt - r[k], nxt
+            if not (k := k[~(np.abs(step[k]) <= 1e-13 * nxt)]).size:
+                break
+    return r.reshape(shape)[()]
+
+
 def gaussian(sigma: float = 1.0) -> PotentialModel:
     """U(x) = x^2 / (2 sigma^2); invariant marginal N(0, sigma^2)."""
     return scale(PotentialModel(family="gaussian"), sigma)
@@ -200,8 +235,12 @@ def beta_family(beta: float) -> PotentialModel:
 def custom(u_fn, du_fn, d2u_fn=None, label: str = "custom") -> PotentialModel:
     """Wrap user callables; U is shifted so that U(0) = 0.
 
-    The second-derivative hook is optional; without it the curvature-based
-    assumption checks are skipped and reported as not-checked.
+    Contract (the paper's A3): U falls left of 0, rises right of it and is
+    unbounded on both sides.  ``U_inverse``, which the sampler uses, relies on
+    it and raises DomainError where it meets U' of the wrong sign or a bounded
+    side; only the sign of U' near 0 is checked here.  The second-derivative
+    hook is optional; without it the curvature-based assumption checks are
+    skipped and reported as not-checked.
     """
     offset = float(np.asarray(u_fn(0.0), dtype=float))
     model = PotentialModel(

@@ -6,16 +6,16 @@ position is exactly linear, so occupation times, marginal histograms and
 autocorrelations can all be computed from the event skeleton without any
 time discretization.
 
-Event times are exact.  For the gaussian and beta families the integrated
-canonical rate along a flight is 0 up to the mode and then the increase of
-U, so every switch sits at an inverse U^{-1} of an Exp(1) draw: with zero
-refreshment whole blocks of events come from numpy at once, and a positive
-lambda_refr races its own exponential clock event by event.  Custom
-potentials, which have no inverse of U, use thinning with per-window upper
-bounds (window length 1 velocity-unit).  Randomness comes from a
-counter-based Philox generator keyed as [seed, stream], so trajectories
-are reproducible and parallel chains can split streams without
-coordination.
+Event times are exact.  Every potential is unimodal (U' <= 0 left of the
+mode at 0, U' >= 0 right of it), so the canonical rate integrated along a
+flight is 0 up to the mode and then the increase of U on the side the
+flight heads to: every switch sits at a radius U^{-1}(u, side) of an Exp(1)
+draw, in closed form for gaussian and beta and by a safeguarded Newton
+solve for custom potentials.  With zero refreshment whole blocks of events
+come from numpy at once, and a positive lambda_refr races its own
+exponential clock event by event.  Randomness comes from a counter-based
+Philox generator keyed as [seed, stream], so trajectories are reproducible
+and parallel chains can split streams without coordination.
 """
 
 from __future__ import annotations
@@ -32,38 +32,9 @@ from .potential import PotentialModel, SwitchingRateSpec
 __all__ = ["ZigzagPath", "MarginalHistogram", "simulate", "empirical_marginal", "autocorrelation",
            "envelope_decay_rate"]
 
-_BLOCK = 1 << 16  # exponential/uniform draws are buffered in blocks
-_WINDOW = 1.0  # thinning window, in velocity-units of travel
+_BLOCK = 1 << 16  # exponentials drawn (and inverted) at once; even, so sides alternate alike in every block
 _CDF_CELLS = 4096  # Simpson cells of the non-Gaussian target CDF
 _PAIRS = 2048  # segment pairs per autocorrelation block
-
-
-class _DrawBuffer:
-    """Blockwise standard-exponential and uniform draws from one generator."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._exp = rng.standard_exponential(_BLOCK)
-        self._uni = rng.random(_BLOCK)
-        self._ie = self._iu = 0
-
-    def exponentials(self, n: int = _BLOCK) -> np.ndarray:
-        """The next (at most n) draws of the current exponential block; a
-        spent block is refilled first, so the stream order never changes."""
-        if self._ie == _BLOCK:
-            self._exp = self._rng.standard_exponential(_BLOCK)
-            self._ie = 0
-        v = self._exp[self._ie : self._ie + n]
-        self._ie += v.size
-        return v
-
-    def uniform(self) -> float:
-        if self._iu == _BLOCK:
-            self._uni = self._rng.random(_BLOCK)
-            self._iu = 0
-        v = self._uni[self._iu]
-        self._iu += 1
-        return v
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,9 +80,7 @@ class ZigzagPath:
 
     def segments(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(t0, dt, x0, theta) per constant-velocity segment, last one cut at T."""
-        t0 = self.times
-        t1 = np.append(self.times[1:], self.horizon)
-        return t0, t1 - t0, self.positions, self.thetas
+        return self.times, np.diff(self.times, append=self.horizon), self.positions, self.thetas
 
     def position(self, t):
         """x(t), vectorized; t outside [0, T] is clamped."""
@@ -137,32 +106,32 @@ class ZigzagPath:
         return float(np.clip(hi, 0.0, None).sum() - np.clip(lo, 0.0, None).sum())
 
 
-def _flight(potential, c, e):
-    """Travel to the switch from outward coordinate c = theta x, given the
-    Exp(1) draw e: y - c for the radius y = U^{-1}(U(max(c, 0)) + e).  Far
-    outside the mode that difference cancels, so below 1e-5 c the midpoint
-    rule e / U'((c + y) / 2) replaces it (exact for the Gaussian)."""
-    with np.errstate(over="ignore"):  # U overflows far out; refused below
-        y = float(potential.U_inverse(potential.U(max(c, 0.0)) + e))
-    if not y < math.inf:
+def _flight(potential, c, e, side):
+    """Travel to the switch from outward coordinate c = theta x, theta = side,
+    given the Exp(1) draw e: y - c for y = U^{-1}(U(side max(c, 0)) + e, side).
+    Far outside the mode that difference cancels, so below 1e-5 c the midpoint
+    rule e / (side U'(side (c + y) / 2)) replaces it (exact for the Gaussian)."""
+    y = float(potential.U_inverse(potential.U(side * max(c, 0.0)) + e, side))
+    if not y < math.inf:  # U overflowed (simulate silences its warning)
         raise SimulationError(f"U overflows at outward coordinate {c:.6g}")
-    return y - c if y - c >= 1e-5 * c else e / float(potential.dU(0.5 * (c + y)))
+    return y - c if y - c >= 1e-5 * c else e / float(side * potential.dU(side * 0.5 * (c + y)))
 
 
-def _simulate_blocks(potential, x0, theta0, T, draws):
+def _simulate_blocks(potential, x0, theta0, T, rng):
     """Exact inversion at lambda_refr = 0, one exponential block at a time.
 
     Along a flight the integrated rate is 0 up to the mode and then the
     increase of U, which gives the first flight (_flight).  Every later one
-    starts at the mode's far side: event k sits at radius y_k = U^{-1}(E_k),
-    the flight to it is y_(k-1) + y_k, and theta alternates.
+    starts at the mode's far side: event k >= 1 sits on side theta_(k-1) at
+    the radius y_k = U^{-1}(E_k, theta_(k-1)), the flight to it is
+    y_(k-1) + y_k, and theta alternates.
     """
     c = theta0 * x0
-    s = _flight(potential, c, draws.exponentials(1)[0])
-    radii = [np.array([c + s])]
-    times = [np.array([0.0, s])]
+    s = _flight(potential, c, rng.standard_exponential(), theta0)
+    radii, times = [np.array([c + s])], [np.array([0.0, s])]
+    sides = np.tile((-theta0, theta0), _BLOCK // 2)  # events 2, 3, ... of every block
     while times[-1][-1] < T:
-        r = potential.U_inverse(draws.exponentials())
+        r = potential.U_inverse(rng.standard_exponential(_BLOCK), sides)
         flights = r + np.concatenate((radii[-1][-1:], r[:-1]))
         times.append(np.cumsum(np.concatenate((times[-1][-1:], flights)))[1:])
         radii.append(r)
@@ -173,61 +142,26 @@ def _simulate_blocks(potential, x0, theta0, T, draws):
     return t[:n], xs, ths
 
 
-def _simulate_refreshed(potential, x0, theta0, T, lam_r, draws):
+def _simulate_refreshed(potential, x0, theta0, T, lam_r, rng):
     """Exact inversion at lambda_refr > 0, one event at a time: each _flight
     races an Exp(lambda_refr) refreshment clock, and whichever rings first
-    flips theta.  Flights from inside the mode take their radius U^{-1}(E)
-    from a block inverted at once."""
+    flips theta.  A flight from inside the mode takes its radius U^{-1}(E)
+    on the side it heads to from a block inverted at once on both sides."""
     events = [(0.0, x0, theta0)]
     t, x, th = 0.0, x0, theta0
     while True:
-        e = draws.exponentials()
-        clocks = draws.exponentials() / lam_r
-        for e_k, y, r in zip(e.tolist(), potential.U_inverse(e).tolist(), clocks.tolist()):
+        e = rng.standard_exponential(_BLOCK)
+        clocks = rng.standard_exponential(_BLOCK) / lam_r
+        right, left = np.broadcast_to(potential.U_inverse(e, [[1], [-1]]), (2, _BLOCK)).tolist()  # even U: one row
+        for e_k, y_right, y_left, r in zip(e.tolist(), right, left, clocks.tolist()):
             c = th * x
-            s = min(_flight(potential, c, e_k) if c > 0.0 else y - c, r)
+            s = min(_flight(potential, c, e_k, th) if c > 0.0 else (y_right if th > 0 else y_left) - c, r)
             t += s
             if t >= T:
                 return zip(*events)
             x += th * s
             th = -th
             events.append((t, x, th))
-
-
-def _simulate_thinning(potential, x0, theta0, T, lam_r, draws):
-    """Windowed thinning for custom potentials, which have no inverse of U.
-
-    Each window of travel _WINDOW is bounded by 1.05 times the largest
-    canonical rate at 33 probes across it, plus lambda_refr; every candidate
-    is checked against the bound, so a bad window fails loudly instead of
-    silently biasing the law."""
-    events = [(0.0, x0, theta0)]
-    t, x, th, hi = 0.0, x0, theta0, 0.0  # hi: travel since the last event
-    while t + hi < T:
-        s, hi = hi, hi + _WINDOW
-        window = (t + s, t + hi)
-        probe = x + th * (s + np.linspace(0.0, _WINDOW, 33))
-        bound = 1.05 * float(np.max(np.maximum(th * potential.dU(probe), 0.0))) + lam_r
-        if not math.isfinite(bound):
-            raise SimulationError(f"non-finite rate bound on t in [{window[0]:.6g}, {window[1]:.6g}]", window)
-        while bound > 0.0:
-            s += draws.exponentials(1)[0] / bound
-            if s >= hi:
-                break
-            rate = max(th * potential.dU(x + th * s), 0.0) + lam_r
-            if rate > bound * (1.0 + 1e-9):
-                raise SimulationError(
-                    f"rate {rate:.6g} exceeds its window bound {bound:.6g} "
-                    f"on t in [{window[0]:.6g}, {window[1]:.6g}]",
-                    window,
-                )
-            if draws.uniform() * bound <= rate:
-                if t + s >= T:
-                    return zip(*events)
-                t, x, th, hi = t + s, x + th * s, -th, 0.0
-                events.append((t, x, th))
-                break
-    return zip(*events)
 
 
 def simulate(
@@ -248,20 +182,17 @@ def simulate(
         raise DomainError(f"horizon must be positive and finite, got {T!r}")
     if theta0 not in (-1, 1):
         raise DomainError(f"theta0 must be +1 or -1, got {theta0!r}")
-    x0 = float(x0)
-    if not math.isfinite(x0):
+    if not math.isfinite(x0 := float(x0)):
         raise DomainError(f"x0 must be finite, got {x0!r}")
     key = (seed, stream)
     if not all(isinstance(v, (int, np.integer)) and 0 <= v < 2**64 for v in key):
         raise DomainError(f"seed and stream must be integers in [0, 2**64), got {key!r}")
-    draws = _DrawBuffer(np.random.Generator(np.random.Philox(key=[int(v) for v in key])))
-    lam_r = spec.lambda_refr
-    if potential.family == "custom":
-        times, xs, ths = _simulate_thinning(potential, x0, int(theta0), float(T), lam_r, draws)
-    elif lam_r > 0.0:
-        times, xs, ths = _simulate_refreshed(potential, x0, int(theta0), float(T), lam_r, draws)
-    else:
-        times, xs, ths = _simulate_blocks(potential, x0, int(theta0), float(T), draws)
+    rng = np.random.Generator(np.random.Philox(key=[int(v) for v in key]))
+    with np.errstate(over="ignore"):  # U overflows far out; _flight refuses it
+        if spec.lambda_refr > 0.0:
+            times, xs, ths = _simulate_refreshed(potential, x0, int(theta0), float(T), spec.lambda_refr, rng)
+        else:
+            times, xs, ths = _simulate_blocks(potential, x0, int(theta0), float(T), rng)
     return ZigzagPath(
         times=np.asarray(times), positions=np.asarray(xs), thetas=np.asarray(ths, dtype=np.int8),
         horizon=float(T), seed=int(seed), stream=int(stream), potential=potential, spec=spec,
@@ -426,10 +357,11 @@ def autocorrelation(path: ZigzagPath, observable: Callable, lags: Sequence[float
     group starts wherever sorted lags are more than a mean flight T / (n + 1)
     apart, so the cost is O(pairs in each group's lag span + lags).
 
-    u is g for observables affine in x on each segment (x, theta, x theta), so
-    those are exact up to rounding; a g nonlinear within segments gets the ACF
-    of its interpolant, O(segment^2) off.  Each segment keeps its own end
-    values, so jumps at switches stay sharp; they must be real and finite.
+    u is g only for g affine in x on each segment (x, theta, x theta), and
+    those are exact up to rounding.  Any other g is refused with DomainError:
+    g at each segment's midpoint must equal the mean of its end values to
+    1e-12 of their size.  Each segment keeps its own end values, so jumps at
+    switches stay sharp; they must be real and finite.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1 or lags.size == 0:
@@ -442,12 +374,15 @@ def autocorrelation(path: ZigzagPath, observable: Callable, lags: Sequence[float
     if float(np.max(lags)) > T / 10.0:
         raise InsufficientHorizonError(f"max lag {np.max(lags):g} exceeds a tenth of the horizon {T:g}")
 
-    # segment-end values: exact mean and variance of the linear interpolant
+    # segment-end values: exact mean and variance of the linear interpolant, which is g if the midpoints agree
     t, dt, x0s, ths = path.segments()
-    ends = np.array([observable(x, ths) for x in (x0s, x0s + ths * dt)])
+    ends = np.array([observable(x, ths) for x in (x0s, x0s + ths * dt, x0s + ths * (0.5 * dt))])
     if np.iscomplexobj(ends) or not np.all(np.isfinite(ends)):
         raise DomainError("observable values must be real and finite along the path")
-    left, right = ends.astype(float)
+    left, right, mid = ends.astype(float)
+    if (bent := np.flatnonzero(np.abs(mid - 0.5 * (left + right)) > 1e-12 * (np.abs(left) + np.abs(right)))).size:
+        i = bent[0]
+        raise DomainError(f"observable is not affine in x on segment {i} (t in [{t[i]:.6g}, {t[i] + dt[i]:.6g}])")
     mean = float(np.sum(0.5 * (left + right) * dt) / dt.sum())
     lv, rv = left - mean, right - mean
     var_direct = float(np.sum(dt / 3.0 * (lv * lv + lv * rv + rv * rv)) / dt.sum())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zigzagspec.potential import beta_family, gaussian
+from zigzagspec.potential import beta_family, custom, gaussian
 from zigzagspec.rootfinder import ComplexRegion
 from zigzagspec.spectrum import compute_spectrum
 
@@ -26,6 +26,17 @@ GAUSSIAN_BRANCHES = ("plus", "minus", "plus", "minus", "plus", "minus", "plus")
 
 # beta:2.5 region holding its 7 rightmost eigenvalues (the benchmark's)
 BETA25_REGION = ComplexRegion(-1.5, 0.1, -3.0, 3.0)
+
+
+def skewed_well():
+    """A unimodal custom well that is not even: U = x^2/2 + 0.1 x^3 / (1 + x^2)."""
+    return custom(
+        lambda x: np.asarray(x) ** 2 / 2 + 0.1 * np.asarray(x) ** 3 / (1 + np.asarray(x) ** 2),
+        lambda x: np.asarray(x)
+        + 0.1 * (3 * np.asarray(x) ** 2 * (1 + np.asarray(x) ** 2) - 2 * np.asarray(x) ** 4)
+        / (1 + np.asarray(x) ** 2) ** 2,
+        label="skewed",
+    )
 
 
 # one verdict line per acceptance criterion, echoed after the test summary

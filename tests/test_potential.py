@@ -1,10 +1,12 @@
 import cmath
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import skewed_well
 from zigzagspec.errors import DomainError
 from zigzagspec.potential import (
     SwitchingRateSpec,
@@ -174,9 +176,37 @@ def test_u_inverse_round_trips(pot):
     assert pot.U_inverse(0.0) == 0.0
 
 
-def test_u_inverse_refuses_a_custom_potential():
-    with pytest.raises(DomainError, match="cosh@scale=2 has no closed-form inverse"):
-        scale(custom(np.cosh, np.sinh, label="cosh"), 2.0).U_inverse(1.0)
+@pytest.mark.parametrize(
+    "pot",
+    [custom(np.cosh, np.sinh, label="cosh"), scale(custom(np.cosh, np.sinh, label="cosh"), 2.0), skewed_well()],
+    ids=lambda pot: pot.descriptor(),
+)
+def test_u_inverse_round_trips_on_each_side_of_a_custom_well(pot):
+    # the bracketed Newton solve behind the sampler: U(side U^{-1}(u, side)) = u
+    # on both sides, also where the well is not even and through a width
+    u = np.geomspace(1e-3, 1e6, 37)
+    for side in (1, -1):
+        r = pot.U_inverse(u, side)
+        assert np.all(r > 0.0)
+        np.testing.assert_allclose(pot.U(side * r), u, rtol=1e-12, atol=0.0)
+    sides = np.array([1, -1, 1, -1, 1, -1])
+    each = np.where(sides > 0, pot.U_inverse(u[:6], 1), pot.U_inverse(u[:6], -1))
+    np.testing.assert_array_equal(pot.U_inverse(u[:6], sides), each)
+    assert pot.U_inverse(0.0, -1) == 0.0 and pot.U_inverse(math.inf) == math.inf
+
+
+def test_u_inverse_refuses_a_custom_well_it_cannot_invert():
+    # U never reaches 2: the doubling bracket runs out of floats and says so, quickly
+    bounded = custom(lambda x: 1.0 - np.exp(-np.asarray(x) ** 2), lambda x: 2.0 * x * np.exp(-np.asarray(x) ** 2),
+                     label="bounded")
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match=r"bounded@scale=3: U stays below u = 2 on side -1 \(bounded U\)"):
+        scale(bounded, 3.0).U_inverse(np.array([0.5, 2.0]), -1)
+    assert time.perf_counter() - t0 < 1.0
+    # U = 16 x^2 (x - 1)^2 falls on (1/2, 1): Newton starts there for u = 0.3
+    dip = custom(lambda x: 16.0 * x**2 * (x - 1.0) ** 2, lambda x: 32.0 * x * (x - 1.0) * (2.0 * x - 1.0), label="dip")
+    with pytest.raises(DomainError, match=r"dip: U' has the wrong sign at x = 0.77.* \(inverting U = 0.3\)"):
+        dip.U_inverse(0.3)
 
 
 def test_switching_rate_canonical():
@@ -202,14 +232,7 @@ def test_switching_rate_spec_validation():
 def test_symmetry_detection():
     assert gaussian(1.0).is_symmetric
     assert beta_family(2.5).is_symmetric
-    lopsided = custom(
-        lambda x: np.asarray(x) ** 2 / 2 + 0.1 * np.asarray(x) ** 3 / (1 + np.asarray(x) ** 2),
-        lambda x: np.asarray(x)
-        + 0.1 * (3 * np.asarray(x) ** 2 * (1 + np.asarray(x) ** 2) - 2 * np.asarray(x) ** 4)
-        / (1 + np.asarray(x) ** 2) ** 2,
-        label="skewed",
-    )
-    assert not lopsided.is_symmetric
+    assert not skewed_well().is_symmetric
 
 
 def test_check_assumptions_gaussian_all_verified():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import GAUSSIAN_GAP
+from conftest import GAUSSIAN_GAP, skewed_well
 from zigzagspec.errors import (
     DegenerateObservableError,
     DomainError,
@@ -17,7 +17,6 @@ from zigzagspec import simulator
 from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussian, scale
 from zigzagspec.simulator import (
     ZigzagPath,
-    _DrawBuffer,
     _target_cdf,
     autocorrelation,
     empirical_marginal,
@@ -47,7 +46,7 @@ def test_first_flight_far_outside_the_mode(potential):
     # switch comes after about E / U'(x0), which U^{-1}(U(x0) + E) - x0
     # alone rounds to 0
     p = simulate(potential, CANON, 1e7, +1, 10.0, seed=0)
-    e = _DrawBuffer(np.random.Generator(np.random.Philox(key=[0, 0]))).exponentials(1)[0]
+    e = np.random.Generator(np.random.Philox(key=[0, 0])).standard_exponential()
     assert p.times[1] == pytest.approx(e / float(potential.dU(1e7)), rel=1e-9)
     # where U(x0) overflows the sampler refuses instead of returning no events
     with pytest.raises(SimulationError, match="U overflows"):
@@ -182,12 +181,12 @@ def _reference_gaussian_path(sigma, x0, theta0, T, seed):
     """The scalar closed-form Gaussian sampler that the block route replaced,
     kept as an oracle at lambda_refr = 0: along a flight the integrated rate
     is piecewise quadratic in the travel s, solved one event at a time."""
-    draws = _DrawBuffer(np.random.Generator(np.random.Philox(key=[seed, 0])))
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     a = 1.0 / (2.0 * sigma * sigma)
     times, xs, ths = [0.0], [x0], [theta0]
     t, x, th = 0.0, x0, theta0
     while True:
-        e = draws.exponentials(1)[0]
+        e = rng.standard_exponential()
         c = th * x
         if c >= 0.0:
             b = c / (sigma * sigma)
@@ -218,6 +217,21 @@ def test_block_sampler_matches_the_scalar_gaussian_loop(sigma, x0, T):
     np.testing.assert_allclose(p.positions, xs, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("potential", [gaussian(1.0), beta_family(2.5)], ids=["gaussian1", "beta2.5"])
+def test_block_paths_invert_the_philox_exponentials_in_stream_order(potential):
+    # from x0 = 0 event k sits at radius U^{-1}(E_(k-1)) on side theta_(k-1):
+    # the first 65,536 events are the inversions of the first 65,536 draws
+    # of Philox [seed, 0], exactly as before thinning and the draw buffer went
+    p = simulate(potential, CANON, 0.0, +1, 2e5, seed=1)
+    y = potential.U_inverse(np.random.Generator(np.random.Philox(key=[1, 0])).standard_exponential(1 << 16))
+    times = np.cumsum(np.concatenate(([0.0, y[0]], y[1:] + y[:-1])))
+    thetas = np.where(np.arange(y.size + 1) % 2 == 0, 1, -1)
+    assert p.n_events > y.size
+    np.testing.assert_array_equal(p.times[: y.size + 1], times)
+    np.testing.assert_array_equal(p.positions[: y.size + 1], np.concatenate(([0.0], -thetas[1:] * y)))
+    np.testing.assert_array_equal(p.thetas[: y.size + 1], thetas)
+
+
 def test_marginal_ks_gaussian(long_path):
     hist = empirical_marginal(long_path)
     assert hist.masses.sum() == pytest.approx(1.0, abs=1e-12)
@@ -226,18 +240,20 @@ def test_marginal_ks_gaussian(long_path):
 
 
 @pytest.mark.parametrize(
-    "potential,T",
+    "potential,T,lam_r",
     [
-        (beta_family(2.5), 1e5),
-        # a custom well takes thinning's 33-point probe bound; the beta
-        # cases run the inversion sampler, the widened one through U_inverse's width
-        (custom(np.cosh, np.sinh, label="cosh"), 2e4),
-        (scale(beta_family(2.5), 2.0), 2e4),
+        (beta_family(2.5), 1e5, 0.0),
+        # custom wells take the bracketed Newton inverse of U, the skewed one
+        # a different radius on each side; the widened beta goes through U_inverse's width
+        (custom(np.cosh, np.sinh, label="cosh"), 2e4, 0.0),
+        (scale(beta_family(2.5), 2.0), 2e4, 0.0),
+        (skewed_well(), 2e4, 0.0),
+        (custom(np.cosh, np.sinh, label="cosh"), 2e4, 0.5),
     ],
-    ids=["beta2.5", "cosh", "beta2.5-scale2"],
+    ids=["beta2.5", "cosh", "beta2.5-scale2", "skewed", "cosh-refreshed"],
 )
-def test_marginal_ks_thinned_family(potential, T):
-    p = simulate(potential, CANON, 0.0, +1, T, seed=11)
+def test_marginal_ks_inversion_family(potential, T, lam_r):
+    p = simulate(potential, SwitchingRateSpec(lam_r), 0.0, +1, T, seed=11)
     hist = empirical_marginal(p)
     assert hist.ks_statistic < 0.02
 
@@ -552,11 +568,9 @@ def _exact_autocorrelation(path, observable, lags):
     return np.array([float(c / covs[0]) for c in covs])
 
 
-@pytest.mark.parametrize("name", [*OBSERVABLES, "x**2"])
+@pytest.mark.parametrize("name", list(OBSERVABLES))
 def test_acf_matches_exact_rational_oracle(name):
-    # x**2 is not linear within a segment: the estimator and the oracle both
-    # take the ACF of its segment-end interpolant
-    observable = OBSERVABLES.get(name, lambda x, th: x * x)
+    observable = OBSERVABLES[name]
     path = simulate(gaussian(1.0), CANON, 0.0, +1, 500.0, seed=3)
     lags = np.array([0.0, 0.37, 1.0, 4.2, 8.0])
     got = autocorrelation(path, observable, lags)
@@ -598,8 +612,18 @@ def test_acf_windows_tile_where_rounding_crosses_their_edges():
 
 @pytest.mark.parametrize("lag", [0.37, 4.2, 8.0])
 def test_acf_without_lag_zero_normalizes_by_the_interpolant_variance(lag):
-    # for x**2 too, the lag-0 covariance is the direct variance of the interpolant
+    # the lag-0 covariance is the direct variance of the interpolant
     path = simulate(gaussian(1.0), CANON, 0.0, +1, 500.0, seed=3)
-    square = lambda x, th: x * x  # noqa: E731
-    with_zero = autocorrelation(path, square, np.array([0.0, lag]))[1]
-    assert with_zero == pytest.approx(autocorrelation(path, square, np.array([lag]))[0], rel=0.0, abs=1e-13)
+    g = OBSERVABLES["x*th"]
+    with_zero = autocorrelation(path, g, np.array([0.0, lag]))[1]
+    assert with_zero == pytest.approx(autocorrelation(path, g, np.array([lag]))[0], rel=0.0, abs=1e-13)
+
+
+def test_acf_refuses_an_observable_not_affine_within_segments():
+    # x**2 is not linear within a segment, so its segment-end interpolant is
+    # off its true ACF by up to 0.68; the first flight from x0 = 0 fails first,
+    # with or without lag 0
+    path = simulate(gaussian(1.0), CANON, 0.0, +1, 500.0, seed=3)
+    for lags in ([0.0, 0.37, 1.0, 4.2, 8.0], [0.37, 4.2, 8.0]):
+        with pytest.raises(DomainError, match=r"not affine in x on segment 0 \(t in \[0, "):
+            autocorrelation(path, lambda x, th: x * x, np.array(lags))
