@@ -330,7 +330,7 @@ def cmd_perturb(cfg: RunConfig, parser) -> int:
         parser.error("--sigma is not supported here; use a scaled descriptor like gaussian:2")
     eps = _require(cfg, "eps", parser)
     result = _base_spectrum(cfg, parser)
-    pert = perturbed_spectrum(result, eps, cfg=DEFAULT_ROOT_CONFIG.quad)
+    pert = perturbed_spectrum(result, eps)
     payload = _spectrum_payload(result, cfg)
     payload["epsilon"] = pert.epsilon
     payload["perturbation"] = [  # _jsonable writes each complex as {"re", "im"}

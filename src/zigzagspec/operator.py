@@ -245,19 +245,10 @@ def psi_tilde(
 
 def grid_radius(potential: PotentialModel) -> float:
     """Smallest 1/256-lattice radius with e^{-U(R)} < 1e-14."""
-    r = 1.0
-    while potential.U(r) <= _LOG_GRID_TARGET:
-        r *= 1.25
-        if r > 1e6:
-            raise DomainError("potential too flat: no grid radius below 1e6")
-    lo, hi = r / 1.25, r
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if potential.U(mid) <= _LOG_GRID_TARGET:
-            lo = mid
-        else:
-            hi = mid
-    return math.ceil(hi * 256.0) / 256.0
+    r = float(potential.U_inverse(_LOG_GRID_TARGET))
+    if not r <= 1e6:
+        raise DomainError(f"potential too flat: grid radius {r:.3g} exceeds 1e6")
+    return math.ceil(r * 256.0) / 256.0
 
 
 def default_grid(potential: PotentialModel) -> np.ndarray:

@@ -169,19 +169,14 @@ class SwitchingRateSpec:
     """Event-rate specification lambda(x, theta) = max(theta U'(x), 0) + lambda_refr.
 
     Refreshment is a competing clock: an Exp(lambda_refr) time races the
-    canonical switch, and whichever rings first flips theta.  ``canonical``
-    is kept explicit so a future non-canonical rate cannot be confused with
-    the default; only canonical rates are implemented.
+    canonical switch, and whichever rings first flips theta.
     """
 
     lambda_refr: float = 0.0
-    canonical: bool = True
 
     def __post_init__(self):
         if not (self.lambda_refr >= 0.0) or not math.isfinite(self.lambda_refr):
             raise DomainError(f"lambda_refr must be nonnegative, got {self.lambda_refr!r}")
-        if not self.canonical:
-            raise DomainError("only canonical switching rates are supported")
 
 
 def _solve_U(model, u, side, name):

@@ -10,15 +10,18 @@ strategy:
 2. integrate (f'/f) * (1, zeta, zeta^2) along each edge in one batched
    adaptive pass started on every 4th skeleton point (at most one phase turn
    of 2 pi per panel) and cross-check the quadrature winding against the
-   telescoped one; each segment is integrated once per search, so sibling
-   boxes share their cut line and a child reuses the parent side it keeps;
-3. recurse by bisecting the longest side until each box holds one zero
-   (Newton-polish the first moment) or a cluster collapses to a point
-   (multiple root, polished with the multiplicity-aware Newton step).
+   telescoped one; each segment is sampled and integrated once per search;
+3. recurse by bisecting the longest side, through the line nearest its centre
+   that steps 1-2 resolve (both children reuse it, as a child reuses the
+   parent side it keeps), until each box holds one zero (Newton-polish the
+   first moment) or a cluster collapses to a point (multiple root, polished
+   with the multiplicity-aware Newton step); a box keeps Newton's root only
+   if it stays inside, else its moment estimate, unpolished.
 
 Zeros sitting on a contour are handled deterministically: the requested
-region is dilated by 1e-4 on the offending side, and interior split lines are
-shifted until clear.  Both f and logderiv must accept complex numpy arrays.
+region is dilated by 1e-4 on the offending side, and a split line that does
+not resolve is shifted by up to 7 units of min(1e-4, span/16) either way.
+Both f and logderiv must accept complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -322,60 +325,51 @@ def newton_polish(
 # ---------------------------------------------------------------------------
 
 
-def _choose_cut(fvec, region: ComplexRegion, cfg: RootfinderConfig):
+def _cut(fvec, ldvec, region: ComplexRegion, cfg: RootfinderConfig, edges):
     """Pick a split coordinate on the longest side, shifted off any zero.
 
-    Returns ('re'|'im', cut).  Deterministic: offsets are tried in the fixed
-    order 0, +1, -1, +2, -2, ... in units of min(dilation, span/16).
+    Returns ('re'|'im', cut).  Deterministic: the offsets 0, +1, -1, ..., +7,
+    -7 in units of min(dilation, span/16) are tried in turn, and the first
+    whose shared segment `_edge` resolves is taken, so both children reuse it
+    from `edges`; when none does, the last BoundaryProximityError propagates.
     """
-    vertical_cut = region.width >= region.height  # cut parallel to imag axis
-    span = region.width if vertical_cut else region.height
-    base = 0.5 * (region.re_min + region.re_max) if vertical_cut else 0.5 * (
-        region.im_min + region.im_max
-    )
+    vertical = region.width >= region.height  # cut parallel to imag axis
+    span = region.width if vertical else region.height
+    base = region.center.real if vertical else region.center.imag
     unit = min(cfg.dilation, span / 16.0)
-    best = None
-    for k in range(0, 8):
-        for offset in ((0.0,) if k == 0 else (k * unit, -k * unit)):
-            cut = base + offset
-            if vertical_cut:
-                line = cut + 1j * np.linspace(region.im_min, region.im_max, 65)
-            else:
-                line = np.linspace(region.re_min, region.re_max, 65) + 1j * cut
-            lo = float(np.min(np.abs(np.asarray(fvec(line), dtype=complex))))
-            if lo >= cfg.boundary_tol:
-                return ("re" if vertical_cut else "im"), cut
-            if best is None or lo > best[0]:
-                best = (lo, ("re" if vertical_cut else "im"), cut)
-    # every candidate line grazes a zero; take the least bad one and let the
-    # edge machinery complain if it truly cannot resolve it
-    return best[1], best[2]
+    for offset in [0.0] + [s * k * unit for k in range(1, 8) for s in (1, -1)]:
+        cut = base + offset
+        if vertical:  # the first child's right edge and the second's left
+            seg = complex(cut, region.im_min), complex(cut, region.im_max), "right"
+        else:  # the first child's top edge and the second's bottom
+            seg = complex(region.re_max, cut), complex(region.re_min, cut), "top"
+        try:
+            _edge(fvec, ldvec, *seg, cfg, region.edge_samples, edges)
+            return ("re" if vertical else "im"), cut
+        except BoundaryProximityError as exc:
+            last = exc
+    raise last
 
 
 def _split(region: ComplexRegion, axis: str, cut: float):
-    if axis == "re":
-        return (
-            ComplexRegion(region.re_min, cut, region.im_min, region.im_max, region.edge_samples),
-            ComplexRegion(cut, region.re_max, region.im_min, region.im_max, region.edge_samples),
-        )
-    return (
-        ComplexRegion(region.re_min, region.re_max, region.im_min, cut, region.edge_samples),
-        ComplexRegion(region.re_min, region.re_max, cut, region.im_max, region.edge_samples),
-    )
+    upper, lower = ("re_max", "re_min") if axis == "re" else ("im_max", "im_min")
+    return dataclasses.replace(region, **{upper: cut}), dataclasses.replace(region, **{lower: cut})
 
 
 def _snap(z: complex) -> complex:
     return complex(z.real, 0.0) if abs(z.imag) < _IM_SNAP else z
 
 
-def _emit_root(fvec, ldvec, centroid, multiplicity, cfg, out):
+def _emit_root(fvec, ldvec, box, estimate, multiplicity, cfg, out):
+    """Record the zero of `box` (of the given multiplicity): Newton's result
+    from the moment estimate if it stays in the box, else the estimate itself,
+    unpolished.  Disjoint boxes thus never record the same root twice."""
     try:
-        root = newton_polish(ldvec, centroid, cfg, multiplicity=multiplicity)
-        polished = True
+        root = newton_polish(ldvec, estimate, cfg, multiplicity=multiplicity)
+        polished = box.contains(root)
     except PolishFailureError:
-        root = complex(centroid)
         polished = False
-    root = _snap(root)
+    root = _snap(root if polished else complex(estimate))
     residual = float(abs(complex(np.asarray(fvec(np.array([root])), dtype=complex)[0])))
     out.append(RootRecord(root, int(multiplicity), residual, polished))
 
@@ -396,18 +390,13 @@ def _solve(fvec, ldvec, region: ComplexRegion, cfg: RootfinderConfig, out: list,
         raise WindingError(f"negative winding {w} in {region}: not holomorphic?")
 
     centroid = moments[1] / w
-    if w == 1:
-        _emit_root(fvec, ldvec, moments[1], 1, cfg, out)
+    spread = math.sqrt(abs(moments[2] / w - centroid * centroid))
+    if w == 1 or spread < cfg.cluster_tol or max(region.width, region.height) < cfg.min_box_size:
+        # one root, or w roots indistinguishable at working precision: a multiple root
+        _emit_root(fvec, ldvec, region, centroid, w, cfg, out)
         return w
 
-    spread_sq = moments[2] / w - centroid * centroid
-    spread = math.sqrt(abs(spread_sq))
-    if spread < cfg.cluster_tol or max(region.width, region.height) < cfg.min_box_size:
-        # w roots indistinguishable at working precision: a multiple root
-        _emit_root(fvec, ldvec, centroid, w, cfg, out)
-        return w
-
-    axis, cut = _choose_cut(fvec, region, cfg)
+    axis, cut = _cut(fvec, ldvec, region, cfg, edges)
     child_a, child_b = _split(region, axis, cut)
     wa = _solve(fvec, ldvec, child_a, cfg, out, edges)
     wb = _solve(fvec, ldvec, child_b, cfg, out, edges)
@@ -481,32 +470,12 @@ def locate_zeros(
     def attempt(current):
         out: List[RootRecord] = []
         w = _solve(fvec, ldvec, current, cfg, out, edges)
-        merged = _merge_duplicates(out, cfg)
-        total = sum(r.multiplicity for r in merged)
+        total = sum(r.multiplicity for r in out)
         if total != w:
             raise WindingError(
                 f"root multiplicities sum to {total} but region winding is {w}"
             )
-        merged.sort(key=lambda r: (r.location.real, r.location.imag))
-        return RootSet(roots=tuple(merged), region=current, winding=w)
+        out.sort(key=lambda r: (r.location.real, r.location.imag))
+        return RootSet(roots=tuple(out), region=current, winding=w)
 
     return _with_dilation(attempt, region, cfg)
-
-
-def _merge_duplicates(records: List[RootRecord], cfg: RootfinderConfig) -> List[RootRecord]:
-    """Coalesce identical roots found through adjacent boxes (split jitter)."""
-    merged: List[RootRecord] = []
-    for rec in records:
-        for i, kept in enumerate(merged):
-            tol = 100.0 * cfg.root_tol * (1.0 + abs(kept.location))
-            if abs(kept.location - rec.location) < tol:
-                merged[i] = RootRecord(
-                    kept.location,
-                    kept.multiplicity + rec.multiplicity,
-                    min(kept.residual, rec.residual),
-                    kept.polished and rec.polished,
-                )
-                break
-        else:
-            merged.append(rec)
-    return merged

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GAUSSIAN_EIGENVALUES
+from conftest import GAUSSIAN_EIGENVALUES, skewed_well
 from zigzagspec import charfn, operator
 from zigzagspec.errors import (
     DomainError,
@@ -62,6 +62,28 @@ def test_phi12_matches_mpmath_on_both_sides_of_the_series_switch():
 def test_grid_radius_gaussian(gaussian_potential):
     # smallest 1/256 lattice point with U > 14 log 10, i.e. x^2/2 > 32.24
     assert grid_radius(gaussian_potential) == 8.03125
+    # the same lattice point across families, widths and custom wells, as a
+    # x1.25 march bracketing U = 14 log 10 and 60 bisections found them
+    a = np.asarray
+    radii = {
+        gaussian(0.3): 2.41015625,
+        gaussian(2.0): 16.0625,
+        gaussian(7.5): 60.22265625,
+        beta_family(1.01): 32.3984375,
+        beta_family(1.5): 13.41796875,
+        beta_family(2.0): 8.03125,
+        beta_family(2.5): 5.73046875,
+        beta_family(3.0): 4.49609375,
+        beta_family(4.0): 3.2265625,
+        beta_family(8.0): 1.73828125,
+        scale(beta_family(2.5), 2.0): 11.4609375,
+        custom(np.cosh, np.sinh, label="cosh"): 4.19921875,
+        custom(lambda x: a(x) ** 2 / 2, lambda x: a(x), label="x2"): 8.03125,
+        skewed_well(): 7.93359375,
+    }
+    assert {p.descriptor(): grid_radius(p) for p in radii} == {p.descriptor(): r for p, r in radii.items()}
+    with pytest.raises(DomainError, match="too flat"):
+        grid_radius(gaussian(1e6))
 
 
 def test_default_grid_structure(gaussian_potential):

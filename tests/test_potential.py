@@ -225,8 +225,6 @@ def test_switching_rate_canonical():
 def test_switching_rate_spec_validation():
     with pytest.raises(DomainError):
         SwitchingRateSpec(lambda_refr=-0.1)
-    with pytest.raises(DomainError):
-        SwitchingRateSpec(canonical=False)
 
 
 def test_symmetry_detection():

@@ -126,11 +126,75 @@ def test_each_contour_segment_is_integrated_once(monkeypatch):
         return orig(fvec, z0, direction, length, n0, *rest)
 
     monkeypatch.setattr(rf, "_phase_skeleton", spy)
+    cuts = []
+    orig_split = rf._split
+
+    def split_spy(region, axis, cut):
+        cuts.append((axis, cut))
+        return orig_split(region, axis, cut)
+
+    monkeypatch.setattr(rf, "_split", split_spy)
     f, ld = poly_funcs([0.5 + 0.5j, -0.7 + 0.2j, -0.1 - 0.6j])
-    rs = locate_zeros(f, ld, ComplexRegion(-1.5, 1.5, -1.5, 1.5))
+    calls = []
+
+    def f_spy(z):
+        calls.append(np.array(z, dtype=complex).ravel())
+        return f(z)
+
+    rs = locate_zeros(f_spy, ld, ComplexRegion(-1.5, 1.5, -1.5, 1.5))
     assert rs.total_multiplicity() == 3
     assert len(segments) > 4  # the search subdivided
     assert len(set(segments)) == len(segments)
+    # the first split is the centre line Re = 0, clear of every zero, and f
+    # sees its points once: a call sampling it across both children's halves
+    assert cuts[0] == ("re", 0.0)
+    across = [z for z in calls if np.all(z.real == 0.0) and z.imag.min() < 0.0 < z.imag.max()]
+    assert len(across) == 1
+
+
+def test_a_zero_on_the_centre_line_shifts_the_cut_by_one_unit(monkeypatch):
+    import zigzagspec.rootfinder as rf
+
+    cuts = []
+    orig = rf._split
+
+    def spy(region, axis, cut):
+        cuts.append((axis, cut))
+        return orig(region, axis, cut)
+
+    monkeypatch.setattr(rf, "_split", spy)
+    region = ComplexRegion(-1.0, 1.0, -1.0, 1.0)
+    # 0 is a sample point of Re = 0; 0.3i lies between two, where only the
+    # phase refinement meets it
+    for zero in (0.0, 0.3j):
+        cuts.clear()
+        f, ld = poly_funcs([zero, 0.5 + 0.5j])
+        rs = locate_zeros(f, ld, region)
+        # unit = min(dilation, span / 16) = 1e-4, and +1 unit is the first
+        # retry; the requested region is not dilated for an interior line
+        assert cuts[0] == ("re", DEFAULT_ROOT_CONFIG.dilation)
+        assert rs.region == region
+        assert rs.winding == 2 and len(rs.roots) == 2
+        assert min(abs(z - zero) for z in rs.locations()) < 1e-12
+
+
+def test_a_newton_step_leaving_its_box_keeps_the_moment_estimate(monkeypatch):
+    import zigzagspec.rootfinder as rf
+
+    roots = [0.5 + 0.5j, -0.7 + 0.2j, -0.1 - 0.6j]
+    f, ld = poly_funcs(roots)
+    region = ComplexRegion(-1.5, 1.5, -1.5, 1.5)
+    polished = locate_zeros(f, ld, region)
+    assert all(r.polished for r in polished.roots)
+    # every Newton result now lands 5 outside the region, so outside its box
+    monkeypatch.setattr(rf, "newton_polish", lambda ld, guess, *a, **k: complex(guess) + 5.0)
+    rs = locate_zeros(f, ld, region)
+    assert rs.winding == 3 and len(rs.roots) == 3
+    for rec, ref in zip(rs.roots, polished.roots):
+        assert not rec.polished and rec.multiplicity == 1
+        assert region.contains(rec.location)
+        assert abs(rec.location - ref.location) < 1e-6  # the first moment
+        assert rec.residual == abs(f(np.array([rec.location]))[0])
 
 
 @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
