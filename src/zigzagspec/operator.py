@@ -16,7 +16,9 @@ usable for the Gaussian where e^{U} alone would reach 1e31.
 
 The resolvent uses the same w: on the outward half lines f is written as
 a plain decaying integral of (h + U' f_other) instead of the cancellation-
-prone constant-minus-cumulative form.  The spectral projection at a simple
+prone constant-minus-cumulative form, summed by one GK15 sweep whose nodes
+read h and the inward cumulative from their own grid cell (no search), and
+which refuses a grid too coarse for gamma.  The spectral projection at a simple
 root is the resolvent's residue there (Kato, Perturbation Theory for Linear
 Operators, III.6.5): its numerator is the pair of half-line sums the
 resolvent forms, and its denominator <f, F conj f> is Z'(gamma) / psi-(gamma)
@@ -44,9 +46,11 @@ from .quadrature import (
     DEFAULT_CONFIG,
     DecayProfile,
     QuadratureConfig,
+    _BLOCK,
+    _NODES,
+    _gk_reduce,
     _panels,
     _tolerance,
-    gk_cells,
     integrate_finite,
     truncation_radius,
 )
@@ -112,41 +116,6 @@ def _phi12(z):
             s2 = s2 * zs + _PHI2_C[k]
         p1[small], p2[small] = s1, s2
     return p1, p2
-
-
-class _ExpCumulative:
-    """C(x) = int_{xs[0]}^x e^{gamma s} v(s) ds for piecewise-linear v.
-
-    Per-cell moments are closed-form (phi1/phi2), so the node cumulatives and
-    any interior point are exact up to roundoff; v is taken as 0 outside the
-    node range, so the cumulative clamps at the ends.
-    """
-
-    def __init__(self, gamma: complex, xs, vals):
-        self.gamma = complex(gamma)
-        self.xs = np.asarray(xs, dtype=float)
-        self.vals = np.asarray(vals, dtype=complex)
-        tau = np.diff(self.xs)
-        self.slope = np.diff(self.vals) / tau
-        self.grow = np.exp(self.gamma * self.xs[:-1])
-        p1, p2 = _phi12(self.gamma * tau)
-        segs = self.grow * (self.vals[:-1] * tau * p1 + self.slope * tau * tau * p2)
-        self.node_cum = np.concatenate([[0.0 + 0.0j], np.cumsum(segs)])
-
-    @property
-    def total(self) -> complex:
-        return complex(self.node_cum[-1])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xc = np.clip(np.atleast_1d(x), self.xs[0], self.xs[-1])
-        i = np.clip(np.searchsorted(self.xs, xc, side="right") - 1, 0, len(self.xs) - 2)
-        tau = xc - self.xs[i]
-        p1, p2 = _phi12(self.gamma * tau)
-        part = self.grow[i] * (self.vals[i] * tau * p1 + self.slope[i] * tau * tau * p2)
-        out = self.node_cum[i] + part
-        return complex(out[0]) if scalar else out
 
 
 # -------------------------------------------------------------------- psi tilde
@@ -244,8 +213,8 @@ def psi_tilde(
 # ----------------------------------------------------------------- grid plumbing
 
 def grid_radius(potential: PotentialModel) -> float:
-    """Smallest 1/256-lattice radius with e^{-U(R)} < 1e-14."""
-    r = float(potential.U_inverse(_LOG_GRID_TARGET))
+    """Smallest 1/256-lattice radius with e^{-U(+-R)} < 1e-14 on both sides."""
+    r = float(max(potential.U_inverse(_LOG_GRID_TARGET, side) for side in (+1, -1)))
     if not r <= 1e6:
         raise DomainError(f"potential too flat: grid radius {r:.3g} exceeds 1e6")
     return math.ceil(r * 256.0) / 256.0
@@ -488,26 +457,44 @@ def inner_product_nu(
 
 # -------------------------------------------------------------------- resolvent
 
-def _outward_cells(potential, gamma, h, side, edges, inner, cfg):
-    """One 2-row GK15 sweep over the cells of an outward half line.
+def _outward_cells(potential, gamma, side, xs, own, other):
+    """One 2-row GK15 sweep over the cells xs of the outward half line side.
 
-    side +1 is x >= 0 (inner = C^-), side -1 is x <= 0 (inner = D^+).  The
-    rows are pt's integrand w (see _w) and the k-integrand
-    a = e^{-side gamma xi - U} h^side + w inner; f^side there is
-    e^{side gamma x + U} times the outward sum of the cells of a + k w.
-    Returns (a cells, w cells, fac) with fac = e^{-2 gamma R - U(side R)}
-    pt^side(gamma; side R), the tail of w beyond side R.
+    side +1 is x >= 0, side -1 is x <= 0; own and other hold h^side and
+    h^-side at the nodes.  The rows are pt's integrand w (see _w) and the
+    k-integrand a = e^{-side gamma xi - U} h^side + w inner, inner the inward
+    cumulative C^-(xi) = int_0^xi e^{gamma eta} h^- (side +1) or
+    D^+(xi) = int_xi^0 e^{-gamma eta} h^+ (side -1), exact for piecewise-
+    linear h through each cell's moments phi1/phi2.  Every GK node
+    xi = x_i + t sits at one of 15 offsets t of its cell's width, so h and
+    inner come from the cell's own node values, phi and e^{-side gamma t}
+    are taken at the offsets of each distinct width only (a default grid has
+    one per half line), and e^{-U} is a real exponential.  Returns (inner at
+    the nodes, *_gk_reduce's K, E, N) with rows (a, w).
     """
-
-    def rows(xi):
-        w = _w(potential, gamma, side, xi)
-        a = np.exp(-side * gamma * xi - potential.U(xi)) * h.component(xi, side) + w * inner(xi)
-        return np.stack([a, w])
-
-    (a, w), _ = gk_cells(rows, edges)
-    r = h.radius
-    pt_r = complex(psi_tilde(potential, gamma, side * r, side, cfg))
-    return a, w, np.exp(-2.0 * gamma * r - float(potential.U(side * r))) * pt_r
+    g, tau = side * gamma, np.diff(xs)
+    widths, cells = np.unique(tau, return_inverse=True)
+    off = widths[:, None] * np.append(0.5 + 0.5 * _NODES, 1.0)  # the 15 GK offsets, then the width
+    p1, p2 = _phi12(g * off)
+    p1, p2, off = off * p1, off * off * p2, off[:, :15]
+    step, x0, v, dv = np.exp(-g * off), xs[:-1], other[:-1], np.diff(other) / tau
+    grow = np.exp(g * x0)
+    cum = np.concatenate([[0j], np.cumsum(grow * (v * p1[cells, 15] + dv * p2[cells, 15]))])
+    base = 0.0 if side > 0 else cum[-1]  # inner = base + side cum
+    # per cell: e^{-side gamma x_i}, h^side and its slope, inner at x_i and
+    # the coefficients of phi1 and phi2 in inner's growth across the cell
+    cols = (np.exp(-g * x0), own[:-1], np.diff(own) / tau, base + side * cum[:-1], side * grow * v, side * grow * dv)
+    parts = []
+    for i in range(0, x0.size, _BLOCK):
+        c, j = slice(i, i + _BLOCK), cells[i : i + _BLOCK]
+        lead, h0, hs, k0, kv, ks = (col[c, None] for col in cols)
+        t, xi = off[j], x0[c, None] + off[j]
+        eg = lead * step[j]  # e^{-side gamma xi}
+        ea = eg * np.exp(-potential.U(xi))
+        ws = side * potential.dU(xi) * eg * ea
+        a = ea * (h0 + hs * t) + ws * (k0 + kv * p1[j, :15] + ks * p2[j, :15])
+        parts.append(_gk_reduce(np.stack([a, ws]).reshape(2, -1), 0.5 * tau[c], xi.ravel())[:3])
+    return (base + side * cum, *(np.concatenate(p) for p in zip(*parts)))
 
 
 def _resolvent_sums(potential, gamma, h, cfg):
@@ -515,31 +502,36 @@ def _resolvent_sums(potential, gamma, h, cfg):
 
     k1 = int_{x >= 0} e^{-gamma x - U} (h+ + h- pt+) dx and
     k2 = int_{x <= 0} e^{gamma x - U} (h- + h+ pt-) dx pair h with the
-    solutions that decay on each half line; each comes from one
-    _outward_cells sweep on h's grid plus the tail past +-R, by Fubini from
-    the inward cumulatives C^- and D^+ of h.  pos and neg are (nodes, C^- or
-    D^+ there, a cells, w cells, tail factor) for apply_resolvent.  A grid
-    without x = 0 gets that node, h interpolated there, so the
-    piecewise-linear h is unchanged.
+    solutions that decay on each half line; each is, by Fubini, one
+    _outward_cells sweep on h's grid plus the tail past +-R, the inward
+    cumulative there times e^{-2 gamma R - U(+-R)} pt^+-(gamma; +-R).  A
+    half line whose summed |K - G| misses _adaptive's acceptance rule for
+    its sum raises IntegrationError naming gamma and the half line.  pos and
+    neg are (nodes, C^- or D^+ there, a cells, w cells, tail factor) for
+    apply_resolvent.  A grid without x = 0 gets that node, h interpolated
+    there, so the piecewise-linear h is unchanged.
     """
     xs, plus, minus = h.xs, h.plus, h.minus
     mid = int(np.searchsorted(xs, 0.0))
     if xs[mid] != 0.0:
         zero = (0.0, h(0.0, +1), h(0.0, -1))
         xs, plus, minus = (np.insert(v, mid, v0) for v, v0 in zip((xs, plus, minus), zero))
-    xpos, xneg = xs[mid:], xs[: mid + 1]
-    # C^-(xi) = int_0^xi e^{gamma eta} h^-(eta) d eta            (xi >= 0)
-    cum_minus = _ExpCumulative(gamma, xpos, minus[mid:])
-    # E(xi) = int_{-R}^xi e^{-gamma eta} h^+(eta) d eta, D^+(xi) = E(0) - E(xi)
-    cum_plus = _ExpCumulative(-gamma, xneg, plus[: mid + 1])
-    e0 = cum_plus.total
-    c_minus = cum_minus.node_cum  # C^- at xpos
-    d_plus = e0 - cum_plus.node_cum  # D^+ at xneg
-    a_pos, w_pos, fac_pos = _outward_cells(potential, gamma, h, +1, xpos, cum_minus, cfg)
-    a_neg, w_neg, fac_neg = _outward_cells(potential, gamma, h, -1, xneg, lambda xi: e0 - cum_plus(xi), cfg)
-    k1 = complex(np.sum(a_pos) + c_minus[-1] * fac_pos)
-    k2 = complex(np.sum(a_neg) + d_plus[0] * fac_neg)
-    return k1, k2, (xpos, c_minus, a_pos, w_pos, fac_pos), (xneg, d_plus, a_neg, w_neg, fac_neg)
+    r, out = h.radius, []
+    for side, half in ((+1, slice(mid, None)), (-1, slice(0, mid + 1))):
+        own, other = (plus, minus) if side > 0 else (minus, plus)
+        inner, *cells = _outward_cells(potential, gamma, side, xs[half], own[half], other[half])
+        (a, w), (err, _), (floor, _) = (v.T for v in cells)
+        pt_r = complex(psi_tilde(potential, gamma, side * r, side, cfg))
+        fac = np.exp(-2.0 * gamma * r - float(potential.U(side * r))) * pt_r
+        k = complex(np.sum(a) + inner[-1 if side > 0 else 0] * fac)
+        err, tol = float(np.sum(err)), float(_tolerance(k, np.sum(floor), cfg))
+        if err > tol:
+            msg = f"resolvent at gamma={gamma} on the half line x {'>=' if side > 0 else '<='} 0"
+            msg = f"{msg} misses its tolerance: error {err:.2e} > {tol:.2e} (grid too coarse)"
+            raise IntegrationError(msg, location=float(side * r))
+        out.append((k, (xs[half], inner, a, w, fac)))
+    (k1, pos), (k2, neg) = out
+    return k1, k2, pos, neg
 
 
 def _k_plus_minus(potential, gamma, h, cfg, tol):

@@ -181,12 +181,8 @@ def _tolerance(value, floor, cfg):
 def _panels(f, a, b):
     """Evaluate GK15 on every panel [a[i], b[i]], one call of f per _BLOCK panels.
 
-    Returns (K, E, N, batch_flag), the first three shaped (panels, rows):
-    N is the roundoff floor, eps times the L1 mass of the panel.  Panels
-    whose |K - G| sits at that floor cannot be improved by further bisection
-    and are retired.  Panel-major storage keeps the per-round gathers and
-    sums contiguous when there are thousands of rows; blocks keep every
-    temporary small however many panels there are.
+    Returns _gk_reduce's (K, E, N, batch_flag).  Blocks keep every temporary
+    small however many panels there are.
     """
     if a.size > _BLOCK:
         *parts, batch = zip(*(_panels(f, a[i : i + _BLOCK], b[i : i + _BLOCK]) for i in range(0, a.size, _BLOCK)))
@@ -194,9 +190,21 @@ def _panels(f, a, b):
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = (c[:, None] + h[:, None] * _NODES).ravel()
-    v = np.asarray(f(x))
+    return _gk_reduce(np.asarray(f(x)), h, x)
+
+
+def _gk_reduce(v, h, x):
+    """GK15 of samples v, (n,) or (rows, n), at nodes x, 15 per panel of half-width h.
+
+    Returns (K, E, N, batch_flag), the first three shaped (panels, rows):
+    E is |K - G| and N the roundoff floor, eps times the L1 mass of the
+    panel.  Panels whose |K - G| sits at that floor cannot be improved by
+    further bisection and are retired.  Panel-major storage keeps the
+    per-round gathers and sums contiguous when there are thousands of rows.
+    A non-finite sample raises IntegrationError at its node.
+    """
     batch = v.ndim == 2
-    v = v.reshape(-1, a.size, _NODES.size)
+    v = v.reshape(-1, h.size, _NODES.size)
     h = h[:, None]
     noise = _EPS * h * (np.abs(v) @ _KRONROD_W).T
     if not np.all(np.isfinite(noise)):  # the Kronrod weights are positive

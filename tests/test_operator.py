@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import GAUSSIAN_EIGENVALUES, skewed_well
-from zigzagspec import charfn, operator
+from zigzagspec import charfn, operator, quadrature
 from zigzagspec.errors import (
     DomainError,
     IntegrationError,
@@ -33,7 +33,7 @@ from zigzagspec.perturbation import (
     refreshment_coefficient,
     refreshment_coefficient_symmetric,
 )
-from zigzagspec.potential import SwitchingRateSpec, beta_family, custom, gaussian, scale
+from zigzagspec.potential import PotentialModel, SwitchingRateSpec, beta_family, custom, gaussian, scale
 
 G1 = GAUSSIAN_EIGENVALUES[1]  # minus branch
 G2 = GAUSSIAN_EIGENVALUES[2]  # plus branch
@@ -79,7 +79,7 @@ def test_grid_radius_gaussian(gaussian_potential):
         scale(beta_family(2.5), 2.0): 11.4609375,
         custom(np.cosh, np.sinh, label="cosh"): 4.19921875,
         custom(lambda x: a(x) ** 2 / 2, lambda x: a(x), label="x2"): 8.03125,
-        skewed_well(): 7.93359375,
+        skewed_well(): 8.12890625,
     }
     assert {p.descriptor(): grid_radius(p) for p in radii} == {p.descriptor(): r for p, r in radii.items()}
     with pytest.raises(DomainError, match="too flat"):
@@ -419,25 +419,62 @@ def test_k_coefficients_are_the_resolvent_at_zero(gaussian_potential):
         assert k_coefficients(pot, g, h) == (f.plus[mid], f.minus[mid])
 
 
-def test_resolvent_sweeps_each_half_line_once(gaussian_potential, monkeypatch):
-    # k+- and f come from one GK15 sweep per outward half line, so each
-    # cumulative is evaluated once at each of that half line's GK nodes (the
-    # sweep calls it block by block, in ascending order)
+def test_resolvent_sweep_reads_each_gk_node_from_its_own_cell(gaussian_potential, monkeypatch):
+    # k+- and f come from one GK15 sweep per outward half line: U sees each
+    # GK node of each half line exactly once, and phi1/phi2 are taken only at
+    # the 15 offsets of each distinct cell width plus the width itself (for
+    # the node cumulatives): 16 arguments on a default half line, which has a
+    # single width, and at most 16 per cell on a graded one
     h = _seeded_input(gaussian_potential, 5)
-    nodes = {}
-    call = operator._ExpCumulative.__call__
+    seen, phi_args = [], []
+    U, phi12 = PotentialModel.U, operator._phi12
 
-    def counted(self, x):
-        nodes.setdefault(id(self), []).append(np.asarray(x))
-        return call(self, x)
+    def counted_u(self, x):
+        seen.append(np.ravel(x))
+        return U(self, x)
 
-    monkeypatch.setattr(operator._ExpCumulative, "__call__", counted)
+    def counted_phi(z):
+        phi_args.append(np.size(z))
+        return phi12(z)
+
+    monkeypatch.setattr(PotentialModel, "U", counted_u)
+    monkeypatch.setattr(operator, "_phi12", counted_phi)
     apply_resolvent(gaussian_potential, 1.0 + 0.5j, h)
-    gk_nodes = 15 * (h.xs.size // 2)  # one GK15 panel per cell of a half line
-    assert len(nodes) == 2
-    for parts in nodes.values():
-        xs = np.concatenate(parts)
-        assert xs.size == gk_nodes and np.all(np.diff(xs) > 0)
+    nodes = np.concatenate(seen)
+    inside = np.sort(nodes[~np.isin(nodes, h.xs)])  # every GK node is interior to its cell
+    frac = 0.5 + 0.5 * quadrature._NODES
+    want = np.sort((h.xs[:-1, None] + np.diff(h.xs)[:, None] * frac).ravel())
+    assert inside.size == want.size == 2 * 15 * 2048
+    assert np.max(np.abs(inside - want)) <= 1e-14 * h.radius
+    assert np.unique(np.diff(h.xs[2048:])).size == np.unique(np.diff(h.xs[:2049])).size == 1
+    assert phi_args == [16, 16]
+    phi_args.clear()
+    graded = _graded_grid(gaussian_potential)
+    k_coefficients(gaussian_potential, 1.0 + 0.5j, GridFunction(graded, graded, -graded))
+    widths = np.unique(np.diff(graded[1000:])).size
+    assert len(phi_args) == 2 and max(phi_args) <= 16 * widths
+
+
+def test_resolvent_refuses_a_grid_too_coarse_for_gamma(gaussian_potential, monkeypatch):
+    # five nodes leave cells of width 4, too coarse for e^{-2 gamma x} at
+    # Im gamma = 4: the sweep says so instead of returning k+- wrong in the
+    # fifth digit, which it does with the acceptance rule switched off; the
+    # same piecewise-linear h on the default grid (which holds the coarse
+    # nodes) passes
+    g = 1.0 + 4.0j
+    fine = _seeded_input(gaussian_potential, 3)
+    coarse = GridFunction(fine.xs[::1024], fine.plus[::1024], fine.minus[::1024])
+    with pytest.raises(IntegrationError, match=r"gamma=\(1\+4j\) on the half line x >= 0 .*grid too coarse"):
+        k_coefficients(gaussian_potential, g, coarse)
+    with pytest.raises(IntegrationError, match="grid too coarse"):
+        apply_resolvent(gaussian_potential, g, coarse)
+    with pytest.raises(IntegrationError, match="grid too coarse"):
+        spectral_projection(gaussian_potential, G1, coarse)
+    refined = GridFunction(fine.xs, coarse(fine.xs, +1), coarse(fine.xs, -1))
+    want = np.array(k_coefficients(gaussian_potential, g, refined))
+    monkeypatch.setattr(operator, "_tolerance", lambda value, floor, cfg: math.inf)
+    got = np.array(k_coefficients(gaussian_potential, g, coarse))
+    assert np.max(np.abs(got - want)) > 1e-6 * np.max(np.abs(want))
 
 
 def test_resolvent_rejects_spectrum_points(gaussian_potential):
@@ -558,7 +595,7 @@ def _oracle_projection(pot, gamma, h):
     # the per-node route: GK15 on each cell of h's grid, 0 added as an edge
     # (f kinks there), of h f(., -theta) e^{-U}, over the adaptive <f, F conj f>
     f = eigenfunction(pot, gamma)
-    cells, _ = operator.gk_cells(
+    cells, _ = quadrature.gk_cells(
         lambda x: np.stack([h(x, th) * f.component(x, -th) for th in (+1, -1)]) * np.exp(-pot.U(x)),
         np.union1d(h.xs, [0.0]),
     )
@@ -568,16 +605,40 @@ def _oracle_projection(pot, gamma, h):
     return np.sum(cells) / den
 
 
+def _oracle_k(pot, gamma, h):
+    # the per-node route to k+-: GK15 on each cell of h's grid of
+    # e^{-side gamma x - U} (h^side + h^-side pt^side) on each half line
+    def half_line(side):
+        x = h.xs[h.xs * side >= 0.0]
+        row = lambda x: np.exp(-side * gamma * x - pot.U(x)) * (
+            h(x, side) + h(x, -side) * psi_tilde(pot, gamma, x, side)
+        )
+        return np.sum(quadrature.gk_cells(row, np.sort(x))[0])
+
+    k1, k2 = half_line(+1), half_line(-1)
+    values = charfn.CharFunctionHandle(pot, "full").values_batch(gamma)
+    z = complex(charfn._z_and_dz("full", *values)[0][0])
+    pp, _, pm, _ = (complex(v[0]) for v in values)
+    return (k1 + pp * k2) / z, (pm * k1 + k2) / z
+
+
 def _even_grid(pot, n=1000):
     # symmetric, with no node at x = 0
     half = np.linspace(0.5, n - 0.5, n) * (grid_radius(pot) / (n - 0.5))
     return np.concatenate([-half[::-1], half])
 
 
+def _graded_grid(pot, n=1000):
+    # symmetric, sinh-spaced: a distinct width for every cell of a half line
+    half = grid_radius(pot) * np.sinh(3.0 * np.linspace(0.0, 1.0, n + 1)) / math.sinh(3.0)
+    return np.concatenate([-half[:0:-1], half])
+
+
 @pytest.mark.parametrize("family", ["gaussian:1", "beta:2.5"])
 def test_grid_projection_matches_the_per_node_route(family, beta25_spectrum):
     # P_gamma is the resolvent's residue: k1 + psi+ k2 over Z'/psi- must
-    # reproduce the per-node pairing, on an odd grid and on an even one
+    # reproduce the per-node pairing, on an odd grid, an even one and a
+    # graded one, whose cells take phi at their own width each
     pot = gaussian(1.0) if family == "gaussian:1" else beta_family(2.5)
     if family == "gaussian:1":
         gammas = GAUSSIAN_EIGENVALUES[:4]
@@ -586,13 +647,21 @@ def test_grid_projection_matches_the_per_node_route(family, beta25_spectrum):
     assert len(gammas) == 4
     a, b, c, d = np.random.default_rng(11).normal(size=4)
     fn = lambda x, th: (a + b * x + c * x * x + d * th * x) * np.exp(-x * x / 2.5)
-    even = _even_grid(pot)
-    hs = (GridFunction.from_callable(pot, fn), GridFunction(even, fn(even, +1), fn(even, -1)))
+    even, graded = _even_grid(pot), _graded_grid(pot)
+    assert np.unique(np.diff(graded[1000:])).size > 900
+    hs = (
+        GridFunction.from_callable(pot, fn),
+        GridFunction(even, fn(even, +1), fn(even, -1)),
+        GridFunction(graded, fn(graded, +1), fn(graded, -1)),
+    )
     for g in gammas:
         for h in hs:
             got, _ = spectral_projection(pot, g, h)
             want = _oracle_projection(pot, g, h)
             assert abs(got - want) <= 1e-12 * abs(want)
+    # k+- on the graded grid, off the spectrum, against the per-node route
+    got, want = np.array(k_coefficients(pot, 1.0 + 0.5j, hs[2])), np.array(_oracle_k(pot, 1.0 + 0.5j, hs[2]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the resolvent itself still needs the x = 0 node
     with pytest.raises(DomainError, match="x = 0"):
         apply_resolvent(pot, 1.0 + 0.5j, hs[1])
