@@ -19,7 +19,10 @@ width sigma, and the family picks how psi_1 is evaluated: the closed form
 for the Gaussian, adaptive quadrature for every other family (``psi`` and
 ``psi_batch`` integrate the U they are given, width included).
 
-Quadrature integrates along the real axis first.  For
+Quadrature integrates along the real axis first, with psi and psi' of every
+gamma in a batch from one GK15 panel evaluator: at a node t = c + h x of a
+panel the kernel factors into a real e^{-2 Re(gamma) t - U} per (gamma, node),
+a phasor per (gamma, panel) and one per (gamma, panel width, node).  For
 Re gamma < 0 the integrand can peak far above the integral (near e^18 at
 gamma = -3 - 4.5i for the Gaussian), and its panels then retire at the
 roundoff floor short of the requested tolerance max(abs_tol, rel_tol |A|).
@@ -41,7 +44,8 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, NearZeroError, TruncationError
 from .potential import PotentialModel
-from .quadrature import DEFAULT_CONFIG, DecayProfile, QuadratureConfig, _tolerance, integrate_finite, truncation_radius
+from .quadrature import _BLOCK, _EPS, _GAUSS_W, _KRONROD_W, _NODES, _adaptive, _initial_edges, _tolerance
+from .quadrature import DEFAULT_CONFIG, DecayProfile, QuadratureConfig, integrate_finite, truncation_radius
 from .specialfn import erfcx_complex
 
 __all__ = [
@@ -90,19 +94,20 @@ def gaussian_closed_form(gamma):
 # sector's edges are avoided because Re U grows ever more slowly there.
 _RAY_FRACTIONS = np.array([s * k / 10.0 for k in range(1, 10) for s in (1, -1)])
 _MAX_RAYS = 4
+_STEEP = 64.0  # decay lengths 1 / (2 Re g') the first initial panel of a psi pass may span
 
 
 def _path(potential: PotentialModel, sign: int, phi: float):
-    """(u(t), W(u), du/dt) for the ray u = t e^{i phi}, W(u) = U(sign u) - U(0).
+    """(u(t), W(u), du/dt) for the ray u = t e^{i phi}; W(u) = U(sign u), as U(0) = 0.
 
     phi = 0 is the real axis in real arithmetic; any other ray needs the
     analytic continuation of U.
     """
+    w_of = potential.U if sign > 0 else (lambda u: potential.U(-u))
     if phi == 0.0:
-        u0 = potential.U(0.0)
-        return (lambda t: t), (lambda u: potential.U(sign * u) - u0), 1.0
+        return (lambda t: t), w_of, 1.0
     rot = cmath.exp(1j * phi)
-    return (lambda t: rot * t), (lambda u: potential.U(sign * u)), rot
+    return (lambda t: rot * t), w_of, rot
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,23 +129,81 @@ class _RayEnvelope:
         return np.real(-2.0 * self.gamma * z - w(z))
 
 
+_KD = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W])  # GK15 rows: Kronrod, and the error estimate
+
+
+def _kernel_panels(potential, sign, g, phi):
+    """GK15 panel evaluator panels(a, b) -> (K, E, N, True) of A and B for
+    every gamma in g on the ray u = t e^{i phi}, shaped (panels, 2 n): A's
+    rows, then those of INT t k dt (B without its e^{2 i phi}).  With
+    g' = gamma e^{i phi}, k = e^{-2 gamma u - W} at t = c + h x is
+
+        e^{-2 Re(g') t - Re W(u)} e^{-2i Im(g') c} e^{-2i Im(g') h x} e^{-i Im W(u)},
+
+    W's phase joining the node's on a ray (one gamma).  One matmul against
+    rows h w_j and h w_j t_j (w: Kronrod, Kronrod - Gauss) gives both rows'
+    sums and errors, and |k|, the real factor, gives the roundoff floors.
+    """
+    rot = cmath.exp(1j * phi)
+    gr = g if phi == 0.0 else g * rot
+    fall = -2.0 * gr.real
+    turn = -2.0j * gr.imag  # i times the phase rate -2 Im(g')
+    spin = np.multiply.outer(_NODES, turn)
+    _, w_of, _ = _path(potential, sign, phi)
+    n = g.size
+
+    def panels(a, b):
+        if a.size > _BLOCK:  # blocks keep every temporary small, as in quadrature._panels
+            *parts, _ = zip(*(panels(a[i : i + _BLOCK], b[i : i + _BLOCK]) for i in range(0, a.size, _BLOCK)))
+            return (*map(np.concatenate, parts), True)
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        t = c[:, None] + h[:, None] * _NODES
+        w = w_of(t) if phi == 0.0 else w_of(rot * t)
+        mag = np.multiply.outer(t, fall)
+        mag -= w.real[:, :, None]
+        np.exp(mag, out=mag)
+        if phi != 0.0:
+            phasor = np.exp(h[:, None, None] * spin - 1j * w.imag[:, :, None])
+        else:
+            width = sorted(set(h.tolist()))
+            phasor = np.exp(np.multiply.outer(width, spin))
+            if len(width) > 1:
+                phasor = phasor[np.searchsorted(width, h)]
+        kern = mag * phasor
+        rows = np.empty((a.size, 2, 2, _NODES.size))
+        np.multiply(h[:, None, None], _KD, out=rows[:, :, 0])
+        np.multiply((h[:, None] * t)[:, None, :], _KD, out=rows[:, :, 1])
+        rows = rows.reshape(a.size, 4, _NODES.size)  # [K of A, K of B, K - G of A, K - G of B]
+        sums = (rows @ kern.view(float).reshape(a.size, _NODES.size, 2 * n)).view(complex)
+        floor = _EPS * (rows[:, :2] @ mag)
+        if not math.isfinite(floor.sum()):  # a sum of floors >= 0 is finite iff each is
+            i, j, _ = np.unravel_index(np.argmax(np.where(np.isfinite(mag), mag, np.inf)), mag.shape)
+            raise IntegrationError(f"non-finite integrand sample near x = {t[i, j]:.6g}", location=float(t[i, j]))
+        k = sums[:, :2] * np.exp(np.multiply.outer(c, turn))[:, None, :]
+        return k.reshape(a.size, 2 * n), np.abs(sums[:, 2:]).reshape(a.size, 2 * n), floor.reshape(a.size, 2 * n), True
+
+    return panels
+
+
 def _ab_pass(potential, sign, g, phi, radius, cfg):
     """A = INT e^{-2 gamma u - W} du and B = INT u e^{-2 gamma u - W} du over
     u = t e^{i phi}, t in [0, radius], for every gamma in g on shared panels.
 
     Returns (values, errors), each (2, n): rows A and B, one column per gamma.
+    Where the kernel's fall e^{-2 Re(g') t} is steep, the initial panels halve
+    towards t = 0 until the first spans at most _STEEP decay lengths.
     """
-    u_of, w_of, rot = _path(potential, sign, phi)
-
-    def rows(t):
-        u = u_of(t)
-        kernel = np.exp(-2.0 * g[:, None] * u[None, :] - w_of(u)[None, :])
-        return np.concatenate([kernel, u[None, :] * kernel], axis=0)
-
-    oscillation = float(np.max(np.abs(2.0 * (g * rot).imag)))
-    vals, errs = integrate_finite(rows, 0.0, radius, cfg, oscillation=oscillation)
-    vals = rot * vals  # du = e^{i phi} dt; exact for phi = 0
-    return vals.reshape(2, g.size), errs.reshape(2, g.size)
+    rot = cmath.exp(1j * phi)
+    gr = g * rot
+    oscillation = float(np.abs(2.0 * gr.imag).max())
+    steep = 2.0 * float(gr.real.max()) * radius
+    breaks = radius * 0.5 ** np.arange(1, math.ceil(math.log2(steep / _STEEP)) + 1) if steep > _STEEP else ()
+    edges = np.asarray(_initial_edges(0.0, radius, oscillation, breaks), dtype=float)
+    vals, errs, _ = _adaptive(_kernel_panels(potential, sign, g, phi), edges, cfg)
+    vals = vals.reshape(2, g.size)
+    if phi != 0.0:  # du = e^{i phi} dt, and B's u is e^{i phi} t
+        vals = vals * np.array([[rot], [rot * rot]])
+    return vals, errs.reshape(2, g.size)
 
 
 def _ab_on_ray(potential, sign, gamma, cfg, ab, errs):
@@ -195,6 +258,12 @@ def _psi_head(potential: PotentialModel, gamma: complex) -> str:
     return f"psi of {potential.descriptor()} at gamma={gamma}"
 
 
+def _refuse_non_finite(potential: PotentialModel, g):
+    """Raise DomainError naming the first non-finite gamma of g, if any."""
+    if not np.isfinite(g).all():
+        raise DomainError(f"{_psi_head(potential, complex(g[~np.isfinite(g)][0]))}: gamma must be finite")
+
+
 def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: QuadratureConfig):
     """(psi, dpsi, err, phi) arrays for every gamma in g from one adaptive pass.
 
@@ -209,6 +278,7 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
     """
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+    _refuse_non_finite(potential, g)
     alpha = float(np.max(np.maximum(0.0, -2.0 * g.real)))
     profile = DecayProfile(potential=potential, alpha=alpha, direction=int(sign), center=0.0)
     radius, tail = truncation_radius(profile, cfg)
@@ -289,12 +359,12 @@ def psi(
 def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """(psi values, dpsi values) for an array of gammas in one adaptive pass.
 
-    All gammas share quadrature panels (2 rows each: kernel and u * kernel),
-    with the truncation radius and oscillation guard taken from the worst
-    member of the batch.  This is what keeps contour integration affordable
-    for potentials without a closed form.  A gamma whose integrals miss the
-    tolerance of cfg there is taken alone along a rotated ray, and the batch
-    raises IntegrationError if that misses it too, as psi does.
+    All gammas share quadrature panels (one factored kernel gives each its A
+    and B), with the truncation radius and oscillation guard taken from the
+    worst member of the batch.  This is what keeps contour integration
+    affordable for potentials without a closed form.  A gamma whose integrals
+    miss the tolerance of cfg there is taken alone along a rotated ray, and
+    the batch raises IntegrationError if that misses it too, as psi does.
     """
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
     if g.size == 0:
@@ -335,6 +405,7 @@ class CharFunctionHandle:
         sign (one for an even U), so a value depends only on the batch it is in.
         """
         g = np.atleast_1d(np.asarray(gammas, dtype=complex))
+        _refuse_non_finite(self.potential, g)
         s = self.potential.sigma
         if s != 1.0:
             unit = dataclasses.replace(self, potential=self.potential._unit)

@@ -8,9 +8,9 @@ row must fall below max(abs_tol, rel_tol |K|, 8 times its roundoff floor).
 Refinement is level-synchronous, in the style of Shampine's vectorised quadgk
 (J. Comput. Appl. Math. 2008): each round bisects the worst panels that
 together carry the worst row's excess error, and evaluates all their
-children in one call of f, so per-call overhead (numpy dispatch, and for
-psi a whole nested quadrature) is paid per round.  f must therefore accept a
-node array of any length.  Two features beyond a stock integrator:
+children in one call of a panel evaluator (charfn brings its own for psi;
+integrate_finite's samples an f that takes a node array of any length), so
+per-call overhead is paid per round.  Two features beyond a stock integrator:
 
 * batch rows: the integrand may return an (m, n) array for n nodes, in which
   case all m integrals share panels and refinement is driven by the rows
@@ -238,9 +238,10 @@ def _initial_edges(a, b, oscillation, breakpoints):
     return pts
 
 
-def _adaptive(f, edges, cfg):
+def _adaptive(panels, edges, cfg):
     """Level-synchronous adaptive refinement over the initial cells of edges.
 
+    panels(a, b) returns _panels' (K, E, N, batch_flag) of [a[i], b[i]].
     Returns (value_rows, err_rows, batch_flag).  Convergence demands the
     accumulated |K - G| of every row drop below the requested tolerance or
     below the accumulated roundoff floor, whichever is larger; individual
@@ -249,12 +250,12 @@ def _adaptive(f, edges, cfg):
     worst e / tol over the failing rows and bisects the best-scored panels
     until their scores add up to the worst row's excess (total_e - tol) / tol:
     were their error gone, that row would pass.  All their children are
-    evaluated with one call of f.  (Stopping at half the excess bisects the
-    same panels in about twice as many rounds.)
+    evaluated with one call of panels.  (Stopping at half the excess bisects
+    the same panels in about twice as many rounds.)
     """
     a, b = edges[:-1], edges[1:]
     depth = np.zeros(a.size, dtype=int)
-    k, e, n, batch = _panels(f, a, b)
+    k, e, n, batch = panels(a, b)
     count = a.size
     while True:
         total_k, total_e = k.sum(axis=0), e.sum(axis=0)
@@ -284,7 +285,7 @@ def _adaptive(f, edges, cfg):
                 location=mid,
             )
         mid = 0.5 * (a[pick] + b[pick])
-        ck, ce, cn, _ = _panels(f, np.concatenate([a[pick], mid]), np.concatenate([mid, b[pick]]))
+        ck, ce, cn, _ = panels(np.concatenate([a[pick], mid]), np.concatenate([mid, b[pick]]))
         count += 2 * chosen
         keep = np.ones(a.size, dtype=bool)
         keep[pick] = False
@@ -319,7 +320,7 @@ def integrate_finite(
         return zero, (np.zeros(probe.shape[0]) if probe.ndim == 2 else 0.0)
 
     edges = np.asarray(_initial_edges(a, b, oscillation, breakpoints), dtype=float)
-    total_k, total_e, batch = _adaptive(f, edges, cfg)
+    total_k, total_e, batch = _adaptive(lambda a, b: _panels(f, a, b), edges, cfg)
     if batch:
         return total_k, total_e
     return complex(total_k[0]), float(total_e[0])

@@ -1,11 +1,14 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from conftest import skewed_well
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zigzagspec import charfn, quadrature
 from zigzagspec.charfn import (
     CharFunctionHandle,
     gaussian_closed_form,
@@ -15,7 +18,7 @@ from zigzagspec.charfn import (
     z_value_batch,
 )
 from zigzagspec.errors import DomainError, IntegrationError, NearZeroError
-from zigzagspec.potential import beta_family, custom, gaussian, parse_potential, scale
+from zigzagspec.potential import PotentialModel, beta_family, custom, gaussian, parse_potential, scale
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -251,3 +254,111 @@ def test_a_scaled_model_refusing_psi_names_the_callers_gamma_and_model():
     assert str(info.value).startswith("psi of quad@scale=2 at gamma=(-1.5-2j) (sign +1)")
     assert "-3-4j" not in str(info.value)
     assert info.value.location == -1.5 - 2.0j
+
+
+# ---------------------------------------------------------------------------
+# the factored psi kernel against a node-wise GK15 oracle
+# ---------------------------------------------------------------------------
+
+# graded panels on [0, 8] (widths from 2^-8 to 1, several of each), and
+# panels of one width
+GRADED = np.concatenate([[0.0], 2.0 ** np.arange(-7, 1), [1.5, 2.0, 2.5, 4.0, 6.0, 8.0]])
+GRADED = np.unique(np.concatenate([GRADED, 0.5 * (GRADED[1:] + GRADED[:-1])]))
+UNIFORM = np.linspace(0.0, 8.0, 17)
+
+
+def _node_wise_panels(potential, sign, g, phi, a, b):
+    """quadrature._panels on the rows [e^{-2 gamma u - W}, u e^{-2 gamma u - W}],
+    one complex exp per (gamma, node), u = t e^{i phi}."""
+    u_of, w_of, _ = charfn._path(potential, sign, phi)
+
+    def rows(t):
+        u = u_of(t)
+        kernel = np.exp(-2.0 * g[:, None] * u[None, :] - w_of(u)[None, :])
+        return np.concatenate([kernel, u[None, :] * kernel], axis=0)
+
+    return quadrature._panels(rows, a, b)
+
+
+@pytest.mark.parametrize(
+    "descriptor,sign,n,ray",
+    [
+        ("beta:2.5", +1, 1, False),
+        ("beta:2.5", +1, 100, False),
+        ("beta:2.5", +1, 1, True),
+        ("beta:2", +1, 100, False),
+        ("skewed", -1, 1, False),
+        ("skewed", -1, 100, False),
+    ],
+)
+@pytest.mark.parametrize("edges", [GRADED, UNIFORM], ids=["graded", "uniform"])
+def test_factored_kernel_matches_the_node_wise_oracle(descriptor, sign, n, ray, edges):
+    potential = skewed_well() if descriptor == "skewed" else parse_potential(descriptor)
+    phi = 0.5 * potential.ray_sector if ray else 0.0
+    rng = np.random.default_rng(n)
+    g = rng.uniform(-1.5, 0.5, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    a, b = edges[:-1], edges[1:]
+    k, e, floor, batch = charfn._kernel_panels(potential, sign, g, phi)(a, b)
+    ok, oe, ofloor, _ = _node_wise_panels(potential, sign, g, phi, a, b)
+    assert batch and k.shape == e.shape == floor.shape == ok.shape == (a.size, 2 * n)
+    # the evaluator's B rows leave out the e^{i phi} of u = t e^{i phi}
+    k = k * np.repeat([1.0, cmath.exp(1j * phi)], n)
+    scale = np.maximum(np.abs(ok), ofloor)
+    for got, want in ((k, ok), (e, oe), (floor, ofloor)):
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_factored_kernel_samples_u_once_per_node_whatever_the_batch(monkeypatch):
+    seen = []
+    U = PotentialModel.U
+
+    def counted(self, x):
+        seen.append(np.size(x))
+        return U(self, x)
+
+    monkeypatch.setattr(PotentialModel, "U", counted)
+    a, b = GRADED[:-1], GRADED[1:]
+    for n in (1, 100):
+        panels = charfn._kernel_panels(beta_family(2.5), +1, np.full(n, -0.3 + 1.1j), 0.0)
+        seen.clear()
+        panels(a, b)
+        assert sum(seen) == 15 * a.size
+
+
+def test_factored_kernel_names_the_node_of_a_non_finite_sample():
+    # U is NaN past x = 3: the first such node of the panel [0, 8] is named
+    nan_past_3 = custom(lambda x: np.where(np.asarray(x) > 3.0, np.nan, 0.5 * np.asarray(x) ** 2), np.asarray)
+    panels = charfn._kernel_panels(nan_past_3, +1, np.array([0.5 + 1j, 0.2]), 0.0)
+    nodes = 4.0 + 4.0 * quadrature._NODES
+    with pytest.raises(IntegrationError, match="non-finite integrand sample") as info:
+        panels(np.array([0.0]), np.array([8.0]))
+    assert info.value.location == nodes[nodes > 3.0][0]
+
+
+@pytest.mark.parametrize("g", [1e3, 1e4, 1e5, 1e3 + 1e3j])
+def test_quadrature_psi_resolves_a_steep_kernel_at_large_re_gamma(g):
+    # the kernel decays on the scale 1 / (2 Re gamma), far inside [0, radius]:
+    # the initial panels must resolve it, or every node sees 0 and psi reads 1
+    want = gaussian_closed_form(g)[0]
+    assert abs(psi(beta_family(2.0), +1, g) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+NON_FINITE = [complex(0.0, math.inf), complex(math.nan, 0.0), complex(-math.inf, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: psi(beta_family(2.5), +1, g),
+        lambda g: psi_batch(beta_family(2.5), -1, [0.5, g]),
+        lambda g: CharFunctionHandle(gaussian(1.0)).values_batch([0.5, g]),
+        lambda g: CharFunctionHandle(scale(beta_family(2.5), 2.0)).values_batch([g]),
+        lambda g: z_value_batch(CharFunctionHandle(beta_family(3.0), "plus"), [g]),
+    ],
+    ids=["psi", "psi_batch", "values_batch gaussian", "values_batch scaled beta", "z_value_batch"],
+)
+@pytest.mark.parametrize("g", NON_FINITE, ids=["inf_imag", "nan", "-inf"])
+def test_a_non_finite_gamma_is_refused_by_name(call, g):
+    with pytest.raises(DomainError, match=r"gamma must be finite") as info:
+        call(g)
+    assert str(g) in str(info.value)
