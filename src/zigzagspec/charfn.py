@@ -28,10 +28,13 @@ gamma = -3 - 4.5i for the Gaussian), and its panels then retire at the
 roundoff floor short of the requested tolerance max(abs_tol, rel_tol |A|).
 Such a gamma is integrated again along a ray u = t e^{i phi} inside the
 potential's ``ray_sector`` (Cauchy's theorem moves the path; see Trefethen &
-Weideman, SIAM Rev. 2014), trying the rays whose envelope peaks lowest first.
-Where no ray meets the tolerance, or a custom potential has no analytic
-continuation, psi raises IntegrationError instead of returning the short
-value.  Integrals that meet their tolerance on the real axis stay there.
+Weideman, SIAM Rev. 2014).  One table of Re U at the ray angles and fixed
+radii gives every missed gamma its rays, the lowest envelope peak first, and
+a radius with the tail bound truncation_radius uses; the missed gammas on one
+angle then share one pass.  Where a gamma's best rays miss too, or a custom
+potential has no analytic continuation, psi raises IntegrationError instead
+of returning the short value.  Integrals that meet their tolerance on the real
+axis stay there.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, NearZeroError, TruncationError
+from .errors import DomainError, IntegrationError, NearZeroError
 from .potential import PotentialModel
 from .quadrature import _BLOCK, _EPS, _GAUSS_W, _KRONROD_W, _NODES, _adaptive, _initial_edges, _tolerance
 from .quadrature import DEFAULT_CONFIG, DecayProfile, QuadratureConfig, integrate_finite, truncation_radius
@@ -95,6 +98,8 @@ def gaussian_closed_form(gamma):
 _RAY_FRACTIONS = np.array([s * k / 10.0 for k in range(1, 10) for s in (1, -1)])
 _MAX_RAYS = 4
 _STEEP = 64.0  # decay lengths 1 / (2 Re g') the first initial panel of a psi pass may span
+# radii a ray may be cut at: steps of 1/8 over the envelope's hump, then geometric out to 1e4
+_RAY_T = np.concatenate([np.linspace(0.0, 8.0, 65), np.geomspace(8.0, 1e4, 80)[1:]])
 
 
 def _path(potential: PotentialModel, sign: int, phi: float):
@@ -108,25 +113,6 @@ def _path(potential: PotentialModel, sign: int, phi: float):
         return (lambda t: t), w_of, 1.0
     rot = cmath.exp(1j * phi)
     return (lambda t: rot * t), w_of, rot
-
-
-@dataclasses.dataclass(frozen=True)
-class _RayEnvelope:
-    """log |e^{-2 gamma u - W(u)}| along the ray u = t e^{i phi}.
-
-    Stands in for a DecayProfile in truncation_radius; its maximum over t is
-    the cancellation the quadrature must survive on that ray.
-    """
-
-    potential: PotentialModel
-    sign: int
-    gamma: complex
-    phi: float
-
-    def log_envelope(self, t):
-        u, w, _ = _path(self.potential, self.sign, self.phi)
-        z = u(np.asarray(t, dtype=float))
-        return np.real(-2.0 * self.gamma * z - w(z))
 
 
 _KD = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W])  # GK15 rows: Kronrod, and the error estimate
@@ -206,52 +192,75 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
     return vals, errs.reshape(2, g.size)
 
 
-def _ab_on_ray(potential, sign, gamma, cfg, ab, errs):
-    """(A, B), their errors, phi, radius and tail for one gamma whose
-    real-axis integrals `ab` missed their tolerance by `errs`, taken along the
-    first admissible ray that meets it.
+def _ab_on_rays(potential, sign, g, cfg, ab, errs, radius):
+    """(A, B), their errors, phi, radius and tail for the gammas g whose
+    real-axis integrals `ab`, cut at `radius`, missed their tolerance by `errs`.
 
-    Rays are tried in order of their envelope peak, the least cancellation
-    first.  Raises IntegrationError when none meets the tolerance, naming the
-    cancellation on the real axis.
+    Re W(t e^{i phi}) is tabled once per ray angle at the _RAY_T radii t and
+    at t + 1; gamma's log envelope there is le = f t - Re W, f = -2 Re(gamma
+    e^{i phi}).  A ray suits gamma where, past the envelope's peak, a table t
+    has le < -truncation_margin and rho = le(t) - le(t + 1) > 1e-3, as in
+    truncation_radius; the first such t is gamma's radius.  Each gamma orders
+    its rays by rounded peak (the least cancellation first), then radius.
+    Rank by rank, the gammas still missing take their next ray, and those on
+    one angle share one _ab_pass, cut at the largest of their radii R with
+    tail bound e^{le(R)} / (1 - e^{-rho(R)}); a pass that raises sends its
+    gammas on.  Raises IntegrationError, naming the cancellation on the real
+    axis, for a gamma whose best _MAX_RAYS rays all miss.
     """
-    rays = []
-    phis = potential.ray_sector * _RAY_FRACTIONS if potential.ray_sector > 0.0 else []
-    for phi in phis:
-        env = _RayEnvelope(potential, sign, gamma, float(phi))
-        try:
-            radius, tail = truncation_radius(env, cfg)
-        except TruncationError:
-            continue
-        peak = float(np.max(env.log_envelope(np.linspace(0.0, radius, 257))))
-        rays.append((round(peak), radius, float(phi), tail))
-    attempts = [(ab, errs)]
-    for _, radius, phi, tail in sorted(rays)[:_MAX_RAYS]:
-        try:
-            ray_ab, ray_errs = _ab_pass(potential, sign, np.array([gamma]), phi, radius, cfg)
-        except IntegrationError:
-            continue
-        if np.all(ray_errs <= _tolerance(ray_ab, 0.0, cfg)):
-            return ray_ab[:, 0], ray_errs[:, 0], phi, radius, tail
-        attempts.append((ray_ab[:, 0], ray_errs[:, 0]))
+    phis = potential.ray_sector * _RAY_FRACTIONS if potential.ray_sector > 0.0 else np.zeros(0)
+    rot, m, n = np.exp(1j * phis), g.size, phis.size
+    re_w = potential.U(sign * np.multiply.outer(rot, [_RAY_T, _RAY_T + 1.0])).real if n else np.zeros((0, 2, 1))
+    w, rise = re_w[:, 0], re_w[:, 1] - re_w[:, 0]  # rho = rise - f
+    fall = -2.0 * np.multiply.outer(g, rot).real
+    peak, first = np.full((m, n), np.inf), np.zeros((m, n), dtype=int)
+    for a in range(n):  # one angle at a time keeps the envelopes (m, t) small
+        le = np.multiply.outer(fall[:, a], _RAY_T) - w[a]
+        fit = (le < -cfg.truncation_margin) & (rise[a] > fall[:, a, None] + 1e-3)
+        fit &= np.arange(_RAY_T.size) > le.argmax(axis=1)[:, None]
+        first[:, a], ok = fit.argmax(axis=1), fit.any(axis=1)
+        peak[ok, a] = np.round(le.max(axis=1))[ok]
+    order = np.lexsort((np.broadcast_to(phis, peak.shape), first, peak))  # each gamma's rays, best first
+    rays = np.isfinite(peak).sum(axis=1)  # how many suit each gamma
 
-    def worst(ab, errs):  # (error, tolerance) of the integral furthest past it
+    def worst(ab, errs):  # rows (error / tolerance, error, tolerance) of each gamma's worst integral
         tol = _tolerance(ab, 0.0, cfg)
-        i = int(np.argmax(errs / tol))
-        return errs[i], tol[i]
+        i = np.argmax(errs / tol, axis=0)[None]
+        err, tol = np.take_along_axis(errs, i, 0)[0], np.take_along_axis(tol, i, 0)[0]
+        return np.stack([err / tol, err, tol])
 
-    err, tol = min((worst(*at) for at in attempts), key=lambda et: et[0] / et[1])
-    real = _RayEnvelope(potential, sign, gamma, 0.0)
-    peak = float(np.max(real.log_envelope(np.linspace(0.0, truncation_radius(real, cfg)[0], 257))))
-    if rays:
-        why = f"the best {min(len(rays), _MAX_RAYS)} admissible rotated rays missed it too"
-    else:
-        why = "it has no analytic continuation to rotate the path into"
-    raise IntegrationError(
-        f"{_psi_head(potential, gamma)} (sign {sign:+d}) misses its tolerance: error {err:.2e} > "
-        f"{tol:.2e}; on the real axis it needs cancellation from e^{peak:.0f}, and {why}",
-        location=gamma,
-    )
+    best, todo = worst(ab, errs), np.ones(m, dtype=bool)
+    phi, radii, tails = np.zeros((3, m))
+    for k in range(min(_MAX_RAYS, n)):
+        live = todo & (rays > k)
+        for a in np.unique(order[live, k]):
+            grp = np.flatnonzero(live & (order[:, k] == a))
+            i = first[grp, a].max()
+            try:
+                ray_ab, ray_errs = _ab_pass(potential, sign, g[grp], phis[a], _RAY_T[i], cfg)
+            except IntegrationError:
+                continue
+            now = worst(ray_ab, ray_errs)
+            best[:, grp] = np.where(now[0] < best[0, grp], now, best[:, grp])
+            hit = now[0] <= 1.0
+            j = grp[hit]
+            ab[:, j], errs[:, j] = ray_ab[:, hit], ray_errs[:, hit]
+            phi[j], radii[j], todo[j] = phis[a], _RAY_T[i], False
+            tails[j] = np.exp(fall[j, a] * _RAY_T[i] - w[a, i]) / -np.expm1(fall[j, a] - rise[a, i])
+    if todo.any():
+        j = int(np.argmax(todo))
+        gamma, t = complex(g[j]), np.linspace(0.0, radius, 257)
+        cancel = float(np.max(-2.0 * gamma.real * t - potential.U(sign * t)))
+        if rays[j]:
+            why = f"the best {min(rays[j], _MAX_RAYS)} admissible rotated rays missed it too"
+        else:
+            why = "it has no analytic continuation to rotate the path into"
+        raise IntegrationError(
+            f"{_psi_head(potential, gamma)} (sign {sign:+d}) misses its tolerance: error {best[1, j]:.2e} > "
+            f"{best[2, j]:.2e}; on the real axis it needs cancellation from e^{cancel:.0f}, and {why}",
+            location=gamma,
+        )
+    return ab, errs, phi, radii, tails
 
 
 def _psi_head(potential: PotentialModel, gamma: complex) -> str:
@@ -265,7 +274,7 @@ def _refuse_non_finite(potential: PotentialModel, g):
 
 
 def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: QuadratureConfig):
-    """(psi, dpsi, err, phi) arrays for every gamma in g from one adaptive pass.
+    """(psi, dpsi, err, phi, radius, tail) arrays for every gamma in g.
 
     Uses the partially integrated form psi = 1 - 2 gamma A with
     A = INT e^{-2 gamma u - W}, B = INT u e^{-2 gamma u - W}, W(u) = U(sign u),
@@ -273,8 +282,9 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
     share real-axis panels, truncated at the radius of the worst member of
     the batch.  A gamma whose A or B misses its requested tolerance there (the
     panels retire at the roundoff floor of a cancelling integrand) is
-    integrated again on a rotated ray, or refused with IntegrationError; phi
-    is the angle of the ray each gamma was integrated along.
+    integrated again on a rotated ray (see _ab_on_rays), or refused with
+    IntegrationError.  Also returns, per gamma, the angle phi of its path,
+    the radius it was cut at and the bound on the tail past it.
     """
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
@@ -283,38 +293,26 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
     profile = DecayProfile(potential=potential, alpha=alpha, direction=int(sign), center=0.0)
     radius, tail = truncation_radius(profile, cfg)
     ab, errs = _ab_pass(potential, sign, g, 0.0, radius, cfg)
-    n = g.size
-    phi = np.zeros(n)
-    radii = np.full(n, radius)
-    tails = np.full(n, tail)
-    for j in np.flatnonzero(np.any(errs > _tolerance(ab, 0.0, cfg), axis=0)):
-        ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = _ab_on_ray(
-            potential, sign, complex(g[j]), cfg, ab[:, j].copy(), errs[:, j].copy()
-        )
+    phi, radii, tails = np.zeros(g.size), np.full(g.size, radius), np.full(g.size, tail)
+    j = np.flatnonzero(np.any(errs > _tolerance(ab, 0.0, cfg), axis=0))
+    if j.size:
+        rays = _ab_on_rays(potential, sign, g[j], cfg, ab[:, j], errs[:, j], radius)
+        ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = rays
     a_val, b_val = ab
     value = 1.0 - 2.0 * g * a_val
     deriv = -2.0 * a_val + 4.0 * g * b_val
     # polynomial factor u in B is swallowed by the truncation margin
     size = np.abs(g)
     err = (2.0 * size + 2.0) * (errs[0] + tails) + 4.0 * size * (errs[1] + tails * radii)
-    return value, deriv, err, phi
+    return value, deriv, err, phi, radii, tails
 
 
 def _psi_defining_integral(
-    potential: PotentialModel, sign: int, gamma: complex, cfg: QuadratureConfig, phi: float = 0.0
+    potential: PotentialModel, sign: int, gamma: complex, cfg: QuadratureConfig, phi: float, radius: float, tail: float
 ):
     """psi via the defining integral with the U' factor (verification path),
-    along the same ray as the partially integrated form."""
-    if phi == 0.0:
-        profile = DecayProfile(
-            potential=potential,
-            alpha=max(0.0, -2.0 * gamma.real),
-            direction=int(sign),
-            center=0.0,
-        )
-    else:
-        profile = _RayEnvelope(potential, sign, gamma, phi)
-    radius, tail = truncation_radius(profile, cfg)
+    along the ray, to the radius and with the tail bound of the partially
+    integrated form."""
     u_of, w_of, rot = _path(potential, sign, phi)
 
     def f(t):
@@ -344,9 +342,9 @@ def psi(
     """
     gamma = complex(gamma)
     rows = _psi_quadrature_batch(potential, sign, np.array([gamma]), cfg)
-    value, _, err, phi = (v.item() for v in rows)  # the batch of one
+    value, _, err, *ray = (v.item() for v in rows)  # the batch of one
     if verify:
-        alt, alt_err = _psi_defining_integral(potential, sign, gamma, cfg, phi)
+        alt, alt_err = _psi_defining_integral(potential, sign, gamma, cfg, *ray)
         budget = err + alt_err + 1e-11
         if abs(value - alt) > budget:
             raise IntegrationError(
@@ -363,13 +361,14 @@ def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfi
     and B), with the truncation radius and oscillation guard taken from the
     worst member of the batch.  This is what keeps contour integration
     affordable for potentials without a closed form.  A gamma whose integrals
-    miss the tolerance of cfg there is taken alone along a rotated ray, and
-    the batch raises IntegrationError if that misses it too, as psi does.
+    miss the tolerance of cfg there is taken along a rotated ray, in one pass
+    with the batch's other gammas on that angle, and the batch raises
+    IntegrationError if that misses it too, as psi does.
     """
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
     if g.size == 0:
         return np.zeros(0, complex), np.zeros(0, complex)
-    value, deriv, _, _ = _psi_quadrature_batch(potential, sign, g, cfg)
+    value, deriv, *_ = _psi_quadrature_batch(potential, sign, g, cfg)
     return value, deriv
 
 

@@ -79,6 +79,7 @@ _LOG_GRID_TARGET = 14.0 * math.log(10.0)  # e^{-U(R)} < 1e-14
 SIMPLICITY_TOL = 1e-8  # |Z'(gamma)| at or below this: not a simple root
 _CELL_PHASE = 2.0  # |2 gamma + U'| times a pt cell's width: GK15 at roundoff
 _MAX_RANGE = 600.0  # growth factors e^{..} one pt sweep spans without underflow
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 # ----------------------------------------------------------------- phi helpers
@@ -186,7 +187,7 @@ def psi_tilde(
     step = (np.arange(cell.size) - first[cell]) / n[cell]
     edges = np.append(pts[cell] + gap[cell] * step, pts[-1])
     shift = float(log_grow[0].real)
-    # gk_cells' engine, which also hands back each cell's roundoff floor
+    # one GK15 panel per cell, each with its roundoff floor
     cells, errs, floors, _ = _panels(
         lambda t: _w(potential, gamma, side, side * t, shift), edges[:-1], edges[1:]
     )
@@ -479,11 +480,12 @@ def _outward_cells(potential, gamma, side, xs, own, other):
     p1, p2, off = off * p1, off * off * p2, off[:, :15]
     step, x0, v, dv = np.exp(-g * off), xs[:-1], other[:-1], np.diff(other) / tau
     grow = np.exp(g * x0)
-    cum = np.concatenate([[0j], np.cumsum(grow * (v * p1[cells, 15] + dv * p2[cells, 15]))])
-    base = 0.0 if side > 0 else cum[-1]  # inner = base + side cum
+    cell = grow * (v * p1[cells, 15] + dv * p2[cells, 15])  # the inward cumulative across each cell
+    # summed from 0 outward on both sides: the cells near 0 are the small ones
+    inner = np.append(0j, np.cumsum(cell)) if side > 0 else np.append(np.cumsum(cell[::-1])[::-1], 0j)
     # per cell: e^{-side gamma x_i}, h^side and its slope, inner at x_i and
     # the coefficients of phi1 and phi2 in inner's growth across the cell
-    cols = (np.exp(-g * x0), own[:-1], np.diff(own) / tau, base + side * cum[:-1], side * grow * v, side * grow * dv)
+    cols = (np.exp(-g * x0), own[:-1], np.diff(own) / tau, inner[:-1], side * grow * v, side * grow * dv)
     parts = []
     for i in range(0, x0.size, _BLOCK):
         c, j = slice(i, i + _BLOCK), cells[i : i + _BLOCK]
@@ -494,7 +496,7 @@ def _outward_cells(potential, gamma, side, xs, own, other):
         ws = side * potential.dU(xi) * eg * ea
         a = ea * (h0 + hs * t) + ws * (k0 + kv * p1[j, :15] + ks * p2[j, :15])
         parts.append(_gk_reduce(np.stack([a, ws]).reshape(2, -1), 0.5 * tau[c], xi.ravel())[:3])
-    return (base + side * cum, *(np.concatenate(p) for p in zip(*parts)))
+    return (inner, *(np.concatenate(p) for p in zip(*parts)))
 
 
 def _resolvent_sums(potential, gamma, h, cfg):
@@ -536,7 +538,11 @@ def _resolvent_sums(potential, gamma, h, cfg):
 
 def _k_plus_minus(potential, gamma, h, cfg, tol):
     """(k+, k-, pos, neg) with (k+, k-) = Z^{-1} [[1, psi+], [psi-, 1]] (k1, k2)
-    at a gamma off the spectrum; ResolventAtEigenvalueError where |Z| <= tol."""
+    at a gamma off the spectrum; ResolventAtEigenvalueError where |Z| <= tol,
+    DomainError where the sweep's e^{|Re gamma| R + U(R)} leaves float range."""
+    r = h.radius
+    if abs(gamma.real) * r + float(max(potential.U(r), potential.U(-r))) > _LOG_FLOAT_MAX:
+        raise DomainError(f"resolvent at gamma={gamma}: e^(|Re gamma| R + U(R)) overflows on the grid's R = {r:.6g}")
     values = CharFunctionHandle(potential, "full", cfg).values_batch(gamma)
     z = complex(_z_and_dz("full", *values)[0][0])
     pp, _, pm, _ = (complex(v[0]) for v in values)

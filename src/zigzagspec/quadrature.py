@@ -42,7 +42,6 @@ __all__ = [
     "DecayProfile",
     "integrate_finite",
     "truncation_radius",
-    "gk_cells",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss (abscissae for [-1, 1]).
@@ -324,23 +323,3 @@ def integrate_finite(
     if batch:
         return total_k, total_e
     return complex(total_k[0]), float(total_e[0])
-
-
-def gk_cells(f: Callable, edges):
-    """Fixed (non-adaptive) GK15 on each cell [edges[i], edges[i+1]].
-
-    For smooth integrands on fine grids a single panel per cell is already
-    far below roundoff, so no refinement is attempted.  f maps a flat node
-    array of n values to shape (n,) or, for a batch of m rows, (m, n);
-    returns (per_cell_integrals, per_cell_errors), each of length
-    len(edges) - 1, or of shape (m, len(edges) - 1) for a batch.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise DomainError("gk_cells needs at least two edges")
-    if np.any(np.diff(edges) <= 0.0):
-        raise DomainError("gk_cells edges must be strictly increasing")
-    k, e, _, batch = _panels(lambda x: np.asarray(f(x), dtype=complex), edges[:-1], edges[1:])
-    if batch:
-        return k.T, e.T
-    return k[:, 0], e[:, 0]

@@ -217,7 +217,7 @@ def test_conjugate_symmetry_property(re, im):
     assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
 
-def test_beta2_quadrature_psi_matches_gaussian_closed_form_under_cancellation():
+def test_beta2_quadrature_psi_matches_gaussian_closed_form_under_cancellation(monkeypatch):
     # beta:2 is x^2/2 exactly, reached through the beta code path
     pot = beta_family(2.0)
     closed = gaussian_closed_form(CANCELLATION_POINTS)[0]
@@ -228,6 +228,20 @@ def test_beta2_quadrature_psi_matches_gaussian_closed_form_under_cancellation():
     assert np.all(np.abs(batch - closed) <= 1e-9 * scale)
     # the defining integral follows the same rotated ray
     psi(pot, +1, CANCELLATION_POINTS[0], verify=True)
+    # the gammas the real axis misses share one ray pass per angle: with a
+    # shifted copy of each point, every angle serves two of them
+    points = np.concatenate([CANCELLATION_POINTS, CANCELLATION_POINTS + 0.1])
+    rays, ab_pass = [], charfn._ab_pass
+
+    def counted(potential, sign, g, phi, radius, cfg):
+        rays.extend([phi] if phi != 0.0 else [])
+        return ab_pass(potential, sign, g, phi, radius, cfg)
+
+    monkeypatch.setattr(charfn, "_ab_pass", counted)
+    value = CharFunctionHandle(pot).values_batch(points)[0]
+    closed = gaussian_closed_form(points)[0]
+    assert np.all(np.abs(value - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
+    assert 0 < len(rays) <= len(set(rays))  # no more passes than angles
 
 
 def test_beta25_quadrature_psi_against_mpmath_under_cancellation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,15 @@ from zigzagspec.perturbation import (
     refreshment_coefficient,
     refreshment_coefficient_symmetric,
 )
-from zigzagspec.potential import PotentialModel, SwitchingRateSpec, beta_family, custom, gaussian, scale
+from zigzagspec.potential import (
+    PotentialModel,
+    SwitchingRateSpec,
+    beta_family,
+    custom,
+    gaussian,
+    parse_potential,
+    scale,
+)
 
 G1 = GAUSSIAN_EIGENVALUES[1]  # minus branch
 G2 = GAUSSIAN_EIGENVALUES[2]  # plus branch
@@ -409,6 +418,27 @@ def test_resolvent_defect_off_the_gaussian():
         assert resolvent_defect(pot, z, h, f) <= 1e-5
 
 
+@pytest.mark.parametrize("descriptor", ["gaussian:1", "beta:2"])
+def test_resolvent_holds_at_large_re_gamma_and_refuses_overflow(descriptor):
+    # the x <= 0 inward cumulative is summed from 0 outward: as a difference
+    # of sums from -R, whose terms reach e^{38} at z = 8, it lost h+ near 0
+    # (defect 0.68, k- 0.107795); beta:2 is x^2/2, so its k+- are gaussian:1's
+    pot, gauss = parse_potential(descriptor), gaussian(1.0)
+    h = GridFunction.from_callable(pot, lambda x, th: (1.0 + x) * np.exp(-x * x / 2.5))
+    for z in (2.0, 5.0, 6.0, 8.0, 10.0, 30.0):
+        f = apply_resolvent(pot, z, h)
+        assert resolvent_defect(pot, z, h, f) <= 1e-5
+        k = np.array(k_coefficients(pot, z, h))
+        assert np.max(np.abs(k - k_coefficients(gauss, z, h))) <= 1e-10
+    assert abs(k_coefficients(pot, 8.0, h)[1] - 0.108909) <= 1e-6
+    # e^{300 R} leaves float range: a named refusal, not an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (apply_resolvent, k_coefficients):
+            with pytest.raises(DomainError, match=r"gamma=\(300\+0j\).* R = 8\.03125"):
+                call(pot, 300.0, h)
+
+
 def test_k_coefficients_are_the_resolvent_at_zero(gaussian_potential):
     # k_coefficients skips assembling f, yet equals f at x = 0 bit for bit
     g = 1.0 + 0.5j
@@ -595,9 +625,11 @@ def _oracle_projection(pot, gamma, h):
     # the per-node route: GK15 on each cell of h's grid, 0 added as an edge
     # (f kinks there), of h f(., -theta) e^{-U}, over the adaptive <f, F conj f>
     f = eigenfunction(pot, gamma)
-    cells, _ = quadrature.gk_cells(
+    edges = np.union1d(h.xs, [0.0])
+    cells, *_ = quadrature._panels(
         lambda x: np.stack([h(x, th) * f.component(x, -th) for th in (+1, -1)]) * np.exp(-pot.U(x)),
-        np.union1d(h.xs, [0.0]),
+        edges[:-1],
+        edges[1:],
     )
     growth, osc = 2.0 * abs(f.gamma.real), 4.0 * abs(f.gamma.imag)
     b = lambda x, th: np.conj(f.component(x, -th))
@@ -609,11 +641,11 @@ def _oracle_k(pot, gamma, h):
     # the per-node route to k+-: GK15 on each cell of h's grid of
     # e^{-side gamma x - U} (h^side + h^-side pt^side) on each half line
     def half_line(side):
-        x = h.xs[h.xs * side >= 0.0]
+        x = np.sort(h.xs[h.xs * side >= 0.0])
         row = lambda x: np.exp(-side * gamma * x - pot.U(x)) * (
             h(x, side) + h(x, -side) * psi_tilde(pot, gamma, x, side)
         )
-        return np.sum(quadrature.gk_cells(row, np.sort(x))[0])
+        return np.sum(quadrature._panels(row, x[:-1], x[1:])[0])
 
     k1, k2 = half_line(+1), half_line(-1)
     values = charfn.CharFunctionHandle(pot, "full").values_batch(gamma)

@@ -15,7 +15,7 @@ from zigzagspec.quadrature import (
     DecayProfile,
     QuadratureConfig,
     _initial_edges,
-    gk_cells,
+    _panels,
     integrate_finite,
     truncation_radius,
 )
@@ -125,32 +125,28 @@ def test_semiinfinite_beta_family():
     assert abs(val - ref) < 1e-10
 
 
-def test_gk_cells_matches_adaptive_on_smooth_cells():
+def test_panels_match_adaptive_on_smooth_cells():
+    # one GK15 panel per cell, no refinement: on a fine grid already at roundoff
     edges = np.linspace(0.0, 2.0, 513)
-    vals, errs = gk_cells(lambda x: np.exp(-x) * np.cos(3 * x), edges)
+    vals, errs, _, _ = _panels(lambda x: np.exp(-x) * np.cos(3 * x), edges[:-1], edges[1:])
     total = vals.sum()
     ref, _ = integrate_finite(lambda x: np.exp(-x) * np.cos(3 * x), 0.0, 2.0, oscillation=3.0)
     assert abs(total - ref) < 1e-13
     assert errs.max() < 1e-14
 
 
-def test_gk_cells_row_batch_matches_single_rows():
-    # an (m, n) integrand gives (m, cells) arrays, row for row the 1-d calls
+def test_panels_row_batch_matches_single_rows():
+    # an (m, n) integrand gives (cells, m) arrays, row for row the 1-d calls
+    # (complex rows, so both take the same complex products)
     edges = np.linspace(-1.0, 3.0, 65)
-    fns = (lambda x: np.exp(-x) * np.cos(3 * x), lambda x: np.exp(1j * x) * x**2)
-    vals, errs = gk_cells(lambda x: np.stack([fn(x) for fn in fns]), edges)
-    assert vals.shape == errs.shape == (2, 64)
+    fns = (lambda x: np.exp(-x) * np.cos(3 * x) + 0j, lambda x: np.exp(1j * x) * x**2)
+    vals, errs, _, batch = _panels(lambda x: np.stack([fn(x) for fn in fns]), edges[:-1], edges[1:])
+    assert batch and vals.shape == errs.shape == (64, 2)
     for row, fn in enumerate(fns):
-        v, e = gk_cells(fn, edges)
-        assert np.array_equal(vals[row], v)
-        assert np.array_equal(errs[row], e)
-
-
-def test_gk_cells_validates_edges():
-    with pytest.raises(DomainError):
-        gk_cells(lambda x: x, [0.0])
-    with pytest.raises(DomainError):
-        gk_cells(lambda x: x, [0.0, 1.0, 0.5])
+        v, e, _, batch = _panels(fn, edges[:-1], edges[1:])
+        assert not batch
+        assert np.array_equal(vals[:, row], v[:, 0])
+        assert np.array_equal(errs[:, row], e[:, 0])
 
 
 def test_config_validation():
