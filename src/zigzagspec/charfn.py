@@ -28,10 +28,10 @@ gamma = -3 - 4.5i for the Gaussian), and its panels then retire at the
 roundoff floor short of the requested tolerance max(abs_tol, rel_tol |A|).
 Such a gamma is integrated again along a ray u = t e^{i phi} inside the
 potential's ``ray_sector`` (Cauchy's theorem moves the path; see Trefethen &
-Weideman, SIAM Rev. 2014).  One table of Re U at the ray angles and fixed
-radii gives every missed gamma its rays, the lowest envelope peak first, and
-a radius with the tail bound truncation_radius uses; the missed gammas on one
-angle then share one pass.  Where a gamma's best rays miss too, or a custom
+Weideman, SIAM Rev. 2014).  One table of Re U at the ray angles and
+quadrature's radii gives every missed gamma its rays, the lowest envelope
+peak first, each cut by quadrature's one truncation rule; the missed gammas
+on one angle then share one pass.  Where a gamma's best rays miss too, or a custom
 potential has no analytic continuation, psi raises IntegrationError instead
 of returning the short value.  Integrals that meet their tolerance on the real
 axis stay there.
@@ -47,8 +47,9 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, NearZeroError
 from .potential import PotentialModel
-from .quadrature import _BLOCK, _EPS, _GAUSS_W, _KRONROD_W, _NODES, _adaptive, _initial_edges, _tolerance
-from .quadrature import DEFAULT_CONFIG, DecayProfile, QuadratureConfig, integrate_finite, truncation_radius
+from .quadrature import _BLOCK, _EPS, _GAUSS_W, _KRONROD_W, _MAX_INITIAL, _NODES, _RADII, _adaptive, _cut, _table
+from .quadrature import _initial_edges, _tolerance
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_finite, truncation_radius
 from .specialfn import erfcx_complex
 
 __all__ = [
@@ -98,8 +99,6 @@ def gaussian_closed_form(gamma):
 _RAY_FRACTIONS = np.array([s * k / 10.0 for k in range(1, 10) for s in (1, -1)])
 _MAX_RAYS = 4
 _STEEP = 64.0  # decay lengths 1 / (2 Re g') the first initial panel of a psi pass may span
-# radii a ray may be cut at: steps of 1/8 over the envelope's hump, then geometric out to 1e4
-_RAY_T = np.concatenate([np.linspace(0.0, 8.0, 65), np.geomspace(8.0, 1e4, 80)[1:]])
 
 
 def _path(potential: PotentialModel, sign: int, phi: float):
@@ -178,13 +177,20 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
     Returns (values, errors), each (2, n): rows A and B, one column per gamma.
     Where the kernel's fall e^{-2 Re(g') t} is steep, the initial panels halve
     towards t = 0 until the first spans at most _STEEP decay lengths.
+    Otherwise the n initial panels (a period each) share one width R / n up
+    to a multiple of 2^-30, so bisections halve it exactly and the evaluator
+    meets few widths; the pass runs to n w >= R, where R's tail bound holds.
     """
     rot = cmath.exp(1j * phi)
     gr = g * rot
     oscillation = float(np.abs(2.0 * gr.imag).max())
     steep = 2.0 * float(gr.real.max()) * radius
-    breaks = radius * 0.5 ** np.arange(1, math.ceil(math.log2(steep / _STEEP)) + 1) if steep > _STEEP else ()
-    edges = np.asarray(_initial_edges(0.0, radius, oscillation, breaks), dtype=float)
+    if steep > _STEEP:
+        breaks = radius * 0.5 ** np.arange(1, math.ceil(math.log2(steep / _STEEP)) + 1)
+        edges = np.asarray(_initial_edges(0.0, radius, oscillation, breaks), dtype=float)
+    else:
+        n = min(_MAX_INITIAL, max(1, math.ceil(radius * oscillation / (2.0 * math.pi))))
+        edges = math.ldexp(math.ceil(math.ldexp(radius / n, 30)), -30) * np.arange(n + 1.0)
     vals, errs, _ = _adaptive(_kernel_panels(potential, sign, g, phi), edges, cfg)
     vals = vals.reshape(2, g.size)
     if phi != 0.0:  # du = e^{i phi} dt, and B's u is e^{i phi} t
@@ -192,35 +198,28 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
     return vals, errs.reshape(2, g.size)
 
 
-def _ab_on_rays(potential, sign, g, cfg, ab, errs, radius):
-    """(A, B), their errors, phi, radius and tail for the gammas g whose
-    real-axis integrals `ab`, cut at `radius`, missed their tolerance by `errs`.
+def _ab_on_rays(potential, sign, g, cfg, ab, errs):
+    """(A, B), their error bounds, phi, radius and tail for the gammas g whose
+    real-axis integrals `ab` missed their tolerance by `errs`, tails included.
 
-    Re W(t e^{i phi}) is tabled once per ray angle at the _RAY_T radii t and
-    at t + 1; gamma's log envelope there is le = f t - Re W, f = -2 Re(gamma
-    e^{i phi}).  A ray suits gamma where, past the envelope's peak, a table t
-    has le < -truncation_margin and rho = le(t) - le(t + 1) > 1e-3, as in
-    truncation_radius; the first such t is gamma's radius.  Each gamma orders
-    its rays by rounded peak (the least cancellation first), then radius.
-    Rank by rank, the gammas still missing take their next ray, and those on
-    one angle share one _ab_pass, cut at the largest of their radii R with
-    tail bound e^{le(R)} / (1 - e^{-rho(R)}); a pass that raises sends its
+    Re W(t e^{i phi}) is tabled once per ray angle at quadrature's radii t and
+    at t + 1; gamma's log envelope there is f t - Re W, f = -2 Re(gamma
+    e^{i phi}), and quadrature's _cut gives its radius on that ray, if any.
+    Each gamma orders its rays by rounded peak (the least cancellation
+    first), then radius.  Rank by rank, the gammas still missing take their
+    next ray, and those on one angle share one _ab_pass, cut at the largest
+    of their radii with _cut's tail bound there; a pass that raises sends its
     gammas on.  Raises IntegrationError, naming the cancellation on the real
     axis, for a gamma whose best _MAX_RAYS rays all miss.
     """
     phis = potential.ray_sector * _RAY_FRACTIONS if potential.ray_sector > 0.0 else np.zeros(0)
     rot, m, n = np.exp(1j * phis), g.size, phis.size
-    re_w = potential.U(sign * np.multiply.outer(rot, [_RAY_T, _RAY_T + 1.0])).real if n else np.zeros((0, 2, 1))
-    w, rise = re_w[:, 0], re_w[:, 1] - re_w[:, 0]  # rho = rise - f
+    w, rise = _table(lambda t: potential.U(sign * np.multiply.outer(rot, t)).real) if n else (None, None)
     fall = -2.0 * np.multiply.outer(g, rot).real
-    peak, first = np.full((m, n), np.inf), np.zeros((m, n), dtype=int)
+    peak, first = np.zeros((m, n)), np.zeros((m, n), dtype=int)
     for a in range(n):  # one angle at a time keeps the envelopes (m, t) small
-        le = np.multiply.outer(fall[:, a], _RAY_T) - w[a]
-        fit = (le < -cfg.truncation_margin) & (rise[a] > fall[:, a, None] + 1e-3)
-        fit &= np.arange(_RAY_T.size) > le.argmax(axis=1)[:, None]
-        first[:, a], ok = fit.argmax(axis=1), fit.any(axis=1)
-        peak[ok, a] = np.round(le.max(axis=1))[ok]
-    order = np.lexsort((np.broadcast_to(phis, peak.shape), first, peak))  # each gamma's rays, best first
+        first[:, a], peak[:, a], _ = _cut(fall[:, a], w[a], rise[a], cfg.truncation_margin)
+    order = np.lexsort((np.broadcast_to(phis, peak.shape), first, np.round(peak)))  # each gamma's rays, best first
     rays = np.isfinite(peak).sum(axis=1)  # how many suit each gamma
 
     def worst(ab, errs):  # rows (error / tolerance, error, tolerance) of each gamma's worst integral
@@ -237,20 +236,21 @@ def _ab_on_rays(potential, sign, g, cfg, ab, errs, radius):
             grp = np.flatnonzero(live & (order[:, k] == a))
             i = first[grp, a].max()
             try:
-                ray_ab, ray_errs = _ab_pass(potential, sign, g[grp], phis[a], _RAY_T[i], cfg)
+                ray_ab, ray_errs = _ab_pass(potential, sign, g[grp], phis[a], _RADII[i], cfg)
             except IntegrationError:
                 continue
+            tail = _cut(fall[grp, a], w[a], rise[a], cfg.truncation_margin, at=i)[2]
+            ray_errs += np.stack([tail, tail * _RADII[i]])
             now = worst(ray_ab, ray_errs)
             best[:, grp] = np.where(now[0] < best[0, grp], now, best[:, grp])
             hit = now[0] <= 1.0
             j = grp[hit]
             ab[:, j], errs[:, j] = ray_ab[:, hit], ray_errs[:, hit]
-            phi[j], radii[j], todo[j] = phis[a], _RAY_T[i], False
-            tails[j] = np.exp(fall[j, a] * _RAY_T[i] - w[a, i]) / -np.expm1(fall[j, a] - rise[a, i])
+            phi[j], radii[j], tails[j], todo[j] = phis[a], _RADII[i], tail[hit], False
     if todo.any():
         j = int(np.argmax(todo))
-        gamma, t = complex(g[j]), np.linspace(0.0, radius, 257)
-        cancel = float(np.max(-2.0 * gamma.real * t - potential.U(sign * t)))
+        gamma, (w_real, _) = complex(g[j]), _table(lambda t: potential.U(sign * t))
+        cancel = float(np.max(-2.0 * gamma.real * _RADII - w_real))
         if rays[j]:
             why = f"the best {min(rays[j], _MAX_RAYS)} admissible rotated rays missed it too"
         else:
@@ -280,8 +280,9 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
     A = INT e^{-2 gamma u - W}, B = INT u e^{-2 gamma u - W}, W(u) = U(sign u),
     so dpsi = -2A + 4 gamma B comes out of the same panel sweep.  All gammas
     share real-axis panels, truncated at the radius of the worst member of
-    the batch.  A gamma whose A or B misses its requested tolerance there (the
-    panels retire at the roundoff floor of a cancelling integrand) is
+    the batch.  A gamma whose A or B, with its tail, misses its requested
+    tolerance there (the panels retire at the roundoff floor of a cancelling
+    integrand, or a small margin leaves a long tail) is
     integrated again on a rotated ray (see _ab_on_rays), or refused with
     IntegrationError.  Also returns, per gamma, the angle phi of its path,
     the radius it was cut at and the bound on the tail past it.
@@ -290,20 +291,18 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     _refuse_non_finite(potential, g)
     alpha = float(np.max(np.maximum(0.0, -2.0 * g.real)))
-    profile = DecayProfile(potential=potential, alpha=alpha, direction=int(sign), center=0.0)
-    radius, tail = truncation_radius(profile, cfg)
+    radius, tail = truncation_radius(potential, alpha, sign, cfg=cfg)
     ab, errs = _ab_pass(potential, sign, g, 0.0, radius, cfg)
+    errs += np.array([[tail], [tail * radius]])  # B's factor u is swallowed by the truncation margin
     phi, radii, tails = np.zeros(g.size), np.full(g.size, radius), np.full(g.size, tail)
     j = np.flatnonzero(np.any(errs > _tolerance(ab, 0.0, cfg), axis=0))
     if j.size:
-        rays = _ab_on_rays(potential, sign, g[j], cfg, ab[:, j], errs[:, j], radius)
-        ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = rays
+        ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = _ab_on_rays(potential, sign, g[j], cfg, ab[:, j], errs[:, j])
     a_val, b_val = ab
     value = 1.0 - 2.0 * g * a_val
     deriv = -2.0 * a_val + 4.0 * g * b_val
-    # polynomial factor u in B is swallowed by the truncation margin
     size = np.abs(g)
-    err = (2.0 * size + 2.0) * (errs[0] + tails) + 4.0 * size * (errs[1] + tails * radii)
+    err = (2.0 * size + 2.0) * errs[0] + 4.0 * size * errs[1]
     return value, deriv, err, phi, radii, tails
 
 

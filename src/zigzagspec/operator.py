@@ -44,7 +44,6 @@ from .errors import (
 from .potential import PotentialModel, SwitchingRateSpec, switching_rate
 from .quadrature import (
     DEFAULT_CONFIG,
-    DecayProfile,
     QuadratureConfig,
     _BLOCK,
     _NODES,
@@ -143,7 +142,7 @@ def psi_tilde(
     side +1 expects x >= 0 and probes U to the right of x, side -1 expects
     x <= 0 and probes left.  Gaussian potentials go through erfcx.  Any other
     gets one GK15 sweep of _w over a lattice of all requested x, run on by
-    the truncation radius DecayProfile certifies at the innermost x, with
+    the truncation radius of quadrature's one rule at the innermost x, with
     gaps cut into cells of width _CELL_PHASE / (2 |gamma| + |U'|); pt(x) is
     e^{L(x)}, L(x) = 2 side gamma x + U(x), times the sum of the cells
     outward of x.  Their |K - G| and roundoff floors, summed alike, and the
@@ -177,7 +176,7 @@ def psi_tilde(
         out[far] = psi_tilde(potential, gamma, side * dist[far], side, cfg)
     near, log_grow = dist[~far], log_grow[~far]
     alpha = max(0.0, -2.0 * gamma.real)
-    r, tail = truncation_radius(DecayProfile(potential, alpha, side, side * near[0]), cfg)
+    r, tail = truncation_radius(potential, alpha, side, side * near[0], cfg)
     pts = np.append(near, near[-1] + r)
     gap = np.diff(pts)
     rate = 2.0 * abs(gamma) + np.abs(potential.dU(side * pts))
@@ -198,7 +197,7 @@ def psi_tilde(
     grow = np.exp(log_grow - shift)
     val = grow * outward(cells)
     # the cut drops e^{L(x) - L(x + r)} pt(x + r), pt = 1 - 2 gamma J, and the
-    # DecayProfile's tail bounds both that envelope and J's tail
+    # truncation_radius's tail bound covers both that envelope and J's tail
     err = np.abs(grow) * outward(errs) + (1.0 + 2.0 * abs(gamma)) * tail
     tol = _tolerance(val, np.abs(grow) * outward(floors), cfg)
     i = int(np.argmax(err / tol))
@@ -410,8 +409,8 @@ def eigenfunction_table(
 def _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints):
     """(row integrals, error) over [-rl, rr], the radii at which
     e^{growth |x| - U} is certified negligible; the tails join the error."""
-    rr, tr = truncation_radius(DecayProfile(potential, alpha=growth, direction=+1), cfg)
-    rl, tl = truncation_radius(DecayProfile(potential, alpha=growth, direction=-1), cfg)
+    rr, tr = truncation_radius(potential, growth, +1, cfg=cfg)
+    rl, tl = truncation_radius(potential, growth, -1, cfg=cfg)
     val, err = integrate_finite(rows, -rl, rr, cfg, oscillation=oscillation, breakpoints=breakpoints)
     return np.atleast_1d(val), float(np.sum(err) + tr + tl)
 
@@ -615,10 +614,14 @@ def resolvent_defect(
 
     The x-derivative is the 4th-order central stencil on the grid itself; two
     nodes at each edge and |x| < exclude are skipped (U' kink at the mode,
-    one-sided stencils at the boundary).
+    one-sided stencils at the boundary).  DomainError unless h and f share
+    one grid of uniform step (to 1e-12 relative), as the stencil assumes.
     """
-    xs = f.xs
-    step = f.step
+    xs, step = f.xs, f.step
+    if not np.array_equal(h.xs, xs):
+        raise DomainError("resolvent_defect needs h and f on one grid")
+    if np.max(np.abs(np.diff(xs) - step)) > 1e-12 * step:
+        raise DomainError("resolvent_defect needs a uniform grid: the stencil assumes one step")
     defects = []
     for theta, vals, other, target in ((+1, f.plus, f.minus, h.plus), (-1, f.minus, f.plus, h.minus)):
         lam = switching_rate(potential, SwitchingRateSpec(), xs, theta)

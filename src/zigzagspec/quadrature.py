@@ -21,9 +21,10 @@ per-call overhead is paid per round.  Two features beyond a stock integrator:
   frequency |2 Im gamma| so the initial subdivision places at least 8 nodes
   per period before any error estimate is trusted.
 
-Half-infinite integrals are left to the caller: truncation_radius certifies
-a radius from a DecayProfile and returns the tail bound, and the caller
-integrates the finite part with integrate_finite.
+Half-infinite integrals are cut by one rule on one table of radii, _RADII:
+_cut takes an envelope's first table radius past its peak below
+exp(-truncation_margin) and bounds the tail past it.  truncation_radius and
+psi's rotated rays (charfn) both use it; the caller integrates the finite part.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .potential import PotentialModel
 
 __all__ = [
     "QuadratureConfig",
-    "DecayProfile",
     "integrate_finite",
     "truncation_radius",
 ]
@@ -106,65 +106,59 @@ class QuadratureConfig:
     truncation_margin: float = 40.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
+        for name in ("rel_tol", "abs_tol", "truncation_margin"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not (isinstance(self.max_depth, (int, np.integer)) and self.max_depth >= 1):
+            raise DomainError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
+# the radii a half-line integral may be cut at: steps of 1/8 over [0, 8], where an
+# envelope may hump, then ratio 1250^(1/79) out to 1.05e5, the reach flat wells need
+_RADII = np.concatenate([np.linspace(0.0, 8.0, 65), np.geomspace(8.0, 8.0 * 1250.0 ** (105 / 79), 106)[1:]])
 
-@dataclasses.dataclass(frozen=True)
-class DecayProfile:
-    """Envelope of an integrand exp(alpha t) * O(1) * exp(-U) along one tail.
 
-    The envelope at distance t from the origin is
+def _cut(rate, w, rise, margin, at=None):
+    """The truncation rule for rows le = rate t - w(t), rate (m,), w and rise = w(t + 1) - w(t) on _RADII.
 
-        exp(|alpha| t - (U(center + direction t) - U(center)))
-
-    with direction +1 for the tail at +infinity and -1 for -infinity.  The
-    chosen truncation radius R satisfies envelope(R) < exp(-margin), so in
-    particular exp(-U(R) + |alpha| R) < abs_tol, because U grows superlinearly
-    (Assumption A2 territory).
+    A row's cut is its first radius past its peak with le < -margin and decay
+    rho = rise - rate > 1e-3; the tail past it is at most the geometric sum
+    e^{le} / (1 - e^{-rho}) of unit steps, rho growing outward for convex w
+    (QUADPACK's argument, Piessens et al. 1983).  Returns (first, peak, tail):
+    each row's cut index (-1 if none), its peak le and the tail at index `at`
+    (default: its cut), the last two inf where it has none.
     """
-
-    potential: PotentialModel
-    alpha: float
-    direction: int = +1
-    center: float = 0.0
-
-    def log_envelope(self, t):
-        t = np.asarray(t, dtype=float)
-        shift = self.potential.U(self.center + self.direction * t) - self.potential.U(
-            self.center
-        )
-        return abs(self.alpha) * t - shift
+    le = np.multiply.outer(rate, _RADII) - w
+    fit = (le < -margin) & (rise > rate[:, None] + 1e-3)
+    fit &= np.arange(_RADII.size) > le.argmax(axis=1)[:, None]
+    ok = fit.any(axis=1)
+    first = np.where(ok, fit.argmax(axis=1), -1)
+    i = first[ok] if at is None else at
+    tail = np.full(rate.shape, np.inf)
+    tail[ok] = np.exp(le[ok, i]) / -np.expm1(rate[ok] - rise[i])
+    return first, np.where(ok, le.max(axis=1), np.inf), tail
 
 
-def truncation_radius(profile: DecayProfile, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Scan outward for a radius past which the tail is provably negligible.
+def _table(w_of):
+    """(w, rise) on _RADII from one call of w_of on the rows (_RADII, _RADII + 1);
+    a w that overflows to inf far out reads as an envelope that has vanished."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = w_of(np.stack([_RADII, _RADII + 1.0]))
+        return w[..., 0, :], w[..., 1, :] - w[..., 0, :]
 
-    Returns (R, tail_bound).  The bound sums unit-step envelope values under
-    the observed geometric decay rate; for log-concave envelopes (convex U)
-    the rate only improves further out, so the bound is honest.
-    """
-    target = -float(cfg.truncation_margin)
-    t = 1.0
-    t_max = 1e5
-    while t < t_max:
-        le = profile.log_envelope(t)
-        if le < target:
-            rho = le - float(profile.log_envelope(t + 1.0))
-            if rho > 1e-3:
-                tail = math.exp(le) / (1.0 - math.exp(-rho))
-                return t, tail
-        # coarse outward march; the envelope may hump before decaying
-        t = t * 1.25 + 1.0
-    raise TruncationError(
-        f"no truncation radius below {t_max:g} reaches envelope exp({target:g})",
-        location=t_max,
-    )
+
+def truncation_radius(
+    potential: PotentialModel, alpha: float, side: int = +1, center: float = 0.0, cfg: QuadratureConfig = DEFAULT_CONFIG
+):
+    """(R, tail bound) by _cut for e^{|alpha| t - (U(center + side t) - U(center))}; TruncationError if none."""
+    u, rise = _table(lambda t: potential.U(center + side * t))  # u[0] = U(center)
+    first, _, tail = _cut(np.array([abs(alpha)]), u - u[0], rise, cfg.truncation_margin)
+    if first[0] < 0:
+        msg = f"no truncation radius below {_RADII[-1]:.4g} reaches envelope exp({-cfg.truncation_margin:g})"
+        raise TruncationError(msg, location=float(_RADII[-1]))
+    return float(_RADII[first[0]]), float(tail[0])
 
 
 _EPS = np.finfo(float).eps

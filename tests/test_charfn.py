@@ -19,6 +19,8 @@ from zigzagspec.charfn import (
 )
 from zigzagspec.errors import DomainError, IntegrationError, NearZeroError
 from zigzagspec.potential import PotentialModel, beta_family, custom, gaussian, parse_potential, scale
+from zigzagspec.quadrature import QuadratureConfig
+from zigzagspec.spectrum import ComplexRegion, compute_spectrum
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -355,6 +357,36 @@ def test_quadrature_psi_resolves_a_steep_kernel_at_large_re_gamma(g):
     # the initial panels must resolve it, or every node sees 0 and psi reads 1
     want = gaussian_closed_form(g)[0]
     assert abs(psi(beta_family(2.0), +1, g) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_quadrature_psi_counts_its_truncation_tail():
+    # at margin 5 the tail past the radius is ~e^{-5}: psi(beta:2, +1, 0.5+1j)
+    # once came back off by 6.4e-6 with no error; now the rays, cut by the
+    # same margin, miss too, and psi refuses
+    g = 0.5 + 1.0j
+    with pytest.raises(IntegrationError, match="misses its tolerance"):
+        psi(beta_family(2.0), +1, g, QuadratureConfig(truncation_margin=5.0))
+    assert abs(psi(beta_family(2.0), +1, g) - gaussian_closed_form(g)[0]) <= 1e-14
+
+
+def test_psi_passes_meet_few_distinct_panel_widths(monkeypatch):
+    # initial panels share one width that bisection halves exactly, so the
+    # real-axis phasor table is built for few widths per evaluator call
+    # (linspace cuts gave 1.26 on average here)
+    widths, make = [], charfn._kernel_panels
+
+    def counted(*args):
+        panels = make(*args)
+
+        def call(a, b):
+            widths.append(np.unique(0.5 * (b - a)).size)
+            return panels(a, b)
+
+        return call
+
+    monkeypatch.setattr(charfn, "_kernel_panels", counted)
+    compute_spectrum(beta_family(2.5), ComplexRegion(-1.5, 0.1, -3.0, 3.0))
+    assert np.mean(widths) <= 1.1
 
 
 NON_FINITE = [complex(0.0, math.inf), complex(math.nan, 0.0), complex(-math.inf, 1.0)]

@@ -418,6 +418,28 @@ def test_resolvent_defect_off_the_gaussian():
         assert resolvent_defect(pot, z, h, f) <= 1e-5
 
 
+def test_resolvent_defect_refuses_grids_it_cannot_difference():
+    # the stencil assumes h and f on one uniform grid: a sinh-graded grid
+    # once read a defect of 0.34, though its f matches the default grid's to
+    # 9e-7; a same-size other grid read 0.12; another size died in numpy
+    pot, g = gaussian(1.0), 1.0 + 0.5j
+
+    def on(xs):
+        return GridFunction(xs, (1.0 + xs) * np.exp(-xs * xs / 2.5), (1.0 + xs) * np.exp(-xs * xs / 2.5))
+
+    base = default_grid(pot)
+    u = np.linspace(-1.0, 1.0, base.size)
+    graded = base[-1] * np.sinh(2.0 * u) / math.sinh(2.0)
+    graded[base.size // 2] = 0.0
+    h = on(base)
+    with pytest.raises(DomainError, match="uniform grid"):
+        resolvent_defect(pot, g, on(graded), apply_resolvent(pot, g, on(graded)))
+    for xs in (0.9 * base, np.linspace(base[0], base[-1], 2049)):
+        with pytest.raises(DomainError, match="one grid"):
+            resolvent_defect(pot, g, h, apply_resolvent(pot, g, on(xs)))
+    assert resolvent_defect(pot, g, h, apply_resolvent(pot, g, h)) <= 1e-5
+
+
 @pytest.mark.parametrize("descriptor", ["gaussian:1", "beta:2"])
 def test_resolvent_holds_at_large_re_gamma_and_refuses_overflow(descriptor):
     # the x <= 0 inward cumulative is summed from 0 outward: as a difference

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zigzagspec.errors import DomainError, IntegrationError
-from zigzagspec.potential import beta_family, gaussian
+from conftest import skewed_well
+from zigzagspec.errors import DomainError, IntegrationError, TruncationError
+from zigzagspec.potential import beta_family, custom, gaussian
 from zigzagspec.quadrature import (
     _GAUSS_W,
     _KRONROD_W,
     _NODES,
-    DecayProfile,
     QuadratureConfig,
     _initial_edges,
     _panels,
@@ -82,44 +82,68 @@ def test_nonfinite_integrand_raises_with_location():
 
 
 def test_truncation_radius_gaussian_tail():
-    prof = DecayProfile(potential=gaussian(1.0), alpha=0.0)
-    r, tail = truncation_radius(prof)
+    r, tail = truncation_radius(gaussian(1.0), 0.0)
     # envelope exp(-x^2/2) < exp(-40) needs r ~ sqrt(80) ~ 8.9
     assert 8.0 <= r <= 12.0
     assert tail < 1e-15
 
 
 def test_truncation_radius_growth_pushes_out():
-    base, _ = truncation_radius(DecayProfile(potential=gaussian(1.0), alpha=0.0))
-    moved, _ = truncation_radius(DecayProfile(potential=gaussian(1.0), alpha=3.0))
+    base, _ = truncation_radius(gaussian(1.0), 0.0)
+    moved, _ = truncation_radius(gaussian(1.0), 3.0)
     assert moved > base
 
 
-def _semiinfinite(f, profile):
+_COSH = custom(np.cosh, np.sinh, label="cosh")
+
+
+@pytest.mark.parametrize("potential", [gaussian(2.0), beta_family(1.5), beta_family(4.0), _COSH, skewed_well()])
+@pytest.mark.parametrize("side", [+1, -1])
+@pytest.mark.parametrize("alpha", [0.0, 3.0])
+@pytest.mark.parametrize("center", [0.0, 1.5])
+def test_truncation_tail_bound_covers_the_true_tail(potential, side, alpha, center):
+    # the true tail of e^{alpha t - (U(c + side t) - U(c))} past R, integrated
+    # out to 4 R, where the envelope is far below e^{-margin}; both sides are
+    # scaled by e^{-le(R)} so that the integral is O(1) against abs_tol
+    c = side * center  # the center past the mode on the side probed
+
+    def le(t):
+        return alpha * t - (potential.U(c + side * np.asarray(t)) - potential.U(c))
+
+    r, tail = truncation_radius(potential, alpha, side, c)
+    assert le(4.0 * r) < le(r) - 40.0
+    val, err = integrate_finite(lambda t: np.exp(le(t) - le(r)), r, 4.0 * r)
+    assert val.real + err <= tail * math.exp(-le(r))
+
+
+def test_truncation_radius_refuses_past_the_table_end():
+    # U ~ |x|^1.05 / 1.05 falls behind e^{8 t} until t ~ 1e18
+    with pytest.raises(TruncationError):
+        truncation_radius(beta_family(1.05), 8.0)
+
+
+def _semiinfinite(f, potential, alpha, side=+1):
     """A half-line integral the way callers build one: integrate_finite up
     to the certified truncation radius, with the tail bound in the error."""
-    r, tail = truncation_radius(profile)
-    a, b = (0.0, r) if profile.direction > 0 else (-r, 0.0)
+    r, tail = truncation_radius(potential, alpha, side)
+    a, b = (0.0, r) if side > 0 else (-r, 0.0)
     val, err = integrate_finite(f, a, b)
     return val, err + tail
 
 
 def test_semiinfinite_gaussian_halfline():
-    prof = DecayProfile(potential=gaussian(1.0), alpha=0.0)
-    val, err = _semiinfinite(lambda x: np.exp(-x * x / 2.0), prof)
+    val, err = _semiinfinite(lambda x: np.exp(-x * x / 2.0), gaussian(1.0), 0.0)
     assert abs(val - math.sqrt(math.pi / 2.0)) < ABS_FLOOR
 
 
 def test_semiinfinite_left_tail():
-    prof = DecayProfile(potential=gaussian(1.0), alpha=0.0, direction=-1)
-    val, _ = _semiinfinite(lambda x: np.exp(-x * x / 2.0), prof)
+    val, _ = _semiinfinite(lambda x: np.exp(-x * x / 2.0), gaussian(1.0), 0.0, side=-1)
     assert abs(val - math.sqrt(math.pi / 2.0)) < ABS_FLOOR
 
 
 def test_semiinfinite_beta_family():
     pot = beta_family(2.5)
-    prof = DecayProfile(potential=pot, alpha=0.5)
-    val, _ = _semiinfinite(lambda x: np.exp(0.5 * x - pot.U(x)), prof)
+    val, _ = _semiinfinite(lambda x: np.exp(0.5 * x - pot.U(x)), pot, 0.5)
     # oracle: same integral on a generously wide finite interval
     ref, _ = integrate_finite(lambda x: np.exp(0.5 * x - pot.U(x)), 0.0, 40.0)
     assert abs(val - ref) < 1e-10
@@ -154,6 +178,25 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1e-9)
     with pytest.raises(DomainError):
         QuadratureConfig(max_depth=0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("truncation_margin", 0.0),
+        ("truncation_margin", -5.0),
+        ("truncation_margin", math.nan),
+        ("truncation_margin", math.inf),
+        ("rel_tol", math.inf),
+        ("abs_tol", math.nan),
+        ("max_depth", math.nan),
+        ("max_depth", 2.5),
+    ],
+)
+def test_config_refuses_settings_that_are_not_finite_and_positive(field, value):
+    # margin 0 once returned psi(beta:2, +1, 0.5+1j) off by 0.171 with no error
+    with pytest.raises(DomainError, match=field):
+        QuadratureConfig(**{field: value})
 
 
 @given(

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import zigzagspec
 from zigzagspec.specialfn import erfcx_complex
 
 # reference values from mpmath (erfcx(z) = exp(z^2) erfc(z), 40 digits)
@@ -56,3 +61,23 @@ def test_erfcx_conjugate_symmetry():
         a = complex(erfcx_complex(np.conj(z)))
         b = np.conj(complex(erfcx_complex(z)))
         assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
+
+
+def test_beta_routes_never_load_scipy():
+    # scipy.special is imported on the first erfcx call; import zigzagspec and
+    # the beta routes (spectrum, eigenfunction table, simulate and marginal)
+    # make none, so scipy stays out of sys.modules
+    script = """
+import sys
+import zigzagspec as zz
+pot = zz.beta_family(2.5)
+spec = zz.compute_spectrum(pot, zz.ComplexRegion(-1.5, 0.1, -3.0, 3.0))
+gamma = max((r.gamma for r in spec.eigenvalues if r.gamma.imag > 0), key=lambda g: g.real)
+zz.eigenfunction_table(pot, gamma, zz.default_grid(pot))
+zz.empirical_marginal(zz.simulate(pot, zz.SwitchingRateSpec(), 0.0, 1, 1e3, 7))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = os.path.dirname(os.path.dirname(zigzagspec.__file__))  # this zigzagspec, not an installed one
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
