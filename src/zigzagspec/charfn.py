@@ -26,15 +26,12 @@ a phasor per (gamma, panel) and one per (gamma, panel width, node).  For
 Re gamma < 0 the integrand can peak far above the integral (near e^18 at
 gamma = -3 - 4.5i for the Gaussian), and its panels then retire at the
 roundoff floor short of the requested tolerance max(abs_tol, rel_tol |A|).
-Such a gamma is integrated again along a ray u = t e^{i phi} inside the
-potential's ``ray_sector`` (Cauchy's theorem moves the path; see Trefethen &
-Weideman, SIAM Rev. 2014).  One table of Re U at the ray angles and
-quadrature's radii gives every missed gamma its rays, the lowest envelope
-peak first, each cut by quadrature's one truncation rule; the missed gammas
-on one angle then share one pass.  Where a gamma's best rays miss too, or a custom
-potential has no analytic continuation, psi raises IntegrationError instead
-of returning the short value.  Integrals that meet their tolerance on the real
-axis stay there.
+Such a gamma is integrated again along its best ray u = t e^{i phi} inside
+the potential's ``ray_sector`` (Cauchy's theorem moves the path; see
+Trefethen & Weideman, SIAM Rev. 2014), the one with the lowest envelope peak
+in a table of Re U at the ray angles and quadrature's radii; the missed
+gammas on one angle share one pass.  Where that ray misses too, or no ray
+suits (a custom U has none), psi raises IntegrationError naming the cause.
 """
 
 from __future__ import annotations
@@ -47,9 +44,8 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, NearZeroError
 from .potential import PotentialModel
-from .quadrature import _BLOCK, _EPS, _GAUSS_W, _KRONROD_W, _MAX_INITIAL, _NODES, _RADII, _adaptive, _cut, _table
-from .quadrature import _initial_edges, _tolerance
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_finite, truncation_radius
+from .quadrature import _BLOCK, _EPS, _GAUSS_W, _KRONROD_W, _NODES, _RADII, _adaptive, _cut, _initial_edges, _table
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _MAX_INITIAL, _tolerance, integrate_finite, truncation_radius
 from .specialfn import erfcx_complex
 
 __all__ = [
@@ -97,7 +93,6 @@ def gaussian_closed_form(gamma):
 # Fractions of the potential's ray sector tried as integration rays; the
 # sector's edges are avoided because Re U grows ever more slowly there.
 _RAY_FRACTIONS = np.array([s * k / 10.0 for k in range(1, 10) for s in (1, -1)])
-_MAX_RAYS = 4
 _STEEP = 64.0  # decay lengths 1 / (2 Re g') the first initial panel of a psi pass may span
 
 
@@ -198,69 +193,66 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
     return vals, errs.reshape(2, g.size)
 
 
-def _ab_on_rays(potential, sign, g, cfg, ab, errs):
-    """(A, B), their error bounds, phi, radius and tail for the gammas g whose
-    real-axis integrals `ab` missed their tolerance by `errs`, tails included.
+def _ab_on_rays(potential, sign, g, cfg, ab, errs, phi, radii, tails):
+    """The rows (A and B, their error bounds, phi, radius, tail) of the gammas
+    g that missed on the real axis, with those of their best rays in place.
 
     Re W(t e^{i phi}) is tabled once per ray angle at quadrature's radii t and
-    at t + 1; gamma's log envelope there is f t - Re W, f = -2 Re(gamma
-    e^{i phi}), and quadrature's _cut gives its radius on that ray, if any.
-    Each gamma orders its rays by rounded peak (the least cancellation
-    first), then radius.  Rank by rank, the gammas still missing take their
-    next ray, and those on one angle share one _ab_pass, cut at the largest
-    of their radii with _cut's tail bound there; a pass that raises sends its
-    gammas on.  Raises IntegrationError, naming the cancellation on the real
-    axis, for a gamma whose best _MAX_RAYS rays all miss.
+    t + 1; gamma's log envelope there is f t - Re W, f = -2 Re(gamma e^{i phi}),
+    and quadrature's _cut gives its radius on that ray, if any.  Each gamma
+    takes one ray, the lowest rounded peak, then the nearest radius; those on
+    one angle share one _ab_pass, cut at the largest of their radii with _cut's
+    tail bound there.  A pass that raises refuses its first gamma (see
+    _refusal); a gamma with no ray keeps the real axis's rows.
     """
-    phis = potential.ray_sector * _RAY_FRACTIONS if potential.ray_sector > 0.0 else np.zeros(0)
+    phis = potential.ray_sector * _RAY_FRACTIONS
     rot, m, n = np.exp(1j * phis), g.size, phis.size
-    w, rise = _table(lambda t: potential.U(sign * np.multiply.outer(rot, t)).real) if n else (None, None)
+    w, rise = _table(lambda t: potential.U(sign * np.multiply.outer(rot, t)).real)
     fall = -2.0 * np.multiply.outer(g, rot).real
     peak, first = np.zeros((m, n)), np.zeros((m, n), dtype=int)
     for a in range(n):  # one angle at a time keeps the envelopes (m, t) small
         first[:, a], peak[:, a], _ = _cut(fall[:, a], w[a], rise[a], cfg.truncation_margin)
-    order = np.lexsort((np.broadcast_to(phis, peak.shape), first, np.round(peak)))  # each gamma's rays, best first
-    rays = np.isfinite(peak).sum(axis=1)  # how many suit each gamma
-
-    def worst(ab, errs):  # rows (error / tolerance, error, tolerance) of each gamma's worst integral
-        tol = _tolerance(ab, 0.0, cfg)
-        i = np.argmax(errs / tol, axis=0)[None]
-        err, tol = np.take_along_axis(errs, i, 0)[0], np.take_along_axis(tol, i, 0)[0]
-        return np.stack([err / tol, err, tol])
-
-    best, todo = worst(ab, errs), np.ones(m, dtype=bool)
-    phi, radii, tails = np.zeros((3, m))
-    for k in range(min(_MAX_RAYS, n)):
-        live = todo & (rays > k)
-        for a in np.unique(order[live, k]):
-            grp = np.flatnonzero(live & (order[:, k] == a))
-            i = first[grp, a].max()
-            try:
-                ray_ab, ray_errs = _ab_pass(potential, sign, g[grp], phis[a], _RADII[i], cfg)
-            except IntegrationError:
-                continue
-            tail = _cut(fall[grp, a], w[a], rise[a], cfg.truncation_margin, at=i)[2]
-            ray_errs += np.stack([tail, tail * _RADII[i]])
-            now = worst(ray_ab, ray_errs)
-            best[:, grp] = np.where(now[0] < best[0, grp], now, best[:, grp])
-            hit = now[0] <= 1.0
-            j = grp[hit]
-            ab[:, j], errs[:, j] = ray_ab[:, hit], ray_errs[:, hit]
-            phi[j], radii[j], tails[j], todo[j] = phis[a], _RADII[i], tail[hit], False
-    if todo.any():
-        j = int(np.argmax(todo))
-        gamma, (w_real, _) = complex(g[j]), _table(lambda t: potential.U(sign * t))
-        cancel = float(np.max(-2.0 * gamma.real * _RADII - w_real))
-        if rays[j]:
-            why = f"the best {min(rays[j], _MAX_RAYS)} admissible rotated rays missed it too"
-        else:
-            why = "it has no analytic continuation to rotate the path into"
-        raise IntegrationError(
-            f"{_psi_head(potential, gamma)} (sign {sign:+d}) misses its tolerance: error {best[1, j]:.2e} > "
-            f"{best[2, j]:.2e}; on the real axis it needs cancellation from e^{cancel:.0f}, and {why}",
-            location=gamma,
-        )
+    best = np.lexsort((np.broadcast_to(phis, peak.shape), first, np.round(peak)))[:, 0]  # each gamma's ray
+    suits = np.isfinite(peak).any(axis=1)  # the gammas with a ray
+    for a in np.unique(best[suits]):
+        grp = np.flatnonzero(suits & (best == a))
+        i = first[grp, a].max()
+        try:
+            ab[:, grp], errs[:, grp] = _ab_pass(potential, sign, g[grp], phis[a], _RADII[i], cfg)
+        except IntegrationError as exc:
+            raise _refusal(potential, sign, g[grp[0]], cfg, exc, phis[a]) from exc
+        phi[grp], radii[grp] = phis[a], _RADII[i]
+        tails[grp] = _cut(fall[grp, a], w[a], rise[a], cfg.truncation_margin, at=i)[2]
+        errs[:, grp] += np.stack([tails[grp], tails[grp] * radii[grp]])
     return ab, errs, phi, radii, tails
+
+
+def _refusal(potential, sign, gamma, cfg, miss, phi=0.0):
+    """psi's IntegrationError at gamma on its last path (the ray at phi; 0 is the
+    real axis) for `miss`, the IntegrationError of a pass that raised or the
+    (ab, errs, tail, radius) of one that missed: that error, a tail that alone
+    exceeds the tolerance, or the cancellation and why no ray rescued it."""
+    gamma, (w_real, _) = complex(gamma), _table(lambda t: potential.U(sign * t))
+    head = f"{_psi_head(potential, gamma)} (sign {sign:+d})"
+    path = "the real axis" if phi == 0.0 else f"its best rotated ray (phi = {phi:.4g})"
+    peak = max(0.0, float(np.max(-2.0 * gamma.real * _RADII - w_real)))
+    cancel = f"the real axis needs cancellation from e^{peak:.0f}"
+    if isinstance(miss, IntegrationError):
+        return IntegrationError(f"{head} fails on {path}: {miss}; {cancel}", location=gamma)
+    ab, errs, tail, radius = miss
+    tol = _tolerance(ab, 0.0, cfg)
+    k = int(np.argmax(errs / tol))  # the worst of A and B; B's tail carries a factor radius
+    tail *= (1.0, radius)[k]
+    if tail > tol[k]:
+        why = f"the tail past radius {radius:.4g} alone is bounded by {tail:.2e}"
+    elif phi != 0.0:
+        why = f"{cancel}, and its best rotated ray misses too"
+    elif potential.ray_sector > 0.0:
+        why = f"{cancel}, and no rotated ray decays below the truncation margin"
+    else:
+        why = f"{cancel}, and the potential has no analytic continuation to rotate the path into"
+    msg = f"{head} misses its tolerance on {path}: error {errs[k]:.2e} > {tol[k]:.2e}; {why}"
+    return IntegrationError(msg, location=gamma)
 
 
 def _psi_head(potential: PotentialModel, gamma: complex) -> str:
@@ -280,24 +272,31 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
     A = INT e^{-2 gamma u - W}, B = INT u e^{-2 gamma u - W}, W(u) = U(sign u),
     so dpsi = -2A + 4 gamma B comes out of the same panel sweep.  All gammas
     share real-axis panels, truncated at the radius of the worst member of
-    the batch.  A gamma whose A or B, with its tail, misses its requested
-    tolerance there (the panels retire at the roundoff floor of a cancelling
-    integrand, or a small margin leaves a long tail) is
-    integrated again on a rotated ray (see _ab_on_rays), or refused with
-    IntegrationError.  Also returns, per gamma, the angle phi of its path,
-    the radius it was cut at and the bound on the tail past it.
+    the batch.  A gamma whose A or B, with its tail, misses its tolerance
+    there (a cancelling integrand's panels retire at the roundoff floor, or a
+    small margin leaves a long tail) is integrated again on its best rotated
+    ray (see _ab_on_rays), or refused (see _refusal).  Also returns, per
+    gamma, its path's angle phi, the radius it was cut at and the tail bound.
     """
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     _refuse_non_finite(potential, g)
     alpha = float(np.max(np.maximum(0.0, -2.0 * g.real)))
     radius, tail = truncation_radius(potential, alpha, sign, cfg=cfg)
-    ab, errs = _ab_pass(potential, sign, g, 0.0, radius, cfg)
+    try:
+        ab, errs = _ab_pass(potential, sign, g, 0.0, radius, cfg)
+    except IntegrationError as exc:  # name the gamma that cancels most
+        raise _refusal(potential, sign, g[np.argmin(g.real)], cfg, exc) from exc
     errs += np.array([[tail], [tail * radius]])  # B's factor u is swallowed by the truncation margin
     phi, radii, tails = np.zeros(g.size), np.full(g.size, radius), np.full(g.size, tail)
     j = np.flatnonzero(np.any(errs > _tolerance(ab, 0.0, cfg), axis=0))
-    if j.size:
-        ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = _ab_on_rays(potential, sign, g[j], cfg, ab[:, j], errs[:, j])
+    if j.size and potential.ray_sector > 0.0:  # a custom U has no rays
+        on_rays = _ab_on_rays(potential, sign, g[j], cfg, ab[:, j], errs[:, j], phi[j], radii[j], tails[j])
+        ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = on_rays
+        j = j[np.any(errs[:, j] > _tolerance(ab[:, j], 0.0, cfg), axis=0)]
+    if j.size:  # no ray rescued these: refuse the first
+        k = j[0]
+        raise _refusal(potential, sign, g[k], cfg, (ab[:, k], errs[:, k], tails[k], radii[k]), phi[k])
     a_val, b_val = ab
     value = 1.0 - 2.0 * g * a_val
     deriv = -2.0 * a_val + 4.0 * g * b_val

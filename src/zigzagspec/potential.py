@@ -187,7 +187,7 @@ def _solve_U(model, u, side, name):
     u, side = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(side, dtype=float))
     shape, u, side = u.shape, u.ravel(), side.ravel()
     if not np.all(u >= 0.0):
-        raise DomainError(f"{name} inverts U only at u >= 0, got u = {u[~(u >= 0.0)][0]!r}")
+        raise DomainError(f"{name} inverts U only at u >= 0, got u = {u[~(u >= 0.0)][0]:.6g}")
     k = np.flatnonzero(u < math.inf)
     lo, hi = np.zeros_like(u), np.where(u < math.inf, np.minimum(np.sqrt(2.0 * u), 1.0), math.inf)
     with np.errstate(over="ignore", invalid="ignore"):  # U may overflow far out

@@ -219,6 +219,18 @@ def test_conjugate_symmetry_property(re, im):
     assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
 
+def _ray_passes(monkeypatch):
+    """The angle of every ray pass psi makes from here on (the real axis, phi = 0, is left out)."""
+    rays, ab_pass = [], charfn._ab_pass
+
+    def counted(potential, sign, g, phi, radius, cfg):
+        rays.extend([phi] if phi != 0.0 else [])
+        return ab_pass(potential, sign, g, phi, radius, cfg)
+
+    monkeypatch.setattr(charfn, "_ab_pass", counted)
+    return rays
+
+
 def test_beta2_quadrature_psi_matches_gaussian_closed_form_under_cancellation(monkeypatch):
     # beta:2 is x^2/2 exactly, reached through the beta code path
     pot = beta_family(2.0)
@@ -233,13 +245,7 @@ def test_beta2_quadrature_psi_matches_gaussian_closed_form_under_cancellation(mo
     # the gammas the real axis misses share one ray pass per angle: with a
     # shifted copy of each point, every angle serves two of them
     points = np.concatenate([CANCELLATION_POINTS, CANCELLATION_POINTS + 0.1])
-    rays, ab_pass = [], charfn._ab_pass
-
-    def counted(potential, sign, g, phi, radius, cfg):
-        rays.extend([phi] if phi != 0.0 else [])
-        return ab_pass(potential, sign, g, phi, radius, cfg)
-
-    monkeypatch.setattr(charfn, "_ab_pass", counted)
+    rays = _ray_passes(monkeypatch)
     value = CharFunctionHandle(pot).values_batch(points)[0]
     closed = gaussian_closed_form(points)[0]
     assert np.all(np.abs(value - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
@@ -249,6 +255,19 @@ def test_beta2_quadrature_psi_matches_gaussian_closed_form_under_cancellation(mo
 def test_beta25_quadrature_psi_against_mpmath_under_cancellation():
     value = psi(beta_family(2.5), +1, -4.0 - 6.0j)
     assert abs(value - BETA25_PSI) <= 1e-9 * max(1.0, abs(BETA25_PSI))
+
+
+def test_handle_refuses_an_unknown_branch_and_factors_of_an_uneven_well():
+    with pytest.raises(DomainError, match=r"branch must be one of \('full', 'plus', 'minus'\), got 'both'"):
+        CharFunctionHandle(gaussian(1.0), branch="both")
+    for branch in ("plus", "minus"):
+        with pytest.raises(DomainError, match="plus/minus branches require an even potential"):
+            CharFunctionHandle(skewed_well(), branch=branch)
+
+
+def test_psi_batch_of_no_gammas_is_empty():
+    value, deriv = psi_batch(beta_family(2.5), +1, [])
+    assert value.shape == deriv.shape == (0,) and value.dtype == deriv.dtype == complex
 
 
 def test_custom_potential_refuses_psi_short_of_tolerance():
@@ -361,12 +380,74 @@ def test_quadrature_psi_resolves_a_steep_kernel_at_large_re_gamma(g):
 
 def test_quadrature_psi_counts_its_truncation_tail():
     # at margin 5 the tail past the radius is ~e^{-5}: psi(beta:2, +1, 0.5+1j)
-    # once came back off by 6.4e-6 with no error; now the rays, cut by the
-    # same margin, miss too, and psi refuses
+    # once came back off by 6.4e-6 with no error; now the ray, cut by the
+    # same margin, misses too, and psi refuses, naming the tail (nothing
+    # cancels at Re gamma > 0)
     g = 0.5 + 1.0j
-    with pytest.raises(IntegrationError, match="misses its tolerance"):
+    tail = r"misses its tolerance on its best rotated ray \(phi = .*\): .*; the tail past radius .* alone is bounded by"
+    with pytest.raises(IntegrationError, match=tail) as info:
         psi(beta_family(2.0), +1, g, QuadratureConfig(truncation_margin=5.0))
+    assert "cancellation" not in str(info.value) and info.value.location == g
     assert abs(psi(beta_family(2.0), +1, g) - gaussian_closed_form(g)[0]) <= 1e-14
+
+
+def test_a_gamma_whose_best_ray_misses_takes_no_second_ray(monkeypatch):
+    # each missed gamma takes one ray; where it misses too, psi refuses at once
+    rays = _ray_passes(monkeypatch)
+    with pytest.raises(IntegrationError, match="misses its tolerance on its best rotated ray"):
+        psi(beta_family(2.0), +1, 0.5 + 1.0j, QuadratureConfig(truncation_margin=5.0))
+    assert len(rays) == 1
+
+
+def test_quadrature_psi_refusals_name_their_cause(monkeypatch):
+    b2 = beta_family(2.0)
+    # at margin 5.45e9 the real axis reaches its cut, the last table radius,
+    # but the slower growth of Re U on every ray does not
+    with pytest.raises(IntegrationError) as info:
+        psi(b2, +1, CANCELLATION_POINTS[0], QuadratureConfig(truncation_margin=5.45e9))
+    assert str(info.value).endswith("no rotated ray decays below the truncation margin")
+    assert "cancellation from e^18" in str(info.value) and "analytic continuation" not in str(info.value)
+    # a ray pass that raises refuses its gamma with the pass's own error
+    ab_pass = charfn._ab_pass
+
+    def no_rays(potential, sign, g, phi, radius, cfg):
+        if phi != 0.0:
+            raise IntegrationError("panel budget 20000 exhausted near x = 1", location=1.0)
+        return ab_pass(potential, sign, g, phi, radius, cfg)
+
+    monkeypatch.setattr(charfn, "_ab_pass", no_rays)
+    with pytest.raises(IntegrationError) as info:
+        psi_batch(b2, +1, np.array([0.5, CANCELLATION_POINTS[0]]))
+    head = f"psi of beta:2 at gamma={complex(CANCELLATION_POINTS[0])} (sign +1) fails on its best rotated ray"
+    assert str(info.value).startswith(head)
+    assert "panel budget 20000 exhausted near x = 1; the real axis needs cancellation from e^18" in str(info.value)
+    assert info.value.location == CANCELLATION_POINTS[0]
+
+
+def test_a_real_axis_pass_out_of_panels_is_psis_named_refusal():
+    # beta:1.5's real-axis batch runs out of panels: the refusal names the
+    # member that cancels most, keeps the quadrature's text and says why
+    g = np.array([-1.0 + 0.5j, -4.0 + 0.5j, -4.0 + 4.0j])
+    with pytest.raises(IntegrationError) as info:
+        psi_batch(beta_family(1.5), +1, g)
+    msg = str(info.value)
+    assert msg.startswith("psi of beta:1.5 at gamma=(-4+0.5j) (sign +1) fails on the real axis: panel budget 20000")
+    assert msg.endswith("the real axis needs cancellation from e^171")
+    assert info.value.location == -4.0 + 0.5j
+    # a scaled model names the gamma its caller passed
+    with pytest.raises(IntegrationError) as info:
+        CharFunctionHandle(scale(beta_family(1.5), 2.0)).values_batch(g / 2.0)
+    assert str(info.value).startswith("psi of beta:1.5@scale=2 at gamma=(-2+0.25j) (sign +1) fails on the real axis")
+    assert info.value.location == -2.0 + 0.25j
+
+
+def test_quadrature_psi_matches_the_closed_form_on_the_deep_strip():
+    # Re gamma in [-4, -3], below criterion 03's grid: every gamma cancels on
+    # the real axis (up to e^32) and is taken along its best ray
+    g = (np.linspace(-4.0, -3.0, 5)[:, None] + 1j * np.linspace(-8.0, 8.0, 17)[None, :]).ravel()
+    value = psi_batch(beta_family(2.0), +1, g)[0]
+    closed = gaussian_closed_form(g)[0]
+    assert np.all(np.abs(value - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
 
 
 def test_psi_passes_meet_few_distinct_panel_widths(monkeypatch):

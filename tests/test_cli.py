@@ -400,3 +400,19 @@ def test_unknown_config_key_is_numerical_error(tmp_path, capsys):
     code, _, err = run(["spectrum", "--config", str(bad)], capsys)
     assert code == 2
     assert "wavelength" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "text,command,message",
+    [
+        ("potential gaussian:1\n", "spectrum", "config line 1: expected key = value, got 'potential gaussian:1'"),
+        ("potential = gaussian:1\nseed = abc\n", "simulate", "config value seed = 'abc'"),
+    ],
+    ids=["no-equals", "seed-not-int"],
+)
+def test_malformed_config_value_is_numerical_error(text, command, message, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    code, out, err = run([command, "--config", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].startswith(message)

@@ -245,6 +245,15 @@ def test_grid_function_validation(gaussian_potential):
         GridFunction(xs, ones[:-1], ones)  # shape mismatch
 
 
+def test_grid_function_refuses_short_and_non_increasing_grids():
+    with pytest.raises(DomainError, match="at least 3 nodes"):
+        GridFunction(np.array([-1.0, 1.0]), np.ones(2), np.ones(2))
+    with pytest.raises(DomainError, match="at least 3 nodes"):
+        GridFunction(np.zeros((3, 3)), np.ones((3, 3)), np.ones((3, 3)))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        GridFunction(np.array([1.0, 0.0, -1.0]), np.ones(3), np.ones(3))
+
+
 @pytest.mark.parametrize("where", ["node", "plus", "minus"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_grid_function_refuses_non_finite_entries(gaussian_potential, where, bad):
@@ -399,6 +408,13 @@ def test_resolvent_defect_compact_input(gaussian_potential):
     )
     f = apply_resolvent(gaussian_potential, 1.0, h)
     assert resolvent_defect(gaussian_potential, 1.0, h, f) < 1e-5
+
+
+def test_resolvent_defect_of_the_zero_input_is_zero(gaussian_potential):
+    xs = default_grid(gaussian_potential)
+    h = GridFunction(xs, np.zeros_like(xs), np.zeros_like(xs))
+    f = apply_resolvent(gaussian_potential, 1.0, h)
+    assert resolvent_defect(gaussian_potential, 1.0, h, f) == 0.0
 
 
 def _seeded_input(potential, seed):

@@ -209,6 +209,18 @@ def test_u_inverse_refuses_a_custom_well_it_cannot_invert():
         dip.U_inverse(0.3)
 
 
+def test_u_inverse_refuses_negative_u():
+    with pytest.raises(DomainError, match=r"^skewed inverts U only at u >= 0, got u = -1$"):
+        skewed_well().U_inverse(np.array([0.5, -1.0]))
+    with pytest.raises(DomainError, match=r"got u = nan$"):
+        skewed_well().U_inverse(math.nan)
+
+
+def test_d2u_of_a_custom_well_without_the_hook_is_refused():
+    with pytest.raises(DomainError, match="custom potential has no second-derivative hook"):
+        skewed_well().d2U(1.0)
+
+
 def test_switching_rate_canonical():
     pot = gaussian(1.0)
     spec = SwitchingRateSpec()
@@ -220,6 +232,12 @@ def test_switching_rate_canonical():
     refreshed = SwitchingRateSpec(lambda_refr=0.25)
     assert switching_rate(pot, refreshed, -3.0, +1) == 0.25
     assert switching_rate(pot, refreshed, 3.0, +1) == 3.25
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_switching_rate_refuses_non_finite_x(bad):
+    with pytest.raises(DomainError, match="switching rate evaluated at non-finite x"):
+        switching_rate(gaussian(1.0), SwitchingRateSpec(), np.array([0.0, bad]), +1)
 
 
 def test_switching_rate_spec_validation():

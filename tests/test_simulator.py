@@ -351,6 +351,12 @@ def test_acf_error_conditions(long_path):
         autocorrelation(long_path, lambda x, th: x, np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("lags", [[], np.zeros((2, 2))], ids=["empty", "2-d"])
+def test_acf_rejects_empty_or_multidimensional_lags(long_path, lags):
+    with pytest.raises(DomainError, match="lags must be a nonempty 1-d sequence"):
+        autocorrelation(long_path, lambda x, th: x, lags)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_acf_rejects_non_finite_lags(long_path, bad):
     # comparisons with NaN are all false, so only an explicit check catches it
