@@ -79,6 +79,7 @@ SIMPLICITY_TOL = 1e-8  # |Z'(gamma)| at or below this: not a simple root
 _CELL_PHASE = 2.0  # |2 gamma + U'| times a pt cell's width: GK15 at roundoff
 _MAX_RANGE = 600.0  # growth factors e^{..} one pt sweep spans without underflow
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_MAX_CANCEL = 16.0  # log of the sweep's largest cancellation at Re gamma < 0: defect 5e-7 at 14, 2e-5 at 18
 
 
 # ----------------------------------------------------------------- phi helpers
@@ -538,10 +539,13 @@ def _resolvent_sums(potential, gamma, h, cfg):
 def _k_plus_minus(potential, gamma, h, cfg, tol):
     """(k+, k-, pos, neg) with (k+, k-) = Z^{-1} [[1, psi+], [psi-, 1]] (k1, k2)
     at a gamma off the spectrum; ResolventAtEigenvalueError where |Z| <= tol,
-    DomainError where the sweep's e^{|Re gamma| R + U(R)} leaves float range."""
-    r = h.radius
+    DomainError where the sweep's e^{|Re gamma| R + U(R)} leaves float range
+    or, at Re gamma < 0, it cancels from a peak of e^{2 |Re gamma| |x| - U} past e^16."""
+    r, xs = h.radius, h.xs
     if abs(gamma.real) * r + float(max(potential.U(r), potential.U(-r))) > _LOG_FLOAT_MAX:
         raise DomainError(f"resolvent at gamma={gamma}: e^(|Re gamma| R + U(R)) overflows on the grid's R = {r:.6g}")
+    if gamma.real < 0.0 and (peak := float(np.max(-2.0 * gamma.real * np.abs(xs) - potential.U(xs)))) > _MAX_CANCEL:
+        raise DomainError(f"resolvent at gamma={gamma} needs cancellation from e^{peak:.4g}, past e^{_MAX_CANCEL:g}")
     values = CharFunctionHandle(potential, "full", cfg).values_batch(gamma)
     z = complex(_z_and_dz("full", *values)[0][0])
     pp, _, pm, _ = (complex(v[0]) for v in values)

@@ -4,7 +4,9 @@ The process moves at unit speed and flips its velocity at rate
 lambda(x, theta) = max(theta U'(x), 0) + lambda_refr.  Between events the
 position is exactly linear, so occupation times, marginal histograms and
 autocorrelations can all be computed from the event skeleton without any
-time discretization.
+time discretization.  An observable's interpolant u jumps in value and slope
+only at breakpoints, so int u(s) u(s + L) ds sums one cubic in L per pair of
+breakpoints at most L apart.
 
 Event times are exact.  Every potential is unimodal (U' <= 0 left of the
 mode at 0, U' >= 0 right of it), so the canonical rate integrated along a
@@ -21,6 +23,7 @@ and parallel chains can split streams without coordination.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, Sequence, Tuple
 
@@ -34,7 +37,7 @@ __all__ = ["ZigzagPath", "MarginalHistogram", "simulate", "empirical_marginal", 
 
 _BLOCK = 1 << 16  # exponentials drawn (and inverted) at once; even, so sides alternate alike in every block
 _CDF_CELLS = 4096  # Simpson cells of the non-Gaussian target CDF
-_PAIRS = 2048  # segment pairs per autocorrelation block
+_SPAN = 8192  # segments per autocorrelation block, which bounds its temporaries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,54 +293,53 @@ def empirical_marginal(path: ZigzagPath, bins=50) -> MarginalHistogram:
 # autocorrelation
 
 
-def _pair_blocks(t, t1, lam):
-    """Blocks of at most _PAIRS segment pairs (i, j >= i) whose lag interval
-    (t_j - t1_i, t1_j - t_i) can hold a lag of [lam[0], lam[-1]]; each pass
-    moves every j up by one from the first j with t1_j > t_i + lam[0]."""
-    t_end = np.append(t, np.inf)  # j past the last segment ends its i
-    i, j = np.arange(t.size), np.searchsorted(t1, t + lam[0], side="right")
-    while (keep := t_end[j] - t1[i] < lam[-1]).any():
-        i, j = i[keep], j[keep]
-        for lo in range(0, i.size, _PAIRS):
-            yield i[lo : lo + _PAIRS], j[lo : lo + _PAIRS]
-        j = j + 1
+def _jump_cubics(ja, da, jb, db, y):
+    """Taylor coefficients at L = e + y of what jumps (ja, da) and (jb, db) e apart
+    add to S(L): da db (L - e)^3 / 6 + (da jb - ja db) (L - e)^2 / 2 - ja jb (L - e)."""
+    a3, b2, c1 = da * db / 6.0, 0.5 * (da * jb - ja * db), -ja * jb
+    q2 = b2 + 3.0 * a3 * y
+    return np.array((y * (c1 + y * (b2 + y * a3)), c1 + y * (b2 + q2), q2, a3))
 
 
 def _overlap_integrals(t, t1, lv, rv, lam):
-    """S(L) = int_0^{T-L} u(s) u(s + L) ds at the sorted lags lam, for u
-    linear on each segment [t_i, t1_i] from lv_i to rv_i."""
-    K, h = lam.size, t1 - t
-    slope, key_type = (rv - lv) / h, np.min_scalar_type(2 * K)
-    tot = np.zeros((4, 2 * K))  # Taylor coefficients entering (even) and leaving (odd) at each lag
-    for i, j in _pair_blocks(t, t1, lam):
-        hi, hj, li, lj, ri, rj, bi, bj = (v[k] for v in (h, lv, rv, slope) for k in (i, j))
-        m, L0, L3 = np.minimum(hi, hj), t[j] - t1[i], t1[j] - t[i]
-        edges = np.array((L0, L0 + m, L3 - m, L3))
-        k = np.searchsorted(lam, edges)
-        np.maximum(k[1], k[2], out=k[2])  # the windows tile despite rounding
-        # the pair's overlap integral is a cubic in y = L - origin on each window:
-        # rising from L0, linear while the shorter segment is held whole, falling to L3
-        a3, c1, c2 = bi * bj / 6.0, ri * lj, 0.5 * (ri * bj - bi * lj)
-        held = np.where(hi <= hj, 0.5 * bj * hi * (li + ri), -0.5 * bi * hj * (lj + rj))
-        zero = np.zeros_like(m)
-        coef = np.array(((zero, m * (c1 + m * (c2 - m * a3)), zero), (c1, held, -li * rj),
-                         (c2, zero, 0.5 * (bi * rj - li * bj)), (-a3, zero, a3))).reshape(4, -1)
-        origin, k_in, k_out = edges[[0, 1, 3]].ravel(), k[:3].ravel(), k[1:].ravel()
-        enter = np.flatnonzero(k_in < k_out)  # windows that hold a lag
-        leave = enter[k_out[enter] < K]
-        key = np.concatenate((2 * k_in[enter], 2 * k_out[leave] + 1))
-        order = np.argsort(key.astype(key_type), kind="stable")  # a radix sort
-        key, w = key[order], np.concatenate((enter, leave))[order]
-        y = lam[key >> 1] - origin[w]
-        b0, b1, b2, b3 = np.take(coef, w, axis=1)
-        q2 = b2 + 3.0 * b3 * y
-        q = np.array((b0 + y * (b1 + y * (b2 + y * b3)), b1 + y * (b2 + q2), q2, b3))
-        # reduceat sums each lag's run pairwise; summed in sequence, the thousands
-        # of coherent cubics entering at lag 0 would lose 1e-10
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        tot[:, key[first]] += np.add.reduceat(q, first, axis=1)
-    out, (r0, r1, r2, r3), prev = np.empty(K), np.zeros(4), lam[0]
-    for k, (lag, e0, e1, e2, e3) in enumerate(zip(lam.tolist(), *(tot[:, 0::2] - tot[:, 1::2]).tolist())):
+    """S(L) = int_0^{T-L} u(s) u(s + L) ds at the sorted lags lam, for u linear
+    on each segment [t_i, t1_i = t_(i+1)] from lv_i to rv_i and 0 outside [0, T].
+
+    S sums _jump_cubics over the breakpoint pairs a, b with e = tau_b - tau_a
+    <= L, from the jumps of u and u' at each.  The pairs with e <= lam[0] sum
+    to the cubic of the segment pairs straddling lam[0], each from its own end
+    jumps: (lv, slope) at its start, (-rv, -slope) at its end; every other pair
+    enters at the first lag >= e.  Both compute e as the same float difference,
+    so they split the pairs exactly.  Pairs go by _SPAN first segments at once.
+    """
+    n, K, lam0 = t.size, lam.size, lam[0]
+    slope, tot = (rv - lv) / (t1 - t), np.zeros((4, K), np.longdouble)  # Taylor coefficients per lag, long double sums
+    tau, t_end = np.append(t, [t1[-1], np.inf]), np.append(t, np.inf)  # breakpoints, starts; inf ends a loop
+    jump, kink = (np.append(v, 0.0) - np.insert(w, 0, 0.0) for v, w in ((lv, rv), (slope, slope)))
+    for i in (np.arange(lo, min(lo + _SPAN, n)) for lo in range(0, n, _SPAN)):
+        j = np.searchsorted(t1, t[i] + lam0)
+        a, b = i, j + 1  # no breakpoint before b has tau_b - tau_a > lam0 (and none pairs with tau_n = T)
+        while (keep := t_end[j] - t1[i] <= lam0).any():  # pairs (i, j) from t_j - t1_i <= lam0 ...
+            i, j = i[keep], j[keep]
+            cross = t1[j] - t[i] > lam0  # ... to lam0 < t1_j - t_i
+            ends_i, ends_j = (((lv[s], slope[s], t[s]), (-rv[s], -slope[s], t1[s])) for s in (i[cross], j[cross]))
+            for (ja, da, ta), (jb, db, tb) in itertools.product(ends_i, ends_j):
+                m = (e := tb - ta) <= lam0
+                # pairwise sums: thousands of coherent cubics enter at lam[0]
+                tot[:, 0] += _jump_cubics(ja[m], da[m], jb[m], db[m], lam0 - e[m]).sum(axis=1)
+            j = j + 1
+        while (keep := (e := tau[b] - tau[a]) <= lam[-1]).any():  # the breakpoint pairs past lam0
+            a, b, e = a[keep], b[keep], e[keep]
+            w = np.flatnonzero(e > lam0)
+            k = np.searchsorted(lam, e[w])  # the first lag >= e
+            order = np.argsort(k.astype(np.min_scalar_type(K)), kind="stable")  # a radix sort
+            k, w = k[order], w[order]
+            q = _jump_cubics(jump[a[w]], kink[a[w]], jump[b[w]], kink[b[w]], lam[k] - e[w])
+            first = np.flatnonzero(np.diff(k, prepend=-1))
+            tot[:, k[first]] += np.add.reduceat(q, first, axis=1)  # pairwise per lag
+            b = b + 1
+    out, (r0, r1, r2, r3), prev = np.empty(K), np.zeros(4), lam0
+    for k, (lag, e0, e1, e2, e3) in enumerate(zip(lam.tolist(), *tot.tolist())):
         d, prev = lag - prev, lag  # Taylor-shift the running cubic to this lag, then add
         out[k] = r0 = r0 + d * (r1 + d * (r2 + d * r3)) + e0
         r1, r2, r3 = r1 + d * (2.0 * r2 + 3.0 * r3 * d) + e1, r2 + 3.0 * r3 * d + e2, r3 + e3
@@ -348,20 +350,15 @@ def autocorrelation(path: ZigzagPath, observable: Callable, lags: Sequence[float
     """Stationary autocorrelation of g along the path at the given lags.
 
     g is read as u, the linear interpolant of its segment-end values, and
-    C(L) = int_0^{T-L} u(s) u(s + L) ds / (T - L) for u centred.  One pass over
-    segment pairs i <= j serves every lag: a pair's overlap integral is, in L,
-    a cubic on at most three windows (rising, the shorter segment held whole,
-    falling), each in its own local variable.  A window's cubic enters a
-    running cubic at the first sorted lag inside it and leaves at the first lag
-    past it; one Taylor-shift sweep reads C(L) (T - L) at each lag.  A new lag
-    group starts wherever sorted lags are more than a mean flight T / (n + 1)
-    apart, so the cost is O(pairs in each group's lag span + lags).
+    C(L) = int_0^{T-L} u(s) u(s + L) ds / (T - L) for u centred.  Lags more
+    than a mean flight T / (n + 1) apart go to separate passes (_overlap_integrals),
+    each O(segment pairs straddling its first lag + breakpoint pairs in its span).
 
     u is g only for g affine in x on each segment (x, theta, x theta), and
     those are exact up to rounding.  Any other g is refused with DomainError:
     g at each segment's midpoint must equal the mean of its end values to
     1e-12 of their size.  Each segment keeps its own end values, so jumps at
-    switches stay sharp; they must be real and finite.
+    switches stay sharp; they must be real and finite, one per position.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1 or lags.size == 0:
@@ -376,8 +373,10 @@ def autocorrelation(path: ZigzagPath, observable: Callable, lags: Sequence[float
 
     # segment-end values: exact mean and variance of the linear interpolant, which is g if the midpoints agree
     t, dt, x0s, ths = path.segments()
-    ends = np.array([observable(x, ths) for x in (x0s, x0s + ths * dt, x0s + ths * (0.5 * dt))])
-    if np.iscomplexobj(ends) or not np.all(np.isfinite(ends)):
+    ends = [np.asarray(observable(x, ths)) for x in (x0s, x0s + ths * dt, x0s + ths * (0.5 * dt))]
+    if shapes := {v.shape for v in ends} - {t.shape}:
+        raise DomainError(f"observable returned shape {min(shapes)}, not one value per segment end {t.shape}")
+    if np.iscomplexobj(ends := np.array(ends)) or not np.all(np.isfinite(ends)):
         raise DomainError("observable values must be real and finite along the path")
     left, right, mid = ends.astype(float)
     if (bent := np.flatnonzero(np.abs(mid - 0.5 * (left + right)) > 1e-12 * (np.abs(left) + np.abs(right)))).size:
@@ -392,11 +391,8 @@ def autocorrelation(path: ZigzagPath, observable: Callable, lags: Sequence[float
     lam, inverse = np.unique(lags, return_inverse=True)
     groups = np.split(lam, np.flatnonzero(np.diff(lam) > T / t.size) + 1)
     S = np.concatenate([_overlap_integrals(t, np.append(t[1:], T), lv, rv, g) for g in groups])
-    covs = (S / (T - lam))[inverse]
-    # normalize by the lag-0 estimate when present so ACF(0) is exactly 1
-    at_zero = np.nonzero(lags == 0.0)[0]
-    var = covs[at_zero[0]] if at_zero.size else var_direct
-    return covs / var
+    # normalize by the lag-0 estimate S(0) / T when present so ACF(0) is exactly 1
+    return (S / (T - lam))[inverse] / (S[0] / T if lam[0] == 0.0 else var_direct)
 
 
 def envelope_decay_rate(lags, values) -> float:

@@ -477,6 +477,27 @@ def test_resolvent_holds_at_large_re_gamma_and_refuses_overflow(descriptor):
                 call(pot, 300.0, h)
 
 
+@pytest.mark.parametrize("descriptor", ["gaussian:1", "beta:2", "beta:3"])
+def test_resolvent_at_negative_re_gamma_holds_or_names_its_cancellation(descriptor):
+    # at Re gamma < 0 the sweep's integrand peaks at e^P, P = max 2 |Re gamma| |x| - U(x),
+    # and cancels from there: gaussian:1 read a defect of 1.7e-5 at -3 (P = 18)
+    # and 1e2 at -5 (P = 48) with no error
+    pot = parse_potential(descriptor)
+    h = GridFunction.from_callable(pot, lambda x, th: (1.0 + x) * np.exp(-x * x / 2.5))
+    for real in (-0.5, -1.0, -2.0, -3.0, -5.0, -8.0):
+        z = complex(real, 0.5)
+        peak = np.max(-2.0 * real * np.abs(h.xs) - pot.U(h.xs))
+        try:
+            f = apply_resolvent(pot, z, h)
+        except DomainError as err:
+            assert f"gamma={z} needs cancellation from e^{peak:.4g}, past e^16" in str(err)
+            assert peak > 16.0
+            with pytest.raises(DomainError, match="needs cancellation"):
+                k_coefficients(pot, z, h)
+        else:
+            assert resolvent_defect(pot, z, h, f) <= 1e-5
+
+
 def test_k_coefficients_are_the_resolvent_at_zero(gaussian_potential):
     # k_coefficients skips assembling f, yet equals f at x = 0 bit for bit
     g = 1.0 + 0.5j

@@ -406,6 +406,22 @@ def test_acf_rejects_non_finite_or_complex_observable(observable):
             autocorrelation(p, observable, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "observable, shape",
+    [
+        (lambda x, th: x[:5], r"\(5,\)"),
+        (lambda x, th: np.stack([x, x]), r"\(2, \d+\)"),
+        (lambda x, th: 1.0, r"\(\)"),
+    ],
+    ids=["truncated", "stacked", "scalar"],
+)
+def test_acf_names_the_shape_of_a_malformed_observable(observable, shape):
+    # these used to escape as a bare ValueError or IndexError from numpy
+    p = simulate(gaussian(1.0), CANON, 0.0, +1, 200.0, seed=2)
+    with pytest.raises(DomainError, match=rf"observable returned shape {shape}, not one value per segment end"):
+        autocorrelation(p, observable, np.array([0.0, 1.0]))
+
+
 # ------------------------------------------------ autocorrelation oracles
 
 
@@ -574,11 +590,24 @@ def _exact_autocorrelation(path, observable, lags):
     return np.array([float(c / covs[0]) for c in covs])
 
 
-@pytest.mark.parametrize("name", list(OBSERVABLES))
-def test_acf_matches_exact_rational_oracle(name):
+ORACLE_CASES = {  # id suffix: (lags, horizon)
+    "": ([0.0, 0.37, 1.0, 4.2, 8.0], 500.0),
+    # a second lag group whose first lag, 40, is not 0: the pairs straddling it
+    "-group-at-40": ([0.0, 0.37, 40.0, 40.05, 41.0], 500.0),
+    # the CLI's lags, on the shortest horizon it reads them from
+    "-cli-grid": (np.round(np.arange(0.0, 8.0001, 0.1), 10), 80.0),
+}
+
+
+@pytest.mark.parametrize(
+    "name, lags, horizon",
+    [(name, *case) for case in ORACLE_CASES.values() for name in OBSERVABLES],
+    ids=[name + suffix for suffix in ORACLE_CASES for name in OBSERVABLES],
+)
+def test_acf_matches_exact_rational_oracle(name, lags, horizon):
     observable = OBSERVABLES[name]
-    path = simulate(gaussian(1.0), CANON, 0.0, +1, 500.0, seed=3)
-    lags = np.array([0.0, 0.37, 1.0, 4.2, 8.0])
+    path = simulate(gaussian(1.0), CANON, 0.0, +1, horizon, seed=3)
+    lags = np.array(lags)
     got = autocorrelation(path, observable, lags)
     assert got[0] == 1.0
     np.testing.assert_allclose(got, _exact_autocorrelation(path, observable, lags), rtol=0.0, atol=1e-13)
