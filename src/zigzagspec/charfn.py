@@ -381,17 +381,19 @@ class CharFunctionHandle:
 
     The handle keeps no state between calls: every call computes psi afresh.
     branch 'full' evaluates Z = 1 - psi+ psi-; 'plus'/'minus' evaluate the
-    even-potential factors Z+- = 1 -+ psi.
+    even-potential factors Z+- = 1 -+ psi.  A tuple of branches evaluates
+    them as rows (k, n), all from the same psi.
     """
 
     potential: PotentialModel
-    branch: str = "full"
+    branch: str | tuple = "full"
     cfg: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if self.branch not in _BRANCHES:
+        names = (self.branch,) if isinstance(self.branch, str) else self.branch
+        if not (isinstance(names, tuple) and names and all(b in _BRANCHES for b in names)):
             raise DomainError(f"branch must be one of {_BRANCHES}, got {self.branch!r}")
-        if self.branch in ("plus", "minus") and not self.potential.is_symmetric:
+        if {"plus", "minus"} & set(names) and not self.potential.is_symmetric:
             raise DomainError("plus/minus branches require an even potential")
 
     def values_batch(self, gammas):
@@ -425,12 +427,16 @@ class CharFunctionHandle:
         return pp, dp, pm, dm
 
 
-def _z_and_dz(branch: str, pp, dp, pm, dm):
-    """(Z, Z') arrays of a branch from the values_batch rows (psi+, dpsi+, psi-, dpsi-).
+def _z_and_dz(branch, pp, dp, pm, dm):
+    """(Z, Z') arrays of a branch from the values_batch rows (psi+, dpsi+, psi-, dpsi-),
+    or of a tuple of branches as rows (k, n).
 
     The one place that knows the branches: Z = 1 - psi+ psi- (full),
     Z+ = 1 - psi (plus) and Z- = 1 + psi (minus), with their derivatives.
     """
+    if not isinstance(branch, str):
+        z, dz = zip(*(_z_and_dz(b, pp, dp, pm, dm) for b in branch))
+        return np.array(z), np.array(dz)
     if branch == "full":
         return 1.0 - pp * pm, -(pm * dp + pp * dm)
     if branch == "plus":
@@ -439,20 +445,20 @@ def _z_and_dz(branch: str, pp, dp, pm, dm):
 
 
 def z_value_batch(handle: CharFunctionHandle, gammas):
-    """Z(gamma) of the handle's branch; accepts and returns numpy arrays."""
+    """Z(gamma) of the handle's branch (rows for a tuple); accepts and returns numpy arrays."""
     return _z_and_dz(handle.branch, *handle.values_batch(gammas))[0]
 
 
 def z_log_derivative_batch(handle: CharFunctionHandle, gammas):
-    """Z'/Z of the handle's branch; accepts and returns numpy arrays.
+    """Z'/Z of the handle's branch (rows for a tuple); accepts and returns numpy arrays.
 
-    Raises NearZeroError at the first |Z| < 1e-14; callers in the rootfinder
-    treat that as having landed on a root.
+    Raises NearZeroError at the first gamma where some |Z| < 1e-14; callers
+    in the rootfinder treat that as having landed on a root.
     """
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
     z, dz = _z_and_dz(handle.branch, *handle.values_batch(g))
     small = np.abs(z) < NEAR_ZERO_TOL
     if small.any():
-        i = int(np.argmax(small))
-        raise NearZeroError(complex(g[i]), float(np.abs(z[i])))
+        i = np.argwhere(small)[0][-1]
+        raise NearZeroError(complex(g[i]), float(np.abs(z[..., i]).min()))
     return dz / z

@@ -1,27 +1,26 @@
-"""All zeros of a holomorphic function in a rectangle.
+"""All zeros of k holomorphic functions in a rectangle, in one search.
 
-The counting tool is the argument principle: (1/2pi i) times the contour
-integral of f'/f equals the number of zeros inside, and the first and second
-moments (same integral with extra factors zeta, zeta^2) localize them.  The
-strategy:
+f and logderiv map n points to (n,) values, or to rows (k, n) of k functions
+searched together (the batch-rows idiom of `integrate_finite`).  The tool is
+the argument principle: (1/2pi i) times the contour integral of f'/f counts
+the zeros inside, and the moments with extra factors zeta, zeta^2 localize
+them.  Each contour segment is sampled and integrated once per search:
 
-1. resolve the phase of f along each edge until consecutive samples turn by
-   less than pi/2, which makes the telescoped winding number exact;
-2. integrate (f'/f) * (1, zeta, zeta^2) along each edge in one batched
-   adaptive pass started on every 4th skeleton point (at most one phase turn
-   of 2 pi per panel) and cross-check the quadrature winding against the
-   telescoped one; each segment is sampled and integrated once per search;
-3. recurse by bisecting the longest side, through the line nearest its centre
-   that steps 1-2 resolve (both children reuse it, as a child reuses the
-   parent side it keeps), until each box holds one zero (Newton-polish the
-   first moment) or a cluster collapses to a point (multiple root, polished
-   with the multiplicity-aware Newton step); a box keeps Newton's root only
-   if it stays inside, else its moment estimate, unpolished.
+1. the phase of every row is resolved along it until consecutive samples
+   turn by less than pi/2, which makes the telescoped winding number exact;
+2. (f'/f) * (1, zeta, zeta^2) of every row (3k integrals) is integrated in
+   one adaptive pass started on every 4th skeleton point (at most one phase
+   turn of 2 pi per panel), and cross-checked against the telescoped winding.
 
-Zeros sitting on a contour are handled deterministically: the requested
-region is dilated by 1e-4 on the offending side, and a split line that does
-not resolve is shifted by up to 7 units of min(1e-4, span/16) either way.
-Both f and logderiv must accept complex numpy arrays.
+A box emits a row's zero where it holds one (Newton-polished first moment)
+or the row's zeros collapse to a point (multiple root, multiplicity-aware
+Newton step), keeping Newton's root only if it stays inside, else the moment
+estimate, unpolished.  The rows left split the box together through the line
+nearest its centre that resolves (shared by both children, as a child shares
+the parent side it keeps).  A box checks the rows still searched in it only.
+A zero on the contour dilates the requested region by 1e-4 on that side, and
+shifts a split line by up to 7 units of min(1e-4, span/16) either way.
+logderiv may raise NearZeroError where any row of f vanishes numerically.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -48,6 +47,7 @@ __all__ = [
     "RootfinderConfig",
     "RootRecord",
     "RootSet",
+    "RootSets",
     "count_zeros",
     "locate_zeros",
     "newton_polish",
@@ -74,6 +74,9 @@ class ComplexRegion:
             raise DomainError(
                 f"degenerate region [{self.re_min},{self.re_max}]x[{self.im_min},{self.im_max}]"
             )
+        n = self.edge_samples
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= _MAX_EDGE_POINTS):
+            raise DomainError(f"edge_samples must be an integer in [1, {_MAX_EDGE_POINTS}], got {n!r}")
 
     @property
     def width(self) -> float:
@@ -145,6 +148,15 @@ class RootSet:
         return sum(r.multiplicity for r in self.roots)
 
 
+class RootSets(tuple):
+    """The RootSet of each row of a k-row search, in row order."""
+
+    @property
+    def roots(self) -> Tuple[RootRecord, ...]:
+        """Every row's roots, row after row, as a count or scan of one RootSet reads them."""
+        return tuple(r for rs in self for r in rs.roots)
+
+
 # ---------------------------------------------------------------------------
 # contour machinery
 # ---------------------------------------------------------------------------
@@ -152,107 +164,100 @@ class RootSet:
 
 def _edges(region: ComplexRegion):
     c0, c1, c2, c3 = region.corners()
-    return (
-        (c0, c1, "bottom"),
-        (c1, c2, "right"),
-        (c2, c3, "top"),
-        (c3, c0, "left"),
-    )
+    return (c0, c1, "bottom"), (c1, c2, "right"), (c2, c3, "top"), (c3, c0, "left")
 
 
-def _phase_skeleton(fvec, z0, direction, length, n0, boundary_tol, edge_name):
-    """Sample f along an edge until successive phases turn < pi/2.
+def _phase_skeleton(fvec, z0, direction, length, n0, boundary_tol):
+    """Sample f along an edge until each row's successive phases turn < pi/2.
 
-    Returns (ts, total phase change).  A sample with |f| < boundary_tol, or a
-    phase that refuses to resolve, raises BoundaryProximityError for this
-    edge, carrying the offending location.
+    Returns (ts, each row's phase change, the t where each row is blocked or
+    nan): at its first sample with |f| < boundary_tol, or where its phase
+    refuses to resolve.  Blocked rows are refined no further.
     """
-    ts = np.linspace(0.0, length, max(int(n0), 8) + 1)
-    vals = np.asarray(fvec(z0 + direction * ts), dtype=complex)
+    ts = np.linspace(0.0, length, max(n0, 8) + 1)
+    vals = fvec(z0 + direction * ts)
+    stuck = np.full(vals.shape[0], np.nan)
 
-    def check_clear(points, values):
+    def block(points, values):
         small = np.abs(values) < boundary_tol
-        if small.any():
-            loc = z0 + direction * points[np.argmax(small)]
-            raise BoundaryProximityError(edge_name, loc)
+        hit = small.any(axis=1) & np.isnan(stuck)
+        stuck[hit] = points[np.argmax(small[hit], axis=1)]
 
-    check_clear(ts, vals)
-    for _ in range(40):
-        turns = np.angle(vals[1:] * np.conj(vals[:-1]))
-        bad = np.abs(turns) >= 0.5 * math.pi
+    block(ts, vals)
+    for rounds in range(41):
+        turns = np.angle(vals[:, 1:] * np.conj(vals[:, :-1]))
+        bad = (np.abs(turns) >= 0.5 * math.pi) & np.isnan(stuck)[:, None]
         if not bad.any():
-            return ts, float(np.sum(turns))
-        if len(ts) > _MAX_EDGE_POINTS:
-            worst = int(np.argmax(np.abs(turns)))
-            raise BoundaryProximityError(
-                edge_name, z0 + direction * 0.5 * (ts[worst] + ts[worst + 1])
-            )
-        mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-        mvals = np.asarray(fvec(z0 + direction * mids), dtype=complex)
-        check_clear(mids, mvals)
+            break
+        if rounds == 40 or len(ts) > _MAX_EDGE_POINTS:
+            rows = bad.any(axis=1)
+            worst = np.argmax(np.where(bad[rows], np.abs(turns[rows]), -1.0), axis=1)
+            stuck[rows] = 0.5 * (ts[worst] + ts[worst + 1])
+            break
+        mask = bad.any(axis=0)
+        mids = 0.5 * (ts[:-1][mask] + ts[1:][mask])
+        mvals = fvec(z0 + direction * mids)
+        block(mids, mvals)
         order = np.argsort(np.concatenate([ts, mids]), kind="stable")
         ts = np.concatenate([ts, mids])[order]
-        vals = np.concatenate([vals, mvals])[order]
-    raise BoundaryProximityError(edge_name, z0 + direction * 0.5 * length)
+        vals = np.concatenate([vals, mvals], axis=1)[:, order]
+    return ts, turns.sum(axis=1), stuck
 
 
-def _edge(fvec, ldvec, za, zb, name, cfg, n0, edges):
-    """(phase turn, moments, quadrature error) of the segment za -> zb.
+def _edge(fvec, ldvec, za, zb, name, rows, cfg, n0, edges):
+    """(phase turns, moments (3, rows), quadrature errors) of `rows` on za -> zb.
 
-    The moments are the integrals of (f'/f) * (1, zeta, zeta^2) along it.  A
-    segment is integrated once per search, always from its lower endpoint to
-    its upper one: `edges` keys the results by (lower, upper, n0), and the
-    reverse traversal takes the negated turn and moments.  An edge that
-    raises stores nothing.
+    The moments are the integrals of (f'/f) * (1, zeta, zeta^2).  Every row
+    of f is sampled and integrated once, from the lower endpoint to the upper
+    one, into `edges` under (lower, upper, n0); the reverse traversal negates
+    turns and moments, and an edge whose quadrature raises stores nothing.
+    A row blocked on the segment is left out of the quadrature, and raises
+    BoundaryProximityError when `rows` asks for it.
     """
     lo, hi = sorted((za, zb), key=lambda z: (z.real, z.imag))
     key = (lo, hi, n0)
     if key not in edges:
         length = abs(hi - lo)
         direction = (hi - lo) / length
-        ts, dphase = _phase_skeleton(fvec, lo, direction, length, n0, cfg.boundary_tol, name)
+        ts, dphase, stuck = _phase_skeleton(fvec, lo, direction, length, n0, cfg.boundary_tol)
+        blocked = ~np.isnan(stuck)[:, None]
 
-        def rows(t):
+        def integrand(t):
             z = lo + direction * t
-            ld = ldvec(z)
-            return np.stack([ld, z * ld, z * z * ld]) * direction
+            ld = np.where(blocked, 0.0, ldvec(z))
+            return (np.stack([ld, z * ld, z * z * ld]) * direction).reshape(-1, t.size)
 
         try:
-            vals, errs = integrate_finite(rows, 0.0, length, cfg.quad, breakpoints=ts[4:-1:4])
+            vals, errs = integrate_finite(integrand, 0.0, length, cfg.quad, breakpoints=ts[4:-1:4])
         except NearZeroError as exc:
             raise BoundaryProximityError(name, exc.gamma) from exc
-        edges[key] = (dphase, vals, float(errs[0]))
-    dphase, vals, err = edges[key]
-    return (dphase, vals, err) if za == lo else (-dphase, -vals, err)
+        edges[key] = (dphase, vals.reshape(3, -1), errs[: stuck.size], lo + direction * stuck)
+    dphase, moments, errs, stuck = edges[key]
+    hit = stuck[rows][~np.isnan(stuck[rows])]
+    if hit.size:
+        raise BoundaryProximityError(name, complex(hit[0]))
+    sign = 1.0 if za == lo else -1.0
+    return sign * dphase[rows], sign * moments[:, rows], errs[rows]
 
 
-def _contour_moments(fvec, ldvec, region, cfg, n0, edges):
-    """Telescoped winding plus quadrature moments (s0, s1, s2) of the contour.
-
-    s_k = (1/2pi i) contour-integral of zeta^k logderiv(zeta), summed over
-    the four `_edge` results.  Also returns the name of the edge with the
-    worst quadrature error (suspect for any trouble upstream).
-    """
+def _contour_moments(fvec, ldvec, region, rows, cfg, n0, edges):
+    """Telescoped windings of `rows`, their moments s_k = (1/2pi i) contour
+    integral of zeta^k logderiv(zeta), k = 0, 1, 2, and the name of the edge
+    with the worst quadrature error (suspect for any trouble upstream)."""
     sides = _edges(region)
-    turns, moments, errs = zip(*(_edge(fvec, ldvec, *side, cfg, n0, edges) for side in sides))
-    worst_edge = sides[int(np.argmax(errs))][2]
+    turns, moments, errs = zip(*(_edge(fvec, ldvec, *side, rows, cfg, n0, edges) for side in sides))
+    worst_edge = sides[int(np.argmax([e.max() for e in errs]))][2]
     return sum(turns) / _TWO_PI, sum(moments) / (2.0j * math.pi), worst_edge
 
 
-def _winding_and_moments(fvec, ldvec, region, cfg, edges):
-    """Integer winding number with moments; refines edge sampling on doubt."""
-    n0 = region.edge_samples
-    last = None
-    for _ in range(3):
-        w_tel, moments, worst_edge = _contour_moments(fvec, ldvec, region, cfg, n0, edges)
-        w_int = int(round(w_tel))
-        tel_ok = abs(w_tel - w_int) < 0.05
-        quad_ok = abs(moments[0] - w_int) <= 0.25
-        if tel_ok and quad_ok:
+def _winding_and_moments(fvec, ldvec, region, rows, cfg, edges):
+    """Integer windings of `rows` with their moments; refines edge sampling on doubt."""
+    for n0 in (region.edge_samples * 4**k for k in range(3)):
+        w_tel, moments, worst_edge = _contour_moments(fvec, ldvec, region, rows, cfg, n0, edges)
+        w_int = np.rint(w_tel).astype(int)
+        if np.all((np.abs(w_tel - w_int) < 0.05) & (np.abs(moments[0] - w_int) <= 0.25)):
             return w_int, moments
-        last = (w_tel, moments[0], worst_edge)
-        n0 *= 4
-    raise BoundaryProximityError(last[2], region.center)
+    raise BoundaryProximityError(worst_edge, region.center)
 
 
 def _dilated(region: ComplexRegion, exc: BoundaryProximityError, amount: float) -> ComplexRegion:
@@ -325,8 +330,8 @@ def newton_polish(
 # ---------------------------------------------------------------------------
 
 
-def _cut(fvec, ldvec, region: ComplexRegion, cfg: RootfinderConfig, edges):
-    """Pick a split coordinate on the longest side, shifted off any zero.
+def _cut(fvec, ldvec, region: ComplexRegion, rows, cfg: RootfinderConfig, edges):
+    """Pick a split coordinate on the longest side, shifted off any zero of `rows`.
 
     Returns ('re'|'im', cut).  Deterministic: the offsets 0, +1, -1, ..., +7,
     -7 in units of min(dilation, span/16) are tried in turn, and the first
@@ -344,7 +349,7 @@ def _cut(fvec, ldvec, region: ComplexRegion, cfg: RootfinderConfig, edges):
         else:  # the first child's top edge and the second's bottom
             seg = complex(region.re_max, cut), complex(region.re_min, cut), "top"
         try:
-            _edge(fvec, ldvec, *seg, cfg, region.edge_samples, edges)
+            _edge(fvec, ldvec, *seg, rows, cfg, region.edge_samples, edges)
             return ("re" if vertical else "im"), cut
         except BoundaryProximityError as exc:
             last = exc
@@ -360,56 +365,66 @@ def _snap(z: complex) -> complex:
     return complex(z.real, 0.0) if abs(z.imag) < _IM_SNAP else z
 
 
-def _emit_root(fvec, ldvec, box, estimate, multiplicity, cfg, out):
-    """Record the zero of `box` (of the given multiplicity): Newton's result
-    from the moment estimate if it stays in the box, else the estimate itself,
-    unpolished.  Disjoint boxes thus never record the same root twice."""
+def _emit_root(fvec, ldvec, box, row, estimate, multiplicity, cfg, out):
+    """Record row's zero in `box` (of the given multiplicity) in out[row]: Newton's
+    result from the moment estimate if it stays in the box, else the estimate
+    itself, unpolished.  Disjoint boxes thus never record the same root twice."""
     try:
-        root = newton_polish(ldvec, estimate, cfg, multiplicity=multiplicity)
+        root = newton_polish(lambda z: ldvec(z)[row], estimate, cfg, multiplicity=multiplicity)
         polished = box.contains(root)
     except PolishFailureError:
         polished = False
     root = _snap(root if polished else complex(estimate))
-    residual = float(abs(complex(np.asarray(fvec(np.array([root])), dtype=complex)[0])))
-    out.append(RootRecord(root, int(multiplicity), residual, polished))
+    residual = float(abs(fvec(np.array([root]))[row, 0]))
+    out.setdefault(row, []).append(RootRecord(root, multiplicity, residual, polished))
 
 
-def _solve(fvec, ldvec, region: ComplexRegion, cfg: RootfinderConfig, out: list, edges) -> int:
+def _solve(fvec, ldvec, region: ComplexRegion, rows, cfg: RootfinderConfig, out: dict, edges):
+    """The windings of `rows` (indices, or slice(None) for all of f's rows)
+    in the box.  A row's zero goes to `out` where the box holds one, or a
+    cluster (a multiple root); the rows with more split the box together."""
     try:
-        w, moments = _winding_and_moments(fvec, ldvec, region, cfg, edges)
+        w, moments = _winding_and_moments(fvec, ldvec, region, rows, cfg, edges)
     except BoundaryProximityError:
         if max(region.width, region.height) < cfg.min_box_size:
-            raise UnresolvedClusterError(
-                f"winding undetermined in a box below min_box_size at {region.center}",
-                box=region,
-            ) from None
+            msg = f"winding undetermined in a box below min_box_size at {region.center}"
+            raise UnresolvedClusterError(msg, box=region) from None
         raise
-    if w == 0:
-        return 0
-    if w < 0:
-        raise WindingError(f"negative winding {w} in {region}: not holomorphic?")
+    if (w < 0).any():
+        raise WindingError(f"negative winding {w.min()} in {region}: not holomorphic?")
 
-    centroid = moments[1] / w
-    spread = math.sqrt(abs(moments[2] / w - centroid * centroid))
-    if w == 1 or spread < cfg.cluster_tol or max(region.width, region.height) < cfg.min_box_size:
-        # one root, or w roots indistinguishable at working precision: a multiple root
-        _emit_root(fvec, ldvec, region, centroid, w, cfg, out)
+    rows, split = (np.arange(w.size) if isinstance(rows, slice) else rows), []
+    tiny = max(region.width, region.height) < cfg.min_box_size
+    for i, (row, wi) in enumerate(zip(rows.tolist(), w.tolist())):
+        if wi == 0:
+            continue
+        centroid = moments[1, i] / wi
+        if wi == 1 or tiny or math.sqrt(abs(moments[2, i] / wi - centroid * centroid)) < cfg.cluster_tol:
+            # one root, or wi roots indistinguishable at working precision: a multiple root
+            _emit_root(fvec, ldvec, region, row, centroid, wi, cfg, out)
+        else:
+            split.append(i)
+    if not split:
         return w
 
-    axis, cut = _cut(fvec, ldvec, region, cfg, edges)
+    axis, cut = _cut(fvec, ldvec, region, rows[split], cfg, edges)
     child_a, child_b = _split(region, axis, cut)
-    wa = _solve(fvec, ldvec, child_a, cfg, out, edges)
-    wb = _solve(fvec, ldvec, child_b, cfg, out, edges)
-    if wa + wb != w:
-        raise WindingError(
-            f"winding additivity violated at {axis}-cut {cut:.6g}: {w} != {wa} + {wb}"
-        )
+    wa = _solve(fvec, ldvec, child_a, rows[split], cfg, out, edges)
+    wb = _solve(fvec, ldvec, child_b, rows[split], cfg, out, edges)
+    for row, wr, ra, rb in zip(rows[split], w[split], wa, wb):
+        if ra + rb != wr:
+            raise WindingError(f"winding additivity violated at {axis}-cut {cut:.6g}: {wr} != {ra} + {rb} (row {row})")
     return w
 
 
-def _as_vectorized(fn):
+def _as_rows(fn, ranks):
+    """fn as a map from points to rows (k, n); adds the rank of each output of fn to `ranks`."""
+
     def wrapped(z):
-        return np.asarray(fn(np.asarray(z, dtype=complex)), dtype=complex)
+        z = np.asarray(z, dtype=complex)
+        v = np.asarray(fn(z), dtype=complex)
+        ranks.add(v.ndim)
+        return v.reshape(-1, z.size)
 
     return wrapped
 
@@ -417,8 +432,7 @@ def _as_vectorized(fn):
 def _with_dilation(attempt: Callable, region: ComplexRegion, cfg: RootfinderConfig):
     """attempt(region), retried up to 5 times: a zero detected on the boundary
     dilates the region by cfg.dilation on that side (deterministically)."""
-    current = region
-    last_exc = None
+    current, last_exc = region, None
     for _ in range(5):
         try:
             return attempt(current)
@@ -428,54 +442,40 @@ def _with_dilation(attempt: Callable, region: ComplexRegion, cfg: RootfinderConf
     raise last_exc
 
 
-def count_zeros(
-    logderiv: Callable,
-    region: ComplexRegion,
-    cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG,
-    *,
-    f: Callable,
-) -> int:
-    """Number of zeros (with multiplicity) inside the region.
-
-    The winding is telescoped from the resolved phase of f and cross-checked
-    against the quadrature of logderiv along the same edges.  A zero
-    detected on the boundary dilates the region by 1e-4 on that side
-    (deterministically) and retries.
-    """
-    fvec = _as_vectorized(f)
-    ldvec = _as_vectorized(logderiv)
-    edges: dict = {}
-    return _with_dilation(
-        lambda current: _winding_and_moments(fvec, ldvec, current, cfg, edges)[0], region, cfg
-    )
+def count_zeros(logderiv: Callable, region: ComplexRegion, cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG, *, f: Callable):
+    """Number of zeros (with multiplicity) inside the region, an int or, for rows of f, a
+    tuple of one per row: telescoped from f's phase, cross-checked against logderiv's
+    quadrature; a zero on the boundary dilates the region by 1e-4 on that side."""
+    ranks, edges = set(), {}
+    fvec, ldvec = _as_rows(f, ranks), _as_rows(logderiv, ranks)
+    w = _with_dilation(lambda reg: _winding_and_moments(fvec, ldvec, reg, slice(None), cfg, edges)[0], region, cfg)
+    return tuple(w.tolist()) if 2 in ranks else int(w[0])
 
 
-def locate_zeros(
-    f: Callable,
-    logderiv: Callable,
-    region: ComplexRegion,
-    cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG,
-) -> RootSet:
-    """All zeros of f inside the region, with multiplicities.
+def locate_zeros(f: Callable, logderiv: Callable, region: ComplexRegion, cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG):
+    """All zeros of f inside the region, with multiplicities: a RootSet, or
+    RootSets, one RootSet per row, for rows of f searched together.
 
     Boundary zeros are absorbed by dilating the requested region by 1e-4 on
     the offending side, so locations within that jitter of the boundary may
-    be reported.  Roots are sorted by (Re, Im); im parts below 1e-10 snap to
-    the real axis.
+    be reported.  Each row's roots are sorted by (Re, Im); im parts below
+    1e-10 snap to the real axis.
     """
-    fvec = _as_vectorized(f)
-    ldvec = _as_vectorized(logderiv)
-    edges: dict = {}  # segment results shared by sibling boxes and dilation retries
+    ranks, edges = set(), {}  # edges: segment results shared by all boxes and dilation retries
+    fvec, ldvec = _as_rows(f, ranks), _as_rows(logderiv, ranks)
 
     def attempt(current):
-        out: List[RootRecord] = []
-        w = _solve(fvec, ldvec, current, cfg, out, edges)
-        total = sum(r.multiplicity for r in out)
-        if total != w:
-            raise WindingError(
-                f"root multiplicities sum to {total} but region winding is {w}"
-            )
-        out.sort(key=lambda r: (r.location.real, r.location.imag))
-        return RootSet(roots=tuple(out), region=current, winding=w)
+        out: dict = {}
+        w = _solve(fvec, ldvec, current, slice(None), cfg, out, edges)
+        sets = RootSets(
+            RootSet(tuple(sorted(out.get(row, ()), key=lambda r: (r.location.real, r.location.imag))), current, wr)
+            for row, wr in enumerate(w.tolist())
+        )
+        for row, rs in enumerate(sets):
+            if rs.total_multiplicity() != rs.winding:
+                msg = f"root multiplicities sum to {rs.total_multiplicity()} but region winding is {rs.winding}"
+                raise WindingError(f"{msg} (row {row})")
+        return sets
 
-    return _with_dilation(attempt, region, cfg)
+    sets = _with_dilation(attempt, region, cfg)
+    return sets if 2 in ranks else sets[0]

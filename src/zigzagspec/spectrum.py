@@ -1,25 +1,26 @@
-"""Spectrum assembly: search region, root search per branch, gap, scaling.
+"""Spectrum assembly: search region, one joint root search, gap, scaling.
 
 With zero refreshment the point spectrum of the generator equals the zero set
-of Z; for even potentials it splits into the zero sets of Z+ and Z- (found
-independently and labelled).  The imaginary extent of the search region is
-certified by |Z| >= 1 - |psi+ psi-| >= 1/2 once |psi+ psi-| < 1/2, which the
+of Z; for even potentials it splits into the zero sets of Z+ = 1 - psi and
+Z- = 1 + psi, which come from one psi: one search takes both as rows of one
+box tree (each psi value serves both branches), and labels each root with
+its row's branch.  The imaginary extent of the search region is certified by
+|Z| >= 1 - |psi+ psi-| >= 1/2 once |psi+ psi-| < 1/2, which the
 Riemann-Lebesgue decay of psi guarantees for large |Im gamma|.
 
 For real U, Z(conj gamma) = conj Z(gamma), so the spectrum is closed under
-conjugation, and only the upper half-plane is searched: per branch, the
-rectangle over the region's real span whose imaginary span covers the
-region's upper part and the reflection of its lower part.  When the region
-touches the real axis that rectangle starts at Im = -dilation, so real
-eigenvalues sit inside the contour.  Each root with Im > 0 is emitted with
-its exact conjugate (same branch, multiplicity and residual); real roots are
-emitted once.  A root found in the band -dilation <= Im < 0 must be the
-conjugate of a root found above the axis, within 1e-8 (a missed root would
-break that); the band roots are then dropped, and so is every eigenvalue
-outside the requested region.  Pairs thus share their real part bit for bit,
-and the (-Re, Im) order of the result does not depend on last-ulp noise of
-the quadrature.  Regions need not be symmetric, but they must contain the
-eigenvalue 0.
+conjugation, and only the upper half-plane is searched: the rectangle over
+the region's real span whose imaginary span covers the region's upper part
+and the reflection of its lower part.  When the region touches the real
+axis that rectangle starts at Im = -dilation, so real eigenvalues sit inside
+the contour.  Each root with Im > 0 is emitted with its exact conjugate
+(same branch, multiplicity and residual); real roots are emitted once.  A
+root in the band -dilation <= Im < 0 must be the conjugate, within 1e-8, of
+a root of its branch above the axis (a missed root would break that); band
+roots are then dropped, and so is every eigenvalue outside the requested
+region.  Pairs thus share their real part bit for bit, and the (-Re, Im)
+order does not depend on last-ulp noise of the quadrature.  Regions need
+not be symmetric, but they must contain the eigenvalue 0.
 """
 
 from __future__ import annotations
@@ -128,21 +129,13 @@ def _search_region(region: ComplexRegion, cfg: RootfinderConfig) -> ComplexRegio
     return ComplexRegion(region.re_min, region.re_max, bottom, top, region.edge_samples)
 
 
-def _collect(handle: CharFunctionHandle, region: ComplexRegion, cfg: RootfinderConfig):
-    """One branch's eigenvalues in the region, and the conjugate defect of the
-    roots found in the band below the real axis."""
-    fvec = functools.partial(z_value_batch, handle)
-    ldvec = functools.partial(z_log_derivative_batch, handle)
-    roots = locate_zeros(fvec, ldvec, _search_region(region, cfg), cfg).roots
+def _collect(branch: str, roots, region: ComplexRegion):
+    """One branch's eigenvalues in the region from its roots in the search
+    region, and the conjugate defect of the roots found in the band below
+    the real axis."""
     upper = [r.location for r in roots if r.location.imag > 0]
-    defect = max(
-        (
-            min((abs(u.conjugate() - r.location) for u in upper), default=math.inf)
-            for r in roots
-            if r.location.imag < 0
-        ),
-        default=0.0,
-    )
+    band = [r.location for r in roots if r.location.imag < 0]
+    defect = max((min((abs(u.conjugate() - b) for u in upper), default=math.inf) for b in band), default=0.0)
     records = []
     for r in roots:
         gamma = 0.0j if abs(r.location) <= _ZERO_SNAP else r.location
@@ -150,7 +143,7 @@ def _collect(handle: CharFunctionHandle, region: ComplexRegion, cfg: RootfinderC
             continue  # a band root, counted in the defect above
         for g in (gamma, gamma.conjugate()) if gamma.imag > 0 else (gamma,):
             if region.contains(g):
-                records.append(EigenvalueRecord(g, handle.branch, r.multiplicity, r.residual))
+                records.append(EigenvalueRecord(g, branch, r.multiplicity, r.residual))
     return records, defect
 
 
@@ -178,9 +171,9 @@ def compute_spectrum(
 ) -> SpectrumResult:
     """All eigenvalues in the region (default: `auto_region`).
 
-    Even potentials are searched per branch (Z+ then Z-) and the union is
-    returned with branch labels; otherwise the full Z is used.  Assumption
-    checks are advisory only and land in diagnostics, never gating.
+    Even potentials search Z+ and Z- together, as rows of one search, and
+    return the union with branch labels; otherwise the full Z is used.
+    Assumption checks are advisory only and land in diagnostics, never gating.
     """
     if region is None:
         region = auto_region(potential)
@@ -190,13 +183,13 @@ def compute_spectrum(
     except Exception as exc:  # advisory by design
         diagnostics["assumptions"] = f"check failed: {exc}"
 
-    diagnostics["search_region"] = dataclasses.asdict(_search_region(region, cfg))
-    branches = ("plus", "minus") if potential.is_symmetric else ("full",)
-    records = []
-    defect = 0.0
-    for branch in branches:
-        handle = CharFunctionHandle(potential, branch)
-        recs, branch_defect = _collect(handle, region, cfg)
+    search = _search_region(region, cfg)
+    diagnostics["search_region"] = dataclasses.asdict(search)
+    handle = CharFunctionHandle(potential, ("plus", "minus") if potential.is_symmetric else ("full",))
+    rows = functools.partial(z_value_batch, handle), functools.partial(z_log_derivative_batch, handle)
+    records, defect = [], 0.0
+    for branch, found in zip(handle.branch, locate_zeros(*rows, search, cfg)):
+        recs, branch_defect = _collect(branch, found.roots, region)
         records.extend(recs)
         defect = max(defect, branch_defect)
         diagnostics[f"winding_{branch}"] = sum(r.multiplicity for r in recs)

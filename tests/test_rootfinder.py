@@ -208,11 +208,11 @@ def test_coarse_start_resolves_a_narrow_peak_near_an_edge(d):
     outside = [-0.4 + (-1.0 - d) * 1j, (1.0 + d) + 0.45j]
     f, ld = poly_funcs(inside + outside)
     region = ComplexRegion(-1.0, 1.0, -1.0, 1.0)
-    w_tel, moments, _ = rf._contour_moments(
-        rf._as_vectorized(f), rf._as_vectorized(ld), region, DEFAULT_ROOT_CONFIG, region.edge_samples, {}
+    (w_tel,), ((s0,), _, _), _ = rf._contour_moments(
+        rf._as_rows(f, set()), rf._as_rows(ld, set()), region, slice(None), DEFAULT_ROOT_CONFIG, region.edge_samples, {}
     )
     assert round(w_tel) == 2
-    assert abs(moments[0] - w_tel) < 0.05
+    assert abs(s0 - w_tel) < 0.05
     assert count_zeros(ld, region, f=f) == 2
     rs = locate_zeros(f, ld, region)
     assert rs.total_multiplicity() == 2
@@ -245,6 +245,45 @@ def test_negative_winding_rejected():
 def test_region_rejects_degenerate_and_nonfinite_bounds(bounds):
     with pytest.raises(DomainError):
         ComplexRegion(*bounds)
+
+
+@pytest.mark.parametrize("samples", [float("nan"), 10**9, "64", True, 0, 64.0])
+def test_region_rejects_edge_samples_that_are_not_an_integer_in_range(samples):
+    # NaN used to die in int(), 10**9 in a 15 GiB allocation, and "64" passed
+    with pytest.raises(DomainError, match=r"edge_samples must be an integer in \[1, 8192\]"):
+        ComplexRegion(-1.0, 1.0, -1.0, 1.0, samples)
+
+
+@pytest.mark.parametrize("samples", [1, 8192, np.int64(64)])
+def test_region_takes_edge_samples_in_range(samples):
+    assert ComplexRegion(-1.0, 1.0, -1.0, 1.0, samples).edge_samples == samples
+
+
+def test_rows_are_searched_in_one_tree_as_each_alone(monkeypatch):
+    import zigzagspec.rootfinder as rf
+
+    cuts = []
+    orig = rf._split
+
+    def spy(region, axis, cut):
+        cuts.append((axis, cut))
+        return orig(region, axis, cut)
+
+    monkeypatch.setattr(rf, "_split", spy)
+    region = ComplexRegion(-1.5, 1.5, -1.5, 1.5)
+    f0, ld0 = poly_funcs([0.5 + 0.5j, -0.7 + 0.2j, -0.1 - 0.6j])
+    # row 1's one zero sits on row 0's first cut, Re = 0; the top box emits it,
+    # so the cut, searched for row 0 alone, stays on the centre line
+    f1, ld1 = poly_funcs([0.3j])
+    rows = locate_zeros(lambda z: np.stack([f0(z), f1(z)]), lambda z: np.stack([ld0(z), ld1(z)]), region)
+    assert isinstance(rows, rf.RootSets) and len(rows) == 2
+    assert cuts[0] == ("re", 0.0)
+    assert count_zeros(lambda z: np.stack([ld0(z), ld1(z)]), region, f=lambda z: np.stack([f0(z), f1(z)])) == (3, 1)
+    for row, (f, ld) in zip(rows, ((f0, ld0), (f1, ld1))):
+        alone = locate_zeros(f, ld, region)
+        assert (row.winding, row.region) == (alone.winding, alone.region)
+        assert row.locations() == alone.locations()
+    assert rows.roots == rows[0].roots + rows[1].roots
 
 
 def test_newton_polish_quadratic_convergence():

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zigzagspec import spectrum
+from zigzagspec import charfn, spectrum
 from zigzagspec.charfn import CharFunctionHandle, z_log_derivative_batch, z_value_batch
 from zigzagspec.errors import DomainError, GapUndeterminedError, WindingError
-from zigzagspec.potential import beta_family, gaussian, scale
+from zigzagspec.potential import beta_family, custom, gaussian, scale
 from zigzagspec.rootfinder import ComplexRegion, RootRecord, RootSet, locate_zeros
 from zigzagspec.spectrum import (
     auto_region,
@@ -146,9 +146,9 @@ def test_unpaired_root_below_the_axis_is_rejected(monkeypatch):
     # a root in the band -dilation <= Im < 0 without a conjugate above the
     # axis means the search missed one: the band cross-check must refuse
     def with_stray_root(*args, **kwargs):
-        rs = locate_zeros(*args, **kwargs)
+        plus, *others = locate_zeros(*args, **kwargs)  # one RootSet per branch row
         stray = RootRecord(-0.5 - 5e-5j, 1, 0.0)
-        return RootSet(rs.roots + (stray,), rs.region, rs.winding + 1)
+        return (RootSet(plus.roots + (stray,), plus.region, plus.winding + 1), *others)
 
     monkeypatch.setattr(spectrum, "locate_zeros", with_stray_root)
     with pytest.raises(WindingError, match="conjugate closure violated"):
@@ -169,24 +169,86 @@ def test_eigenvalues_sorted_rightmost_first(gaussian_spectrum):
 
 
 def test_gaussian_default_spectrum_work_count(monkeypatch):
-    # a deterministic guard on the contour work: the gammas handed to Z'/Z
-    # while finding the 43 default-region eigenvalues of gaussian:1 (174,412
-    # when every edge started its quadrature on all 64 skeleton cells)
+    # a deterministic guard on the contour work: the gammas handed to the
+    # joint evaluator of Z+ and Z- (its values and its log derivatives) while
+    # finding the 43 default-region eigenvalues of gaussian:1: 36,965, where
+    # one search per branch handed 59,440 to the two branches' evaluators
     gammas = []
 
-    def counting(handle, g):
-        gammas.append(np.size(g))
-        return z_log_derivative_batch(handle, g)
+    def counting(evaluate):
+        def counted(handle, g):
+            assert handle.branch == ("plus", "minus")
+            gammas.append(np.size(g))
+            return evaluate(handle, g)
 
-    monkeypatch.setattr(spectrum, "z_log_derivative_batch", counting)
+        return counted
+
+    monkeypatch.setattr(spectrum, "z_value_batch", counting(z_value_batch))
+    monkeypatch.setattr(spectrum, "z_log_derivative_batch", counting(z_log_derivative_batch))
     result = compute_spectrum(gaussian(1.0))
-    assert sum(gammas) <= 60_000
+    assert sum(gammas) <= 38_500
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "eigenvalues.json"
     reference = [complex(re, im) for re, im in json.loads(path.read_text())["cases"]["gaussian:1"]["eigenvalues"]]
     reg = result.region
     inside = [z for z in reference if reg.contains(z)]
     assert len(result.eigenvalues) == len(inside) == 43
     match_sets((r.gamma for r in result.eigenvalues), inside, 1e-12)
+
+
+def test_beta25_benchmark_spectrum_psi_work(monkeypatch):
+    # each psi value serves both branches: the beta:2.5 benchmark region hands
+    # 3,563 gammas to psi_batch (6,308 with one search per branch)
+    gammas = []
+    psi_batch = charfn.psi_batch
+
+    def counting(potential, sign, g, *args, **kwargs):
+        gammas.append(np.size(g))
+        return psi_batch(potential, sign, g, *args, **kwargs)
+
+    monkeypatch.setattr(charfn, "psi_batch", counting)
+    result = compute_spectrum(beta_family(2.5), BETA25_REGION)
+    assert len(result.eigenvalues) == 7
+    assert sum(gammas) <= 3_700
+
+
+@pytest.mark.parametrize("case", ["gaussian:1 default region", "beta:2.5 benchmark region", "cosh well"])
+def test_joint_search_equals_one_search_per_branch(case):
+    # the rows Z+ and Z- share one box tree; each row must find what a
+    # single-row search of its branch finds: roots, multiplicities, winding
+    if case.startswith("gaussian"):
+        potential = gaussian(1.0)
+        region = auto_region(potential)
+    else:
+        potential = beta_family(2.5) if case.startswith("beta") else custom(np.cosh, np.sinh, label="cosh")
+        region = BETA25_REGION
+    search = spectrum._search_region(region, spectrum.DEFAULT_ROOT_CONFIG)
+    joint = CharFunctionHandle(potential, ("plus", "minus"))
+    rows = locate_zeros(lambda z: z_value_batch(joint, z), lambda z: z_log_derivative_batch(joint, z), search)
+    assert len(rows) == 2
+    for branch, row in zip(("plus", "minus"), rows):
+        handle = CharFunctionHandle(potential, branch)
+        alone = locate_zeros(lambda z: z_value_batch(handle, z), lambda z: z_log_derivative_batch(handle, z), search)
+        assert row.winding == alone.winding > 0
+        assert [r.multiplicity for r in row.roots] == [r.multiplicity for r in alone.roots]
+        for r, a in zip(row.roots, alone.roots):
+            assert abs(r.location - a.location) <= 1e-12, (branch, r.location, a.location)
+
+
+def test_joint_beta_search_samples_each_segment_once(monkeypatch):
+    from zigzagspec import rootfinder
+
+    segments = []
+    skeleton = rootfinder._phase_skeleton
+
+    def spy(fvec, z0, direction, length, *rest):
+        segments.append(tuple(sorted((round(z.real, 12), round(z.imag, 12)) for z in (z0, z0 + direction * length))))
+        return skeleton(fvec, z0, direction, length, *rest)
+
+    monkeypatch.setattr(rootfinder, "_phase_skeleton", spy)
+    result = compute_spectrum(beta_family(2.5), BETA25_REGION)
+    assert len(result.eigenvalues) == 7
+    assert len(segments) > 4  # the search subdivided
+    assert len(set(segments)) == len(segments)
 
 
 def test_auto_region_gaussian(gaussian_potential):
