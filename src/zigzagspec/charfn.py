@@ -427,21 +427,22 @@ class CharFunctionHandle:
         return pp, dp, pm, dm
 
 
+_BRANCH_SIGN = {"plus": +1, "minus": -1}  # Z+- = 1 -+ psi; f+- = +-e^{-gamma x} pt^+ on x > 0
+
+
 def _z_and_dz(branch, pp, dp, pm, dm):
     """(Z, Z') arrays of a branch from the values_batch rows (psi+, dpsi+, psi-, dpsi-),
     or of a tuple of branches as rows (k, n).
 
     The one place that knows the branches: Z = 1 - psi+ psi- (full),
-    Z+ = 1 - psi (plus) and Z- = 1 + psi (minus), with their derivatives.
+    Z+- = 1 -+ psi (plus, minus by _BRANCH_SIGN), with their derivatives.
     """
     if not isinstance(branch, str):
         z, dz = zip(*(_z_and_dz(b, pp, dp, pm, dm) for b in branch))
         return np.array(z), np.array(dz)
     if branch == "full":
         return 1.0 - pp * pm, -(pm * dp + pp * dm)
-    if branch == "plus":
-        return 1.0 - pp, -dp
-    return 1.0 + pp, dp
+    return (1.0 - pp, -dp) if _BRANCH_SIGN[branch] > 0 else (1.0 + pp, dp)
 
 
 def z_value_batch(handle: CharFunctionHandle, gammas):

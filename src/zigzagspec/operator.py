@@ -33,7 +33,7 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .charfn import CharFunctionHandle, _z_and_dz
+from .charfn import _BRANCH_SIGN, CharFunctionHandle, _z_and_dz
 from .errors import (
     DomainError,
     IntegrationError,
@@ -280,20 +280,22 @@ class GridFunction:
 
 # --------------------------------------------------------------- eigenfunctions
 
+def _times(c, v):
+    """c v; c None is a unit constant, left out so v keeps a -0 imaginary part (1 + 0j would not)."""
+    return v if c is None else c * v
+
+
 @dataclasses.dataclass(frozen=True)
 class PiecewiseEigenfunction:
     """Eigenfunction at gamma in the half-line-wise closed form.
 
-    full variant on E:
-        f(x, +1) = psi+ e^{gamma x}           (x <= 0)
-                 = e^{-gamma x} pt^+(gamma;x) (x >= 0)
-        f(x, -1) = e^{-gamma x}               (x >= 0)
-                 = psi+ e^{gamma x} pt^-(gamma;x) (x <= 0)
-    plus/minus variants on R (even U):
-        f(x) = e^{gamma x} (x <= 0),  +/- e^{-gamma x} pt^+(gamma;x) (x >= 0).
-
-    It carries the psi values at gamma and z_prime, the derivative of its
-    branch's Z there, so the pairings built on f need no second psi pass.
+    A variant is a tuple of pieces (theta, inward, outward), one formula each:
+        f(x, theta) = inward e^{theta gamma x}                     (theta x <= 0)
+                    = outward e^{-theta gamma x} pt^theta(gamma;x) (theta x > 0)
+    full on E is (+1, psi+, 1) and (-1, 1, psi+); plus/minus on R (even U) is
+    the one piece (+1, 1, +/-1), which serves both thetas.  It carries the psi
+    values at gamma and z_prime, the derivative of its branch's Z there, so
+    the pairings built on f need no second psi pass.
     """
 
     gamma: complex
@@ -304,56 +306,47 @@ class PiecewiseEigenfunction:
     z_prime: complex
     cfg: QuadratureConfig = DEFAULT_CONFIG
 
-    def component(self, x, theta: int = +1):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        g = self.gamma
-
-        def pt(mask, side):
-            return psi_tilde(self.potential, g, x[mask], side, self.cfg)
-
-        out = np.empty(x.shape, dtype=complex)
-        left = x <= 0.0
-        right = ~left
+    # the variant's description: its pieces (a unit constant is None, see _times)
+    # and its scale s in Z' = s <f, F conj f> on E (psi-), s <f, J conj f>_nu on R (1)
+    @property
+    def _pieces(self):
         if self.variant == "full":
-            if theta > 0:
-                out[left] = self.psi_plus * np.exp(g * x[left])
-                out[right] = np.exp(-g * x[right]) * pt(right, +1)
-            else:
-                ge = x >= 0.0
-                out[ge] = np.exp(-g * x[ge])
-                out[~ge] = self.psi_plus * np.exp(g * x[~ge]) * pt(~ge, -1)
-        else:
-            sign = 1.0 if self.variant == "plus" else -1.0
-            out[left] = np.exp(g * x[left])
-            out[right] = sign * np.exp(-g * x[right]) * pt(right, +1)
+            return (+1, self.psi_plus, None), (-1, None, self.psi_plus)
+        return ((+1, None, _BRANCH_SIGN[self.variant]),)
+
+    @property
+    def _scale(self):
+        return self.psi_minus if self.variant == "full" else 1
+
+    def component(self, x, theta: int = +1):
+        scalar, x = np.ndim(x) == 0, np.atleast_1d(np.asarray(x, dtype=float))
+        theta, inward, outward = self._pieces[0 if theta > 0 else -1]
+        tg = self.gamma if theta > 0 else -self.gamma  # theta gamma
+        out = np.empty(x.shape, dtype=complex)
+        near = theta * x <= 0.0
+        out[near] = _times(inward, np.exp(tg * x[near]))
+        pt = psi_tilde(self.potential, self.gamma, x[~near], theta, self.cfg)
+        out[~near] = _times(outward, np.exp(-tg * x[~near])) * pt
         return complex(out[0]) if scalar else out
 
     def __call__(self, x, theta: int = +1):
         return self.component(x, theta)
 
     def continuity_defect(self) -> float:
-        """Max over components of |left limit - right limit| at x = 0.
+        """Max over pieces of |inward - outward pt^theta(gamma; 0)|, the jump at x = 0.
 
         The two limits come from independent formulas (cached psi+ versus a
         fresh tail integral), so this doubles as an eigenvalue certificate.
         """
-
-        def pt0(side):
-            return complex(psi_tilde(self.potential, self.gamma, np.zeros(1), side, self.cfg)[0])
-
-        if self.variant == "full":
-            return max(abs(self.psi_plus - pt0(+1)), abs(self.psi_plus * pt0(-1) - 1.0))
-        sign = 1.0 if self.variant == "plus" else -1.0
-        return abs(1.0 - sign * pt0(+1))
+        pt0 = [psi_tilde(self.potential, self.gamma, np.zeros(1), th, self.cfg)[0] for th, _, _ in self._pieces]
+        return max(abs(_times(i, 1.0) - _times(o, complex(p))) for (_, i, o), p in zip(self._pieces, pt0))
 
     def l2_mass(self, radius: float) -> float:
-        """int_{|x| <= radius} sum_theta |f|^2 e^{-U} dx (both thetas for full)."""
+        """int_{|x| <= radius} sum_theta |f|^2 e^{-U} dx, theta over the pieces."""
 
         def rows(x):
-            comps = [self.component(x, th) for th in ((+1, -1) if self.variant == "full" else (+1,))]
-            return np.abs(np.stack(comps)) ** 2 * np.exp(-self.potential.U(x))
+            comps = np.stack([self.component(x, theta) for theta, _, _ in self._pieces])
+            return np.abs(comps) ** 2 * np.exp(-self.potential.U(x))
 
         osc = 2.0 * abs(self.gamma.imag)
         val, _ = integrate_finite(rows, -radius, radius, self.cfg, oscillation=osc, breakpoints=(0.0,))
@@ -709,7 +702,7 @@ def spectral_projection(
         num = k1 + f.psi_plus * k2
     else:
         num = _pair(h, growth, f)
-    return num / (f.z_prime / f.psi_minus if variant == "full" else f.z_prime), f
+    return num / (f.z_prime / f._scale), f
 
 
 def z_prime_consistency(
@@ -725,10 +718,7 @@ def z_prime_consistency(
     plus/minus:  (dZ^pm/dgamma,  <f^pm, J conj(f^pm)>_nu).
     """
     f = eigenfunction(potential, gamma, variant, cfg, tol)
-    rhs = _self_pairings(f)[1]
-    if variant == "full":
-        rhs = f.psi_minus * rhs
-    return f.z_prime, rhs
+    return f.z_prime, f._scale * _self_pairings(f)[1]
 
 
 # -------------------------------------------------------------------- generator

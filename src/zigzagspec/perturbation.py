@@ -7,8 +7,9 @@ by the bounded operator B = F - I, and each simple eigenvalue moves as
 
 where both pairings are the bilinear (not sesquilinear) integrals of f
 against itself.  On the symmetric branches the same expansion reads
-+/- <f, conj f>_nu / <f, J conj f>_nu - 1.  Only the first-order term is
-modeled here; there is no second-order formula to implement.
++/- <f, conj f>_nu / <f, J conj f>_nu - 1.  Both coefficients share one body,
+sign <f, conj f> / <f, R conj f> - 1, with R = F on E (sign +1) or J on R
+(the branch's sign).  Only the first-order term is modeled here.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
+from .charfn import _BRANCH_SIGN
 from .errors import DomainError, NonSimpleEigenvalueError
 from .operator import _require_simple, _self_pairings, eigenfunction
 from .potential import PotentialModel, parse_potential
@@ -31,16 +33,21 @@ __all__ = [
 ]
 
 
+def _mu(potential, gamma, variant, sign, cfg) -> complex:
+    """sign <f, conj f> / <f, R conj f> - 1 for B = sign R - I, R the variant's reflection."""
+    f = eigenfunction(potential, gamma, variant, cfg)
+    _require_simple(f)
+    num, den = _self_pairings(f)
+    return (num if sign > 0 else -num) / den - 1.0
+
+
 def refreshment_coefficient(
     potential: PotentialModel,
     gamma: complex,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> complex:
     """mu = <f_gamma, conj f_gamma> / <f_gamma, F conj f_gamma> - 1 for B = F - I."""
-    f = eigenfunction(potential, gamma, "full", cfg)
-    _require_simple(f)
-    num, den = _self_pairings(f)
-    return num / den - 1.0
+    return _mu(potential, gamma, "full", +1, cfg)
 
 
 def refreshment_coefficient_symmetric(
@@ -50,12 +57,9 @@ def refreshment_coefficient_symmetric(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> complex:
     """Branch form +/- <f, conj f>_nu / <f, J conj f>_nu - 1 for B = +/-J - I."""
-    if branch not in ("plus", "minus"):
+    if branch not in _BRANCH_SIGN:
         raise DomainError(f"branch must be plus or minus, got {branch!r}")
-    f = eigenfunction(potential, gamma, branch, cfg)
-    _require_simple(f)
-    num, den = _self_pairings(f)
-    return (num if branch == "plus" else -num) / den - 1.0
+    return _mu(potential, gamma, branch, _BRANCH_SIGN[branch], cfg)
 
 
 @dataclasses.dataclass(frozen=True)

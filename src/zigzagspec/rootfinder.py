@@ -292,7 +292,8 @@ def newton_polish(
 
     A NearZeroError from the logderiv means the iterate has landed on the
     root (the residual is already below the near-zero floor) and stops the
-    iteration.  Five consecutive step growths abort with PolishFailureError.
+    iteration.  Five consecutive step growths abort with PolishFailureError,
+    and so does a max_newton_iter-th step still no smaller than root_tol.
     """
     z = complex(guess)
     if not cmath.isfinite(z):
@@ -322,7 +323,8 @@ def newton_polish(
         else:
             growth = 0
         prev_step = s
-    return z
+    msg = f"Newton from {guess} did not converge in {cfg.max_newton_iter} steps"
+    raise PolishFailureError(f"{msg}: last iterate {z}, last step {s:.3e}")
 
 
 # ---------------------------------------------------------------------------

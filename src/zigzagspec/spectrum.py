@@ -20,7 +20,7 @@ a root of its branch above the axis (a missed root would break that); band
 roots are then dropped, and so is every eigenvalue outside the requested
 region.  Pairs thus share their real part bit for bit, and the (-Re, Im)
 order does not depend on last-ulp noise of the quadrature.  Regions need
-not be symmetric, but they must contain the eigenvalue 0.
+not be symmetric, but they must contain the eigenvalue 0 (DomainError).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _validate(records, defect, descriptor):
     if len(zeros) != 1 or zeros[0].multiplicity != 1:
         raise WindingError(
             f"{descriptor}: expected the simple eigenvalue 0, found {zeros!r} "
-            "(search region may exclude it)"
+            "(missed by the search?)"
         )
     for r in records:
         if r.gamma != 0 and r.gamma.real > 1e-8:
@@ -177,6 +177,8 @@ def compute_spectrum(
     """
     if region is None:
         region = auto_region(potential)
+    if not region.contains(0j):
+        raise DomainError(f"{region} excludes the eigenvalue 0, which every spectrum holds")
     diagnostics = {"region": dataclasses.asdict(region)}
     try:
         diagnostics["assumptions"] = check_assumptions(potential).statuses

@@ -281,10 +281,16 @@ def test_zero_eigenfunction_is_constant(gaussian_potential):
     assert np.max(np.abs(f.component(xs, -1) - 1.0)) == 0.0
 
 
-def test_eigenfunction_continuity_all_variants(gaussian_potential):
+def test_eigenfunction_continuity_all_variants(gaussian_potential, beta25_spectrum):
     assert eigenfunction(gaussian_potential, G1).continuity_defect() < 1e-12
     assert eigenfunction(gaussian_potential, G2, "plus").continuity_defect() < 1e-12
     assert eigenfunction(gaussian_potential, G1, "minus").continuity_defect() < 1e-12
+    # beta:2.5 takes pt from the quadrature sweep, not erfcx: every piece, on both routes
+    upper = [(r.gamma, r.branch) for r in beta25_spectrum.eigenvalues if r.gamma.imag > 0]
+    assert [b for _, b in upper] == ["minus", "plus", "minus"]
+    for gamma, branch in upper:
+        for variant in ("full", branch):
+            assert eigenfunction(beta_family(2.5), gamma, variant).continuity_defect() < 1e-12
 
 
 def test_eigenfunction_rejects_non_roots(gaussian_potential):

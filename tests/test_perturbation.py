@@ -39,7 +39,7 @@ def test_rightmost_pair_moves_left(gaussian_potential):
     assert refreshment_coefficient(gaussian_potential, np.conj(G1)).real < 0.0
 
 
-def test_full_route_matches_branch_route(gaussian_potential):
+def test_full_route_matches_branch_route(gaussian_potential, beta25_spectrum):
     # minus-branch eigenvalue
     mu_full = refreshment_coefficient(gaussian_potential, G1)
     mu_sym = refreshment_coefficient_symmetric(gaussian_potential, G1, "minus")
@@ -48,6 +48,14 @@ def test_full_route_matches_branch_route(gaussian_potential):
     mu_full = refreshment_coefficient(gaussian_potential, G2)
     mu_sym = refreshment_coefficient_symmetric(gaussian_potential, G2, "plus")
     assert abs(mu_full - mu_sym) / abs(mu_full) < 1e-6
+    # beta:2.5, whose pt comes from quadrature: the upper member of each pair
+    pot = beta_family(2.5)
+    upper = [(r.gamma, r.branch) for r in beta25_spectrum.eigenvalues if r.gamma.imag > 0]
+    assert [b for _, b in upper] == ["minus", "plus", "minus"]
+    for gamma, branch in upper:
+        mu_full = refreshment_coefficient(pot, gamma)
+        mu_sym = refreshment_coefficient_symmetric(pot, gamma, branch)
+        assert abs(mu_full - mu_sym) / abs(mu_full) < 1e-6
 
 
 def _two_pass_coefficient(pot, gamma, branch):

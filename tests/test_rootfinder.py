@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zigzagspec.errors import DomainError, WindingError
+from zigzagspec.errors import DomainError, PolishFailureError, WindingError
 from zigzagspec.rootfinder import (
     DEFAULT_ROOT_CONFIG,
     ComplexRegion,
@@ -297,6 +297,21 @@ def test_newton_polish_rejects_nonfinite_guess(guess):
     f, ld = poly_funcs([1.0 + 1.0j])
     with pytest.raises(DomainError):
         newton_polish(ld, guess)
+
+
+def test_newton_polish_refuses_an_iterate_that_never_converged():
+    # z^3 - 2z + 2 from 0 cycles 0 -> 1 -> 0 with steps of 1 that never grow;
+    # at the cap the iterate is 0, where |f| = 2, and Newton must say so
+    calls = []
+
+    def ld(z):
+        calls.append(z)
+        return (3.0 * z**2 - 2.0) / (z**3 - 2.0 * z + 2.0)
+
+    want = r"from 0j did not converge in 50 steps: last iterate 0j, last step 1\.000e\+00"
+    with pytest.raises(PolishFailureError, match=want):
+        newton_polish(ld, 0j)
+    assert len(calls) == RootfinderConfig().max_newton_iter == 50
 
 
 def test_newton_polish_multiple_root_needs_multiplicity():

@@ -122,9 +122,16 @@ def test_asymmetric_region_is_a_subset_of_the_symmetric_one(im_min, count):
     assert winding == len(want)
 
 
-def test_region_without_zero_is_rejected():
-    with pytest.raises(WindingError, match="expected the simple eigenvalue 0"):
-        compute_spectrum(gaussian(1.0), ComplexRegion(-0.9, 0.1, 0.5, 1.6))
+def test_region_without_zero_is_rejected(monkeypatch):
+    # refused by name before the search evaluates psi anywhere
+    def no_psi(*args, **kwargs):
+        raise AssertionError("psi evaluated for a region without 0")
+
+    monkeypatch.setattr(CharFunctionHandle, "values_batch", no_psi)
+    for region in (ComplexRegion(-0.9, 0.1, 0.5, 1.6), ComplexRegion(-4.0, -0.1, -6.0, 6.0)):
+        with pytest.raises(DomainError, match="excludes the eigenvalue 0") as err:
+            compute_spectrum(gaussian(1.0), region)
+        assert repr(region) in str(err.value)
 
 
 def test_search_region_is_the_upper_half_image(gaussian_spectrum):
