@@ -301,6 +301,8 @@ def _resolve_region(cfg: RunConfig, potential: PotentialModel):
     re_max = re_max if cfg.re_max is None else cfg.re_max
     im_max = cfg.im_max
     if im_max is None:
+        if not re_min <= 0.0 <= re_max:  # refused before the ladder, as compute_spectrum would after it
+            raise DomainError(f"region's real span [{re_min}, {re_max}] excludes the eigenvalue 0")
         im_max = auto_region(potential, re_min=re_min).im_max
     return ComplexRegion(re_min, re_max, -im_max, im_max)
 

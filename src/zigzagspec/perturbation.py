@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from .charfn import _BRANCH_SIGN
 from .errors import DomainError, NonSimpleEigenvalueError
 from .operator import _require_simple, _self_pairings, eigenfunction
-from .potential import PotentialModel, parse_potential
+from .potential import PotentialModel
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .spectrum import SpectrumResult
 
@@ -104,19 +104,16 @@ def perturbed_spectrum(
     base: SpectrumResult,
     epsilon: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    potential: Optional[PotentialModel] = None,
 ) -> PerturbedSpectrum:
     """First-order shifted spectrum gamma + eps mu for every base eigenvalue.
 
-    The potential is recovered from the descriptor recorded on ``base``; pass
-    it for custom or scaled models, whose descriptors do not round-trip.
+    The coefficients are those of ``base.potential``, the model the base
+    spectrum was solved for (custom, scaled and rescaled models alike).
     Non-simple entries (multiplicity > 1 or |Z'| at the simplicity floor) are
     kept but marked unresolved rather than failing the whole spectrum.
     """
     if not 0.0 <= epsilon < float("inf"):
         raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
-    if potential is None:
-        potential = parse_potential(base.potential_descriptor)
     # base lists the Im < 0 member of a pair first, so the upper members are
     # computed first; a simple lower member whose exact conjugate resolved
     # takes conj(mu) (Z(conj g) = conj Z(g)), any other entry its own mu
@@ -126,7 +123,7 @@ def perturbed_spectrum(
     for i in sorted(range(len(recs)), key=lambda i: recs[i].gamma.imag < 0):
         rec = recs[i]
         mu = upper.get(rec.gamma.conjugate()) if rec.multiplicity == 1 else None
-        mus[i] = _coefficient(potential, rec, cfg) if mu is None else mu.conjugate()
+        mus[i] = _coefficient(base.potential, rec, cfg) if mu is None else mu.conjugate()
         if rec.gamma.imag > 0 and mus[i] is not None:
             upper[rec.gamma] = mus[i]
     entries = tuple(

@@ -10,17 +10,20 @@ Riemann-Lebesgue decay of psi guarantees for large |Im gamma|.
 
 For real U, Z(conj gamma) = conj Z(gamma), so the spectrum is closed under
 conjugation, and only the upper half-plane is searched: the rectangle over
-the region's real span whose imaginary span covers the region's upper part
-and the reflection of its lower part.  When the region touches the real
-axis that rectangle starts at Im = -dilation, so real eigenvalues sit inside
-the contour.  Each root with Im > 0 is emitted with its exact conjugate
-(same branch, multiplicity and residual); real roots are emitted once.  A
-root in the band -dilation <= Im < 0 must be the conjugate, within 1e-8, of
-a root of its branch above the axis (a missed root would break that); band
-roots are then dropped, and so is every eigenvalue outside the requested
+the region's real span from Im = -dilation (so real eigenvalues sit inside
+the contour) up to the larger of the region's imaginary bounds, which covers
+its upper part and the reflection of its lower part.  Each root with Im > 0
+is emitted with its exact conjugate (same branch, multiplicity and
+residual); real roots are emitted once.  A root in the band
+-dilation <= Im < 0 must be the conjugate, within 1e-8, of a root of its
+branch above the axis (a missed root would break that); band roots are
+then dropped, and so is every eigenvalue outside the requested
 region.  Pairs thus share their real part bit for bit, and the (-Re, Im)
 order does not depend on last-ulp noise of the quadrature.  Regions need
 not be symmetric, but they must contain the eigenvalue 0 (DomainError).
+
+A result carries the model it was solved for, so perturbation and the
+scaling law read it there; its descriptor is only the printed label.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .charfn import CharFunctionHandle, z_log_derivative_batch, z_value_batch
 from .errors import DomainError, GapUndeterminedError, WindingError
-from .potential import PotentialModel, check_assumptions
+from .potential import PotentialModel, check_assumptions, scale
 from .rootfinder import (
     DEFAULT_ROOT_CONFIG,
     ComplexRegion,
@@ -66,11 +69,18 @@ class EigenvalueRecord:
 
 @dataclasses.dataclass(frozen=True)
 class SpectrumResult:
+    """Eigenvalues in a region of the model ``potential`` they were solved for.
+
+    ``potential_descriptor`` is the label the CLI prints; custom and scaled
+    models need not parse back from it, so code reads ``potential``.
+    """
+
     eigenvalues: Tuple[EigenvalueRecord, ...]  # descending Re, then ascending Im
     gap: Optional[float]
     region: ComplexRegion
     potential_descriptor: str
     diagnostics: dict
+    potential: PotentialModel
 
 
 def default_re_range(potential: PotentialModel) -> Tuple[float, float]:
@@ -120,13 +130,10 @@ def auto_region(
 
 
 def _search_region(region: ComplexRegion, cfg: RootfinderConfig) -> ComplexRegion:
-    """Upper-half image of the region and of its reflection in the real axis."""
-    if region.im_min <= 0.0 <= region.im_max:
-        bottom = -cfg.dilation
-    else:
-        bottom = min(abs(region.im_min), abs(region.im_max))
-    top = max(region.im_max, -region.im_min, -bottom)  # holds the band's mirror
-    return ComplexRegion(region.re_min, region.re_max, bottom, top, region.edge_samples)
+    """Upper-half image of a region that holds 0, and of its reflection in
+    the real axis, from the band below the axis up."""
+    top = max(region.im_max, -region.im_min, cfg.dilation)  # holds the band's mirror
+    return ComplexRegion(region.re_min, region.re_max, -cfg.dilation, top, region.edge_samples)
 
 
 def _collect(branch: str, roots, region: ComplexRegion):
@@ -208,48 +215,36 @@ def compute_spectrum(
         region=region,
         potential_descriptor=potential.descriptor(),
         diagnostics=diagnostics,
+        potential=potential,
     )
 
 
 def spectral_gap(result: SpectrumResult) -> float:
-    """kappa = -max Re over nonzero eigenvalues of the result."""
-    candidates = [-r.gamma.real for r in result.eigenvalues if r.gamma != 0]
-    if not candidates:
+    """kappa = -max Re over nonzero eigenvalues of the result (its ``gap``)."""
+    if result.gap is None:
         raise GapUndeterminedError(
             "no nonzero eigenvalue in the searched region; enlarge the region"
         )
-    return min(candidates)
+    return result.gap
 
 
 def rescale_spectrum(result: SpectrumResult, sigma: float) -> SpectrumResult:
     """Spectrum of the sigma-widened potential: every eigenvalue / sigma.
 
-    Residuals carry over exactly (Z_sigma(gamma/sigma) = Z_1(gamma)).
+    Residuals carry over exactly (Z_sigma(gamma/sigma) = Z_1(gamma)), and the
+    result carries the widened model ``scale(result.potential, sigma)``.
     """
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise DomainError(f"sigma must be positive, got {sigma!r}")
-    scaled = tuple(
-        EigenvalueRecord(
-            gamma=r.gamma / sigma,
-            branch=r.branch,
-            multiplicity=r.multiplicity,
-            residual=r.residual,
-        )
-        for r in result.eigenvalues
-    )
-    region = ComplexRegion(
-        result.region.re_min / sigma,
-        result.region.re_max / sigma,
-        result.region.im_min / sigma,
-        result.region.im_max / sigma,
-        result.region.edge_samples,
-    )
-    diagnostics = dict(result.diagnostics)
-    diagnostics["rescaled_by"] = sigma
-    return SpectrumResult(
-        eigenvalues=scaled,
+    reg = result.region
+    return dataclasses.replace(
+        result,
+        eigenvalues=tuple(dataclasses.replace(r, gamma=r.gamma / sigma) for r in result.eigenvalues),
         gap=None if result.gap is None else result.gap / sigma,
-        region=region,
+        region=ComplexRegion(
+            reg.re_min / sigma, reg.re_max / sigma, reg.im_min / sigma, reg.im_max / sigma, reg.edge_samples
+        ),
         potential_descriptor=f"{result.potential_descriptor} (gamma / {sigma:g})",
-        diagnostics=diagnostics,
+        diagnostics={**result.diagnostics, "rescaled_by": sigma},
+        potential=scale(result.potential, sigma),
     )

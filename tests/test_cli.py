@@ -379,6 +379,30 @@ def test_exit_numerical_on_bad_region(bounds, capsys):
     assert "region" in blob["message"]  # refused up front, not deep in quadrature
 
 
+@pytest.mark.parametrize(
+    "flags, span",
+    [
+        (("--re-max", "-0.1"), "[-4.0, -0.1]"),
+        (("--re-min", "0.2", "--re-max", "0.5"), "[0.2, 0.5]"),
+        (("--re-max", "nan"), "[-4.0, nan]"),
+    ],
+)
+def test_real_span_without_zero_is_refused_before_the_imaginary_ladder(flags, span, monkeypatch, capsys):
+    # no --im-max: auto_region's ladder (psi on its rungs) would pick the
+    # imaginary bound, but a real span without 0 is refused before it
+    from zigzagspec import cli
+
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("auto_region called for a region that cannot hold 0")
+
+    monkeypatch.setattr(cli, "auto_region", no_ladder)
+    code, _, err = run(["spectrum", "--potential", "gaussian:1", *flags], capsys)
+    assert code == 2
+    blob = json.loads(err)["error"]
+    assert blob["type"] == "DomainError"
+    assert f"real span {span} excludes the eigenvalue 0" in blob["message"]
+
+
 def test_exit_io_on_unwritable_path(capsys):
     code, _, err = run(
         [

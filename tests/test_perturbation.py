@@ -13,8 +13,9 @@ from zigzagspec.perturbation import (
     refreshment_coefficient,
     refreshment_coefficient_symmetric,
 )
-from zigzagspec.potential import beta_family, gaussian
-from zigzagspec.spectrum import EigenvalueRecord
+from zigzagspec.potential import beta_family, custom, gaussian, scale
+from zigzagspec.rootfinder import ComplexRegion
+from zigzagspec.spectrum import EigenvalueRecord, compute_spectrum, rescale_spectrum
 
 G1 = GAUSSIAN_EIGENVALUES[1]
 G2 = GAUSSIAN_EIGENVALUES[2]
@@ -258,3 +259,45 @@ def test_unresolved_upper_member_leaves_the_lower_one_its_own_path(
     lower = entry[upper.gamma.conjugate()]
     assert lower.resolved
     assert lower.coefficient == refreshment_coefficient(gaussian_potential, lower.gamma)
+
+
+# coefficients that perturbed_spectrum(base, 0.5, potential=model) returned
+# when the model still had to be passed next to a result whose descriptor
+# does not parse back; the result now carries its model
+_SMALL = ComplexRegion(-0.9, 0.1, -1.6, 1.6)
+_SUPPLIED_MODEL_COEFFICIENTS = {
+    "custom x^2/2": [
+        (2.220446049250313e-16 + 0j),
+        (-1.2367835094586117 + 0.35574346449026967j),
+        (-1.2367835094586117 - 0.35574346449026967j),
+    ],
+    "scale(beta:2.5, 2)": [
+        0j,
+        (-1.1560230884087053 + 0.3068064762761875j),
+        (-1.1560230884087053 - 0.3068064762761875j),
+        (-1.3690450274454682 + 0.4253493012364067j),
+        (-1.3690450274454682 - 0.4253493012364067j),
+        (-1.4856833597282182 + 0.45427549936440015j),
+        (-1.4856833597282182 - 0.45427549936440015j),
+        (-1.5817553868722212 + 0.47038773943436024j),
+        (-1.5817553868722212 - 0.47038773943436024j),
+    ],
+    "rescaled gaussian:1": [
+        0j,
+        (-1.2367835094586141 + 0.3557434644902692j),
+        (-1.2367835094586141 - 0.3557434644902692j),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUPPLIED_MODEL_COEFFICIENTS))
+def test_models_without_a_parsable_descriptor_perturb_from_the_result(case):
+    if case == "custom x^2/2":
+        a = np.asarray
+        base = compute_spectrum(custom(lambda x: a(x) ** 2 / 2, lambda x: a(x) / 1.0, label="quad"), _SMALL)
+    elif case == "scale(beta:2.5, 2)":
+        base = compute_spectrum(scale(beta_family(2.5), 2.0), _SMALL)
+    else:
+        base = rescale_spectrum(compute_spectrum(gaussian(1.0), _SMALL), 2.0)
+    p = perturbed_spectrum(base, 0.5)
+    assert repr([e.coefficient for e in p.entries]) == repr(_SUPPLIED_MODEL_COEFFICIENTS[case])

@@ -143,8 +143,6 @@ def test_search_region_is_the_upper_half_image(gaussian_spectrum):
         "edge_samples": 64,
     }
     cfg = spectrum.DEFAULT_ROOT_CONFIG
-    lower = spectrum._search_region(ComplexRegion(-0.9, 0.1, -1.6, -0.5), cfg)
-    assert (lower.im_min, lower.im_max) == (0.5, 1.6)
     straddling = spectrum._search_region(ComplexRegion(-0.9, 0.1, -2.0, 1.0), cfg)
     assert (straddling.im_min, straddling.im_max) == (-1e-4, 2.0)
 
@@ -299,6 +297,9 @@ def test_rescale_spectrum_matches_direct_computation():
         assert abs(a.gamma - b.gamma) < 1e-10
     assert rescaled.diagnostics["rescaled_by"] == 2.0
     assert "(gamma / 2)" in rescaled.potential_descriptor
+    # the result carries the model it was solved for, and rescaling widens it
+    assert s1.potential == gaussian(1.0) and s2.potential == gaussian(2.0)
+    assert rescaled.potential == scale(s1.potential, 2.0) == s2.potential
 
 
 def test_scaled_beta_spectrum_follows_the_scaling_law(beta25_spectrum):
@@ -309,6 +310,7 @@ def test_scaled_beta_spectrum_follows_the_scaling_law(beta25_spectrum):
     wide = compute_spectrum(scale(beta_family(2.5), 2.0), half)
     expected = rescale_spectrum(beta25_spectrum, 2.0)
     assert len(wide.eigenvalues) == len(expected.eigenvalues) == 7
+    assert wide.potential == expected.potential
     for a, b in zip(wide.eigenvalues, expected.eigenvalues):
         assert abs(a.gamma - b.gamma) < 1e-12
         assert a.branch == b.branch
