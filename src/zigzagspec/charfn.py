@@ -377,7 +377,7 @@ def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfi
 
 @dataclasses.dataclass(frozen=True)
 class CharFunctionHandle:
-    """Bound (potential, branch, config).
+    """Bound (potential, branch).
 
     The handle keeps no state between calls: every call computes psi afresh.
     branch 'full' evaluates Z = 1 - psi+ psi-; 'plus'/'minus' evaluate the
@@ -387,7 +387,6 @@ class CharFunctionHandle:
 
     potential: PotentialModel
     branch: str | tuple = "full"
-    cfg: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         names = (self.branch,) if isinstance(self.branch, str) else self.branch
@@ -420,10 +419,10 @@ class CharFunctionHandle:
         if self.potential.family == "gaussian":
             pp, dp = gaussian_closed_form(g)
             return pp, dp, pp, dp
-        pp, dp = psi_batch(self.potential, +1, g, self.cfg)
+        pp, dp = psi_batch(self.potential, +1, g)
         if self.potential.is_symmetric:
             return pp, dp, pp, dp
-        pm, dm = psi_batch(self.potential, -1, g, self.cfg)
+        pm, dm = psi_batch(self.potential, -1, g)
         return pp, dp, pm, dm
 
 

@@ -23,6 +23,7 @@ root is the resolvent's residue there (Kato, Perturbation Theory for Linear
 Operators, III.6.5): its numerator is the pair of half-line sums the
 resolvent forms, and its denominator <f, F conj f> is Z'(gamma) / psi-(gamma)
 by the Z' identity, so projecting a grid input needs f at no quadrature node.
+Every integral here is taken at quadrature's default tolerance, DEFAULT_CONFIG.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
 from .potential import PotentialModel, SwitchingRateSpec, switching_rate
 from .quadrature import (
     DEFAULT_CONFIG,
-    QuadratureConfig,
     _BLOCK,
     _NODES,
     _gk_reduce,
@@ -136,7 +136,6 @@ def psi_tilde(
     gamma: complex,
     x,
     side: int = +1,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ):
     """pt^side(gamma; x) = 1 - 2 gamma J^side(gamma, x); pt(gamma; 0) = psi^side.
 
@@ -160,7 +159,7 @@ def psi_tilde(
     s = potential.sigma
     if s != 1.0:  # pt_sigma(gamma; x) = pt_1(sigma gamma; x / sigma), refused in the caller's terms
         try:
-            return psi_tilde(potential._unit, s * gamma, xs / s, side, cfg)
+            return psi_tilde(potential._unit, s * gamma, xs / s, side)
         except IntegrationError as exc:
             head = _pt_head(potential._unit, side, s * gamma, exc.location)
             raise exc.renamed(head, _pt_head(potential, side, gamma, s * exc.location), s * exc.location) from None
@@ -174,10 +173,10 @@ def psi_tilde(
     far = log_grow.real - log_grow[0].real > _MAX_RANGE
     out = np.empty(dist.size, dtype=complex)
     if far.any():
-        out[far] = psi_tilde(potential, gamma, side * dist[far], side, cfg)
+        out[far] = psi_tilde(potential, gamma, side * dist[far], side)
     near, log_grow = dist[~far], log_grow[~far]
     alpha = max(0.0, -2.0 * gamma.real)
-    r, tail = truncation_radius(potential, alpha, side, side * near[0], cfg)
+    r, tail = truncation_radius(potential, alpha, side, side * near[0])
     pts = np.append(near, near[-1] + r)
     gap = np.diff(pts)
     rate = 2.0 * abs(gamma) + np.abs(potential.dU(side * pts))
@@ -200,7 +199,7 @@ def psi_tilde(
     # the cut drops e^{L(x) - L(x + r)} pt(x + r), pt = 1 - 2 gamma J, and the
     # truncation_radius's tail bound covers both that envelope and J's tail
     err = np.abs(grow) * outward(errs) + (1.0 + 2.0 * abs(gamma)) * tail
-    tol = _tolerance(val, np.abs(grow) * outward(floors), cfg)
+    tol = _tolerance(val, np.abs(grow) * outward(floors), DEFAULT_CONFIG)
     i = int(np.argmax(err / tol))
     if err[i] > tol[i]:
         x_i = float(side * near[i])
@@ -304,7 +303,6 @@ class PiecewiseEigenfunction:
     psi_plus: complex
     psi_minus: complex
     z_prime: complex
-    cfg: QuadratureConfig = DEFAULT_CONFIG
 
     # the variant's description: its pieces (a unit constant is None, see _times)
     # and its scale s in Z' = s <f, F conj f> on E (psi-), s <f, J conj f>_nu on R (1)
@@ -325,7 +323,7 @@ class PiecewiseEigenfunction:
         out = np.empty(x.shape, dtype=complex)
         near = theta * x <= 0.0
         out[near] = _times(inward, np.exp(tg * x[near]))
-        pt = psi_tilde(self.potential, self.gamma, x[~near], theta, self.cfg)
+        pt = psi_tilde(self.potential, self.gamma, x[~near], theta)
         out[~near] = _times(outward, np.exp(-tg * x[~near])) * pt
         return complex(out[0]) if scalar else out
 
@@ -338,7 +336,7 @@ class PiecewiseEigenfunction:
         The two limits come from independent formulas (cached psi+ versus a
         fresh tail integral), so this doubles as an eigenvalue certificate.
         """
-        pt0 = [psi_tilde(self.potential, self.gamma, np.zeros(1), th, self.cfg)[0] for th, _, _ in self._pieces]
+        pt0 = [psi_tilde(self.potential, self.gamma, np.zeros(1), th)[0] for th, _, _ in self._pieces]
         return max(abs(_times(i, 1.0) - _times(o, complex(p))) for (_, i, o), p in zip(self._pieces, pt0))
 
     def l2_mass(self, radius: float) -> float:
@@ -349,7 +347,7 @@ class PiecewiseEigenfunction:
             return np.abs(comps) ** 2 * np.exp(-self.potential.U(x))
 
         osc = 2.0 * abs(self.gamma.imag)
-        val, _ = integrate_finite(rows, -radius, radius, self.cfg, oscillation=osc, breakpoints=(0.0,))
+        val, _ = integrate_finite(rows, -radius, radius, oscillation=osc, breakpoints=(0.0,))
         return float(np.sum(np.real(val)))
 
 
@@ -367,45 +365,44 @@ def eigenfunction(
     potential: PotentialModel,
     gamma: complex,
     variant: str = "full",
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     tol: float = 1e-8,
 ) -> PiecewiseEigenfunction:
     """Closed-form eigenfunction at gamma; raises unless |Z_branch(gamma)| <= tol."""
     if variant not in ("full", "plus", "minus"):
         raise DomainError(f"unknown eigenfunction variant {variant!r}")
     gamma = _check_gamma_tol(gamma, tol)
-    values = CharFunctionHandle(potential, variant, cfg).values_batch(gamma)
+    values = CharFunctionHandle(potential, variant).values_batch(gamma)
     z, dz = (complex(v[0]) for v in _z_and_dz(variant, *values))
     if abs(z) > tol:
         raise NotAnEigenvalueError(gamma, abs(z), tol)
     pp, _, pm, _ = (complex(v[0]) for v in values)
-    return PiecewiseEigenfunction(gamma, potential, variant, pp, pm, dz, cfg)
+    return PiecewiseEigenfunction(gamma, potential, variant, pp, pm, dz)
 
 
 def eigenfunction_table(
     potential: PotentialModel,
     gamma: complex,
     xs,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     tol: float = 1e-8,
 ) -> np.ndarray:
     """Columns [x, Re f+, Im f+, Re f-, Im f-] for CSV export."""
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise DomainError("eigenfunction_table needs finite x")
-    f = eigenfunction(potential, gamma, "full", cfg, tol)
+    f = eigenfunction(potential, gamma, "full", tol)
     fp, fm = f.component(xs, +1), f.component(xs, -1)
     return np.column_stack([xs, fp.real, fp.imag, fm.real, fm.imag])
 
 
 # ---------------------------------------------------------------- inner products
 
-def _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints):
+def _truncated_pairing(rows, potential, growth, oscillation):
     """(row integrals, error) over [-rl, rr], the radii at which
-    e^{growth |x| - U} is certified negligible; the tails join the error."""
-    rr, tr = truncation_radius(potential, growth, +1, cfg=cfg)
-    rl, tl = truncation_radius(potential, growth, -1, cfg=cfg)
-    val, err = integrate_finite(rows, -rl, rr, cfg, oscillation=oscillation, breakpoints=breakpoints)
+    e^{growth |x| - U} is certified negligible, split at the kink x = 0;
+    the tails join the error."""
+    rr, tr = truncation_radius(potential, growth, +1)
+    rl, tl = truncation_radius(potential, growth, -1)
+    val, err = integrate_finite(rows, -rl, rr, oscillation=oscillation, breakpoints=(0.0,))
     return np.atleast_1d(val), float(np.sum(err) + tr + tl)
 
 
@@ -413,10 +410,8 @@ def inner_product_mu(
     f: Callable,
     g: Callable,
     potential: PotentialModel,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     growth: float = 0.0,
     oscillation: float = 0.0,
-    breakpoints=(0.0,),
 ) -> Tuple[complex, float]:
     """<f, g> = sum_theta int f(x,theta) conj(g(x,theta)) e^{-U} dx.
 
@@ -427,7 +422,7 @@ def inner_product_mu(
     def rows(x):
         return np.stack([f(x, th) * np.conj(g(x, th)) for th in (+1, -1)]) * np.exp(-potential.U(x))
 
-    val, err = _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints)
+    val, err = _truncated_pairing(rows, potential, growth, oscillation)
     return complex(np.sum(val)), err
 
 
@@ -435,17 +430,15 @@ def inner_product_nu(
     f: Callable,
     g: Callable,
     potential: PotentialModel,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     growth: float = 0.0,
     oscillation: float = 0.0,
-    breakpoints=(0.0,),
 ) -> Tuple[complex, float]:
     """<f, g>_nu = int f(x) conj(g(x)) e^{-U} dx on R (symmetric-variant pairing)."""
 
     def rows(x):
         return f(x) * np.conj(g(x)) * np.exp(-potential.U(x))
 
-    val, err = _truncated_pairing(rows, potential, cfg, growth, oscillation, breakpoints)
+    val, err = _truncated_pairing(rows, potential, growth, oscillation)
     return complex(val[0]), err
 
 
@@ -492,7 +485,7 @@ def _outward_cells(potential, gamma, side, xs, own, other):
     return (inner, *(np.concatenate(p) for p in zip(*parts)))
 
 
-def _resolvent_sums(potential, gamma, h, cfg):
+def _resolvent_sums(potential, gamma, h):
     """(k1, k2, pos, neg): the resolvent's half-line sums for a GridFunction h.
 
     k1 = int_{x >= 0} e^{-gamma x - U} (h+ + h- pt+) dx and
@@ -516,10 +509,10 @@ def _resolvent_sums(potential, gamma, h, cfg):
         own, other = (plus, minus) if side > 0 else (minus, plus)
         inner, *cells = _outward_cells(potential, gamma, side, xs[half], own[half], other[half])
         (a, w), (err, _), (floor, _) = (v.T for v in cells)
-        pt_r = complex(psi_tilde(potential, gamma, side * r, side, cfg))
+        pt_r = complex(psi_tilde(potential, gamma, side * r, side))
         fac = np.exp(-2.0 * gamma * r - float(potential.U(side * r))) * pt_r
         k = complex(np.sum(a) + inner[-1 if side > 0 else 0] * fac)
-        err, tol = float(np.sum(err)), float(_tolerance(k, np.sum(floor), cfg))
+        err, tol = float(np.sum(err)), float(_tolerance(k, np.sum(floor), DEFAULT_CONFIG))
         if err > tol:
             msg = f"resolvent at gamma={gamma} on the half line x {'>=' if side > 0 else '<='} 0"
             msg = f"{msg} misses its tolerance: error {err:.2e} > {tol:.2e} (grid too coarse)"
@@ -529,7 +522,7 @@ def _resolvent_sums(potential, gamma, h, cfg):
     return k1, k2, pos, neg
 
 
-def _k_plus_minus(potential, gamma, h, cfg, tol):
+def _k_plus_minus(potential, gamma, h, tol):
     """(k+, k-, pos, neg) with (k+, k-) = Z^{-1} [[1, psi+], [psi-, 1]] (k1, k2)
     at a gamma off the spectrum; ResolventAtEigenvalueError where |Z| <= tol,
     DomainError where the sweep's e^{|Re gamma| R + U(R)} leaves float range
@@ -539,12 +532,12 @@ def _k_plus_minus(potential, gamma, h, cfg, tol):
         raise DomainError(f"resolvent at gamma={gamma}: e^(|Re gamma| R + U(R)) overflows on the grid's R = {r:.6g}")
     if gamma.real < 0.0 and (peak := float(np.max(-2.0 * gamma.real * np.abs(xs) - potential.U(xs)))) > _MAX_CANCEL:
         raise DomainError(f"resolvent at gamma={gamma} needs cancellation from e^{peak:.4g}, past e^{_MAX_CANCEL:g}")
-    values = CharFunctionHandle(potential, "full", cfg).values_batch(gamma)
+    values = CharFunctionHandle(potential, "full").values_batch(gamma)
     z = complex(_z_and_dz("full", *values)[0][0])
     pp, _, pm, _ = (complex(v[0]) for v in values)
     if abs(z) <= tol:
         raise ResolventAtEigenvalueError(gamma, abs(z), tol)
-    k1, k2, pos, neg = _resolvent_sums(potential, gamma, h, cfg)
+    k1, k2, pos, neg = _resolvent_sums(potential, gamma, h)
     return (k1 + pp * k2) / z, (pm * k1 + k2) / z, pos, neg
 
 
@@ -552,7 +545,6 @@ def apply_resolvent(
     potential: PotentialModel,
     gamma: complex,
     h: GridFunction,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     tol: float = 1e-8,
 ) -> GridFunction:
     """f = (gamma - L)^{-1} h on h's grid, which must hold x = 0.
@@ -565,7 +557,7 @@ def apply_resolvent(
     gamma = _check_gamma_tol(gamma, tol)
     if not np.any(h.xs == 0.0):
         raise DomainError("resolvent grid must contain x = 0 exactly")
-    kp, km, pos, neg = _k_plus_minus(potential, gamma, h, cfg, tol)
+    kp, km, pos, neg = _k_plus_minus(potential, gamma, h, tol)
     (xpos, c_minus, a_pos, w_pos, fac_pos), (xneg, d_plus, a_neg, w_neg, fac_neg) = pos, neg
 
     # f+ on x > 0: suffix sums of the cells of e^{-g xi - U}(h+ + U' f-)
@@ -588,7 +580,6 @@ def k_coefficients(
     potential: PotentialModel,
     gamma: complex,
     h: GridFunction,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     tol: float = 1e-8,
 ) -> Tuple[complex, complex]:
     """(k+, k-) = Z(gamma)^{-1} [[1, psi+], [psi-, 1]] (k1, k2).
@@ -596,7 +587,7 @@ def k_coefficients(
     These are the x = 0 values of the resolvent, f+(0) and f-(0), taken
     from the half-line sums without assembling f on the grid.
     """
-    kp, km, _, _ = _k_plus_minus(potential, _check_gamma_tol(gamma, tol), h, cfg, tol)
+    kp, km, _, _ = _k_plus_minus(potential, _check_gamma_tol(gamma, tol), h, tol)
     return complex(kp), complex(km)
 
 
@@ -647,8 +638,8 @@ def _pair(h: Callable, growth: float, f: PiecewiseEigenfunction) -> complex:
     frequency 2 |Im gamma|."""
     kw = dict(growth=abs(growth) + abs(f.gamma.real), oscillation=2.0 * abs(f.gamma.imag))
     if f.variant == "full":
-        return inner_product_mu(h, lambda x, th: np.conj(f.component(x, -th)), f.potential, f.cfg, **kw)[0]
-    return inner_product_nu(h, lambda x: np.conj(f.component(-x)), f.potential, f.cfg, **kw)[0]
+        return inner_product_mu(h, lambda x, th: np.conj(f.component(x, -th)), f.potential, **kw)[0]
+    return inner_product_nu(h, lambda x: np.conj(f.component(-x)), f.potential, **kw)[0]
 
 
 def _self_pairings(f: PiecewiseEigenfunction) -> Tuple[complex, complex]:
@@ -669,7 +660,7 @@ def _self_pairings(f: PiecewiseEigenfunction) -> Tuple[complex, complex]:
         return np.stack(prods) * np.exp(-f.potential.U(x))
 
     g = f.gamma
-    val, _ = _truncated_pairing(rows, f.potential, f.cfg, 2.0 * abs(g.real), 4.0 * abs(g.imag), (0.0,))
+    val, _ = _truncated_pairing(rows, f.potential, 2.0 * abs(g.real), 4.0 * abs(g.imag))
     if f.variant == "full":
         return complex(val[0] + val[1]), complex(2.0 * val[2])
     return complex(val[0]), complex(val[1])
@@ -679,7 +670,6 @@ def spectral_projection(
     potential: PotentialModel,
     gamma: complex,
     h: Union[GridFunction, Callable],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     variant: str = "full",
     tol: float = 1e-8,
     growth: float = 0.0,
@@ -695,10 +685,10 @@ def spectral_projection(
     """
     if variant != "full" and isinstance(h, GridFunction):
         raise DomainError(f"the {variant!r} projection takes a function on R, not a GridFunction on E")
-    f = eigenfunction(potential, gamma, variant, cfg, tol)
+    f = eigenfunction(potential, gamma, variant, tol)
     _require_simple(f)
     if isinstance(h, GridFunction):
-        k1, k2, _, _ = _resolvent_sums(potential, f.gamma, h, cfg)
+        k1, k2, _, _ = _resolvent_sums(potential, f.gamma, h)
         num = k1 + f.psi_plus * k2
     else:
         num = _pair(h, growth, f)
@@ -708,7 +698,6 @@ def spectral_projection(
 def z_prime_consistency(
     potential: PotentialModel,
     gamma: complex,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     variant: str = "full",
     tol: float = 1e-8,
 ) -> Tuple[complex, complex]:
@@ -717,7 +706,7 @@ def z_prime_consistency(
     full:  (Z'(gamma) by quadrature/closed form,  psi-(gamma) <f, F conj(f)>).
     plus/minus:  (dZ^pm/dgamma,  <f^pm, J conj(f^pm)>_nu).
     """
-    f = eigenfunction(potential, gamma, variant, cfg, tol)
+    f = eigenfunction(potential, gamma, variant, tol)
     return f.z_prime, f._scale * _self_pairings(f)[1]
 
 

@@ -21,7 +21,6 @@ from .charfn import _BRANCH_SIGN
 from .errors import DomainError, NonSimpleEigenvalueError
 from .operator import _require_simple, _self_pairings, eigenfunction
 from .potential import PotentialModel
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .spectrum import SpectrumResult
 
 __all__ = [
@@ -33,9 +32,9 @@ __all__ = [
 ]
 
 
-def _mu(potential, gamma, variant, sign, cfg) -> complex:
+def _mu(potential, gamma, variant, sign) -> complex:
     """sign <f, conj f> / <f, R conj f> - 1 for B = sign R - I, R the variant's reflection."""
-    f = eigenfunction(potential, gamma, variant, cfg)
+    f = eigenfunction(potential, gamma, variant)
     _require_simple(f)
     num, den = _self_pairings(f)
     return (num if sign > 0 else -num) / den - 1.0
@@ -44,22 +43,20 @@ def _mu(potential, gamma, variant, sign, cfg) -> complex:
 def refreshment_coefficient(
     potential: PotentialModel,
     gamma: complex,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> complex:
     """mu = <f_gamma, conj f_gamma> / <f_gamma, F conj f_gamma> - 1 for B = F - I."""
-    return _mu(potential, gamma, "full", +1, cfg)
+    return _mu(potential, gamma, "full", +1)
 
 
 def refreshment_coefficient_symmetric(
     potential: PotentialModel,
     gamma: complex,
     branch: str,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> complex:
     """Branch form +/- <f, conj f>_nu / <f, J conj f>_nu - 1 for B = +/-J - I."""
     if branch not in _BRANCH_SIGN:
         raise DomainError(f"branch must be plus or minus, got {branch!r}")
-    return _mu(potential, gamma, branch, _BRANCH_SIGN[branch], cfg)
+    return _mu(potential, gamma, branch, _BRANCH_SIGN[branch])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,12 +87,12 @@ class PerturbedSpectrum:
         return [(e.gamma, e.coefficient) for e in self.entries if e.resolved]
 
 
-def _coefficient(potential, rec, cfg) -> Optional[complex]:
+def _coefficient(potential, rec) -> Optional[complex]:
     """mu of a simple eigenvalue record; None when it is not simple."""
     if rec.multiplicity != 1:
         return None
     try:
-        return refreshment_coefficient(potential, rec.gamma, cfg)
+        return refreshment_coefficient(potential, rec.gamma)
     except NonSimpleEigenvalueError:
         return None
 
@@ -103,7 +100,6 @@ def _coefficient(potential, rec, cfg) -> Optional[complex]:
 def perturbed_spectrum(
     base: SpectrumResult,
     epsilon: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> PerturbedSpectrum:
     """First-order shifted spectrum gamma + eps mu for every base eigenvalue.
 
@@ -123,7 +119,7 @@ def perturbed_spectrum(
     for i in sorted(range(len(recs)), key=lambda i: recs[i].gamma.imag < 0):
         rec = recs[i]
         mu = upper.get(rec.gamma.conjugate()) if rec.multiplicity == 1 else None
-        mus[i] = _coefficient(base.potential, rec, cfg) if mu is None else mu.conjugate()
+        mus[i] = _coefficient(base.potential, rec) if mu is None else mu.conjugate()
         if rec.gamma.imag > 0 and mus[i] is not None:
             upper[rec.gamma] = mus[i]
     entries = tuple(

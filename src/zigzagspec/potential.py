@@ -306,21 +306,12 @@ class AssumptionReport:
     'not-checked'.  A4 (zero refreshment) and A5 (the growth bound) are never
     grid-checked: A4 is a property of the dynamics rather than of U, and A5
     quantifies over pairs of points, which a pointwise scan cannot certify.
-    ``details`` carries the worst-case ratios behind each verdict.
     """
 
     statuses: dict
-    details: dict
-    grid: tuple  # (half_width, step)
 
     def __getitem__(self, key):
         return self.statuses[key]
-
-    def all_verified(self) -> bool:
-        return all(v.startswith("verified") for v in self.statuses.values())
-
-    def summary(self) -> str:
-        return "\n".join(f"{k}: {v}" for k, v in sorted(self.statuses.items()))
 
 
 def _tail_trend_violation(xs, vals, floor):
@@ -351,24 +342,27 @@ def check_assumptions(
     step: float = 0.01,
     delta_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
 ) -> AssumptionReport:
-    """Scan U, U', U'' on [-half_width, half_width] and report on A1..A7.
+    """Scan U, U', U'' of the unit model U_1 on [-half_width, half_width] and report on A1..A7.
 
+    A1-A7 are invariant under x -> x / sigma, so a model of width sigma is
+    judged on U_1 and reported in its own terms: witnesses x times sigma, the
+    bounds M and m over sigma^2.
     A1 searches delta in `delta_grid` for the curvature bound
     U'' <= delta U'^2 + M and reports the smallest feasible M; integrability
     of exp(-U) is certified by a crude tail-growth comparison.  A6 demands a
     uniform positive floor for U'' away from a compact set together with a
     non-decaying tail trend.
     """
+    s, unit = model.sigma, model._unit
     half = np.arange(0.0, half_width + step / 2.0, step)
     xs = np.concatenate([-half[:0:-1], half])  # exactly mirror-symmetric
-    u = model.U(xs)
-    du = model.dU(xs)
+    u = unit.U(xs)
+    du = unit.dU(xs)
     statuses = {}
-    details = {"delta_grid": tuple(delta_grid)}
 
     d2u = None
-    if model.has_curvature:
-        d2u = model.d2U(xs)
+    if unit.has_curvature:
+        d2u = unit.d2U(xs)
 
     # A1: smoothness comes with the callables; check the curvature bound
     # U'' <= delta |U'|^2 + M and that exp(-U) has summable tails.
@@ -377,7 +371,7 @@ def check_assumptions(
     else:
         bad = ~np.isfinite(u) | ~np.isfinite(du) | ~np.isfinite(d2u)
         if bad.any():
-            statuses["A1"] = f"violated-at x={xs[bad][0]:.6g}"
+            statuses["A1"] = f"violated-at x={s * xs[bad][0]:.6g}"
         else:
             best = None
             for delta in delta_grid:
@@ -386,13 +380,12 @@ def check_assumptions(
                     best = (delta, m_needed)
             mid = u[len(u) // 2]
             tail_ok = min(u[0], u[-1]) > mid + 2.0 * math.log(half_width + 1.0)
-            details["A1"] = best
             if best is not None and tail_ok:
-                statuses["A1"] = f"verified-on-grid (delta={best[0]:g}, M={best[1]:.6g})"
+                statuses["A1"] = f"verified-on-grid (delta={best[0]:g}, M={best[1] / s**2:.6g})"
             elif best is None:
                 statuses["A1"] = "violated-at curvature-bound"
             else:
-                statuses["A1"] = f"violated-at x={xs[-1]:.6g} (tail growth too slow)"
+                statuses["A1"] = f"violated-at x={s * xs[-1]:.6g} (tail growth too slow)"
 
     # A2: |U'| -> infinity; on a grid, |U'| must keep growing toward both
     # edges and be comfortably above 1 there.
@@ -400,12 +393,11 @@ def check_assumptions(
     left = np.abs(du[:edge])
     right = np.abs(du[-edge:])
     grows = bool(np.all(np.diff(left) < 0.0) and np.all(np.diff(right) > 0.0))
-    details["A2"] = (float(left[0]), float(right[-1]))
     if grows and min(left[0], right[-1]) > 1.0:
         statuses["A2"] = "verified-on-grid"
     else:
         bad_right = right[-1] <= 1.0 or not np.all(np.diff(right) > 0.0)
-        statuses["A2"] = f"violated-at x={(xs[-1] if bad_right else xs[0]):.6g}"
+        statuses["A2"] = f"violated-at x={s * (xs[-1] if bad_right else xs[0]):.6g}"
 
     # A3: U(0) = 0, U' <= 0 left of 0, U' >= 0 right of 0.
     i0 = int(np.argmin(np.abs(xs)))
@@ -415,7 +407,7 @@ def check_assumptions(
     else:
         wrong = np.where(((xs < 0) & (du > 1e-12)) | ((xs > 0) & (du < -1e-12)))[0]
         w = xs[wrong[0]] if wrong.size else xs[i0]
-        statuses["A3"] = f"violated-at x={w:.6g}"
+        statuses["A3"] = f"violated-at x={s * w:.6g}"
 
     statuses["A4"] = "not-checked"
     statuses["A5"] = "not-checked"
@@ -427,21 +419,19 @@ def check_assumptions(
     else:
         outer = np.abs(xs) >= half_width / 4.0
         m_outer = float(np.min(d2u[outer]))
-        details["A6"] = m_outer
         witness = _tail_trend_violation(xs, d2u, max(m_outer, 1e-12))
         if m_outer > 1e-12 and witness is None:
-            statuses["A6"] = f"verified-on-grid (m={m_outer:.6g})"
+            statuses["A6"] = f"verified-on-grid (m={m_outer / s**2:.6g})"
         else:
             if witness is None:
                 witness = xs[outer][int(np.argmin(d2u[outer]))]
-            statuses["A6"] = f"violated-at x={witness:.6g}"
+            statuses["A6"] = f"violated-at x={s * witness:.6g}"
 
     # A7: evenness of U on the (symmetric) grid.
     asym = np.abs(u - u[::-1])
-    details["A7"] = float(np.max(asym))
     if np.max(asym) < 1e-10:
         statuses["A7"] = "verified-on-grid"
     else:
-        statuses["A7"] = f"violated-at x={xs[int(np.argmax(asym))]:.6g}"
+        statuses["A7"] = f"violated-at x={s * xs[int(np.argmax(asym))]:.6g}"
 
-    return AssumptionReport(statuses=statuses, details=details, grid=(half_width, step))
+    return AssumptionReport(statuses)

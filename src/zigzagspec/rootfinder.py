@@ -56,6 +56,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _MAX_EDGE_POINTS = 8192
 _IM_SNAP = 1e-10
+_EDGE_QUAD = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_depth=40)  # contour edge integrals
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,7 +114,6 @@ class RootfinderConfig:
     cluster_tol: float = 1e-6     # moment spread below this collapses to a multiple root
     max_newton_iter: int = 50
     dilation: float = 1e-4        # deterministic boundary jitter
-    quad: QuadratureConfig = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_depth=40)
 
     def __post_init__(self):
         for name in ("root_tol", "boundary_tol", "min_box_size", "cluster_tol", "dilation"):
@@ -228,7 +228,7 @@ def _edge(fvec, ldvec, za, zb, name, rows, cfg, n0, edges):
             return (np.stack([ld, z * ld, z * z * ld]) * direction).reshape(-1, t.size)
 
         try:
-            vals, errs = integrate_finite(integrand, 0.0, length, cfg.quad, breakpoints=ts[4:-1:4])
+            vals, errs = integrate_finite(integrand, 0.0, length, _EDGE_QUAD, breakpoints=ts[4:-1:4])
         except NearZeroError as exc:
             raise BoundaryProximityError(name, exc.gamma) from exc
         edges[key] = (dphase, vals.reshape(3, -1), errs[: stuck.size], lo + direction * stuck)

@@ -179,6 +179,16 @@ def test_perturb_payload_and_arrows(tmp_path, capsys):
     assert "polygon" in svg.read_text()  # arrowheads drawn
 
 
+def test_perturb_csv_is_the_spectrum_csv(tmp_path, capsys):
+    # perturb lists the base eigenvalues it shifted, as spectrum does
+    spec, pert = tmp_path / "s.csv", tmp_path / "p.csv"
+    args = ("--potential", "gaussian:1", *REGION)
+    assert run(["spectrum", *args, "--csv", str(spec)], capsys)[0] == 0
+    assert run(["perturb", *args, "--eps", "0.5", "--csv", str(pert)], capsys)[0] == 0
+    assert pert.read_bytes() == spec.read_bytes()
+    assert len(spec.read_text().splitlines()) == 4  # the header, 0 and the rightmost pair
+
+
 def test_perturb_rejects_sigma(tmp_path, capsys):
     # as a flag: the perturb subcommand does not define --sigma at all
     code, _, err = run(

@@ -231,9 +231,9 @@ def test_lower_members_take_the_conjugate_coefficient(gaussian_spectrum, monkeyp
 
     calls = []
 
-    def counted(potential, gamma, cfg):
+    def counted(potential, gamma):
         calls.append(gamma)
-        return refreshment_coefficient(potential, gamma, cfg)
+        return refreshment_coefficient(potential, gamma)
 
     monkeypatch.setattr(perturbation, "refreshment_coefficient", counted)
     p = perturbed_spectrum(gaussian_spectrum, 0.5)
@@ -241,6 +241,18 @@ def test_lower_members_take_the_conjugate_coefficient(gaussian_spectrum, monkeyp
     coefficient = {e.gamma: e.coefficient for e in p.entries}
     for g in calls:
         assert coefficient[g.conjugate()] == np.conj(coefficient[g])
+
+
+def test_non_simple_eigenvalues_are_kept_unresolved(beta25_spectrum, monkeypatch):
+    # with the simplicity floor above every |Z'|, each coefficient is refused
+    # as non-simple: every entry stays, unresolved, and nothing is predicted
+    monkeypatch.setattr(operator, "SIMPLICITY_TOL", 1e9)
+    p = perturbed_spectrum(beta25_spectrum, 0.5)
+    assert [e.gamma for e in p.entries] == [r.gamma for r in beta25_spectrum.eigenvalues]
+    assert len(p.entries) == 7
+    assert all(e.coefficient is None and e.shifted is None and e.resolved is False for e in p.entries)
+    assert p.gap() is None
+    assert p.arrows() == []
 
 
 def test_unresolved_upper_member_leaves_the_lower_one_its_own_path(

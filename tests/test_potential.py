@@ -262,6 +262,29 @@ def test_check_assumptions_gaussian_all_verified():
     assert report["A5"] == "not-checked"
 
 
+def test_check_assumptions_judges_a_wide_model_on_its_unit_shape():
+    # A1-A7 are invariant under x -> x / sigma, so a width sigma model gets its
+    # unit model's verdicts, witnesses x times sigma and M, m over sigma^2; a
+    # fixed [-20, 20] scan of gaussian:100 saw U' = 0.2 at its edge
+    unit = check_assumptions(gaussian(1.0)).statuses
+    assert repr(unit) == repr(
+        {
+            "A1": "verified-on-grid (delta=0.1, M=1)",
+            "A2": "verified-on-grid",
+            "A3": "verified-on-grid",
+            "A4": "not-checked",
+            "A5": "not-checked",
+            "A6": "verified-on-grid (m=1)",
+            "A7": "verified-on-grid",
+        }
+    )
+    wide = check_assumptions(gaussian(100.0)).statuses
+    assert {k: v.split()[0] for k, v in wide.items()} == {k: v.split()[0] for k, v in unit.items()}
+    assert (wide["A1"], wide["A6"]) == ("verified-on-grid (delta=0.1, M=0.0001)", "verified-on-grid (m=0.0001)")
+    assert check_assumptions(beta_family(1.5))["A6"] == "violated-at x=-20"
+    assert check_assumptions(scale(beta_family(1.5), 30.0))["A6"] == "violated-at x=-600"
+
+
 def test_check_assumptions_beta_below_two_flags_curvature():
     # U'' of the beta family decays at infinity for beta < 2: no uniform
     # positive floor, so the convexity-at-infinity check must not pass
