@@ -38,7 +38,7 @@ from .potential import (
     scale,
 )
 from .charfn import CharFunctionHandle
-from .rootfinder import ComplexRegion, RootfinderConfig, count_zeros, locate_zeros
+from .rootfinder import ComplexRegion, count_zeros, locate_zeros
 from .spectrum import (
     EigenvalueRecord,
     SpectrumResult,
@@ -96,7 +96,6 @@ __all__ = [
     # characteristic function and roots
     "CharFunctionHandle",
     "ComplexRegion",
-    "RootfinderConfig",
     "count_zeros",
     "locate_zeros",
     # spectrum

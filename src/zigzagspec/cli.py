@@ -32,11 +32,7 @@ from .errors import DomainError, ZigzagError
 from .operator import default_grid, eigenfunction_table
 from .perturbation import perturbed_spectrum
 from .potential import PotentialModel, SwitchingRateSpec, parse_potential
-from .rootfinder import (
-    DEFAULT_ROOT_CONFIG,
-    ComplexRegion,
-    newton_polish,
-)
+from .rootfinder import ComplexRegion, newton_polish
 from .spectrum import (
     SpectrumResult,
     auto_region,
@@ -310,8 +306,8 @@ def _resolve_region(cfg: RunConfig, potential: PotentialModel):
 def _base_spectrum(cfg: RunConfig, parser) -> SpectrumResult:
     potential = parse_potential(_require(cfg, "potential", parser))
     region = _resolve_region(cfg, potential)
-    root = DEFAULT_ROOT_CONFIG if cfg.tol is None else dataclasses.replace(DEFAULT_ROOT_CONFIG, root_tol=cfg.tol)
-    return compute_spectrum(potential, region, cfg=root)
+    tol = {} if cfg.tol is None else {"root_tol": cfg.tol}
+    return compute_spectrum(potential, region, **tol)
 
 
 def cmd_spectrum(cfg: RunConfig, parser) -> int:
@@ -428,7 +424,6 @@ class _UsageError(Exception):
 def _add_common(sp):
     sp.add_argument("--potential", help="descriptor, e.g. gaussian:1 or beta:2.5")
     sp.add_argument("--config", help="key=value file supplying any flag")
-    sp.add_argument("--tol", type=float, help="root / residual tolerance")
     sp.add_argument("--out", help="JSON output path (default: stdout)")
     sp.add_argument("--csv", help="CSV output path")
 
@@ -439,6 +434,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="eigenvalues and spectral gap")
     _add_common(sp)
+    sp.add_argument("--tol", type=float, help="Newton step size that accepts a root (default 1e-10)")
     sp.add_argument("--sigma", type=float, help="rescale results by the scaling law")
     sp.add_argument("--re-min", type=float, dest="re_min")
     sp.add_argument("--re-max", type=float, dest="re_max")
@@ -448,6 +444,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("perturb", help="first-order refreshment perturbation")
     _add_common(sp)
+    sp.add_argument("--tol", type=float, help="Newton step size that accepts a root (default 1e-10)")
     sp.add_argument("--eps", type=float, help="refreshment rate epsilon")
     sp.add_argument("--re-min", type=float, dest="re_min")
     sp.add_argument("--re-max", type=float, dest="re_max")
@@ -457,6 +454,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("eigfun", help="eigenfunction table at one eigenvalue")
     _add_common(sp)
+    sp.add_argument("--tol", type=float, help="largest |Z| accepted at the polished gamma (default 1e-8)")
     sp.add_argument("--gamma", help="eigenvalue guess, e.g. -0.425665+1.02295i")
     sp.set_defaults(func=cmd_eigfun)
 

@@ -80,6 +80,8 @@ _CELL_PHASE = 2.0  # |2 gamma + U'| times a pt cell's width: GK15 at roundoff
 _MAX_RANGE = 600.0  # growth factors e^{..} one pt sweep spans without underflow
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _MAX_CANCEL = 16.0  # log of the sweep's largest cancellation at Re gamma < 0: defect 5e-7 at 14, 2e-5 at 18
+_DEFECT_EXCLUDE = 0.05  # resolvent_defect skips |x| below this: U' kinks at the mode
+_FD_STEP = 1e-4  # apply_generator's central-difference step
 
 
 # ----------------------------------------------------------------- phi helpers
@@ -596,12 +598,11 @@ def resolvent_defect(
     gamma: complex,
     h: GridFunction,
     f: GridFunction,
-    exclude: float = 0.05,
 ) -> float:
     """max |(gamma - L) f - h| / max |h| over interior grid nodes.
 
     The x-derivative is the 4th-order central stencil on the grid itself; two
-    nodes at each edge and |x| < exclude are skipped (U' kink at the mode,
+    nodes at each edge and |x| < 0.05 are skipped (U' kink at the mode,
     one-sided stencils at the boundary).  DomainError unless h and f share
     one grid of uniform step (to 1e-12 relative), as the stencil assumes.
     """
@@ -616,7 +617,7 @@ def resolvent_defect(
         d = np.zeros_like(vals)
         d[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12.0 * step)
         defects.append(np.abs(complex(gamma) * vals - (theta * d + lam * (other - vals)) - target))
-    mask = (np.abs(xs) >= exclude) & (np.abs(xs) <= xs[-1] - 2.5 * step)
+    mask = (np.abs(xs) >= _DEFECT_EXCLUDE) & (np.abs(xs) <= xs[-1] - 2.5 * step)
     scale = max(np.max(np.abs(h.plus)), np.max(np.abs(h.minus)))
     if scale == 0.0:
         return 0.0
@@ -718,13 +719,12 @@ def apply_generator(
     f: Callable,
     x,
     theta: int,
-    fd_step: float = 1e-4,
 ):
     """L f (x, theta) with a central-difference x-derivative.
 
-    theta (f(x+d,theta) - f(x-d,theta)) / (2d) + lambda(x,theta)(Ff - f).
+    theta (f(x+d,theta) - f(x-d,theta)) / (2d) + lambda(x,theta)(Ff - f), d = 1e-4.
     """
     x = np.asarray(x, dtype=float)
     lam = switching_rate(potential, spec, x, theta)
-    deriv = (f(x + fd_step, theta) - f(x - fd_step, theta)) / (2.0 * fd_step)
+    deriv = (f(x + _FD_STEP, theta) - f(x - _FD_STEP, theta)) / (2.0 * _FD_STEP)
     return theta * deriv + lam * (f(x, -theta) - f(x, theta))

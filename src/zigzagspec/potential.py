@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 _F64 = np.dtype(float)
+_SCAN_HALF_WIDTH = 20.0  # check_assumptions scans U_1 on [-20, 20]
+_SCAN_STEP = 0.01
+_DELTA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)  # A1's candidate deltas
 
 
 @dataclasses.dataclass(frozen=True)
@@ -336,25 +339,20 @@ def _tail_trend_violation(xs, vals, floor):
     return None
 
 
-def check_assumptions(
-    model: PotentialModel,
-    half_width: float = 20.0,
-    step: float = 0.01,
-    delta_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-) -> AssumptionReport:
-    """Scan U, U', U'' of the unit model U_1 on [-half_width, half_width] and report on A1..A7.
+def check_assumptions(model: PotentialModel) -> AssumptionReport:
+    """Scan U, U', U'' of the unit model U_1 on [-20, 20] (step 0.01) and report on A1..A7.
 
     A1-A7 are invariant under x -> x / sigma, so a model of width sigma is
     judged on U_1 and reported in its own terms: witnesses x times sigma, the
     bounds M and m over sigma^2.
-    A1 searches delta in `delta_grid` for the curvature bound
+    A1 searches delta in 0.1, 0.2, ..., 0.9 for the curvature bound
     U'' <= delta U'^2 + M and reports the smallest feasible M; integrability
     of exp(-U) is certified by a crude tail-growth comparison.  A6 demands a
     uniform positive floor for U'' away from a compact set together with a
     non-decaying tail trend.
     """
     s, unit = model.sigma, model._unit
-    half = np.arange(0.0, half_width + step / 2.0, step)
+    half = np.arange(0.0, _SCAN_HALF_WIDTH + _SCAN_STEP / 2.0, _SCAN_STEP)
     xs = np.concatenate([-half[:0:-1], half])  # exactly mirror-symmetric
     u = unit.U(xs)
     du = unit.dU(xs)
@@ -374,12 +372,12 @@ def check_assumptions(
             statuses["A1"] = f"violated-at x={s * xs[bad][0]:.6g}"
         else:
             best = None
-            for delta in delta_grid:
+            for delta in _DELTA_GRID:
                 m_needed = float(np.max(d2u - delta * du * du))
                 if math.isfinite(m_needed) and (best is None or m_needed < best[1]):
                     best = (delta, m_needed)
             mid = u[len(u) // 2]
-            tail_ok = min(u[0], u[-1]) > mid + 2.0 * math.log(half_width + 1.0)
+            tail_ok = min(u[0], u[-1]) > mid + 2.0 * math.log(_SCAN_HALF_WIDTH + 1.0)
             if best is not None and tail_ok:
                 statuses["A1"] = f"verified-on-grid (delta={best[0]:g}, M={best[1] / s**2:.6g})"
             elif best is None:
@@ -417,7 +415,7 @@ def check_assumptions(
     if d2u is None:
         statuses["A6"] = "not-checked"
     else:
-        outer = np.abs(xs) >= half_width / 4.0
+        outer = np.abs(xs) >= _SCAN_HALF_WIDTH / 4.0
         m_outer = float(np.min(d2u[outer]))
         witness = _tail_trend_violation(xs, d2u, max(m_outer, 1e-12))
         if m_outer > 1e-12 and witness is None:

@@ -44,7 +44,6 @@ from .quadrature import QuadratureConfig, integrate_finite
 
 __all__ = [
     "ComplexRegion",
-    "RootfinderConfig",
     "RootRecord",
     "RootSet",
     "RootSets",
@@ -57,6 +56,12 @@ _TWO_PI = 2.0 * math.pi
 _MAX_EDGE_POINTS = 8192
 _IM_SNAP = 1e-10
 _EDGE_QUAD = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_depth=40)  # contour edge integrals
+_EDGE_SAMPLES = 64  # initial phase samples per edge, x4 on each of two refinements
+_BOUNDARY_TOL = 1e-8  # |f| below this on a contour sample => too close
+_MIN_BOX = 1e-8  # a box below this side is not split
+_CLUSTER_TOL = 1e-6  # moment spread below this collapses to a multiple root
+_MAX_NEWTON_ITER = 50
+_DILATION = 1e-4  # deterministic boundary jitter
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,7 +70,6 @@ class ComplexRegion:
     re_max: float
     im_min: float
     im_max: float
-    edge_samples: int = 64
 
     def __post_init__(self):
         bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
@@ -75,9 +79,6 @@ class ComplexRegion:
             raise DomainError(
                 f"degenerate region [{self.re_min},{self.re_max}]x[{self.im_min},{self.im_max}]"
             )
-        n = self.edge_samples
-        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= _MAX_EDGE_POINTS):
-            raise DomainError(f"edge_samples must be an integer in [1, {_MAX_EDGE_POINTS}], got {n!r}")
 
     @property
     def width(self) -> float:
@@ -91,10 +92,10 @@ class ComplexRegion:
     def center(self) -> complex:
         return complex(0.5 * (self.re_min + self.re_max), 0.5 * (self.im_min + self.im_max))
 
-    def contains(self, z: complex, pad: float = 0.0) -> bool:
+    def contains(self, z: complex) -> bool:
         return (
-            self.re_min - pad <= z.real <= self.re_max + pad
-            and self.im_min - pad <= z.imag <= self.im_max + pad
+            self.re_min <= z.real <= self.re_max
+            and self.im_min <= z.imag <= self.im_max
         )
 
     def corners(self):
@@ -104,27 +105,6 @@ class ComplexRegion:
             complex(self.re_max, self.im_max),
             complex(self.re_min, self.im_max),
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class RootfinderConfig:
-    root_tol: float = 1e-10       # Newton step stopping size
-    boundary_tol: float = 1e-8    # |f| below this on a contour sample => too close
-    min_box_size: float = 1e-8
-    cluster_tol: float = 1e-6     # moment spread below this collapses to a multiple root
-    max_newton_iter: int = 50
-    dilation: float = 1e-4        # deterministic boundary jitter
-
-    def __post_init__(self):
-        for name in ("root_tol", "boundary_tol", "min_box_size", "cluster_tol", "dilation"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        n = self.max_newton_iter
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise DomainError(f"max_newton_iter must be an integer >= 1, got {n!r}")
-
-
-DEFAULT_ROOT_CONFIG = RootfinderConfig()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,11 +147,11 @@ def _edges(region: ComplexRegion):
     return (c0, c1, "bottom"), (c1, c2, "right"), (c2, c3, "top"), (c3, c0, "left")
 
 
-def _phase_skeleton(fvec, z0, direction, length, n0, boundary_tol):
+def _phase_skeleton(fvec, z0, direction, length, n0):
     """Sample f along an edge until each row's successive phases turn < pi/2.
 
     Returns (ts, each row's phase change, the t where each row is blocked or
-    nan): at its first sample with |f| < boundary_tol, or where its phase
+    nan): at its first sample with |f| < _BOUNDARY_TOL, or where its phase
     refuses to resolve.  Blocked rows are refined no further.
     """
     ts = np.linspace(0.0, length, max(n0, 8) + 1)
@@ -179,7 +159,7 @@ def _phase_skeleton(fvec, z0, direction, length, n0, boundary_tol):
     stuck = np.full(vals.shape[0], np.nan)
 
     def block(points, values):
-        small = np.abs(values) < boundary_tol
+        small = np.abs(values) < _BOUNDARY_TOL
         hit = small.any(axis=1) & np.isnan(stuck)
         stuck[hit] = points[np.argmax(small[hit], axis=1)]
 
@@ -204,7 +184,7 @@ def _phase_skeleton(fvec, z0, direction, length, n0, boundary_tol):
     return ts, turns.sum(axis=1), stuck
 
 
-def _edge(fvec, ldvec, za, zb, name, rows, cfg, n0, edges):
+def _edge(fvec, ldvec, za, zb, name, rows, edges, n0=_EDGE_SAMPLES):
     """(phase turns, moments (3, rows), quadrature errors) of `rows` on za -> zb.
 
     The moments are the integrals of (f'/f) * (1, zeta, zeta^2).  Every row
@@ -219,7 +199,7 @@ def _edge(fvec, ldvec, za, zb, name, rows, cfg, n0, edges):
     if key not in edges:
         length = abs(hi - lo)
         direction = (hi - lo) / length
-        ts, dphase, stuck = _phase_skeleton(fvec, lo, direction, length, n0, cfg.boundary_tol)
+        ts, dphase, stuck = _phase_skeleton(fvec, lo, direction, length, n0)
         blocked = ~np.isnan(stuck)[:, None]
 
         def integrand(t):
@@ -240,40 +220,39 @@ def _edge(fvec, ldvec, za, zb, name, rows, cfg, n0, edges):
     return sign * dphase[rows], sign * moments[:, rows], errs[rows]
 
 
-def _contour_moments(fvec, ldvec, region, rows, cfg, n0, edges):
+def _contour_moments(fvec, ldvec, region, rows, edges, n0):
     """Telescoped windings of `rows`, their moments s_k = (1/2pi i) contour
     integral of zeta^k logderiv(zeta), k = 0, 1, 2, and the name of the edge
     with the worst quadrature error (suspect for any trouble upstream)."""
     sides = _edges(region)
-    turns, moments, errs = zip(*(_edge(fvec, ldvec, *side, rows, cfg, n0, edges) for side in sides))
+    turns, moments, errs = zip(*(_edge(fvec, ldvec, *side, rows, edges, n0) for side in sides))
     worst_edge = sides[int(np.argmax([e.max() for e in errs]))][2]
     return sum(turns) / _TWO_PI, sum(moments) / (2.0j * math.pi), worst_edge
 
 
-def _winding_and_moments(fvec, ldvec, region, rows, cfg, edges):
+def _winding_and_moments(fvec, ldvec, region, rows, edges):
     """Integer windings of `rows` with their moments; refines edge sampling on doubt."""
-    for n0 in (region.edge_samples * 4**k for k in range(3)):
-        w_tel, moments, worst_edge = _contour_moments(fvec, ldvec, region, rows, cfg, n0, edges)
+    for n0 in (_EDGE_SAMPLES * 4**k for k in range(3)):
+        w_tel, moments, worst_edge = _contour_moments(fvec, ldvec, region, rows, edges, n0)
         w_int = np.rint(w_tel).astype(int)
         if np.all((np.abs(w_tel - w_int) < 0.05) & (np.abs(moments[0] - w_int) <= 0.25)):
             return w_int, moments
     raise BoundaryProximityError(worst_edge, region.center)
 
 
-def _dilated(region: ComplexRegion, exc: BoundaryProximityError, amount: float) -> ComplexRegion:
-    """Enlarge the region by `amount` on the side named by the error
+def _dilated(region: ComplexRegion, exc: BoundaryProximityError) -> ComplexRegion:
+    """Enlarge the region by _DILATION on the side named by the error
     (all four sides when the edge is unknown)."""
     grow = {"bottom": 0.0, "right": 0.0, "top": 0.0, "left": 0.0}
     if exc.edge in grow:
-        grow[exc.edge] = amount
+        grow[exc.edge] = _DILATION
     else:
-        grow = dict.fromkeys(grow, amount)
+        grow = dict.fromkeys(grow, _DILATION)
     return ComplexRegion(
         region.re_min - grow["left"],
         region.re_max + grow["right"],
         region.im_min - grow["bottom"],
         region.im_max + grow["top"],
-        region.edge_samples,
     )
 
 
@@ -282,25 +261,26 @@ def _dilated(region: ComplexRegion, exc: BoundaryProximityError, amount: float) 
 # ---------------------------------------------------------------------------
 
 
-def newton_polish(
-    logderiv: Callable,
-    guess: complex,
-    cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG,
-    multiplicity: int = 1,
-) -> complex:
+def _check_root_tol(root_tol: float) -> None:
+    if not 0.0 < root_tol < math.inf:
+        raise DomainError(f"root_tol must be finite and > 0, got {root_tol!r}")
+
+
+def newton_polish(logderiv: Callable, guess: complex, multiplicity: int = 1, root_tol: float = 1e-10) -> complex:
     """Refine a root estimate with gamma <- gamma - m / logderiv(gamma).
 
     A NearZeroError from the logderiv means the iterate has landed on the
     root (the residual is already below the near-zero floor) and stops the
     iteration.  Five consecutive step growths abort with PolishFailureError,
-    and so does a max_newton_iter-th step still no smaller than root_tol.
+    and so does a 50th step still no smaller than root_tol.
     """
+    _check_root_tol(root_tol)
     z = complex(guess)
     if not cmath.isfinite(z):
         raise DomainError(f"Newton guess must be finite, got {z!r}")
     prev_step = math.inf
     growth = 0
-    for _ in range(cfg.max_newton_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         try:
             ld = complex(np.asarray(logderiv(np.array([z])), dtype=complex)[0])
         except NearZeroError:
@@ -312,7 +292,7 @@ def newton_polish(
         step = multiplicity / ld
         z -= step
         s = abs(step)
-        if s < cfg.root_tol:
+        if s < root_tol:
             return z
         if s > prev_step:
             growth += 1
@@ -323,7 +303,7 @@ def newton_polish(
         else:
             growth = 0
         prev_step = s
-    msg = f"Newton from {guess} did not converge in {cfg.max_newton_iter} steps"
+    msg = f"Newton from {guess} did not converge in {_MAX_NEWTON_ITER} steps"
     raise PolishFailureError(f"{msg}: last iterate {z}, last step {s:.3e}")
 
 
@@ -332,18 +312,18 @@ def newton_polish(
 # ---------------------------------------------------------------------------
 
 
-def _cut(fvec, ldvec, region: ComplexRegion, rows, cfg: RootfinderConfig, edges):
+def _cut(fvec, ldvec, region: ComplexRegion, rows, edges):
     """Pick a split coordinate on the longest side, shifted off any zero of `rows`.
 
     Returns ('re'|'im', cut).  Deterministic: the offsets 0, +1, -1, ..., +7,
-    -7 in units of min(dilation, span/16) are tried in turn, and the first
+    -7 in units of min(_DILATION, span/16) are tried in turn, and the first
     whose shared segment `_edge` resolves is taken, so both children reuse it
     from `edges`; when none does, the last BoundaryProximityError propagates.
     """
     vertical = region.width >= region.height  # cut parallel to imag axis
     span = region.width if vertical else region.height
     base = region.center.real if vertical else region.center.imag
-    unit = min(cfg.dilation, span / 16.0)
+    unit = min(_DILATION, span / 16.0)
     for offset in [0.0] + [s * k * unit for k in range(1, 8) for s in (1, -1)]:
         cut = base + offset
         if vertical:  # the first child's right edge and the second's left
@@ -351,7 +331,7 @@ def _cut(fvec, ldvec, region: ComplexRegion, rows, cfg: RootfinderConfig, edges)
         else:  # the first child's top edge and the second's bottom
             seg = complex(region.re_max, cut), complex(region.re_min, cut), "top"
         try:
-            _edge(fvec, ldvec, *seg, rows, cfg, region.edge_samples, edges)
+            _edge(fvec, ldvec, *seg, rows, edges)
             return ("re" if vertical else "im"), cut
         except BoundaryProximityError as exc:
             last = exc
@@ -367,12 +347,12 @@ def _snap(z: complex) -> complex:
     return complex(z.real, 0.0) if abs(z.imag) < _IM_SNAP else z
 
 
-def _emit_root(fvec, ldvec, box, row, estimate, multiplicity, cfg, out):
+def _emit_root(fvec, ldvec, box, row, estimate, multiplicity, root_tol, out):
     """Record row's zero in `box` (of the given multiplicity) in out[row]: Newton's
     result from the moment estimate if it stays in the box, else the estimate
     itself, unpolished.  Disjoint boxes thus never record the same root twice."""
     try:
-        root = newton_polish(lambda z: ldvec(z)[row], estimate, cfg, multiplicity=multiplicity)
+        root = newton_polish(lambda z: ldvec(z)[row], estimate, multiplicity, root_tol)
         polished = box.contains(root)
     except PolishFailureError:
         polished = False
@@ -381,38 +361,38 @@ def _emit_root(fvec, ldvec, box, row, estimate, multiplicity, cfg, out):
     out.setdefault(row, []).append(RootRecord(root, multiplicity, residual, polished))
 
 
-def _solve(fvec, ldvec, region: ComplexRegion, rows, cfg: RootfinderConfig, out: dict, edges):
+def _solve(fvec, ldvec, region: ComplexRegion, rows, root_tol: float, out: dict, edges):
     """The windings of `rows` (indices, or slice(None) for all of f's rows)
     in the box.  A row's zero goes to `out` where the box holds one, or a
     cluster (a multiple root); the rows with more split the box together."""
     try:
-        w, moments = _winding_and_moments(fvec, ldvec, region, rows, cfg, edges)
+        w, moments = _winding_and_moments(fvec, ldvec, region, rows, edges)
     except BoundaryProximityError:
-        if max(region.width, region.height) < cfg.min_box_size:
-            msg = f"winding undetermined in a box below min_box_size at {region.center}"
+        if max(region.width, region.height) < _MIN_BOX:
+            msg = f"winding undetermined in a box below the minimum size {_MIN_BOX:g} at {region.center}"
             raise UnresolvedClusterError(msg, box=region) from None
         raise
     if (w < 0).any():
         raise WindingError(f"negative winding {w.min()} in {region}: not holomorphic?")
 
     rows, split = (np.arange(w.size) if isinstance(rows, slice) else rows), []
-    tiny = max(region.width, region.height) < cfg.min_box_size
+    tiny = max(region.width, region.height) < _MIN_BOX
     for i, (row, wi) in enumerate(zip(rows.tolist(), w.tolist())):
         if wi == 0:
             continue
         centroid = moments[1, i] / wi
-        if wi == 1 or tiny or math.sqrt(abs(moments[2, i] / wi - centroid * centroid)) < cfg.cluster_tol:
+        if wi == 1 or tiny or math.sqrt(abs(moments[2, i] / wi - centroid * centroid)) < _CLUSTER_TOL:
             # one root, or wi roots indistinguishable at working precision: a multiple root
-            _emit_root(fvec, ldvec, region, row, centroid, wi, cfg, out)
+            _emit_root(fvec, ldvec, region, row, centroid, wi, root_tol, out)
         else:
             split.append(i)
     if not split:
         return w
 
-    axis, cut = _cut(fvec, ldvec, region, rows[split], cfg, edges)
+    axis, cut = _cut(fvec, ldvec, region, rows[split], edges)
     child_a, child_b = _split(region, axis, cut)
-    wa = _solve(fvec, ldvec, child_a, rows[split], cfg, out, edges)
-    wb = _solve(fvec, ldvec, child_b, rows[split], cfg, out, edges)
+    wa = _solve(fvec, ldvec, child_a, rows[split], root_tol, out, edges)
+    wb = _solve(fvec, ldvec, child_b, rows[split], root_tol, out, edges)
     for row, wr, ra, rb in zip(rows[split], w[split], wa, wb):
         if ra + rb != wr:
             raise WindingError(f"winding additivity violated at {axis}-cut {cut:.6g}: {wr} != {ra} + {rb} (row {row})")
@@ -431,44 +411,46 @@ def _as_rows(fn, ranks):
     return wrapped
 
 
-def _with_dilation(attempt: Callable, region: ComplexRegion, cfg: RootfinderConfig):
+def _with_dilation(attempt: Callable, region: ComplexRegion):
     """attempt(region), retried up to 5 times: a zero detected on the boundary
-    dilates the region by cfg.dilation on that side (deterministically)."""
+    dilates the region by _DILATION on that side (deterministically)."""
     current, last_exc = region, None
     for _ in range(5):
         try:
             return attempt(current)
         except BoundaryProximityError as exc:
             last_exc = exc
-            current = _dilated(current, exc, cfg.dilation)
+            current = _dilated(current, exc)
     raise last_exc
 
 
-def count_zeros(logderiv: Callable, region: ComplexRegion, cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG, *, f: Callable):
+def count_zeros(logderiv: Callable, region: ComplexRegion, *, f: Callable):
     """Number of zeros (with multiplicity) inside the region, an int or, for rows of f, a
     tuple of one per row: telescoped from f's phase, cross-checked against logderiv's
     quadrature; a zero on the boundary dilates the region by 1e-4 on that side."""
     ranks, edges = set(), {}
     fvec, ldvec = _as_rows(f, ranks), _as_rows(logderiv, ranks)
-    w = _with_dilation(lambda reg: _winding_and_moments(fvec, ldvec, reg, slice(None), cfg, edges)[0], region, cfg)
+    w = _with_dilation(lambda reg: _winding_and_moments(fvec, ldvec, reg, slice(None), edges)[0], region)
     return tuple(w.tolist()) if 2 in ranks else int(w[0])
 
 
-def locate_zeros(f: Callable, logderiv: Callable, region: ComplexRegion, cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG):
+def locate_zeros(f: Callable, logderiv: Callable, region: ComplexRegion, root_tol: float = 1e-10):
     """All zeros of f inside the region, with multiplicities: a RootSet, or
     RootSets, one RootSet per row, for rows of f searched together.
 
-    Boundary zeros are absorbed by dilating the requested region by 1e-4 on
-    the offending side, so locations within that jitter of the boundary may
-    be reported.  Each row's roots are sorted by (Re, Im); im parts below
-    1e-10 snap to the real axis.
+    Each root is Newton-polished until a step falls below root_tol (finite
+    and > 0, else DomainError).  Boundary zeros are absorbed by dilating the
+    requested region by 1e-4 on the offending side, so locations within that
+    jitter of the boundary may be reported.  Each row's roots are sorted by
+    (Re, Im); im parts below 1e-10 snap to the real axis.
     """
+    _check_root_tol(root_tol)
     ranks, edges = set(), {}  # edges: segment results shared by all boxes and dilation retries
     fvec, ldvec = _as_rows(f, ranks), _as_rows(logderiv, ranks)
 
     def attempt(current):
         out: dict = {}
-        w = _solve(fvec, ldvec, current, slice(None), cfg, out, edges)
+        w = _solve(fvec, ldvec, current, slice(None), root_tol, out, edges)
         sets = RootSets(
             RootSet(tuple(sorted(out.get(row, ()), key=lambda r: (r.location.real, r.location.imag))), current, wr)
             for row, wr in enumerate(w.tolist())
@@ -479,5 +461,5 @@ def locate_zeros(f: Callable, logderiv: Callable, region: ComplexRegion, cfg: Ro
                 raise WindingError(f"{msg} (row {row})")
         return sets
 
-    sets = _with_dilation(attempt, region, cfg)
+    sets = _with_dilation(attempt, region)
     return sets if 2 in ranks else sets[0]

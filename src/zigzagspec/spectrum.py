@@ -38,12 +38,7 @@ import numpy as np
 from .charfn import CharFunctionHandle, z_log_derivative_batch, z_value_batch
 from .errors import DomainError, GapUndeterminedError, WindingError
 from .potential import PotentialModel, check_assumptions, scale
-from .rootfinder import (
-    DEFAULT_ROOT_CONFIG,
-    ComplexRegion,
-    RootfinderConfig,
-    locate_zeros,
-)
+from .rootfinder import _DILATION, ComplexRegion, _check_root_tol, locate_zeros
 
 __all__ = [
     "EigenvalueRecord",
@@ -129,11 +124,11 @@ def auto_region(
     return ComplexRegion(re_min, re_max, -float(bound), float(bound))
 
 
-def _search_region(region: ComplexRegion, cfg: RootfinderConfig) -> ComplexRegion:
+def _search_region(region: ComplexRegion) -> ComplexRegion:
     """Upper-half image of a region that holds 0, and of its reflection in
     the real axis, from the band below the axis up."""
-    top = max(region.im_max, -region.im_min, cfg.dilation)  # holds the band's mirror
-    return ComplexRegion(region.re_min, region.re_max, -cfg.dilation, top, region.edge_samples)
+    top = max(region.im_max, -region.im_min, _DILATION)  # holds the band's mirror
+    return ComplexRegion(region.re_min, region.re_max, -_DILATION, top)
 
 
 def _collect(branch: str, roots, region: ComplexRegion):
@@ -174,14 +169,17 @@ def _validate(records, defect, descriptor):
 def compute_spectrum(
     potential: PotentialModel,
     region: Optional[ComplexRegion] = None,
-    cfg: RootfinderConfig = DEFAULT_ROOT_CONFIG,
+    root_tol: float = 1e-10,
 ) -> SpectrumResult:
-    """All eigenvalues in the region (default: `auto_region`).
+    """All eigenvalues in the region (default: `auto_region`), each
+    Newton-polished until a step falls below root_tol.
 
     Even potentials search Z+ and Z- together, as rows of one search, and
     return the union with branch labels; otherwise the full Z is used.
     Assumption checks are advisory only and land in diagnostics, never gating.
+    A root_tol that is not finite and > 0 is refused before psi is evaluated.
     """
+    _check_root_tol(root_tol)
     if region is None:
         region = auto_region(potential)
     if not region.contains(0j):
@@ -192,12 +190,12 @@ def compute_spectrum(
     except Exception as exc:  # advisory by design
         diagnostics["assumptions"] = f"check failed: {exc}"
 
-    search = _search_region(region, cfg)
+    search = _search_region(region)
     diagnostics["search_region"] = dataclasses.asdict(search)
     handle = CharFunctionHandle(potential, ("plus", "minus") if potential.is_symmetric else ("full",))
     rows = functools.partial(z_value_batch, handle), functools.partial(z_log_derivative_batch, handle)
     records, defect = [], 0.0
-    for branch, found in zip(handle.branch, locate_zeros(*rows, search, cfg)):
+    for branch, found in zip(handle.branch, locate_zeros(*rows, search, root_tol)):
         recs, branch_defect = _collect(branch, found.roots, region)
         records.extend(recs)
         defect = max(defect, branch_defect)
@@ -241,9 +239,7 @@ def rescale_spectrum(result: SpectrumResult, sigma: float) -> SpectrumResult:
         result,
         eigenvalues=tuple(dataclasses.replace(r, gamma=r.gamma / sigma) for r in result.eigenvalues),
         gap=None if result.gap is None else result.gap / sigma,
-        region=ComplexRegion(
-            reg.re_min / sigma, reg.re_max / sigma, reg.im_min / sigma, reg.im_max / sigma, reg.edge_samples
-        ),
+        region=ComplexRegion(reg.re_min / sigma, reg.re_max / sigma, reg.im_min / sigma, reg.im_max / sigma),
         potential_descriptor=f"{result.potential_descriptor} (gamma / {sigma:g})",
         diagnostics={**result.diagnostics, "rescaled_by": sigma},
         potential=scale(result.potential, sigma),

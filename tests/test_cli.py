@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import GAUSSIAN_EIGENVALUES, GAUSSIAN_GAP
+from zigzagspec import rootfinder
+from zigzagspec.charfn import CharFunctionHandle
 from zigzagspec.cli import RunConfig, main, parse_complex, parse_config_text
 
 # a tight region holding just the stationary eigenvalue and the gap pair
@@ -351,6 +353,41 @@ def test_rejects_tol_not_finite_and_positive(command, tol, tmp_path, capsys):
     blob = json.loads(err)["error"]
     assert blob["type"] == "DomainError"
     assert "tol" in blob["message"]
+    assert not out.exists()
+
+
+def test_spectrum_tol_is_refused_before_psi(monkeypatch, capsys):
+    def no_psi(*args, **kwargs):
+        raise AssertionError("psi evaluated despite --tol nan")
+
+    monkeypatch.setattr(CharFunctionHandle, "values_batch", no_psi)
+    code, _, err = run(["spectrum", "--potential", "gaussian:1", "--tol", "nan"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == {"type": "DomainError", "message": "root_tol must be finite and > 0, got nan"}
+
+
+def test_spectrum_tol_reaches_every_polish(monkeypatch, tmp_path, capsys):
+    seen = []
+    orig = rootfinder.newton_polish
+
+    def spy(ld, guess, multiplicity=1, root_tol=1e-10):
+        seen.append(root_tol)
+        return orig(ld, guess, multiplicity, root_tol)
+
+    monkeypatch.setattr(rootfinder, "newton_polish", spy)
+    out = tmp_path / "s.json"
+    code, _, _ = run(["spectrum", "--potential", "gaussian:1", *REGION, "--tol", "1e-12", "--out", str(out)], capsys)
+    assert code == 0
+    assert len(json.loads(out.read_text())["eigenvalues"]) == 3
+    assert seen and set(seen) == {1e-12}
+
+
+def test_simulate_takes_no_tol(tmp_path, capsys):
+    # simulate has no tolerance: its --tol was ignored, and echoed NaN into the JSON
+    out = tmp_path / "sim.json"
+    code, _, err = run(["simulate", "--potential", "gaussian:1", "-T", "100", "--tol", "nan", "--out", str(out)], capsys)
+    assert code == 1
+    assert "--tol" in err
     assert not out.exists()
 
 

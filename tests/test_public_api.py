@@ -18,7 +18,6 @@ PUBLIC = [
     "check_assumptions",
     "CharFunctionHandle",
     "ComplexRegion",
-    "RootfinderConfig",
     "count_zeros",
     "locate_zeros",
     "EigenvalueRecord",

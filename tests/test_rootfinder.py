@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from zigzagspec.errors import DomainError, PolishFailureError, WindingError
+import zigzagspec.rootfinder as rf
+from zigzagspec.errors import DomainError, PolishFailureError, UnresolvedClusterError, WindingError
 from zigzagspec.rootfinder import (
-    DEFAULT_ROOT_CONFIG,
     ComplexRegion,
-    RootfinderConfig,
     count_zeros,
     locate_zeros,
     newton_polish,
@@ -93,8 +92,6 @@ def test_locate_zeros_multiplicity_two():
 
 
 def test_winding_additivity_is_checked_on_every_cut(monkeypatch):
-    import zigzagspec.rootfinder as rf
-
     cuts = []
     orig = rf._split
 
@@ -113,8 +110,6 @@ def test_winding_additivity_is_checked_on_every_cut(monkeypatch):
 
 
 def test_each_contour_segment_is_integrated_once(monkeypatch):
-    import zigzagspec.rootfinder as rf
-
     segments = []
     orig = rf._phase_skeleton
 
@@ -153,8 +148,6 @@ def test_each_contour_segment_is_integrated_once(monkeypatch):
 
 
 def test_a_zero_on_the_centre_line_shifts_the_cut_by_one_unit(monkeypatch):
-    import zigzagspec.rootfinder as rf
-
     cuts = []
     orig = rf._split
 
@@ -172,22 +165,21 @@ def test_a_zero_on_the_centre_line_shifts_the_cut_by_one_unit(monkeypatch):
         rs = locate_zeros(f, ld, region)
         # unit = min(dilation, span / 16) = 1e-4, and +1 unit is the first
         # retry; the requested region is not dilated for an interior line
-        assert cuts[0] == ("re", DEFAULT_ROOT_CONFIG.dilation)
+        assert cuts[0] == ("re", rf._DILATION)
         assert rs.region == region
         assert rs.winding == 2 and len(rs.roots) == 2
         assert min(abs(z - zero) for z in rs.locations()) < 1e-12
 
 
-def test_a_newton_step_leaving_its_box_keeps_the_moment_estimate(monkeypatch):
-    import zigzagspec.rootfinder as rf
-
+def _assert_moment_estimates_kept(monkeypatch, polish):
+    """With rf.newton_polish replaced by `polish`, every root is the box's
+    unpolished first moment, near the polished root."""
     roots = [0.5 + 0.5j, -0.7 + 0.2j, -0.1 - 0.6j]
     f, ld = poly_funcs(roots)
     region = ComplexRegion(-1.5, 1.5, -1.5, 1.5)
     polished = locate_zeros(f, ld, region)
     assert all(r.polished for r in polished.roots)
-    # every Newton result now lands 5 outside the region, so outside its box
-    monkeypatch.setattr(rf, "newton_polish", lambda ld, guess, *a, **k: complex(guess) + 5.0)
+    monkeypatch.setattr(rf, "newton_polish", polish)
     rs = locate_zeros(f, ld, region)
     assert rs.winding == 3 and len(rs.roots) == 3
     for rec, ref in zip(rs.roots, polished.roots):
@@ -197,19 +189,40 @@ def test_a_newton_step_leaving_its_box_keeps_the_moment_estimate(monkeypatch):
         assert rec.residual == abs(f(np.array([rec.location]))[0])
 
 
+def test_a_newton_step_leaving_its_box_keeps_the_moment_estimate(monkeypatch):
+    # every Newton result now lands 5 outside the region, so outside its box
+    _assert_moment_estimates_kept(monkeypatch, lambda ld, guess, *a, **k: complex(guess) + 5.0)
+
+
+def test_a_failed_polish_keeps_the_moment_estimate(monkeypatch):
+    def diverges(ld, guess, *args, **kwargs):
+        raise PolishFailureError(f"Newton diverged from {guess}")
+
+    _assert_moment_estimates_kept(monkeypatch, diverges)
+
+
+def test_a_boundary_zero_in_a_box_below_the_minimum_size_is_unresolved(monkeypatch):
+    # a box that small is never split or dilated: its undetermined winding
+    # is refused, naming the box
+    monkeypatch.setattr(rf, "_MIN_BOX", 10.0)
+    region = ComplexRegion(-1.0, 1.0, -1.0, 1.0)
+    f, ld = poly_funcs([1.0 + 0.3j, 0.0])
+    with pytest.raises(UnresolvedClusterError, match="below the minimum size 10") as err:
+        locate_zeros(f, ld, region)
+    assert err.value.box == region
+
+
 @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
 def test_coarse_start_resolves_a_narrow_peak_near_an_edge(d):
     # a root at distance d from an edge makes f'/f a peak of width d there;
     # the edge quadrature starts on a quarter of the phase skeleton and must
     # still find it, on a horizontal and on a vertical edge, from either side
-    import zigzagspec.rootfinder as rf
-
     inside = [0.3 + (-1.0 + d) * 1j, (1.0 - d) - 0.2j]
     outside = [-0.4 + (-1.0 - d) * 1j, (1.0 + d) + 0.45j]
     f, ld = poly_funcs(inside + outside)
     region = ComplexRegion(-1.0, 1.0, -1.0, 1.0)
     (w_tel,), ((s0,), _, _), _ = rf._contour_moments(
-        rf._as_rows(f, set()), rf._as_rows(ld, set()), region, slice(None), DEFAULT_ROOT_CONFIG, region.edge_samples, {}
+        rf._as_rows(f, set()), rf._as_rows(ld, set()), region, slice(None), {}, rf._EDGE_SAMPLES
     )
     assert round(w_tel) == 2
     assert abs(s0 - w_tel) < 0.05
@@ -247,21 +260,7 @@ def test_region_rejects_degenerate_and_nonfinite_bounds(bounds):
         ComplexRegion(*bounds)
 
 
-@pytest.mark.parametrize("samples", [float("nan"), 10**9, "64", True, 0, 64.0])
-def test_region_rejects_edge_samples_that_are_not_an_integer_in_range(samples):
-    # NaN used to die in int(), 10**9 in a 15 GiB allocation, and "64" passed
-    with pytest.raises(DomainError, match=r"edge_samples must be an integer in \[1, 8192\]"):
-        ComplexRegion(-1.0, 1.0, -1.0, 1.0, samples)
-
-
-@pytest.mark.parametrize("samples", [1, 8192, np.int64(64)])
-def test_region_takes_edge_samples_in_range(samples):
-    assert ComplexRegion(-1.0, 1.0, -1.0, 1.0, samples).edge_samples == samples
-
-
 def test_rows_are_searched_in_one_tree_as_each_alone(monkeypatch):
-    import zigzagspec.rootfinder as rf
-
     cuts = []
     orig = rf._split
 
@@ -311,7 +310,7 @@ def test_newton_polish_refuses_an_iterate_that_never_converged():
     want = r"from 0j did not converge in 50 steps: last iterate 0j, last step 1\.000e\+00"
     with pytest.raises(PolishFailureError, match=want):
         newton_polish(ld, 0j)
-    assert len(calls) == RootfinderConfig().max_newton_iter == 50
+    assert len(calls) == rf._MAX_NEWTON_ITER == 50
 
 
 def test_newton_polish_multiple_root_needs_multiplicity():
@@ -337,17 +336,15 @@ def test_polynomial_suite_small():
             assert best < 1e-9, f"trial {trial}: missed {r} by {best:.2e}"
 
 
-@pytest.mark.parametrize(
-    "field", ["root_tol", "boundary_tol", "min_box_size", "cluster_tol", "dilation"]
-)
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
-def test_config_tolerances_must_be_finite_and_positive(field, value):
-    with pytest.raises(DomainError, match=field):
-        RootfinderConfig(**{field: value})
+@pytest.mark.parametrize("entry", ["locate_zeros", "newton_polish"])
+def test_root_tol_must_be_finite_and_positive(entry, value):
+    # refused by name before f or logderiv is evaluated anywhere
+    def untouched(z):
+        raise AssertionError(f"evaluated at {z} despite root_tol {value!r}")
 
-
-@pytest.mark.parametrize("value", [0, -3, 2.5])
-def test_config_needs_at_least_one_newton_step(value):
-    with pytest.raises(DomainError, match="max_newton_iter"):
-        RootfinderConfig(max_newton_iter=value)
-    assert RootfinderConfig(max_newton_iter=1).max_newton_iter == 1
+    with pytest.raises(DomainError, match=r"root_tol must be finite and > 0"):
+        if entry == "locate_zeros":
+            locate_zeros(untouched, untouched, ComplexRegion(-1.0, 1.0, -1.0, 1.0), root_tol=value)
+        else:
+            newton_polish(untouched, 0.5 + 0.5j, root_tol=value)

@@ -140,10 +140,8 @@ def test_search_region_is_the_upper_half_image(gaussian_spectrum):
         "re_max": 0.1,
         "im_min": -1e-4,
         "im_max": 6.0,
-        "edge_samples": 64,
     }
-    cfg = spectrum.DEFAULT_ROOT_CONFIG
-    straddling = spectrum._search_region(ComplexRegion(-0.9, 0.1, -2.0, 1.0), cfg)
+    straddling = spectrum._search_region(ComplexRegion(-0.9, 0.1, -2.0, 1.0))
     assert (straddling.im_min, straddling.im_max) == (-1e-4, 2.0)
 
 
@@ -226,7 +224,7 @@ def test_joint_search_equals_one_search_per_branch(case):
     else:
         potential = beta_family(2.5) if case.startswith("beta") else custom(np.cosh, np.sinh, label="cosh")
         region = BETA25_REGION
-    search = spectrum._search_region(region, spectrum.DEFAULT_ROOT_CONFIG)
+    search = spectrum._search_region(region)
     joint = CharFunctionHandle(potential, ("plus", "minus"))
     rows = locate_zeros(lambda z: z_value_batch(joint, z), lambda z: z_log_derivative_batch(joint, z), search)
     assert len(rows) == 2
