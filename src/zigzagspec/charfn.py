@@ -20,9 +20,11 @@ for the Gaussian, adaptive quadrature for every other family (``psi`` and
 ``psi_batch`` integrate the U they are given, width included).
 
 Quadrature integrates along the real axis first, with psi and psi' of every
-gamma in a batch from one GK15 panel evaluator: at a node t = c + h x of a
-panel the kernel factors into a real e^{-2 Re(gamma) t - U} per (gamma, node),
-a phasor per (gamma, panel) and one per (gamma, panel width, node).  For
+gamma in a batch from one GK15 panel evaluator.  A pass starts on at least 8
+panels of one width, 2 per period of the batch's fastest oscillation, so few
+evaluator rounds refine it.  At a node t = c + h x of a panel the kernel
+factors into a real e^{-2 Re(gamma) t - U} per (gamma, node), a phasor per
+(gamma, panel) and one per (gamma, panel width, node).  For
 Re gamma < 0 the integrand can peak far above the integral (near e^18 at
 gamma = -3 - 4.5i for the Gaussian), and its panels then retire at the
 roundoff floor short of the requested tolerance max(abs_tol, rel_tol |A|).
@@ -94,6 +96,7 @@ def gaussian_closed_form(gamma):
 # sector's edges are avoided because Re U grows ever more slowly there.
 _RAY_FRACTIONS = np.array([s * k / 10.0 for k in range(1, 10) for s in (1, -1)])
 _STEEP = 64.0  # decay lengths 1 / (2 Re g') the first initial panel of a psi pass may span
+_MIN_INITIAL = 8  # initial panels of a psi pass, at least; and at least 2 per period
 
 
 def _path(potential: PotentialModel, sign: int, phi: float):
@@ -172,9 +175,10 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
     Returns (values, errors), each (2, n): rows A and B, one column per gamma.
     Where the kernel's fall e^{-2 Re(g') t} is steep, the initial panels halve
     towards t = 0 until the first spans at most _STEEP decay lengths.
-    Otherwise the n initial panels (a period each) share one width R / n up
-    to a multiple of 2^-30, so bisections halve it exactly and the evaluator
-    meets few widths; the pass runs to n w >= R, where R's tail bound holds.
+    Otherwise its n >= _MIN_INITIAL initial panels, 2 per period of the fastest
+    |2 Im g'| at least, share one width R / n up to a multiple of 2^-30, so
+    bisections halve it exactly and the evaluator meets few widths; the pass
+    runs to n w >= R, where R's tail bound holds.
     """
     rot = cmath.exp(1j * phi)
     gr = g * rot
@@ -184,7 +188,7 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
         breaks = radius * 0.5 ** np.arange(1, math.ceil(math.log2(steep / _STEEP)) + 1)
         edges = np.asarray(_initial_edges(0.0, radius, oscillation, breaks), dtype=float)
     else:
-        n = min(_MAX_INITIAL, max(1, math.ceil(radius * oscillation / (2.0 * math.pi))))
+        n = min(_MAX_INITIAL, max(_MIN_INITIAL, math.ceil(radius * oscillation / math.pi)))
         edges = math.ldexp(math.ceil(math.ldexp(radius / n, 30)), -30) * np.arange(n + 1.0)
     vals, errs, _ = _adaptive(_kernel_panels(potential, sign, g, phi), edges, cfg)
     vals = vals.reshape(2, g.size)

@@ -9,7 +9,8 @@ Subcommands
 Exit codes: 0 success, 1 usage, 2 numerical failure (machine-readable error
 JSON on stderr), 3 I/O failure.
 
-A config file in key=value form can supply any flag (``--config run.cfg``);
+A config file in key=value form can supply any flag of its subcommand
+(``--config run.cfg``), and a key the subcommand has no flag for is refused;
 explicit flags win over file values.  Outputs carry the full effective
 config and never embed timestamps, so identical inputs give byte-identical
 artifacts.
@@ -29,10 +30,10 @@ import numpy as np
 
 from .charfn import CharFunctionHandle, z_log_derivative_batch
 from .errors import DomainError, ZigzagError
-from .operator import default_grid, eigenfunction_table
+from .operator import _check_gamma_tol, default_grid, eigenfunction_table
 from .perturbation import perturbed_spectrum
 from .potential import PotentialModel, SwitchingRateSpec, parse_potential
-from .rootfinder import ComplexRegion, newton_polish
+from .rootfinder import ComplexRegion, _check_root_tol, newton_polish
 from .spectrum import (
     SpectrumResult,
     auto_region,
@@ -53,8 +54,7 @@ __all__ = ["main", "RunConfig", "parse_complex", "render_svg"]
 # ---------------------------------------------------------------------------
 # config plumbing
 
-_FLOAT_KEYS = {"sigma", "re-min", "re-max", "im-max", "tol", "eps", "T"}
-_INT_KEYS = {"seed"}
+_TYPES = {**dict.fromkeys(("sigma", "re-min", "re-max", "im-max", "tol", "eps", "T"), float), "seed": int}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,9 +74,6 @@ class RunConfig:
     out: Optional[str] = None
     plot: Optional[str] = None
     csv: Optional[str] = None
-
-    def canonical(self) -> dict:
-        return dataclasses.asdict(self)
 
     def to_text(self) -> str:
         lines = []
@@ -109,27 +106,23 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _coerce(key: str, val):
-    if val is None or not isinstance(val, str):
-        return val
+def _coerce(key: str, val: Optional[str]):
     try:
-        if key in _FLOAT_KEYS:
-            return float(val)
-        if key in _INT_KEYS:
-            return int(val)
+        return val if val is None else _TYPES.get(key, str)(val)
     except ValueError as exc:
         raise DomainError(f"config value {key} = {val!r}: {exc}") from exc
-    return val
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_vals = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_vals = parse_config_text(fh.read())
     merged = {}
     for key in _CONFIG_KEYS:
         attr = key.replace("-", "_")
+        if key in file_vals and not hasattr(args, attr):  # it would be echoed, unused
+            raise DomainError(f"config key {key!r} is not a setting of {args.command}")
         flag_val = getattr(args, attr, None)
         merged[attr] = flag_val if flag_val is not None else _coerce(key, file_vals.get(key))
     return RunConfig(**merged)
@@ -181,7 +174,7 @@ def _spectrum_payload(result: SpectrumResult, cfg: RunConfig) -> dict:
         ],
         "gap": result.gap,
         "diagnostics": _jsonable(result.diagnostics),
-        "config": cfg.canonical(),
+        "config": dataclasses.asdict(cfg),
     }
 
 
@@ -305,8 +298,10 @@ def _resolve_region(cfg: RunConfig, potential: PotentialModel):
 
 def _base_spectrum(cfg: RunConfig, parser) -> SpectrumResult:
     potential = parse_potential(_require(cfg, "potential", parser))
-    region = _resolve_region(cfg, potential)
     tol = {} if cfg.tol is None else {"root_tol": cfg.tol}
+    if tol:  # refused before _resolve_region's ladder evaluates psi
+        _check_root_tol(cfg.tol)
+    region = _resolve_region(cfg, potential)
     return compute_spectrum(potential, region, **tol)
 
 
@@ -349,10 +344,11 @@ def cmd_perturb(cfg: RunConfig, parser) -> int:
 def cmd_eigfun(cfg: RunConfig, parser) -> int:
     potential = parse_potential(_require(cfg, "potential", parser))
     guess = parse_complex(_require(cfg, "gamma", parser))
+    tol = cfg.tol if cfg.tol is not None else 1e-8
+    _check_gamma_tol(guess, tol)  # eigenfunction_table's refusal, before Newton evaluates psi
     ld = functools.partial(z_log_derivative_batch, CharFunctionHandle(potential))
     gamma = newton_polish(ld, guess)
     xs = default_grid(potential)
-    tol = cfg.tol if cfg.tol is not None else 1e-8
     table = eigenfunction_table(potential, gamma, xs, tol=tol)
     lines = ["x,re_plus,im_plus,re_minus,im_minus"] + [",".join(repr(float(v)) for v in row) for row in table]
     _emit_text("\n".join(lines) + "\n", cfg.csv)
@@ -363,7 +359,7 @@ def cmd_eigfun(cfg: RunConfig, parser) -> int:
                 "polished_from": {"re": guess.real, "im": guess.imag},
                 "rows": len(lines) - 1,
                 "csv": cfg.csv,
-                "config": cfg.canonical(),
+                "config": dataclasses.asdict(cfg),
             },
             cfg.out,
         )
@@ -396,7 +392,7 @@ def cmd_simulate(cfg: RunConfig, parser) -> int:
         "velocity_fraction_plus": path.time_with_theta_plus() / path.horizon,
         "occupation_positive": path.time_above_zero() / path.horizon,
         "acf": acf_block,
-        "config": cfg.canonical(),
+        "config": dataclasses.asdict(cfg),
     }
     _emit_json(payload, cfg.out)
     if cfg.csv:
@@ -450,7 +446,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--re-max", type=float, dest="re_max")
     sp.add_argument("--im-max", type=float, dest="im_max")
     sp.add_argument("--plot", help="SVG scatter with perturbation arrows")
-    sp.set_defaults(func=cmd_perturb)
+    sp.set_defaults(func=cmd_perturb, sigma=None)  # no flag; a config file's sigma meets cmd_perturb's hint
 
     sp = sub.add_parser("eigfun", help="eigenfunction table at one eigenvalue")
     _add_common(sp)

@@ -470,6 +470,39 @@ def test_psi_passes_meet_few_distinct_panel_widths(monkeypatch):
     assert np.mean(widths) <= 1.1
 
 
+def _evaluator_calls(monkeypatch):
+    """The panel count of each call of every psi pass's GK15 evaluator, from now on."""
+    calls, make = [], charfn._kernel_panels
+
+    def counted(*args):
+        panels = make(*args)
+
+        def call(a, b):
+            calls.append(a.size)
+            return panels(a, b)
+
+        return call
+
+    monkeypatch.setattr(charfn, "_kernel_panels", counted)
+    return calls
+
+
+def test_psi_passes_start_on_panels_that_resolve_their_batch(monkeypatch):
+    # a pass starts on at least 8 panels and 2 per period of its fastest
+    # oscillation, so refinement takes few evaluator rounds: the beta:2.5
+    # benchmark region made 149 calls on 804 panels at 1 panel per period
+    calls = _evaluator_calls(monkeypatch)
+    compute_spectrum(beta_family(2.5), ComplexRegion(-1.5, 0.1, -3.0, 3.0))
+    assert len(calls) <= 80 and sum(calls) <= 804
+
+
+def test_a_one_gamma_pass_near_the_real_axis_starts_resolved(monkeypatch):
+    # it once started on a single panel and took 4 evaluator rounds
+    calls = _evaluator_calls(monkeypatch)
+    psi_batch(beta_family(2.5), +1, [-0.5 + 1e-4j])
+    assert len(calls) <= 2
+
+
 NON_FINITE = [complex(0.0, math.inf), complex(math.nan, 0.0), complex(-math.inf, 1.0)]
 
 

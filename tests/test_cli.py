@@ -366,6 +366,34 @@ def test_spectrum_tol_is_refused_before_psi(monkeypatch, capsys):
     assert json.loads(err)["error"] == {"type": "DomainError", "message": "root_tol must be finite and > 0, got nan"}
 
 
+TOL_REFUSALS = {
+    "spectrum": ["--re-min", "-1"],  # a region that climbs auto_region's ladder
+    "perturb": ["--eps", "0.5", "--re-min", "-1"],
+    "eigfun": ["--gamma", "-0.4+1.0i"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(TOL_REFUSALS))
+def test_a_bad_tol_is_refused_before_any_psi(command, source, monkeypatch, tmp_path, capsys):
+    calls = []
+    values_batch = CharFunctionHandle.values_batch
+
+    def spy(self, gammas):
+        calls.append(self)
+        return values_batch(self, gammas)
+
+    monkeypatch.setattr(CharFunctionHandle, "values_batch", spy)
+    cfgfile = tmp_path / "tol.cfg"
+    cfgfile.write_text("tol = nan\n")
+    tol = ["--tol", "nan"] if source == "flag" else ["--config", str(cfgfile)]
+    code, out, err = run([command, "--potential", "beta:2.5", *TOL_REFUSALS[command], *tol], capsys)
+    assert code == 2 and out == ""
+    name = "tol" if command == "eigfun" else "root_tol"  # eigfun keeps eigenfunction_table's wording
+    assert json.loads(err)["error"] == {"type": "DomainError", "message": f"{name} must be finite and > 0, got nan"}
+    assert calls == []
+
+
 def test_spectrum_tol_reaches_every_polish(monkeypatch, tmp_path, capsys):
     seen = []
     orig = rootfinder.newton_polish
@@ -487,3 +515,19 @@ def test_malformed_config_value_is_numerical_error(text, command, message, tmp_p
     code, out, err = run([command, "--config", str(bad)], capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text,command,args",
+    [("tol = nan\n", "simulate", ["-T", "100"]), ("eps = 0.3\n", "spectrum", list(REGION))],
+    ids=["simulate-tol", "spectrum-eps"],
+)
+def test_a_config_key_the_subcommand_has_no_flag_for_is_refused(text, command, args, tmp_path, capsys):
+    # such a key was taken and echoed unused: simulate wrote "tol": NaN, invalid JSON
+    cfgfile = tmp_path / "extra.cfg"
+    cfgfile.write_text(text)
+    out = tmp_path / "out.json"
+    code, _, err = run([command, "--potential", "gaussian:1", *args, "--config", str(cfgfile), "--out", str(out)], capsys)
+    assert code == 2 and not out.exists()
+    key = text.split(" = ")[0]
+    assert json.loads(err)["error"] == {"type": "DomainError", "message": f"config key {key!r} is not a setting of {command}"}

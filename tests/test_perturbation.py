@@ -273,36 +273,12 @@ def test_unresolved_upper_member_leaves_the_lower_one_its_own_path(
     assert lower.coefficient == refreshment_coefficient(gaussian_potential, lower.gamma)
 
 
-# coefficients that perturbed_spectrum(base, 0.5, potential=model) returned
-# when the model still had to be passed next to a result whose descriptor
-# does not parse back; the result now carries its model
+# models whose descriptor does not parse back: the result carries its model
 _SMALL = ComplexRegion(-0.9, 0.1, -1.6, 1.6)
-_SUPPLIED_MODEL_COEFFICIENTS = {
-    "custom x^2/2": [
-        (2.220446049250313e-16 + 0j),
-        (-1.2367835094586117 + 0.35574346449026967j),
-        (-1.2367835094586117 - 0.35574346449026967j),
-    ],
-    "scale(beta:2.5, 2)": [
-        0j,
-        (-1.1560230884087053 + 0.3068064762761875j),
-        (-1.1560230884087053 - 0.3068064762761875j),
-        (-1.3690450274454682 + 0.4253493012364067j),
-        (-1.3690450274454682 - 0.4253493012364067j),
-        (-1.4856833597282182 + 0.45427549936440015j),
-        (-1.4856833597282182 - 0.45427549936440015j),
-        (-1.5817553868722212 + 0.47038773943436024j),
-        (-1.5817553868722212 - 0.47038773943436024j),
-    ],
-    "rescaled gaussian:1": [
-        0j,
-        (-1.2367835094586141 + 0.3557434644902692j),
-        (-1.2367835094586141 - 0.3557434644902692j),
-    ],
-}
+_UNPARSABLE = ["custom x^2/2", "rescaled gaussian:1", "scale(beta:2.5, 2)"]
 
 
-@pytest.mark.parametrize("case", sorted(_SUPPLIED_MODEL_COEFFICIENTS))
+@pytest.mark.parametrize("case", _UNPARSABLE)
 def test_models_without_a_parsable_descriptor_perturb_from_the_result(case):
     if case == "custom x^2/2":
         a = np.asarray
@@ -312,4 +288,14 @@ def test_models_without_a_parsable_descriptor_perturb_from_the_result(case):
     else:
         base = rescale_spectrum(compute_spectrum(gaussian(1.0), _SMALL), 2.0)
     p = perturbed_spectrum(base, 0.5)
-    assert repr([e.coefficient for e in p.entries]) == repr(_SUPPLIED_MODEL_COEFFICIENTS[case])
+    # each coefficient is base.potential's own, the lower member of a pair the
+    # conjugate of its upper one's
+    upper = {r.gamma: refreshment_coefficient(base.potential, r.gamma) for r in base.eigenvalues if r.gamma.imag >= 0}
+    want = [upper[g] if g in upper else upper[g.conjugate()].conjugate() for g in (e.gamma for e in p.entries)]
+    assert repr([e.coefficient for e in p.entries]) == repr(want)
+    if case == "custom x^2/2":  # x^2/2 is the Gaussian: its rightmost pair moves as gaussian:1's
+        gauss = perturbed_spectrum(compute_spectrum(gaussian(1.0), _SMALL), 0.5)
+        pair = [(e.gamma, e.coefficient) for e in p.entries if e.gamma != 0]
+        for (g, mu), e in zip(pair, (e for e in gauss.entries if e.gamma != 0)):
+            assert abs(g - e.gamma) <= 1e-12 and abs(mu - e.coefficient) <= 1e-12
+        assert len(pair) == 2
