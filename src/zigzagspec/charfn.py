@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, NearZeroError
 from .potential import PotentialModel
-from .quadrature import _BLOCK, _EPS, _GAUSS_W, _KRONROD_W, _NODES, _RADII, _adaptive, _cut, _initial_edges, _table
+from .quadrature import _BLOCK, _EPS, _KD, _NODES, _RADII, _adaptive, _cut, _initial_edges, _table
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _MAX_INITIAL, _tolerance, integrate_finite, truncation_radius
 from .specialfn import erfcx_complex
 
@@ -110,9 +110,6 @@ def _path(potential: PotentialModel, sign: int, phi: float):
         return (lambda t: t), w_of, 1.0
     rot = cmath.exp(1j * phi)
     return (lambda t: rot * t), w_of, rot
-
-
-_KD = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W])  # GK15 rows: Kronrod, and the error estimate
 
 
 def _kernel_panels(potential, sign, g, phi):

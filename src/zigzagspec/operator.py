@@ -16,9 +16,12 @@ usable for the Gaussian where e^{U} alone would reach 1e31.
 
 The resolvent uses the same w: on the outward half lines f is written as
 a plain decaying integral of (h + U' f_other) instead of the cancellation-
-prone constant-minus-cumulative form, summed by one GK15 sweep whose nodes
-read h and the inward cumulative from their own grid cell (no search), and
-which refuses a grid too coarse for gamma.  The spectral projection at a simple
+prone constant-minus-cumulative form, summed by one GK15 sweep over h's grid
+cells.  Its integrands factor into per-cell coefficients, per-width complex
+columns and real per-node tables (e^{-U} and U' relative to the cell's left
+node), so a block of cells of one width is one real matmul; the roundoff
+floor, which does not factor, is taken from node values only where it can
+refuse a grid too coarse for gamma.  The spectral projection at a simple
 root is the resolvent's residue there (Kato, Perturbation Theory for Linear
 Operators, III.6.5): its numerator is the pair of half-line sums the
 resolvent forms, and its denominator <f, F conj f> is Z'(gamma) / psi-(gamma)
@@ -46,6 +49,7 @@ from .potential import PotentialModel, SwitchingRateSpec, switching_rate
 from .quadrature import (
     DEFAULT_CONFIG,
     _BLOCK,
+    _KD,
     _NODES,
     _gk_reduce,
     _panels,
@@ -446,45 +450,78 @@ def inner_product_nu(
 
 # -------------------------------------------------------------------- resolvent
 
-def _outward_cells(potential, gamma, side, xs, own, other):
-    """One 2-row GK15 sweep over the cells xs of the outward half line side.
+def _outward_cells(potential, gamma, side, xs, own, other, r):
+    """(k, inner, a cells, w cells, tail factor) from one GK15 sweep over the cells xs of the outward half line side.
 
     side +1 is x >= 0, side -1 is x <= 0; own and other hold h^side and
     h^-side at the nodes.  The rows are pt's integrand w (see _w) and the
     k-integrand a = e^{-side gamma xi - U} h^side + w inner, inner the inward
     cumulative C^-(xi) = int_0^xi e^{gamma eta} h^- (side +1) or
     D^+(xi) = int_xi^0 e^{-gamma eta} h^+ (side -1), exact for piecewise-
-    linear h through each cell's moments phi1/phi2.  Every GK node
-    xi = x_i + t sits at one of 15 offsets t of its cell's width, so h and
-    inner come from the cell's own node values, phi and e^{-side gamma t}
-    are taken at the offsets of each distinct width only (a default grid has
-    one per half line), and e^{-U} is a real exponential.  Returns (inner at
-    the nodes, *_gk_reduce's K, E, N) with rows (a, w).
+    linear h through each cell's moments phi1/phi2.  At a node x_i + t both
+    rows factor into complex coefficients per cell, complex columns per cell
+    width and node (e^{-g t}, t e^{-g t}; e^{-2 g t} times 1, phi1, phi2;
+    g = side gamma) and real tables per node (e^{U(x_i) - U}, side U' times
+    it), so a block of cells gets K and K - G from one real matmul, as psi's
+    kernel does.  k adds the tail past +-r, inner there times
+    e^{-2 gamma r - U} pt^side; IntegrationError names gamma and the half line
+    unless its |K - G| passes _adaptive's rule.  The roundoff floor does not
+    factor: a node pass takes it only where |K - G| > max(abs_tol,
+    rel_tol |k|), the one case where it can change the verdict, or where k is
+    not finite, so that _gk_reduce names the first non-finite node.
     """
     g, tau = side * gamma, np.diff(xs)
     widths, cells = np.unique(tau, return_inverse=True)
     off = widths[:, None] * np.append(0.5 + 0.5 * _NODES, 1.0)  # the 15 GK offsets, then the width
     p1, p2 = _phi12(g * off)
     p1, p2, off = off * p1, off * off * p2, off[:, :15]
-    step, x0, v, dv = np.exp(-g * off), xs[:-1], other[:-1], np.diff(other) / tau
+    x0, u0, v, dv = xs[:-1], potential.U(xs[:-1]), other[:-1], np.diff(other) / tau
     grow = np.exp(g * x0)
     cell = grow * (v * p1[cells, 15] + dv * p2[cells, 15])  # the inward cumulative across each cell
     # summed from 0 outward on both sides: the cells near 0 are the small ones
     inner = np.append(0j, np.cumsum(cell)) if side > 0 else np.append(np.cumsum(cell[::-1])[::-1], 0j)
-    # per cell: e^{-side gamma x_i}, h^side and its slope, inner at x_i and
-    # the coefficients of phi1 and phi2 in inner's growth across the cell
-    cols = (np.exp(-g * x0), own[:-1], np.diff(own) / tau, inner[:-1], side * grow * v, side * grow * dv)
+    lead = np.exp(-g * x0 - u0)  # e^{-g x_i - U(x_i)}, and w's coefficient lead / grow
+    coef = np.stack([own[:-1], np.diff(own) / tau, inner[:-1] / grow, side * v, side * dv], 1) * lead[:, None]
+    e1 = np.exp(-g * off)
+    e2 = e1 * e1
+    cols = np.stack([e1, off * e1, e2, e2 * p1[:, :15], e2 * p2[:, :15]], -1)  # (widths, 15 nodes, 5)
+    # the commonest width's h _KD-weighted columns, block-diagonal: table 1 takes columns 0-1, table 2 2-4
+    top = np.bincount(cells).argmax()
+    mat = cols[top, :, None] * (0.5 * widths[top] * _KD.T[:, :, None]) * np.repeat(np.eye(2), (2, 3), 1)[:, None, None]
+    mat = mat.reshape(30, 10).view(float)
+    blocks = [slice(i, i + _BLOCK) for i in range(0, x0.size, _BLOCK)]
+
+    def tables(c):  # the nodes of the cells c and their real tables, (cells, 2, 15)
+        xi = x0[c, None] + off[cells[c]]
+        rt = np.exp(u0[c, None] - potential.U(xi))
+        return xi, np.stack([rt, side * potential.dU(xi) * rt], 1)
+
+    def floor(c):  # the summed roundoff floor of a on the cells c, from its node values
+        (xi, tab), terms = tables(c), coef[c, None] * cols[cells[c]]
+        a = tab[:, 0] * terms[..., :2].sum(-1) + tab[:, 1] * terms[..., 2:].sum(-1)
+        return np.sum(_gk_reduce(a.ravel(), 0.5 * tau[c], xi.ravel())[2])
+
     parts = []
-    for i in range(0, x0.size, _BLOCK):
-        c, j = slice(i, i + _BLOCK), cells[i : i + _BLOCK]
-        lead, h0, hs, k0, kv, ks = (col[c, None] for col in cols)
-        t, xi = off[j], x0[c, None] + off[j]
-        eg = lead * step[j]  # e^{-side gamma xi}
-        ea = eg * np.exp(-potential.U(xi))
-        ws = side * potential.dU(xi) * eg * ea
-        a = ea * (h0 + hs * t) + ws * (k0 + kv * p1[j, :15] + ks * p2[j, :15])
-        parts.append(_gk_reduce(np.stack([a, ws]).reshape(2, -1), 0.5 * tau[c], xi.ravel())[:3])
-    return (inner, *(np.concatenate(p) for p in zip(*parts)))
+    for c in blocks:
+        tab, j = tables(c)[1], cells[c]
+        if np.all(j == top):  # the block's tables in one matmul
+            sums = (tab.reshape(-1, 30) @ mat).view(complex).reshape(-1, 2, 5)
+        else:  # each cell against the columns of its own width, the weights on its tables
+            tab = tab[:, :, None] * (0.5 * tau[c][:, None, None, None] * _KD)
+            sums = (tab.reshape(-1, 4, 15) @ cols[j].view(float)).reshape(-1, 2, 2, 10).view(complex)
+            sums = np.concatenate([sums[:, 0, :, :2], sums[:, 1, :, 2:]], -1)  # each column on its own table
+        ka, da = np.einsum("csk,ck->sc", sums, coef[c])  # sums: (cells, [K, K - G], column)
+        parts.append((ka, lead[c] / grow[c] * sums[:, 0, 2], np.abs(da)))
+    a, w, err = (np.concatenate(p) for p in zip(*parts))
+    fac = np.exp(-2.0 * gamma * r - float(potential.U(side * r))) * complex(psi_tilde(potential, gamma, side * r, side))
+    k, err = complex(np.sum(a) + inner[-1 if side > 0 else 0] * fac), float(np.sum(err))
+    tol = float(_tolerance(k, 0.0, DEFAULT_CONFIG))
+    if err > tol or not np.isfinite(k):
+        tol = float(_tolerance(k, sum(floor(c) for c in blocks), DEFAULT_CONFIG))
+    if err > tol:
+        msg = f"resolvent at gamma={gamma} on the half line x {'>=' if side > 0 else '<='} 0"
+        raise IntegrationError(f"{msg} misses its tolerance: error {err:.2e} > {tol:.2e} (grid too coarse)", location=float(side * r))
+    return k, inner, a, w, fac
 
 
 def _resolvent_sums(potential, gamma, h):
@@ -493,33 +530,21 @@ def _resolvent_sums(potential, gamma, h):
     k1 = int_{x >= 0} e^{-gamma x - U} (h+ + h- pt+) dx and
     k2 = int_{x <= 0} e^{gamma x - U} (h- + h+ pt-) dx pair h with the
     solutions that decay on each half line; each is, by Fubini, one
-    _outward_cells sweep on h's grid plus the tail past +-R, the inward
-    cumulative there times e^{-2 gamma R - U(+-R)} pt^+-(gamma; +-R).  A
-    half line whose summed |K - G| misses _adaptive's acceptance rule for
-    its sum raises IntegrationError naming gamma and the half line.  pos and
-    neg are (nodes, C^- or D^+ there, a cells, w cells, tail factor) for
-    apply_resolvent.  A grid without x = 0 gets that node, h interpolated
-    there, so the piecewise-linear h is unchanged.
+    _outward_cells sweep on h's grid, which refuses a grid too coarse for
+    gamma.  pos and neg are (nodes, C^- or D^+ there, a cells, w cells, tail
+    factor) for apply_resolvent.  A grid without x = 0 gets that node, h
+    interpolated there, so the piecewise-linear h is unchanged.
     """
     xs, plus, minus = h.xs, h.plus, h.minus
     mid = int(np.searchsorted(xs, 0.0))
     if xs[mid] != 0.0:
         zero = (0.0, h(0.0, +1), h(0.0, -1))
         xs, plus, minus = (np.insert(v, mid, v0) for v, v0 in zip((xs, plus, minus), zero))
-    r, out = h.radius, []
+    out = []
     for side, half in ((+1, slice(mid, None)), (-1, slice(0, mid + 1))):
         own, other = (plus, minus) if side > 0 else (minus, plus)
-        inner, *cells = _outward_cells(potential, gamma, side, xs[half], own[half], other[half])
-        (a, w), (err, _), (floor, _) = (v.T for v in cells)
-        pt_r = complex(psi_tilde(potential, gamma, side * r, side))
-        fac = np.exp(-2.0 * gamma * r - float(potential.U(side * r))) * pt_r
-        k = complex(np.sum(a) + inner[-1 if side > 0 else 0] * fac)
-        err, tol = float(np.sum(err)), float(_tolerance(k, np.sum(floor), DEFAULT_CONFIG))
-        if err > tol:
-            msg = f"resolvent at gamma={gamma} on the half line x {'>=' if side > 0 else '<='} 0"
-            msg = f"{msg} misses its tolerance: error {err:.2e} > {tol:.2e} (grid too coarse)"
-            raise IntegrationError(msg, location=float(side * r))
-        out.append((k, (xs[half], inner, a, w, fac)))
+        k, *sweep = _outward_cells(potential, gamma, side, xs[half], own[half], other[half], h.radius)
+        out.append((k, (xs[half], *sweep)))
     (k1, pos), (k2, neg) = out
     return k1, k2, pos, neg
 

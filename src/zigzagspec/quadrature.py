@@ -86,6 +86,7 @@ for _i, _w in zip((1, 3, 5), _WG[:3]):
     _GAUSS_W[_i] = _w
     _GAUSS_W[14 - _i] = _w
 _GAUSS_W[7] = _WG[3]
+_KD = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W])  # GK15 rows: Kronrod, and the error estimate
 
 _MAX_PANELS = 20000
 _MAX_INITIAL = 512

@@ -572,6 +572,74 @@ def test_resolvent_refuses_a_grid_too_coarse_for_gamma(gaussian_potential, monke
     assert np.max(np.abs(got - want)) > 1e-6 * np.max(np.abs(want))
 
 
+def test_resolvent_names_the_first_non_finite_node_of_a_custom_well():
+    # U' is nan on (3, 3.01): the factored sums of that block turn nan, and
+    # its node pass names the first GK node past 3, as a node-wise sweep does
+    pot = custom(lambda x: 0.5 * np.asarray(x) ** 2, lambda x: np.where((x > 3.0) & (x < 3.01), np.nan, x))
+    h = GridFunction.from_callable(pot, lambda x, th: (1.0 + x) * np.exp(-x * x / 2.5))
+    for call in (apply_resolvent, k_coefficients):
+        with pytest.raises(IntegrationError, match=r"non-finite integrand sample near x = 3\.00005$") as err:
+            call(pot, 1.0 + 0.5j, h)
+        assert err.value.location == 3.0000540105173332
+
+
+def _counted_node_passes(monkeypatch):
+    # the sweep reduces node values through _gk_reduce only in its node pass
+    calls = []
+    gk_reduce = operator._gk_reduce
+
+    def counted(v, h, x):
+        calls.append(h.size)
+        return gk_reduce(v, h, x)
+
+    monkeypatch.setattr(operator, "_gk_reduce", counted)
+    return calls
+
+
+def test_the_resolvent_takes_no_floor_pass_where_the_floor_cannot_matter(gaussian_potential, monkeypatch):
+    # the roundoff floor does not factor, so the sweep takes it from the node
+    # values only where |K - G| exceeds max(abs_tol, rel_tol |k|): never at
+    # criterion 07's points on the default grids, and on the too-coarse grid,
+    # which still refuses
+    calls = _counted_node_passes(monkeypatch)
+    for pot in (gaussian_potential, beta_family(2.5)):
+        h = _seeded_input(pot, 3)
+        for z in (2.0 + 0.0j, 1.0 + 0.5j, 0.25 - 1.0j):
+            apply_resolvent(pot, z, h)
+    assert calls == []
+    fine = _seeded_input(gaussian_potential, 3)
+    coarse = GridFunction(fine.xs[::1024], fine.plus[::1024], fine.minus[::1024])
+    with pytest.raises(IntegrationError, match="grid too coarse"):
+        k_coefficients(gaussian_potential, 1.0 + 4.0j, coarse)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("descriptor", ["gaussian:1", "beta:2", "beta:3"])
+def test_the_resolvent_verdict_at_negative_re_gamma_is_the_node_wise_rule(descriptor, monkeypatch):
+    # on the gammas of the negative-Re-gamma test, each accept or refuse
+    # equals the one that always takes the floor, _tolerance(k, sum of floors)
+    pot = parse_potential(descriptor)
+    h = GridFunction.from_callable(pot, lambda x, th: (1.0 + x) * np.exp(-x * x / 2.5))
+
+    def verdicts():
+        out = []
+        for real in (-0.5, -1.0, -2.0, -3.0, -5.0, -8.0):
+            try:
+                out.append(k_coefficients(pot, complex(real, 0.5), h))
+            except (DomainError, IntegrationError) as err:
+                out.append(str(err))
+        return out
+
+    calls = _counted_node_passes(monkeypatch)
+    lazy = verdicts()
+    assert calls == []
+    tolerance = operator._tolerance  # a floorless bound of 0 forces the node pass
+    monkeypatch.setattr(operator, "_tolerance", lambda v, floor, cfg: tolerance(v, floor, cfg) if np.any(floor) else 0.0)
+    assert verdicts() == lazy
+    accepted = sum(not isinstance(v, str) for v in lazy)
+    assert accepted >= 3 and len(calls) >= 2 * accepted
+
+
 def test_resolvent_rejects_spectrum_points(gaussian_potential):
     ones = GridFunction.from_callable(
         gaussian_potential, lambda x, th: np.ones_like(np.asarray(x, dtype=float))
@@ -703,10 +771,12 @@ def _oracle_projection(pot, gamma, h):
 
 
 def _oracle_k(pot, gamma, h):
-    # the per-node route to k+-: GK15 on each cell of h's grid of
-    # e^{-side gamma x - U} (h^side + h^-side pt^side) on each half line
+    # the per-node route to k+-: GK15 on each cell of h's grid, 0 added as an
+    # edge (each half line ends there), of e^{-side gamma x - U}
+    # (h^side + h^-side pt^side) on each half line
     def half_line(side):
-        x = np.sort(h.xs[h.xs * side >= 0.0])
+        x = np.union1d(h.xs, [0.0])
+        x = x[x * side >= 0.0]
         row = lambda x: np.exp(-side * gamma * x - pot.U(x)) * (
             h(x, side) + h(x, -side) * psi_tilde(pot, gamma, x, side)
         )
@@ -756,9 +826,11 @@ def test_grid_projection_matches_the_per_node_route(family, beta25_spectrum):
             got, _ = spectral_projection(pot, g, h)
             want = _oracle_projection(pot, g, h)
             assert abs(got - want) <= 1e-12 * abs(want)
-    # k+- on the graded grid, off the spectrum, against the per-node route
-    got, want = np.array(k_coefficients(pot, 1.0 + 0.5j, hs[2])), np.array(_oracle_k(pot, 1.0 + 0.5j, hs[2]))
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # k+- at criterion 07's points, off the spectrum, against the per-node route
+    for z in (2.0 + 0.0j, 1.0 + 0.5j, 0.25 - 1.0j):
+        for h in hs:
+            got, want = np.array(k_coefficients(pot, z, h)), np.array(_oracle_k(pot, z, h))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the resolvent itself still needs the x = 0 node
     with pytest.raises(DomainError, match="x = 0"):
         apply_resolvent(pot, 1.0 + 0.5j, hs[1])
