@@ -22,18 +22,17 @@ for the Gaussian, adaptive quadrature for every other family (``psi`` and
 Quadrature integrates along the real axis first, with psi and psi' of every
 gamma in a batch from one GK15 panel evaluator.  A pass starts on at least 8
 panels of one width, 2 per period of the batch's fastest oscillation, so few
-evaluator rounds refine it.  At a node t = c + h x of a panel the kernel
-factors into a real e^{-2 Re(gamma) t - U} per (gamma, node), a phasor per
-(gamma, panel) and one per (gamma, panel width, node).  For
-Re gamma < 0 the integrand can peak far above the integral (near e^18 at
-gamma = -3 - 4.5i for the Gaussian), and its panels then retire at the
-roundoff floor short of the requested tolerance max(abs_tol, rel_tol |A|).
-Such a gamma is integrated again along its best ray u = t e^{i phi} inside
-the potential's ``ray_sector`` (Cauchy's theorem moves the path; see
-Trefethen & Weideman, SIAM Rev. 2014), the one with the lowest envelope peak
-in a table of Re U at the ray angles and quadrature's radii; the missed
-gammas on one angle share one pass.  Where that ray misses too, or no ray
-suits (a custom U has none), psi raises IntegrationError naming the cause.
+evaluator rounds refine it.  Its kernel factors into tables per (gamma,
+panel), (gamma, panel width, node) and (panel, node), summed by matmul, on the
+real axis and on rays alike.  For Re gamma < 0 the integrand can peak far
+above the integral (near e^18 at gamma = -3 - 4.5i for the Gaussian), and its
+panels then retire at the roundoff floor short of the requested tolerance
+max(abs_tol, rel_tol |A|).  Such a gamma is integrated again along its best ray
+u = t e^{i phi} inside the potential's ``ray_sector`` (Cauchy's theorem moves
+the path; see Trefethen & Weideman, SIAM Rev. 2014), the one with the lowest
+envelope peak in a table of Re U at the ray angles and quadrature's radii; the
+missed gammas on one angle share one pass.  Where that ray misses too, or no
+ray suits (a custom U has none), psi raises IntegrationError naming the cause.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, NearZeroError
 from .potential import PotentialModel
-from .quadrature import _BLOCK, _EPS, _KD, _NODES, _RADII, _adaptive, _cut, _initial_edges, _table
+from .quadrature import _BLOCK, _EPS, _KD, _NODES, _RADII, _adaptive, _cut, _gk_reduce, _initial_edges, _table
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _MAX_INITIAL, _tolerance, integrate_finite, truncation_radius
 from .specialfn import erfcx_complex
 
@@ -97,6 +96,7 @@ def gaussian_closed_form(gamma):
 _RAY_FRACTIONS = np.array([s * k / 10.0 for k in range(1, 10) for s in (1, -1)])
 _STEEP = 64.0  # decay lengths 1 / (2 Re g') the first initial panel of a psi pass may span
 _MIN_INITIAL = 8  # initial panels of a psi pass, at least; and at least 2 per period
+_LOG_TINY = math.log(np.finfo(float).tiny)  # e^x is subnormal below it
 
 
 def _path(potential: PotentialModel, sign: int, phi: float):
@@ -116,21 +116,18 @@ def _kernel_panels(potential, sign, g, phi):
     """GK15 panel evaluator panels(a, b) -> (K, E, N, True) of A and B for
     every gamma in g on the ray u = t e^{i phi}, shaped (panels, 2 n): A's
     rows, then those of INT t k dt (B without its e^{2 i phi}).  With
-    g' = gamma e^{i phi}, k = e^{-2 gamma u - W} at t = c + h x is
-
-        e^{-2 Re(g') t - Re W(u)} e^{-2i Im(g') c} e^{-2i Im(g') h x} e^{-i Im W(u)},
-
-    W's phase joining the node's on a ray (one gamma).  One matmul against
-    rows h w_j and h w_j t_j (w: Kronrod, Kronrod - Gauss) gives both rows'
-    sums and errors, and |k|, the real factor, gives the roundoff floors.
+    s = -2 gamma e^{i phi}, k = e^{s t - W(u)} at t = c + h x is the product
+    e^{s c - W(u_c)} e^{s h x} e^{-(W(u) - W(u_c))}, u_c at the panel's centre
+    (GK15's node 7, x = 0).  Per width, one matmul of the rows h w_j, h w_j t_j
+    (w: Kronrod, Kronrod - Gauss) times the last factor against the middle one
+    gives both rows' sums and errors, and a real one on moduli the floors.  A
+    panel whose nodes may be subnormal, or whose floor is not finite as its
+    factors leave float range (|Re s| h or Re W's spread over it too large),
+    takes k node by node through _gk_reduce, naming a non-finite sample.
     """
-    rot = cmath.exp(1j * phi)
-    gr = g if phi == 0.0 else g * rot
-    fall = -2.0 * gr.real
-    turn = -2.0j * gr.imag  # i times the phase rate -2 Im(g')
-    spin = np.multiply.outer(_NODES, turn)
-    _, w_of, _ = _path(potential, sign, phi)
-    n = g.size
+    u_of, w_of, rot = _path(potential, sign, phi)
+    s, n = -2.0 * g * rot, g.size
+    fall, low = float(np.abs(s.real).max()), float(s.real.min())
 
     def panels(a, b):
         if a.size > _BLOCK:  # blocks keep every temporary small, as in quadrature._panels
@@ -138,29 +135,31 @@ def _kernel_panels(potential, sign, g, phi):
             return (*map(np.concatenate, parts), True)
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         t = c[:, None] + h[:, None] * _NODES
-        w = w_of(t) if phi == 0.0 else w_of(rot * t)
-        mag = np.multiply.outer(t, fall)
-        mag -= w.real[:, :, None]
-        np.exp(mag, out=mag)
-        if phi != 0.0:
-            phasor = np.exp(h[:, None, None] * spin - 1j * w.imag[:, :, None])
-        else:
-            width = sorted(set(h.tolist()))
-            phasor = np.exp(np.multiply.outer(width, spin))
-            if len(width) > 1:
-                phasor = phasor[np.searchsorted(width, h)]
-        kern = mag * phasor
-        rows = np.empty((a.size, 2, 2, _NODES.size))
-        np.multiply(h[:, None, None], _KD, out=rows[:, :, 0])
-        np.multiply((h[:, None] * t)[:, None, :], _KD, out=rows[:, :, 1])
-        rows = rows.reshape(a.size, 4, _NODES.size)  # [K of A, K of B, K - G of A, K - G of B]
-        sums = (rows @ kern.view(float).reshape(a.size, _NODES.size, 2 * n)).view(complex)
-        floor = _EPS * (rows[:, :2] @ mag)
-        if not math.isfinite(floor.sum()):  # a sum of floors >= 0 is finite iff each is
-            i, j, _ = np.unravel_index(np.argmax(np.where(np.isfinite(mag), mag, np.inf)), mag.shape)
-            raise IntegrationError(f"non-finite integrand sample near x = {t[i, j]:.6g}", location=float(t[i, j]))
-        k = sums[:, :2] * np.exp(np.multiply.outer(c, turn))[:, None, :]
-        return k.reshape(a.size, 2 * n), np.abs(sums[:, 2:]).reshape(a.size, 2 * n), floor.reshape(a.size, 2 * n), True
+        w = w_of(u_of(t))
+        sums, floor = np.empty((a.size, 4, n), complex), np.empty((a.size, 2, n))
+        with np.errstate(all="ignore"):  # a panel out of range, or whose floor is not finite, is taken node by node
+            dw = w - w[:, 7:8]
+            hd = h[:, None] * np.exp(-dw)
+            lhs = (np.stack([hd, hd * t], 1)[:, None] * _KD[:, None]).reshape(a.size, 4, 15)  # [K, K - G] x [A, B]
+            for width in (widths := set(h.tolist())):
+                p = slice(None) if len(widths) == 1 else h == width
+                half = np.exp(np.multiply.outer(width * _NODES[8:], s))  # e^{s h x} at x > 0; x < 0 takes 1 / it
+                e = np.concatenate([1.0 / half[::-1], np.ones((1, n)), half])
+                right = e if lhs.dtype == complex else e.view(float)  # a real left side takes e's parts as columns
+                sums[p] = (lhs[p].reshape(-1, 15) @ right).view(complex).reshape(-1, 4, n)
+                floor[p] = (np.abs(lhs[p, :2]).reshape(-1, 15) @ np.abs(e)).reshape(-1, 2, n)  # Kronrod rows: >= 0
+            cen = np.exp(np.multiply.outer(c, s) - w[:, 7:8])
+            sums *= cen[:, None]
+            floor *= _EPS * np.abs(cen)[:, None]
+            out = sums[:, :2].reshape(a.size, 2 * n), np.abs(sums[:, 2:]).reshape(a.size, 2 * n), floor.reshape(a.size, 2 * n)
+            reach = fall * h + np.abs(dw.real).max(axis=1)  # each node's log |k| is within reach of its centre's
+            tiny = c * low - w[:, 7].real - reach < _LOG_TINY  # a node may be subnormal (t >= 0: c low <= Re(s) c)
+            j = np.flatnonzero(tiny | ~np.isfinite(out[2]).all(axis=1))
+            if j.size:  # k node by node, summed as quadrature._panels sums an integrand
+                kern = np.exp(np.multiply.outer(s, t[j]) - w[j]).reshape(n, -1)
+                for o, v in zip(out, _gk_reduce(np.concatenate([kern, t[j].ravel() * kern]), h[j], t[j].ravel())):
+                    o[j] = v
+        return (*out, True)
 
     return panels
 
@@ -188,10 +187,8 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
         n = min(_MAX_INITIAL, max(_MIN_INITIAL, math.ceil(radius * oscillation / math.pi)))
         edges = math.ldexp(math.ceil(math.ldexp(radius / n, 30)), -30) * np.arange(n + 1.0)
     vals, errs, _ = _adaptive(_kernel_panels(potential, sign, g, phi), edges, cfg)
-    vals = vals.reshape(2, g.size)
-    if phi != 0.0:  # du = e^{i phi} dt, and B's u is e^{i phi} t
-        vals = vals * np.array([[rot], [rot * rot]])
-    return vals, errs.reshape(2, g.size)
+    # du = e^{i phi} dt, and B's u is e^{i phi} t
+    return vals.reshape(2, g.size) * np.array([[rot], [rot * rot]]), errs.reshape(2, g.size)
 
 
 def _ab_on_rays(potential, sign, g, cfg, ab, errs, phi, radii, tails):

@@ -472,6 +472,9 @@ def _outward_cells(potential, gamma, side, xs, own, other, r):
     """
     g, tau = side * gamma, np.diff(xs)
     widths, cells = np.unique(tau, return_inverse=True)
+    if widths.size > 1:  # np.linspace's widths stray from the commonest by an ulp or two of max |x|: one width
+        common = widths[np.bincount(cells).argmax()]
+        widths, cells = np.unique(np.where(abs(tau - common) <= 4 * np.spacing(np.abs(xs).max()), common, tau), return_inverse=True)
     off = widths[:, None] * np.append(0.5 + 0.5 * _NODES, 1.0)  # the 15 GK offsets, then the width
     p1, p2 = _phi12(g * off)
     p1, p2, off = off * p1, off * off * p2, off[:, :15]
@@ -507,7 +510,7 @@ def _outward_cells(potential, gamma, side, xs, own, other, r):
         if np.all(j == top):  # the block's tables in one matmul
             sums = (tab.reshape(-1, 30) @ mat).view(complex).reshape(-1, 2, 5)
         else:  # each cell against the columns of its own width, the weights on its tables
-            tab = tab[:, :, None] * (0.5 * tau[c][:, None, None, None] * _KD)
+            tab = tab[:, :, None] * (0.5 * widths[j][:, None, None, None] * _KD)
             sums = (tab.reshape(-1, 4, 15) @ cols[j].view(float)).reshape(-1, 2, 2, 10).view(complex)
             sums = np.concatenate([sums[:, 0, :, :2], sums[:, 1, :, 2:]], -1)  # each column on its own table
         ka, da = np.einsum("csk,ck->sc", sums, coef[c])  # sums: (cells, [K, K - G], column)

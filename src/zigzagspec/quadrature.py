@@ -195,14 +195,14 @@ def _gk_reduce(v, h, x):
     panel.  Panels whose |K - G| sits at that floor cannot be improved by
     further bisection and are retired.  Panel-major storage keeps the
     per-round gathers and sums contiguous when there are thousands of rows.
-    A non-finite sample raises IntegrationError at its node.
+    A non-finite sample raises IntegrationError at the first node with one.
     """
     batch = v.ndim == 2
     v = v.reshape(-1, h.size, _NODES.size)
     h = h[:, None]
     noise = _EPS * h * (np.abs(v) @ _KRONROD_W).T
     if not np.all(np.isfinite(noise)):  # the Kronrod weights are positive
-        bad = np.argwhere(~np.isfinite(v.reshape(v.shape[0], -1)))[0][-1]
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=0))[0]
         raise IntegrationError(
             f"non-finite integrand sample near x = {x[bad]:.6g}",
             location=float(x[bad]),

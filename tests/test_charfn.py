@@ -295,11 +295,13 @@ def test_a_scaled_model_refusing_psi_names_the_callers_gamma_and_model():
 # the factored psi kernel against a node-wise GK15 oracle
 # ---------------------------------------------------------------------------
 
-# graded panels on [0, 8] (widths from 2^-8 to 1, several of each), and
-# panels of one width
+# graded panels on [0, 8] (widths from 2^-8 to 1, several of each), panels
+# of one width, and the one panel [0, 64], over which Re W spreads past the
+# factored kernel's range
 GRADED = np.concatenate([[0.0], 2.0 ** np.arange(-7, 1), [1.5, 2.0, 2.5, 4.0, 6.0, 8.0]])
 GRADED = np.unique(np.concatenate([GRADED, 0.5 * (GRADED[1:] + GRADED[:-1])]))
 UNIFORM = np.linspace(0.0, 8.0, 17)
+WIDE = np.array([0.0, 64.0])
 
 
 def _node_wise_panels(potential, sign, g, phi, a, b):
@@ -316,22 +318,28 @@ def _node_wise_panels(potential, sign, g, phi, a, b):
 
 
 @pytest.mark.parametrize(
-    "descriptor,sign,n,ray",
+    "descriptor,sign,n,ray,re_max",
     [
-        ("beta:2.5", +1, 1, False),
-        ("beta:2.5", +1, 100, False),
-        ("beta:2.5", +1, 1, True),
-        ("beta:2", +1, 100, False),
-        ("skewed", -1, 1, False),
-        ("skewed", -1, 100, False),
-    ],
+        pytest.param(descriptor, sign, n, ray, 0.5, id=f"{descriptor}-{sign}-{n}-{ray}")
+        for descriptor, sign, n, ray in [
+            ("beta:2.5", +1, 1, False),
+            ("beta:2.5", +1, 100, False),
+            ("beta:2.5", +1, 1, True),
+            ("beta:2.5", +1, 100, True),
+            ("beta:2", +1, 100, False),
+            ("skewed", -1, 1, False),
+            ("skewed", -1, 100, False),
+        ]
+    ]
+    # steep: Re gamma up to 1e3 takes |Re s| h out of the factored kernel's range
+    + [pytest.param("beta:2", +1, 20, False, 1e3, id="beta:2-1-20-steep")],
 )
-@pytest.mark.parametrize("edges", [GRADED, UNIFORM], ids=["graded", "uniform"])
-def test_factored_kernel_matches_the_node_wise_oracle(descriptor, sign, n, ray, edges):
+@pytest.mark.parametrize("edges", [GRADED, UNIFORM, WIDE], ids=["graded", "uniform", "wide"])
+def test_factored_kernel_matches_the_node_wise_oracle(descriptor, sign, n, ray, re_max, edges):
     potential = skewed_well() if descriptor == "skewed" else parse_potential(descriptor)
     phi = 0.5 * potential.ray_sector if ray else 0.0
     rng = np.random.default_rng(n)
-    g = rng.uniform(-1.5, 0.5, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    g = rng.uniform(-1.5, re_max, n) + 1j * rng.uniform(-3.0, 3.0, n)
     a, b = edges[:-1], edges[1:]
     k, e, floor, batch = charfn._kernel_panels(potential, sign, g, phi)(a, b)
     ok, oe, ofloor, _ = _node_wise_panels(potential, sign, g, phi, a, b)
@@ -360,6 +368,32 @@ def test_factored_kernel_samples_u_once_per_node_whatever_the_batch(monkeypatch)
         assert sum(seen) == 15 * a.size
 
 
+@pytest.mark.parametrize("ray", [False, True], ids=["real axis", "ray"])
+def test_factored_kernel_takes_no_exponential_per_panel_node_and_gamma(ray, monkeypatch):
+    # counts the elements charfn passes to numpy's exp in one evaluator call:
+    # at most one per (panel, gamma), (panel width, node, gamma) and (panel,
+    # node), where a node-wise kernel takes panels x 15 x gammas
+    count = []
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            count.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    potential, n, rng = beta_family(2.5), 30, np.random.default_rng(3)
+    g = rng.uniform(-1.5, 0.5, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    panels = charfn._kernel_panels(potential, +1, g, 0.5 * potential.ray_sector if ray else 0.0)
+    a, b = GRADED[:-1], GRADED[1:]
+    monkeypatch.setattr(charfn, "np", Counted())
+    panels(a, b)
+    widths = np.unique(b - a).size
+    assert 1 < widths < a.size
+    assert 0 < sum(count) <= a.size * n + widths * 15 * n + a.size * 15
+
+
 def test_factored_kernel_names_the_node_of_a_non_finite_sample():
     # U is NaN past x = 3: the first such node of the panel [0, 8] is named
     nan_past_3 = custom(lambda x: np.where(np.asarray(x) > 3.0, np.nan, 0.5 * np.asarray(x) ** 2), np.asarray)
@@ -368,6 +402,12 @@ def test_factored_kernel_names_the_node_of_a_non_finite_sample():
     with pytest.raises(IntegrationError, match="non-finite integrand sample") as info:
         panels(np.array([0.0]), np.array([8.0]))
     assert info.value.location == nodes[nodes > 3.0][0]
+    # e^{-2 gamma t - t^2/2} overflows first for the steeper member of a batch,
+    # at the node named, whichever member comes first
+    panels = charfn._kernel_panels(beta_family(2.0), +1, np.array([-200.0 + 0j, -400.0]), 0.0)
+    with pytest.raises(IntegrationError, match="non-finite integrand sample") as info:
+        panels(np.array([0.0]), np.array([8.0]))
+    assert info.value.location == nodes[800.0 * nodes - nodes**2 / 2 > 710.0][0]
 
 
 @pytest.mark.parametrize("g", [1e3, 1e4, 1e5, 1e3 + 1e3j])
@@ -452,7 +492,7 @@ def test_quadrature_psi_matches_the_closed_form_on_the_deep_strip():
 
 def test_psi_passes_meet_few_distinct_panel_widths(monkeypatch):
     # initial panels share one width that bisection halves exactly, so the
-    # real-axis phasor table is built for few widths per evaluator call
+    # kernel's e^{s h x} table is built for few widths per evaluator call
     # (linspace cuts gave 1.26 on average here)
     widths, make = [], charfn._kernel_panels
 

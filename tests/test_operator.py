@@ -802,6 +802,29 @@ def _graded_grid(pot, n=1000):
 
 
 @pytest.mark.parametrize("family", ["gaussian:1", "beta:2.5"])
+def test_a_linspace_grid_takes_the_one_width_sweep(family, monkeypatch):
+    # np.linspace keeps several float widths per half line, an ulp or two of
+    # max |x| apart; the sweep snaps them onto the commonest, so phi1/phi2 are
+    # taken at one width per half line (16 arguments) and every block of cells
+    # takes the one-matmul path, with k+- still the per-node route's
+    pot = gaussian(1.0) if family == "gaussian:1" else beta_family(2.5)
+    r = 0.97 * grid_radius(pot)
+    xs = np.linspace(-r, r, 4097)
+    assert np.unique(np.diff(xs[2048:])).size >= 3
+    a, b, c, d = np.random.default_rng(11).normal(size=4)
+    fn = lambda x, th: (a + b * x + c * x * x + d * th * x) * np.exp(-x * x / 2.5)
+    h = GridFunction(xs, fn(xs, +1), fn(xs, -1))
+    phi_args, phi12 = [], operator._phi12
+    monkeypatch.setattr(operator, "_phi12", lambda z: phi_args.append(np.size(z)) or phi12(z))
+    for z in (2.0 + 0.0j, 1.0 + 0.5j, 0.25 - 1.0j):
+        phi_args.clear()
+        got = np.array(k_coefficients(pot, z, h))
+        assert phi_args == [16, 16]
+        want = np.array(_oracle_k(pot, z, h))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("family", ["gaussian:1", "beta:2.5"])
 def test_grid_projection_matches_the_per_node_route(family, beta25_spectrum):
     # P_gamma is the resolvent's residue: k1 + psi+ k2 over Z'/psi- must
     # reproduce the per-node pairing, on an odd grid, an even one and a
