@@ -186,7 +186,8 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
     else:
         n = min(_MAX_INITIAL, max(_MIN_INITIAL, math.ceil(radius * oscillation / math.pi)))
         edges = math.ldexp(math.ceil(math.ldexp(radius / n, 30)), -30) * np.arange(n + 1.0)
-    vals, errs, _ = _adaptive(_kernel_panels(potential, sign, g, phi), edges, cfg)
+    kernel = _kernel_panels(potential, sign, g, phi)
+    (vals, errs, _), = _adaptive(lambda a, b, _: kernel(a, b), [edges], cfg)
     # du = e^{i phi} dt, and B's u is e^{i phi} t
     return vals.reshape(2, g.size) * np.array([[rot], [rot * rot]]), errs.reshape(2, g.size)
 

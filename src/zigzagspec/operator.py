@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -46,17 +46,8 @@ from .errors import (
     ResolventAtEigenvalueError,
 )
 from .potential import PotentialModel, SwitchingRateSpec, switching_rate
-from .quadrature import (
-    DEFAULT_CONFIG,
-    _BLOCK,
-    _KD,
-    _NODES,
-    _gk_reduce,
-    _panels,
-    _tolerance,
-    integrate_finite,
-    truncation_radius,
-)
+from .quadrature import (DEFAULT_CONFIG, _BLOCK, _KD, _NODES, _adaptive, _gk_reduce, _initial_edges, _panels,
+                         _tolerance, integrate_finite, truncation_radius)
 from .specialfn import erfcx_complex
 
 __all__ = [
@@ -137,17 +128,13 @@ def _pt_head(potential: PotentialModel, side: int, gamma: complex, x: float) -> 
     return f"pt^{side:+d} of {potential.descriptor()} at gamma={gamma}, x={x:.6g}"
 
 
-def psi_tilde(
-    potential: PotentialModel,
-    gamma: complex,
-    x,
-    side: int = +1,
-):
+def psi_tilde(potential: PotentialModel, gamma, x, side: int = +1):
     """pt^side(gamma; x) = 1 - 2 gamma J^side(gamma, x); pt(gamma; 0) = psi^side.
 
     side +1 expects x >= 0 and probes U to the right of x, side -1 expects
-    x <= 0 and probes left.  Gaussian potentials go through erfcx.  Any other
-    gets one GK15 sweep of _w over a lattice of all requested x, run on by
+    x <= 0 and probes left; gamma may be an array, one per x.  Gaussian
+    potentials go through erfcx.  Any other gets, per distinct gamma, one
+    GK15 sweep of _w over a lattice of all its requested x, run on by
     the truncation radius of quadrature's one rule at the innermost x, with
     gaps cut into cells of width _CELL_PHASE / (2 |gamma| + |U'|); pt(x) is
     e^{L(x)}, L(x) = 2 side gamma x + U(x), times the sum of the cells
@@ -156,12 +143,17 @@ def psi_tilde(
     or IntegrationError names gamma and x.  Points whose Re L exceeds the
     innermost one's by _MAX_RANGE get a sweep of their own: no cell underflows.
     """
-    gamma = complex(gamma)
     xs = np.asarray(x, dtype=float)
     if side not in (1, -1):
         raise DomainError(f"side must be +1 or -1, got {side!r}")
-    if not (np.isfinite(gamma) and np.all(np.isfinite(xs))):
+    gamma = np.asarray(gamma, dtype=complex) if np.ndim(gamma) else complex(gamma)
+    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(xs))):
         raise DomainError(f"pt needs a finite gamma and finite x, got gamma={gamma!r}")
+    if np.ndim(gamma) and potential.family != "gaussian":  # one sweep per gamma
+        out = np.empty(xs.shape, dtype=complex)
+        for g in np.unique(gamma):
+            out[gamma == g] = psi_tilde(potential, g, xs[gamma == g], side)
+        return out
     s = potential.sigma
     if s != 1.0:  # pt_sigma(gamma; x) = pt_1(sigma gamma; x / sigma), refused in the caller's terms
         try:
@@ -325,12 +317,14 @@ class PiecewiseEigenfunction:
     def component(self, x, theta: int = +1):
         scalar, x = np.ndim(x) == 0, np.atleast_1d(np.asarray(x, dtype=float))
         theta, inward, outward = self._pieces[0 if theta > 0 else -1]
+        at = lambda v, m: v[m] if np.ndim(v) else v  # noqa: E731  fields of a stacked f go with their nodes
         tg = self.gamma if theta > 0 else -self.gamma  # theta gamma
         out = np.empty(x.shape, dtype=complex)
         near = theta * x <= 0.0
-        out[near] = _times(inward, np.exp(tg * x[near]))
-        pt = psi_tilde(self.potential, self.gamma, x[~near], theta)
-        out[~near] = _times(outward, np.exp(-tg * x[~near])) * pt
+        far = ~near
+        out[near] = _times(at(inward, near), np.exp(at(tg, near) * x[near]))
+        pt = psi_tilde(self.potential, at(self.gamma, far), x[far], theta)
+        out[far] = _times(at(outward, far), np.exp(-at(tg, far) * x[far])) * pt
         return complex(out[0]) if scalar else out
 
     def __call__(self, x, theta: int = +1):
@@ -406,8 +400,7 @@ def _truncated_pairing(rows, potential, growth, oscillation):
     """(row integrals, error) over [-rl, rr], the radii at which
     e^{growth |x| - U} is certified negligible, split at the kink x = 0;
     the tails join the error."""
-    rr, tr = truncation_radius(potential, growth, +1)
-    rl, tl = truncation_radius(potential, growth, -1)
+    (rl, tl), (rr, tr) = (truncation_radius(potential, growth, side) for side in (-1, +1))
     val, err = integrate_finite(rows, -rl, rr, oscillation=oscillation, breakpoints=(0.0,))
     return np.atleast_1d(val), float(np.sum(err) + tr + tl)
 
@@ -654,10 +647,11 @@ def resolvent_defect(
 
 # ------------------------------------------------------------------ projections
 
-def _require_simple(f: PiecewiseEigenfunction) -> None:
-    """Raise NonSimpleEigenvalueError where |Z'(gamma)| <= SIMPLICITY_TOL."""
+def _require_simple(f: PiecewiseEigenfunction) -> PiecewiseEigenfunction:
+    """f; NonSimpleEigenvalueError where |Z'(gamma)| <= SIMPLICITY_TOL."""
     if abs(f.z_prime) <= SIMPLICITY_TOL:
         raise NonSimpleEigenvalueError(f.gamma, abs(f.z_prime))
+    return f
 
 
 def _pair(h: Callable, growth: float, f: PiecewiseEigenfunction) -> complex:
@@ -671,28 +665,54 @@ def _pair(h: Callable, growth: float, f: PiecewiseEigenfunction) -> complex:
     return inner_product_nu(h, lambda x: np.conj(f.component(-x)), f.potential, **kw)[0]
 
 
-def _self_pairings(f: PiecewiseEigenfunction) -> Tuple[complex, complex]:
-    """(<f, conj f>, <f, F conj f>) on E, (<f, conj f>_nu, <f, J conj f>_nu) on R.
-
-    Both bilinear, from one adaptive pass whose integrand evaluates each
-    component of f once per call: rows [f+^2, f-^2, f+ f-] e^{-U} on E and
-    [f(x)^2, f(x) f(-x)] e^{-U} on R.
-    """
-
-    def rows(x):
-        if f.variant == "full":
-            fp, fm = f.component(x, +1), f.component(x, -1)
-            prods = [fp * fp, fm * fm, fp * fm]
-        else:
-            both = f.component(np.concatenate([x, -x]))
-            prods = [both[: x.size] ** 2, both[: x.size] * both[x.size :]]
-        return np.stack(prods) * np.exp(-f.potential.U(x))
-
-    g = f.gamma
-    val, _ = _truncated_pairing(rows, f.potential, 2.0 * abs(g.real), 4.0 * abs(g.imag))
+def _pairing_rows(f: PiecewiseEigenfunction, x):
+    """The self-pairing rows [f+^2, f-^2, f+ f-] e^{-U} on E, [f(x)^2, f(x) f(-x)] e^{-U} on R,
+    from one evaluation of each component of f."""
     if f.variant == "full":
-        return complex(val[0] + val[1]), complex(2.0 * val[2])
-    return complex(val[0]), complex(val[1])
+        fp, fm = f.component(x, +1), f.component(x, -1)
+        prods = [fp * fp, fm * fm, fp * fm]
+    else:
+        both = f.component(np.concatenate([x, -x]))
+        prods = [both[: x.size] ** 2, both[: x.size] * both[x.size :]]
+    return np.stack(prods) * np.exp(-f.potential.U(x))
+
+
+def _self_pairings(fs: Tuple[PiecewiseEigenfunction, ...]) -> List[Tuple[complex, complex]]:
+    """(<f, conj f>, <f, F conj f>) on E, (<f, conj f>_nu, <f, J conj f>_nu) on R, for each f in fs.
+
+    fs share one potential and variant.  Each f takes one adaptive pass over
+    [-rl, rr], where e^{2 |Re gamma| |x| - U} is negligible (one cut per side
+    for all), split at x = 0; the passes refine in lockstep, and each round
+    evaluates _pairing_rows once per _BLOCK panels on a stacked f, whose gamma
+    and psi+ are arrays of its nodes.  Each pass's panels are reduced in the
+    blocks it would take alone, so its pairings are bit for bit its own.
+    """
+    pot, variant = fs[0].potential, fs[0].variant
+    g, pp = np.array([(f.gamma, f.psi_plus) for f in fs]).T
+    rl, rr = (truncation_radius(pot, 2.0 * np.abs(g.real), side)[0].tolist() for side in (-1, +1))
+    edges = [np.asarray(_initial_edges(-lo, hi, w, (0.0,))) for lo, hi, w in zip(rl, rr, 4.0 * np.abs(g.imag))]
+
+    def panels(a, b, runs):
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        x, blocks, lo, parts = (c[:, None] + h[:, None] * _NODES).ravel(), [], 0, []
+        for i, m in runs:  # (pass, first panel, end) of each block its pass alone would take
+            blocks += [(i, j, min(j + _BLOCK, lo + m)) for j in range(lo, lo + m, _BLOCK)]
+            lo += m
+        while blocks:  # whole blocks, packed into calls of at most _BLOCK panels
+            n = next((n for n, (_, _, k) in enumerate(blocks) if k - blocks[0][1] > _BLOCK), len(blocks))
+            call, blocks = blocks[:n], blocks[n:]
+            s, t = 15 * call[0][1], 15 * call[-1][2]
+            which = np.repeat([i for i, _, _ in call], [15 * (k - j) for _, j, k in call])
+            which = which if variant == "full" else np.concatenate([which, which])  # R's rows take f at x and -x
+            v = _pairing_rows(PiecewiseEigenfunction(g[which], pot, variant, pp[which], None, None), x[s:t])
+            parts += [_gk_reduce(v[:, 15 * j - s : 15 * k - s], h[j:k], x[15 * j : 15 * k]) for _, j, k in call]
+        *sums, _ = zip(*parts)
+        return (*map(np.concatenate, sums), True)
+
+    vals = [val for val, _, _ in _adaptive(panels, edges, DEFAULT_CONFIG)]
+    if variant == "full":
+        return [(complex(v[0] + v[1]), complex(2.0 * v[2])) for v in vals]
+    return [(complex(v[0]), complex(v[1])) for v in vals]
 
 
 def spectral_projection(
@@ -714,8 +734,7 @@ def spectral_projection(
     """
     if variant != "full" and isinstance(h, GridFunction):
         raise DomainError(f"the {variant!r} projection takes a function on R, not a GridFunction on E")
-    f = eigenfunction(potential, gamma, variant, tol)
-    _require_simple(f)
+    f = _require_simple(eigenfunction(potential, gamma, variant, tol))
     if isinstance(h, GridFunction):
         k1, k2, _, _ = _resolvent_sums(potential, f.gamma, h)
         num = k1 + f.psi_plus * k2
@@ -725,10 +744,7 @@ def spectral_projection(
 
 
 def z_prime_consistency(
-    potential: PotentialModel,
-    gamma: complex,
-    variant: str = "full",
-    tol: float = 1e-8,
+    potential: PotentialModel, gamma: complex, variant: str = "full", tol: float = 1e-8
 ) -> Tuple[complex, complex]:
     """Two routes to Z'(gamma) at an eigenvalue.
 
@@ -736,7 +752,7 @@ def z_prime_consistency(
     plus/minus:  (dZ^pm/dgamma,  <f^pm, J conj(f^pm)>_nu).
     """
     f = eigenfunction(potential, gamma, variant, tol)
-    return f.z_prime, f._scale * _self_pairings(f)[1]
+    return f.z_prime, f._scale * _self_pairings((f,))[0][1]
 
 
 # -------------------------------------------------------------------- generator

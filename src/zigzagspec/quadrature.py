@@ -10,7 +10,7 @@ Refinement is level-synchronous, in the style of Shampine's vectorised quadgk
 together carry the worst row's excess error, and evaluates all their
 children in one call of a panel evaluator (charfn brings its own for psi;
 integrate_finite's samples an f that takes a node array of any length), so
-per-call overhead is paid per round.  Two features beyond a stock integrator:
+per-call overhead is paid per round.  Three features beyond a stock integrator:
 
 * batch rows: the integrand may return an (m, n) array for n nodes, in which
   case all m integrals share panels and refinement is driven by the rows
@@ -20,6 +20,9 @@ per-call overhead is paid per round.  Two features beyond a stock integrator:
 * oscillation guard: callers integrating against exp(2 gamma xi) pass the
   frequency |2 Im gamma| so the initial subdivision places at least 8 nodes
   per period before any error estimate is trusted.
+* lockstep passes: independent passes, each with its own panels, refine
+  round by round together, one evaluator call taking every pass's panels
+  (the pairings of many eigenfunctions); a single pass is a batch of one.
 
 Half-infinite integrals are cut by one rule on one table of radii, _RADII:
 _cut takes an envelope's first table radius past its peak below
@@ -151,15 +154,16 @@ def _table(w_of):
 
 
 def truncation_radius(
-    potential: PotentialModel, alpha: float, side: int = +1, center: float = 0.0, cfg: QuadratureConfig = DEFAULT_CONFIG
+    potential: PotentialModel, alpha, side: int = +1, center: float = 0.0, cfg: QuadratureConfig = DEFAULT_CONFIG
 ):
-    """(R, tail bound) by _cut for e^{|alpha| t - (U(center + side t) - U(center))}; TruncationError if none."""
+    """(R, tail bound) by _cut for e^{|alpha| t - (U(center + side t) - U(center))}, arrays for an array
+    of rates alpha, all cut on one table; TruncationError if one has none."""
     u, rise = _table(lambda t: potential.U(center + side * t))  # u[0] = U(center)
-    first, _, tail = _cut(np.array([abs(alpha)]), u - u[0], rise, cfg.truncation_margin)
-    if first[0] < 0:
+    first, _, tail = _cut(np.abs(np.atleast_1d(alpha)), u - u[0], rise, cfg.truncation_margin)
+    if first.min() < 0:
         msg = f"no truncation radius below {_RADII[-1]:.4g} reaches envelope exp({-cfg.truncation_margin:g})"
         raise TruncationError(msg, location=float(_RADII[-1]))
-    return float(_RADII[first[0]]), float(tail[0])
+    return (float(_RADII[first[0]]), float(tail[0])) if np.ndim(alpha) == 0 else (_RADII[first], tail)
 
 
 _EPS = np.finfo(float).eps
@@ -232,34 +236,34 @@ def _initial_edges(a, b, oscillation, breakpoints):
     return pts
 
 
-def _adaptive(panels, edges, cfg):
-    """Level-synchronous adaptive refinement over the initial cells of edges.
+def _refine(edges, cfg):
+    """One adaptive pass over the initial cells of edges, as a generator.
 
-    panels(a, b) returns _panels' (K, E, N, batch_flag) of [a[i], b[i]].
-    Returns (value_rows, err_rows, batch_flag).  Convergence demands the
-    accumulated |K - G| of every row drop below the requested tolerance or
-    below the accumulated roundoff floor, whichever is larger; individual
-    panels whose error is at their own floor are retired since bisection
-    cannot help them.  Each round scores every panel not retired by its
-    worst e / tol over the failing rows and bisects the best-scored panels
+    It yields the panels (a, b) it wants evaluated, is sent their (K, E, N,
+    batch_flag), and returns (value_rows, err_rows, batch_flag).  Convergence
+    demands the accumulated |K - G| of every row drop below the requested
+    tolerance or below the accumulated roundoff floor, whichever is larger;
+    individual panels whose error is at their own floor are retired since
+    bisection cannot help them.  Each round scores every panel not retired by
+    its worst e / tol over the failing rows and bisects the best-scored panels
     until their scores add up to the worst row's excess (total_e - tol) / tol:
     were their error gone, that row would pass.  All their children are
-    evaluated with one call of panels.  (Stopping at half the excess bisects
-    the same panels in about twice as many rounds.)
+    yielded at once.  (Stopping at half the excess bisects the same panels in
+    about twice as many rounds.)
     """
     a, b = edges[:-1], edges[1:]
     depth = np.zeros(a.size, dtype=int)
-    k, e, n, batch = panels(a, b)
+    k, e, n, batch = yield a, b
     count = a.size
     while True:
         total_k, total_e = k.sum(axis=0), e.sum(axis=0)
         tol = _tolerance(total_k, n.sum(axis=0), cfg)
         failing = total_e > tol
-        live = np.flatnonzero(np.any(e > _NOISE_MULT * n, axis=1))
-        if not failing.any() or live.size == 0:
+        if not failing.any() or (live := np.flatnonzero(np.any(e > _NOISE_MULT * n, axis=1))).size == 0:
             return total_k, total_e, batch
-        score = (e[live][:, failing] / tol[failing]).max(axis=1)
-        excess = ((total_e - tol)[failing] / tol[failing]).max()
+        tol = tol[failing]
+        score = (e[live][:, failing] / tol).max(axis=1)
+        excess = ((total_e[failing] - tol) / tol).max()
         rank = np.argsort(-score, kind="stable")
         chosen = int(np.searchsorted(np.cumsum(score[rank]), excess)) + 1
         chosen = min(chosen, rank.size, (_MAX_PANELS - count) // 2)
@@ -270,7 +274,8 @@ def _adaptive(panels, edges, cfg):
                 location=mid,
             )
         pick = live[rank[:chosen]]
-        deep = pick[depth[pick] >= cfg.max_depth]
+        pa, pb, pd = a[pick], b[pick], depth[pick] + 1
+        deep = pick[pd > cfg.max_depth]
         if deep.size:
             mid = 0.5 * (a[deep[0]] + b[deep[0]])
             raise IntegrationError(
@@ -278,17 +283,42 @@ def _adaptive(panels, edges, cfg):
                 f"(panel error {e[deep[0]].max():.3e})",
                 location=mid,
             )
-        mid = 0.5 * (a[pick] + b[pick])
-        ck, ce, cn, _ = panels(np.concatenate([a[pick], mid]), np.concatenate([mid, b[pick]]))
+        mid = 0.5 * (pa + pb)
+        ck, ce, cn, _ = yield np.concatenate([pa, mid]), np.concatenate([mid, pb])
         count += 2 * chosen
         keep = np.ones(a.size, dtype=bool)
         keep[pick] = False
-        a = np.concatenate([a[keep], a[pick], mid])
-        b = np.concatenate([b[keep], mid, b[pick]])
-        depth = np.concatenate([depth[keep], depth[pick] + 1, depth[pick] + 1])
+        a = np.concatenate([a[keep], pa, mid])
+        b = np.concatenate([b[keep], mid, pb])
+        depth = np.concatenate([depth[keep], pd, pd])
         k = np.concatenate([k[keep], ck])
         e = np.concatenate([e[keep], ce])
         n = np.concatenate([n[keep], cn])
+
+
+def _adaptive(panels, edges, cfg):
+    """Refine in lockstep a _refine per array of initial cuts in edges; returns what each returns.
+
+    Each round takes the panels of every unfinished pass in one call panels(a,
+    b, runs) -> _panels' (K, E, N, batch_flag), runs the (pass, panel count)
+    in order, and sends each pass its rows.  A round of one pass passes its
+    panels and rows whole, with no numpy call of its own; the first pass to
+    raise in a round raises for the batch.
+    """
+    passes = [_refine(cuts, cfg) for cuts in edges]
+    want, out = dict(enumerate(map(next, passes))), [None] * len(passes)
+    while want:
+        runs, lo = [(i, a.size) for i, (a, _) in want.items()], 0
+        a, b = next(iter(want.values())) if len(want) == 1 else map(np.concatenate, zip(*want.values()))
+        rows = panels(a, b, runs)
+        for i, m in runs:
+            try:
+                want[i] = passes[i].send(rows if len(runs) == 1 else (*(r[lo : lo + m] for r in rows[:3]), rows[3]))
+            except StopIteration as done:
+                out[i] = done.value
+                del want[i]
+            lo += m
+    return out
 
 
 def integrate_finite(
@@ -314,7 +344,7 @@ def integrate_finite(
         return zero, (np.zeros(probe.shape[0]) if probe.ndim == 2 else 0.0)
 
     edges = np.asarray(_initial_edges(a, b, oscillation, breakpoints), dtype=float)
-    total_k, total_e, batch = _adaptive(lambda a, b: _panels(f, a, b), edges, cfg)
+    (total_k, total_e, batch), = _adaptive(lambda a, b, _: _panels(f, a, b), [edges], cfg)
     if batch:
         return total_k, total_e
     return complex(total_k[0]), float(total_e[0])

@@ -14,10 +14,11 @@ flight is 0 up to the mode and then the increase of U on the side the
 flight heads to: every switch sits at a radius U^{-1}(u, side) of an Exp(1)
 draw, in closed form for gaussian and beta and by a safeguarded Newton
 solve for custom potentials.  With zero refreshment whole blocks of events
-come from numpy at once, and a positive lambda_refr races its own
-exponential clock event by event.  Randomness comes from a counter-based
-Philox generator keyed as [seed, stream], so trajectories are reproducible
-and parallel chains can split streams without coordination.
+come from numpy at once, sized to the horizon by the mean flight so far,
+and a positive lambda_refr races its own exponential clock event by event.
+Randomness comes from a counter-based Philox generator keyed as [seed,
+stream], so trajectories are reproducible and parallel chains can split
+streams without coordination.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .potential import PotentialModel, SwitchingRateSpec
 __all__ = ["ZigzagPath", "MarginalHistogram", "simulate", "empirical_marginal", "autocorrelation",
            "envelope_decay_rate"]
 
-_BLOCK = 1 << 16  # exponentials drawn (and inverted) at once; even, so sides alternate alike in every block
+_BLOCK = 1 << 16  # the most exponentials drawn at once; even, so sides alternate alike in every block
+_FIRST = 4096  # the exact route's first block; each later one is sized to the horizon
 _CDF_CELLS = 4096  # Simpson cells of the non-Gaussian target CDF
 _SPAN = 8192  # segments per autocorrelation block, which bounds its temporaries
 
@@ -127,17 +129,21 @@ def _simulate_blocks(potential, x0, theta0, T, rng):
     increase of U, which gives the first flight (_flight).  Every later one
     starts at the mode's far side: event k >= 1 sits on side theta_(k-1) at
     the radius y_k = U^{-1}(E_k, theta_(k-1)), the flight to it is
-    y_(k-1) + y_k, and theta alternates.
+    y_(k-1) + y_k, and theta alternates.  After _FIRST events, each block
+    holds a tenth more events than the rest of the horizon takes at the mean
+    flight so far, up to _BLOCK.  standard_exponential is chunk-invariant, so
+    the path does not depend on the block sizes.
     """
     c = theta0 * x0
     s = _flight(potential, c, rng.standard_exponential(), theta0)
     radii, times = [np.array([c + s])], [np.array([0.0, s])]
-    sides = np.tile((-theta0, theta0), _BLOCK // 2)  # events 2, 3, ... of every block
+    size = _FIRST
     while times[-1][-1] < T:
-        r = potential.U_inverse(rng.standard_exponential(_BLOCK), sides)
+        r = potential.U_inverse(rng.standard_exponential(size), np.tile((-theta0, theta0), size // 2))
         flights = r + np.concatenate((radii[-1][-1:], r[:-1]))
         times.append(np.cumsum(np.concatenate((times[-1][-1:], flights)))[1:])
         radii.append(r)
+        size = min(_BLOCK, 2 * math.ceil(0.55 * (T - times[-1][-1]) * sum(map(len, radii)) / times[-1][-1]) + 64)
     t = np.concatenate(times)
     n = int(np.searchsorted(t, T, side="left"))  # the start and events before T
     ths = np.where(np.arange(n) % 2 == 0, theta0, -theta0)

@@ -95,26 +95,23 @@ def test_one_pass_coefficients_match_two_pairings(family, beta25_spectrum):
 
 def test_a_coefficient_evaluates_each_component_once_per_call(monkeypatch):
     # the rows [f+^2, f-^2, f+ f-] (on R: [f(x)^2, f(x) f(-x)]) share one
-    # component evaluation per theta per integrand call
+    # component evaluation per theta per call of the pairings' evaluator
     pot = beta_family(2.5)
     gamma = -0.38831292790997046 + 1.1558647440283112j
     thetas, calls = [], []
     component = operator.PiecewiseEigenfunction.component
-    integrate = operator.integrate_finite
+    rows = operator._pairing_rows
 
     def counted_component(self, x, theta=+1):
         thetas.append(theta)
         return component(self, x, theta)
 
-    def counted_integrate(f, *args, **kwargs):
-        def g(x):
-            calls.append(x.size)
-            return f(x)
-
-        return integrate(g, *args, **kwargs)
+    def counted_rows(f, x):
+        calls.append(x.size)
+        return rows(f, x)
 
     monkeypatch.setattr(operator.PiecewiseEigenfunction, "component", counted_component)
-    monkeypatch.setattr(operator, "integrate_finite", counted_integrate)
+    monkeypatch.setattr(operator, "_pairing_rows", counted_rows)
     refreshment_coefficient(pot, gamma)
     assert len(calls) >= 1
     assert thetas.count(+1) == thetas.count(-1) == len(calls)
@@ -230,17 +227,52 @@ def test_lower_members_take_the_conjugate_coefficient(gaussian_spectrum, monkeyp
     from zigzagspec import perturbation
 
     calls = []
+    batch = perturbation._mus
 
-    def counted(potential, gamma):
-        calls.append(gamma)
-        return refreshment_coefficient(potential, gamma)
+    def counted(fs, sign):
+        calls.extend(f.gamma for f in fs)
+        return batch(fs, sign)
 
-    monkeypatch.setattr(perturbation, "refreshment_coefficient", counted)
+    monkeypatch.setattr(perturbation, "_mus", counted)
     p = perturbed_spectrum(gaussian_spectrum, 0.5)
     assert len(calls) == 22 and all(g.imag >= 0 for g in calls)
     coefficient = {e.gamma: e.coefficient for e in p.entries}
     for g in calls:
         assert coefficient[g.conjugate()] == np.conj(coefficient[g])
+
+
+@pytest.mark.parametrize("spectrum", ["gaussian_spectrum", "beta25_spectrum"])
+def test_the_batch_gives_each_coefficient_of_its_batch_of_one(spectrum, request):
+    # the lockstep passes refine as they would alone: each upper member's mu
+    # is refreshment_coefficient's bit for bit, each lower member's its conjugate
+    base = request.getfixturevalue(spectrum)
+    p = perturbed_spectrum(base, 0.5)
+    resolved = [e for e in p.entries if e.resolved]
+    assert len(resolved) == len(base.eigenvalues)
+    for e in resolved:
+        up = e.gamma if e.gamma.imag >= 0 else e.gamma.conjugate()
+        mu = refreshment_coefficient(base.potential, up)
+        assert repr(e.coefficient) == repr(mu if e.gamma.imag >= 0 else mu.conjugate())
+
+
+def test_the_batch_refines_in_few_evaluator_calls(gaussian_spectrum, monkeypatch):
+    # 22 passes share each round's evaluation: one call per 256 panels at most,
+    # where one pass after another took 123 rounds of one call each
+    rounds, calls = [], []
+    adaptive, rows = operator._adaptive, operator._pairing_rows
+
+    def counted_adaptive(panels, edges, cfg):
+        return adaptive(lambda a, b, runs: rounds.append(len(runs)) or panels(a, b, runs), edges, cfg)
+
+    def counted_rows(f, x):
+        calls.append(x.size // 15)
+        return rows(f, x)
+
+    monkeypatch.setattr(operator, "_adaptive", counted_adaptive)
+    monkeypatch.setattr(operator, "_pairing_rows", counted_rows)
+    perturbed_spectrum(gaussian_spectrum, 0.5)
+    assert rounds[0] == 22 and len(rounds) <= 12
+    assert len(calls) <= 20 and max(calls) <= 256
 
 
 def test_non_simple_eigenvalues_are_kept_unresolved(beta25_spectrum, monkeypatch):

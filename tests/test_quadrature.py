@@ -14,6 +14,7 @@ from zigzagspec.quadrature import (
     _KRONROD_W,
     _NODES,
     QuadratureConfig,
+    _adaptive,
     _initial_edges,
     _panels,
     integrate_finite,
@@ -116,10 +117,21 @@ def test_truncation_tail_bound_covers_the_true_tail(potential, side, alpha, cent
     assert val.real + err <= tail * math.exp(-le(r))
 
 
+@pytest.mark.parametrize("potential", [beta_family(2.5), skewed_well()], ids=["beta2.5", "skewed"])
+@pytest.mark.parametrize("side", [+1, -1])
+def test_an_array_of_rates_is_cut_as_each_rate_alone(potential, side):
+    # one table, one cut for every rate: the same radius and tail bit for bit
+    alphas = np.array([0.0, 0.3, 1.7, 0.3, 6.0])
+    radii, tails = truncation_radius(potential, -alphas, side)
+    assert [(r, t) for r, t in zip(radii.tolist(), tails.tolist())] == [truncation_radius(potential, a, side) for a in alphas]
+
+
 def test_truncation_radius_refuses_past_the_table_end():
     # U ~ |x|^1.05 / 1.05 falls behind e^{8 t} until t ~ 1e18
     with pytest.raises(TruncationError):
         truncation_radius(beta_family(1.05), 8.0)
+    with pytest.raises(TruncationError):  # one rate past the end refuses the whole array
+        truncation_radius(beta_family(1.05), np.array([0.0, 8.0]))
 
 
 def _semiinfinite(f, potential, alpha, side=+1):
@@ -329,3 +341,62 @@ def test_step_function_hits_max_depth():
 def test_unhinted_fast_oscillation_exhausts_panel_budget():
     with pytest.raises(IntegrationError, match="panel budget .* exhausted"):
         integrate_finite(lambda x: np.sin(1e6 * x), 0.0, 1.0)
+
+
+_LOCKSTEP = [  # (two-row integrand, a, b, oscillation): independent passes, batched
+    (lambda x: np.stack([np.exp(-x * x), x * x * np.exp(-x * x)]), -8.0, 8.0, 0.0),
+    (lambda x: np.stack([np.cos(50 * x), np.sin(3 * x)]), 0.0, 1.0, 50.0),
+    (lambda x: np.stack([(x > 1.0 / 3.0).astype(float), x]), 0.0, 1.0, 0.0),
+    (lambda x: np.stack([np.abs(x - 0.3) ** 1.5, x**7 - 3 * x**4 + x]), -1.0, 2.0, 0.0),
+]
+
+
+def _lockstep(cases, cfg):
+    """quadrature._adaptive on the cases at once, each run of panels taken by its own integrand;
+    returns each pass's (values, errors, batch flag) and the runs of every round."""
+    edges = [np.asarray(_initial_edges(a, b, w, ()), dtype=float) for _, a, b, w in cases]
+    rounds = []
+
+    def panels(a, b, runs):
+        rounds.append([i for i, _ in runs])
+        ends = np.cumsum([0] + [m for _, m in runs])
+        parts = [_panels(cases[i][0], a[lo:hi], b[lo:hi])[:3] for (i, _), lo, hi in zip(runs, ends, ends[1:])]
+        return (*map(np.concatenate, zip(*parts)), True)
+
+    return _adaptive(panels, edges, cfg), rounds
+
+
+def test_lockstep_passes_refine_as_they_would_alone():
+    # each pass gets exactly its solo panels, so its sums are its solo sums bit
+    # for bit; each round is one evaluator call holding every unfinished pass
+    out, rounds = _lockstep(_LOCKSTEP, QuadratureConfig())
+    solo = [len(_lockstep([case], QuadratureConfig())[1]) for case in _LOCKSTEP]
+    for (f, a, b, w), (val, err, _) in zip(_LOCKSTEP, out):
+        assert repr((val, err)) == repr(integrate_finite(f, a, b, oscillation=w))
+    assert rounds == [[i for i in range(4) if solo[i] > r] for r in range(max(solo))]
+    assert len(set(solo)) > 1  # the passes finish in different rounds
+
+
+def test_a_single_pass_is_a_batch_of_one():
+    seen = []
+
+    def panels(a, b, runs):
+        seen.append((runs, a.size))
+        return _panels(np.cos, a, b)
+
+    (val, _, batch), = _adaptive(panels, [np.linspace(0.0, 3.0, 4)], QuadratureConfig())
+    assert not batch and abs(val[0] - math.sin(3.0)) < ABS_FLOOR
+    assert all(runs == [(0, n)] for runs, n in seen)
+
+
+def test_a_lockstep_batch_raises_what_its_failing_pass_raises_alone():
+    # at max_depth 1 the step function's pass fails in its second round; the
+    # batch raises its error, naming the same x, whichever passes refine beside it
+    cfg = QuadratureConfig(max_depth=1)
+    step = _LOCKSTEP[2]
+    with pytest.raises(IntegrationError) as alone:
+        integrate_finite(step[0], step[1], step[2], cfg)
+    for cases in ([step], [_LOCKSTEP[1], step, _LOCKSTEP[0]]):
+        with pytest.raises(IntegrationError) as batch:
+            _lockstep(cases, cfg)
+        assert str(batch.value) == str(alone.value) and batch.value.location == alone.value.location

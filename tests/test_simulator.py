@@ -232,6 +232,37 @@ def test_block_paths_invert_the_philox_exponentials_in_stream_order(potential):
     np.testing.assert_array_equal(p.thetas[: y.size + 1], thetas)
 
 
+# (n_events, last event time, last position) of seed 7 from (0, +1), as the
+# sampler drew them in blocks of 65,536: block sizes must not move a path
+_PINNED_PATHS = {
+    ("gaussian:1", 1e5): (40006, "0x1.869cdb3daa15fp+16", "-0x1.37a38d9faa74bp+0"),
+    ("gaussian:1", 500.0): (202, "0x1.f23cb547129c7p+8", "-0x1.50132531200f3p+0"),
+    ("beta:2.5", 1e5): (43480, "0x1.869f4c8fd5824p+16", "-0x1.15bbc30cdd225p+0"),
+    ("beta:2.5", 500.0): (222, "0x1.f09aab623a609p+8", "-0x1.13107baa7daf1p+1"),
+}
+
+
+@pytest.mark.parametrize("desc, T", list(_PINNED_PATHS), ids=[f"{d}-T{T:g}" for d, T in _PINNED_PATHS])
+def test_block_sizes_leave_seeded_paths_unchanged(desc, T):
+    p = simulate(gaussian(1.0) if desc == "gaussian:1" else beta_family(2.5), CANON, 0.0, +1, T, seed=7)
+    assert (p.n_events, float(p.times[-1]).hex(), float(p.positions[-1]).hex()) == _PINNED_PATHS[desc, T]
+
+
+@pytest.mark.parametrize("potential", [gaussian(1.0), beta_family(2.5)], ids=["gaussian1", "beta2.5"])
+def test_block_sampler_inverts_about_as_many_exponentials_as_the_horizon_needs(potential, monkeypatch):
+    # a first block of 4,096 draws, then blocks sized from the mean flight so far
+    inverted = []
+    inverse = type(potential).U_inverse
+
+    def counted(self, u, side=1):
+        inverted.append(np.size(u))
+        return inverse(self, u, side)
+
+    monkeypatch.setattr(type(potential), "U_inverse", counted)
+    p = simulate(potential, CANON, 0.0, +1, 1e5, seed=7)
+    assert p.n_events > 30000 and sum(inverted) <= 1.25 * p.n_events + 4096
+
+
 def test_marginal_ks_gaussian(long_path):
     hist = empirical_marginal(long_path)
     assert hist.masses.sum() == pytest.approx(1.0, abs=1e-12)
