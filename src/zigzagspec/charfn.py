@@ -20,13 +20,15 @@ for the Gaussian, adaptive quadrature for every other family (``psi`` and
 ``psi_batch`` integrate the U they are given, width included).
 
 Quadrature integrates along the real axis first, with psi and psi' of every
-gamma in a batch from one GK15 panel evaluator.  A pass starts on at least 8
+gamma in a batch from one GK15 panel evaluator, which quadrature's own driver
+refines in its blocks of panels.  psi takes no tolerance: it runs at
+quadrature's DEFAULT_CONFIG and truncation margin.  A pass starts on at least 8
 panels of one width, 2 per period of the batch's fastest oscillation, so few
 evaluator rounds refine it.  Its kernel factors into tables per (gamma,
 panel), (gamma, panel width, node) and (panel, node), summed by matmul, on the
 real axis and on rays alike.  For Re gamma < 0 the integrand can peak far
 above the integral (near e^18 at gamma = -3 - 4.5i for the Gaussian), and its
-panels then retire at the roundoff floor short of the requested tolerance
+panels then retire at the roundoff floor short of the default tolerance
 max(abs_tol, rel_tol |A|).  Such a gamma is integrated again along its best ray
 u = t e^{i phi} inside the potential's ``ray_sector`` (Cauchy's theorem moves
 the path; see Trefethen & Weideman, SIAM Rev. 2014), the one with the lowest
@@ -45,8 +47,8 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, NearZeroError
 from .potential import PotentialModel
-from .quadrature import _BLOCK, _EPS, _KD, _NODES, _RADII, _adaptive, _cut, _gk_reduce, _initial_edges, _table
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _MAX_INITIAL, _tolerance, integrate_finite, truncation_radius
+from .quadrature import _EPS, _KD, _NODES, _RADII, _adaptive, _blocks, _cut, _gk_reduce, _initial_edges, _table
+from .quadrature import DEFAULT_CONFIG, _MAX_INITIAL, _tolerance, integrate_finite, truncation_radius
 from .specialfn import erfcx_complex
 
 __all__ = [
@@ -114,8 +116,9 @@ def _path(potential: PotentialModel, sign: int, phi: float):
 
 def _kernel_panels(potential, sign, g, phi):
     """GK15 panel evaluator panels(a, b) -> (K, E, N, True) of A and B for
-    every gamma in g on the ray u = t e^{i phi}, shaped (panels, 2 n): A's
-    rows, then those of INT t k dt (B without its e^{2 i phi}).  With
+    every gamma in g on the ray u = t e^{i phi}, shaped (panels, 2 n), all in
+    one call (_ab_pass hands it quadrature._blocks' blocks): A's rows, then
+    those of INT t k dt (B without its e^{2 i phi}).  With
     s = -2 gamma e^{i phi}, k = e^{s t - W(u)} at t = c + h x is the product
     e^{s c - W(u_c)} e^{s h x} e^{-(W(u) - W(u_c))}, u_c at the panel's centre
     (GK15's node 7, x = 0).  Per width, one matmul of the rows h w_j, h w_j t_j
@@ -130,9 +133,6 @@ def _kernel_panels(potential, sign, g, phi):
     fall, low = float(np.abs(s.real).max()), float(s.real.min())
 
     def panels(a, b):
-        if a.size > _BLOCK:  # blocks keep every temporary small, as in quadrature._panels
-            *parts, _ = zip(*(panels(a[i : i + _BLOCK], b[i : i + _BLOCK]) for i in range(0, a.size, _BLOCK)))
-            return (*map(np.concatenate, parts), True)
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         t = c[:, None] + h[:, None] * _NODES
         w = w_of(u_of(t))
@@ -164,7 +164,7 @@ def _kernel_panels(potential, sign, g, phi):
     return panels
 
 
-def _ab_pass(potential, sign, g, phi, radius, cfg):
+def _ab_pass(potential, sign, g, phi, radius):
     """A = INT e^{-2 gamma u - W} du and B = INT u e^{-2 gamma u - W} du over
     u = t e^{i phi}, t in [0, radius], for every gamma in g on shared panels.
 
@@ -187,12 +187,12 @@ def _ab_pass(potential, sign, g, phi, radius, cfg):
         n = min(_MAX_INITIAL, max(_MIN_INITIAL, math.ceil(radius * oscillation / math.pi)))
         edges = math.ldexp(math.ceil(math.ldexp(radius / n, 30)), -30) * np.arange(n + 1.0)
     kernel = _kernel_panels(potential, sign, g, phi)
-    (vals, errs, _), = _adaptive(lambda a, b, _: kernel(a, b), [edges], cfg)
+    (vals, errs, _), = _adaptive(lambda a, b, _: _blocks(kernel, a, b), [edges], DEFAULT_CONFIG)
     # du = e^{i phi} dt, and B's u is e^{i phi} t
     return vals.reshape(2, g.size) * np.array([[rot], [rot * rot]]), errs.reshape(2, g.size)
 
 
-def _ab_on_rays(potential, sign, g, cfg, ab, errs, phi, radii, tails):
+def _ab_on_rays(potential, sign, g, ab, errs, phi, radii, tails):
     """The rows (A and B, their error bounds, phi, radius, tail) of the gammas
     g that missed on the real axis, with those of their best rays in place.
 
@@ -210,23 +210,23 @@ def _ab_on_rays(potential, sign, g, cfg, ab, errs, phi, radii, tails):
     fall = -2.0 * np.multiply.outer(g, rot).real
     peak, first = np.zeros((m, n)), np.zeros((m, n), dtype=int)
     for a in range(n):  # one angle at a time keeps the envelopes (m, t) small
-        first[:, a], peak[:, a], _ = _cut(fall[:, a], w[a], rise[a], cfg.truncation_margin)
+        first[:, a], peak[:, a], _ = _cut(fall[:, a], w[a], rise[a])
     best = np.lexsort((np.broadcast_to(phis, peak.shape), first, np.round(peak)))[:, 0]  # each gamma's ray
     suits = np.isfinite(peak).any(axis=1)  # the gammas with a ray
     for a in np.unique(best[suits]):
         grp = np.flatnonzero(suits & (best == a))
         i = first[grp, a].max()
         try:
-            ab[:, grp], errs[:, grp] = _ab_pass(potential, sign, g[grp], phis[a], _RADII[i], cfg)
+            ab[:, grp], errs[:, grp] = _ab_pass(potential, sign, g[grp], phis[a], _RADII[i])
         except IntegrationError as exc:
-            raise _refusal(potential, sign, g[grp[0]], cfg, exc, phis[a]) from exc
+            raise _refusal(potential, sign, g[grp[0]], exc, phis[a]) from exc
         phi[grp], radii[grp] = phis[a], _RADII[i]
-        tails[grp] = _cut(fall[grp, a], w[a], rise[a], cfg.truncation_margin, at=i)[2]
+        tails[grp] = _cut(fall[grp, a], w[a], rise[a], at=i)[2]
         errs[:, grp] += np.stack([tails[grp], tails[grp] * radii[grp]])
     return ab, errs, phi, radii, tails
 
 
-def _refusal(potential, sign, gamma, cfg, miss, phi=0.0):
+def _refusal(potential, sign, gamma, miss, phi=0.0):
     """psi's IntegrationError at gamma on its last path (the ray at phi; 0 is the
     real axis) for `miss`, the IntegrationError of a pass that raised or the
     (ab, errs, tail, radius) of one that missed: that error, a tail that alone
@@ -239,7 +239,7 @@ def _refusal(potential, sign, gamma, cfg, miss, phi=0.0):
     if isinstance(miss, IntegrationError):
         return IntegrationError(f"{head} fails on {path}: {miss}; {cancel}", location=gamma)
     ab, errs, tail, radius = miss
-    tol = _tolerance(ab, 0.0, cfg)
+    tol = _tolerance(ab, 0.0, DEFAULT_CONFIG)
     k = int(np.argmax(errs / tol))  # the worst of A and B; B's tail carries a factor radius
     tail *= (1.0, radius)[k]
     if tail > tol[k]:
@@ -264,7 +264,7 @@ def _refuse_non_finite(potential: PotentialModel, g):
         raise DomainError(f"{_psi_head(potential, complex(g[~np.isfinite(g)][0]))}: gamma must be finite")
 
 
-def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: QuadratureConfig):
+def _psi_quadrature_batch(potential: PotentialModel, sign: int, g):
     """(psi, dpsi, err, phi, radius, tail) arrays for every gamma in g.
 
     Uses the partially integrated form psi = 1 - 2 gamma A with
@@ -281,21 +281,21 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     _refuse_non_finite(potential, g)
     alpha = float(np.max(np.maximum(0.0, -2.0 * g.real)))
-    radius, tail = truncation_radius(potential, alpha, sign, cfg=cfg)
+    radius, tail = truncation_radius(potential, alpha, sign)
     try:
-        ab, errs = _ab_pass(potential, sign, g, 0.0, radius, cfg)
+        ab, errs = _ab_pass(potential, sign, g, 0.0, radius)
     except IntegrationError as exc:  # name the gamma that cancels most
-        raise _refusal(potential, sign, g[np.argmin(g.real)], cfg, exc) from exc
+        raise _refusal(potential, sign, g[np.argmin(g.real)], exc) from exc
     errs += np.array([[tail], [tail * radius]])  # B's factor u is swallowed by the truncation margin
     phi, radii, tails = np.zeros(g.size), np.full(g.size, radius), np.full(g.size, tail)
-    j = np.flatnonzero(np.any(errs > _tolerance(ab, 0.0, cfg), axis=0))
+    j = np.flatnonzero(np.any(errs > _tolerance(ab, 0.0, DEFAULT_CONFIG), axis=0))
     if j.size and potential.ray_sector > 0.0:  # a custom U has no rays
-        on_rays = _ab_on_rays(potential, sign, g[j], cfg, ab[:, j], errs[:, j], phi[j], radii[j], tails[j])
+        on_rays = _ab_on_rays(potential, sign, g[j], ab[:, j], errs[:, j], phi[j], radii[j], tails[j])
         ab[:, j], errs[:, j], phi[j], radii[j], tails[j] = on_rays
-        j = j[np.any(errs[:, j] > _tolerance(ab[:, j], 0.0, cfg), axis=0)]
+        j = j[np.any(errs[:, j] > _tolerance(ab[:, j], 0.0, DEFAULT_CONFIG), axis=0)]
     if j.size:  # no ray rescued these: refuse the first
         k = j[0]
-        raise _refusal(potential, sign, g[k], cfg, (ab[:, k], errs[:, k], tails[k], radii[k]), phi[k])
+        raise _refusal(potential, sign, g[k], (ab[:, k], errs[:, k], tails[k], radii[k]), phi[k])
     a_val, b_val = ab
     value = 1.0 - 2.0 * g * a_val
     deriv = -2.0 * a_val + 4.0 * g * b_val
@@ -304,9 +304,7 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g, cfg: Quadratu
     return value, deriv, err, phi, radii, tails
 
 
-def _psi_defining_integral(
-    potential: PotentialModel, sign: int, gamma: complex, cfg: QuadratureConfig, phi: float, radius: float, tail: float
-):
+def _psi_defining_integral(potential: PotentialModel, sign: int, gamma: complex, phi: float, radius: float, tail: float):
     """psi via the defining integral with the U' factor (verification path),
     along the ray, to the radius and with the tail bound of the partially
     integrated form."""
@@ -317,31 +315,25 @@ def _psi_defining_integral(
         return rot * sign * potential.dU(sign * u) * np.exp(-2.0 * gamma * u - w_of(u))
 
     oscillation = abs(2.0 * (gamma * rot).imag)
-    value, err = integrate_finite(f, 0.0, radius, cfg, oscillation=oscillation)
+    value, err = integrate_finite(f, 0.0, radius, oscillation=oscillation)
     return complex(value), float(err) + tail * (1.0 + radius)
 
 
-def psi(
-    potential: PotentialModel,
-    sign: int,
-    gamma: complex,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    verify: bool = False,
-) -> complex:
+def psi(potential: PotentialModel, sign: int, gamma: complex, verify: bool = False) -> complex:
     """psi_plus (sign=+1) or psi_minus (sign=-1) by quadrature.
 
     Integrates along the real axis, or along a rotated ray where the real
-    axis misses the tolerance of cfg; raises IntegrationError where neither
-    meets it (see the module docstring).
+    axis misses quadrature's default tolerance; raises IntegrationError where
+    neither meets it (see the module docstring).
 
     verify=True also evaluates the defining integral with the U' factor and
     insists the two routes agree within their combined error estimates.
     """
     gamma = complex(gamma)
-    rows = _psi_quadrature_batch(potential, sign, np.array([gamma]), cfg)
+    rows = _psi_quadrature_batch(potential, sign, np.array([gamma]))
     value, _, err, *ray = (v.item() for v in rows)  # the batch of one
     if verify:
-        alt, alt_err = _psi_defining_integral(potential, sign, gamma, cfg, *ray)
+        alt, alt_err = _psi_defining_integral(potential, sign, gamma, *ray)
         budget = err + alt_err + 1e-11
         if abs(value - alt) > budget:
             raise IntegrationError(
@@ -351,21 +343,21 @@ def psi(
     return value
 
 
-def psi_batch(potential: PotentialModel, sign: int, gammas, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def psi_batch(potential: PotentialModel, sign: int, gammas):
     """(psi values, dpsi values) for an array of gammas in one adaptive pass.
 
     All gammas share quadrature panels (one factored kernel gives each its A
     and B), with the truncation radius and oscillation guard taken from the
     worst member of the batch.  This is what keeps contour integration
     affordable for potentials without a closed form.  A gamma whose integrals
-    miss the tolerance of cfg there is taken along a rotated ray, in one pass
+    miss quadrature's default tolerance there is taken along a rotated ray, in one pass
     with the batch's other gammas on that angle, and the batch raises
     IntegrationError if that misses it too, as psi does.
     """
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
     if g.size == 0:
         return np.zeros(0, complex), np.zeros(0, complex)
-    value, deriv, *_ = _psi_quadrature_batch(potential, sign, g, cfg)
+    value, deriv, *_ = _psi_quadrature_batch(potential, sign, g)
     return value, deriv
 
 

@@ -75,14 +75,6 @@ class RunConfig:
     plot: Optional[str] = None
     csv: Optional[str] = None
 
-    def to_text(self) -> str:
-        lines = []
-        for key in _CONFIG_KEYS:
-            val = getattr(self, key.replace("-", "_"))
-            if val is not None:
-                lines.append(f"{key} = {val!r}" if isinstance(val, str) else f"{key} = {val}")
-        return "\n".join(lines) + "\n"
-
 
 # flag spellings of the RunConfig fields, in field order
 _CONFIG_KEYS = tuple(f.name.replace("_", "-") for f in dataclasses.fields(RunConfig))
@@ -200,9 +192,10 @@ def _spectrum_csv(result: SpectrumResult) -> str:
 # SVG emitter
 
 _BRANCH_COLOR = {"full": "#000000", "plus": "#1f4fbf", "minus": "#bf1f1f"}
+_SVG_WIDTH, _SVG_HEIGHT = 640, 480  # pixels
 
 
-def render_svg(region: ComplexRegion, points, arrows=(), width=640, height=480) -> str:
+def render_svg(region: ComplexRegion, points, arrows=()) -> str:
     """Deterministic, self-contained scatter of eigenvalues.
 
     points: (gamma, branch) pairs; arrows: (gamma, tip) pairs drawn in gray.
@@ -215,17 +208,17 @@ def render_svg(region: ComplexRegion, points, arrows=(), width=640, height=480) 
     pad = 40.0  # pixel gutter for labels
 
     def px(re):
-        return pad + (re - x0) / (x1 - x0) * (width - 2 * pad)
+        return pad + (re - x0) / (x1 - x0) * (_SVG_WIDTH - 2 * pad)
 
     def py(im):
-        return height - pad - (im - y0) / (y1 - y0) * (height - 2 * pad)
+        return _SVG_HEIGHT - pad - (im - y0) / (y1 - y0) * (_SVG_HEIGHT - 2 * pad)
 
     el = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<rect x="{pad:.2f}" y="{pad:.2f}" width="{width - 2 * pad:.2f}" '
-        f'height="{height - 2 * pad:.2f}" fill="none" stroke="#000000"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="#ffffff"/>',
+        f'<rect x="{pad:.2f}" y="{pad:.2f}" width="{_SVG_WIDTH - 2 * pad:.2f}" '
+        f'height="{_SVG_HEIGHT - 2 * pad:.2f}" fill="none" stroke="#000000"/>',
     ]
     if x0 < 0.0 < x1:
         el.append(
@@ -260,11 +253,11 @@ def render_svg(region: ComplexRegion, points, arrows=(), width=640, height=480) 
             f'fill="{_BRANCH_COLOR.get(branch, "#000000")}"/>'
         )
     label = (
-        f'<text x="{width / 2:.2f}" y="{height - 10:.2f}" text-anchor="middle" '
+        f'<text x="{_SVG_WIDTH / 2:.2f}" y="{_SVG_HEIGHT - 10:.2f}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">Re: [{x0:.4g}, {x1:.4g}]</text>'
-        f'<text x="12" y="{height / 2:.2f}" text-anchor="middle" '
+        f'<text x="12" y="{_SVG_HEIGHT / 2:.2f}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 12 {height / 2:.2f})">Im: [{y0:.4g}, {y1:.4g}]</text>'
+        f'transform="rotate(-90 12 {_SVG_HEIGHT / 2:.2f})">Im: [{y0:.4g}, {y1:.4g}]</text>'
     )
     el.append(label)
     el.append("</svg>")

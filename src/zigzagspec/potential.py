@@ -262,6 +262,8 @@ def parse_potential(text: str) -> PotentialModel:
     """
     parts = text.strip().split(":")
     name = parts[0].strip().lower()
+    if len(parts) > 2:
+        raise DomainError(f"potential descriptor {text!r} has more than one ':' field")
     try:
         if name == "gaussian":
             sigma = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0

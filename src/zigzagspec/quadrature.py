@@ -26,8 +26,11 @@ per-call overhead is paid per round.  Three features beyond a stock integrator:
 
 Half-infinite integrals are cut by one rule on one table of radii, _RADII:
 _cut takes an envelope's first table radius past its peak below
-exp(-truncation_margin) and bounds the tail past it.  truncation_radius and
-psi's rotated rays (charfn) both use it; the caller integrates the finite part.
+exp(-_TRUNCATION_MARGIN) = e^-40 and bounds the tail past it.
+truncation_radius and psi's rotated rays (charfn) both use it; the caller
+integrates the finite part.  Only integrate_finite takes a tolerance
+(QuadratureConfig); psi and the operator layer integrate at DEFAULT_CONFIG,
+and every cut takes this one margin.
 """
 
 from __future__ import annotations
@@ -93,24 +96,20 @@ _KD = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W])  # GK15 rows: Kronrod, and t
 
 _MAX_PANELS = 20000
 _MAX_INITIAL = 512
-_BLOCK = 256  # panels per call of f in _panels
+_BLOCK = 256  # panels per call of a panel evaluator in _blocks
+_TRUNCATION_MARGIN = 40.0  # a half-infinite integral is cut where its envelope has dropped below e^-40
 
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the adaptive integrator.
-
-    truncation_margin is in units of -log(target): a half-infinite integral
-    is cut where its envelope has dropped below exp(-truncation_margin).
-    """
+    """Tolerances for the adaptive integrator."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_depth: int = 60
-    truncation_margin: float = 40.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "truncation_margin"):
+        for name in ("rel_tol", "abs_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
         if not (isinstance(self.max_depth, (int, np.integer)) and self.max_depth >= 1):
@@ -124,10 +123,10 @@ DEFAULT_CONFIG = QuadratureConfig()
 _RADII = np.concatenate([np.linspace(0.0, 8.0, 65), np.geomspace(8.0, 8.0 * 1250.0 ** (105 / 79), 106)[1:]])
 
 
-def _cut(rate, w, rise, margin, at=None):
+def _cut(rate, w, rise, at=None):
     """The truncation rule for rows le = rate t - w(t), rate (m,), w and rise = w(t + 1) - w(t) on _RADII.
 
-    A row's cut is its first radius past its peak with le < -margin and decay
+    A row's cut is its first radius past its peak with le < -_TRUNCATION_MARGIN and decay
     rho = rise - rate > 1e-3; the tail past it is at most the geometric sum
     e^{le} / (1 - e^{-rho}) of unit steps, rho growing outward for convex w
     (QUADPACK's argument, Piessens et al. 1983).  Returns (first, peak, tail):
@@ -135,7 +134,7 @@ def _cut(rate, w, rise, margin, at=None):
     (default: its cut), the last two inf where it has none.
     """
     le = np.multiply.outer(rate, _RADII) - w
-    fit = (le < -margin) & (rise > rate[:, None] + 1e-3)
+    fit = (le < -_TRUNCATION_MARGIN) & (rise > rate[:, None] + 1e-3)
     fit &= np.arange(_RADII.size) > le.argmax(axis=1)[:, None]
     ok = fit.any(axis=1)
     first = np.where(ok, fit.argmax(axis=1), -1)
@@ -153,15 +152,17 @@ def _table(w_of):
         return w[..., 0, :], w[..., 1, :] - w[..., 0, :]
 
 
-def truncation_radius(
-    potential: PotentialModel, alpha, side: int = +1, center: float = 0.0, cfg: QuadratureConfig = DEFAULT_CONFIG
-):
+def truncation_radius(potential: PotentialModel, alpha, side: int = +1, center: float = 0.0):
     """(R, tail bound) by _cut for e^{|alpha| t - (U(center + side t) - U(center))}, arrays for an array
-    of rates alpha, all cut on one table; TruncationError if one has none."""
+    of rates alpha, all cut on one table; TruncationError if one has none, DomainError for a rate
+    that is not finite."""
+    rate = np.abs(np.atleast_1d(alpha))
+    if not np.isfinite(rate).all():
+        raise DomainError(f"truncation rate must be finite, got {rate[~np.isfinite(rate)][0]!r}")
     u, rise = _table(lambda t: potential.U(center + side * t))  # u[0] = U(center)
-    first, _, tail = _cut(np.abs(np.atleast_1d(alpha)), u - u[0], rise, cfg.truncation_margin)
+    first, _, tail = _cut(rate, u - u[0], rise)
     if first.min() < 0:
-        msg = f"no truncation radius below {_RADII[-1]:.4g} reaches envelope exp({-cfg.truncation_margin:g})"
+        msg = f"no truncation radius below {_RADII[-1]:.4g} reaches envelope exp({-_TRUNCATION_MARGIN:g})"
         raise TruncationError(msg, location=float(_RADII[-1]))
     return (float(_RADII[first[0]]), float(tail[0])) if np.ndim(alpha) == 0 else (_RADII[first], tail)
 
@@ -176,19 +177,25 @@ def _tolerance(value, floor, cfg):
     return np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value)), _NOISE_MULT * floor)
 
 
-def _panels(f, a, b):
-    """Evaluate GK15 on every panel [a[i], b[i]], one call of f per _BLOCK panels.
+def _blocks(panels, a, b):
+    """panels(a, b) -> _gk_reduce's (K, E, N, batch_flag) on every panel [a[i], b[i]], one call
+    per _BLOCK panels.  Blocks keep every temporary small however many panels there are."""
+    if a.size <= _BLOCK:
+        return panels(a, b)
+    *parts, batch = zip(*(panels(a[i : i + _BLOCK], b[i : i + _BLOCK]) for i in range(0, a.size, _BLOCK)))
+    return (*map(np.concatenate, parts), batch[0])
 
-    Returns _gk_reduce's (K, E, N, batch_flag).  Blocks keep every temporary
-    small however many panels there are.
-    """
-    if a.size > _BLOCK:
-        *parts, batch = zip(*(_panels(f, a[i : i + _BLOCK], b[i : i + _BLOCK]) for i in range(0, a.size, _BLOCK)))
-        return (*map(np.concatenate, parts), batch[0])
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = (c[:, None] + h[:, None] * _NODES).ravel()
-    return _gk_reduce(np.asarray(f(x)), h, x)
+
+def _panels(f, a, b):
+    """GK15 of the node integrand f on every panel [a[i], b[i]], one call of f per _BLOCK panels."""
+
+    def block(a, b):
+        c = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        x = (c[:, None] + h[:, None] * _NODES).ravel()
+        return _gk_reduce(np.asarray(f(x)), h, x)
+
+    return _blocks(block, a, b)
 
 
 def _gk_reduce(v, h, x):
@@ -221,7 +228,7 @@ def _initial_edges(a, b, oscillation, breakpoints):
     uniform cuts that each panel spans at most one oscillation period."""
     inner = np.asarray(() if breakpoints is None else breakpoints, dtype=float).ravel()
     pts = sorted({a, b, *(float(p) for p in inner if a < p < b)})
-    if oscillation and oscillation > 0.0:
+    if oscillation > 0.0:
         period = 2.0 * math.pi / oscillation
         want = sum(max(1, math.ceil((q - p) / period)) for p, q in zip(pts, pts[1:]))
         shrink = 1.0
@@ -338,6 +345,8 @@ def integrate_finite(
         raise DomainError(f"integration limits must be finite, got [{a!r}, {b!r}]")
     if a > b:
         raise DomainError(f"integration limits out of order: a = {a} > b = {b}")
+    if not 0.0 <= oscillation < math.inf:
+        raise DomainError(f"oscillation must be finite and >= 0, got {oscillation!r}")
     if a == b:
         probe = np.asarray(f(np.array([a])))
         zero = np.zeros(probe.shape[0], dtype=complex) if probe.ndim == 2 else 0.0 + 0.0j

@@ -19,7 +19,6 @@ from zigzagspec.charfn import (
 )
 from zigzagspec.errors import DomainError, IntegrationError, NearZeroError
 from zigzagspec.potential import PotentialModel, beta_family, custom, gaussian, parse_potential, scale
-from zigzagspec.quadrature import QuadratureConfig
 from zigzagspec.spectrum import ComplexRegion, compute_spectrum
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -223,9 +222,9 @@ def _ray_passes(monkeypatch):
     """The angle of every ray pass psi makes from here on (the real axis, phi = 0, is left out)."""
     rays, ab_pass = [], charfn._ab_pass
 
-    def counted(potential, sign, g, phi, radius, cfg):
+    def counted(potential, sign, g, phi, radius):
         rays.extend([phi] if phi != 0.0 else [])
-        return ab_pass(potential, sign, g, phi, radius, cfg)
+        return ab_pass(potential, sign, g, phi, radius)
 
     monkeypatch.setattr(charfn, "_ab_pass", counted)
     return rays
@@ -418,15 +417,17 @@ def test_quadrature_psi_resolves_a_steep_kernel_at_large_re_gamma(g):
     assert abs(psi(beta_family(2.0), +1, g) - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_quadrature_psi_counts_its_truncation_tail():
+def test_quadrature_psi_counts_its_truncation_tail(monkeypatch):
     # at margin 5 the tail past the radius is ~e^{-5}: psi(beta:2, +1, 0.5+1j)
     # once came back off by 6.4e-6 with no error; now the ray, cut by the
     # same margin, misses too, and psi refuses, naming the tail (nothing
     # cancels at Re gamma > 0)
     g = 0.5 + 1.0j
     tail = r"misses its tolerance on its best rotated ray \(phi = .*\): .*; the tail past radius .* alone is bounded by"
-    with pytest.raises(IntegrationError, match=tail) as info:
-        psi(beta_family(2.0), +1, g, QuadratureConfig(truncation_margin=5.0))
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_TRUNCATION_MARGIN", 5.0)
+        with pytest.raises(IntegrationError, match=tail) as info:
+            psi(beta_family(2.0), +1, g)
     assert "cancellation" not in str(info.value) and info.value.location == g
     assert abs(psi(beta_family(2.0), +1, g) - gaussian_closed_form(g)[0]) <= 1e-14
 
@@ -434,8 +435,9 @@ def test_quadrature_psi_counts_its_truncation_tail():
 def test_a_gamma_whose_best_ray_misses_takes_no_second_ray(monkeypatch):
     # each missed gamma takes one ray; where it misses too, psi refuses at once
     rays = _ray_passes(monkeypatch)
+    monkeypatch.setattr(quadrature, "_TRUNCATION_MARGIN", 5.0)
     with pytest.raises(IntegrationError, match="misses its tolerance on its best rotated ray"):
-        psi(beta_family(2.0), +1, 0.5 + 1.0j, QuadratureConfig(truncation_margin=5.0))
+        psi(beta_family(2.0), +1, 0.5 + 1.0j)
     assert len(rays) == 1
 
 
@@ -443,17 +445,19 @@ def test_quadrature_psi_refusals_name_their_cause(monkeypatch):
     b2 = beta_family(2.0)
     # at margin 5.45e9 the real axis reaches its cut, the last table radius,
     # but the slower growth of Re U on every ray does not
-    with pytest.raises(IntegrationError) as info:
-        psi(b2, +1, CANCELLATION_POINTS[0], QuadratureConfig(truncation_margin=5.45e9))
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_TRUNCATION_MARGIN", 5.45e9)
+        with pytest.raises(IntegrationError) as info:
+            psi(b2, +1, CANCELLATION_POINTS[0])
     assert str(info.value).endswith("no rotated ray decays below the truncation margin")
     assert "cancellation from e^18" in str(info.value) and "analytic continuation" not in str(info.value)
     # a ray pass that raises refuses its gamma with the pass's own error
     ab_pass = charfn._ab_pass
 
-    def no_rays(potential, sign, g, phi, radius, cfg):
+    def no_rays(potential, sign, g, phi, radius):
         if phi != 0.0:
             raise IntegrationError("panel budget 20000 exhausted near x = 1", location=1.0)
-        return ab_pass(potential, sign, g, phi, radius, cfg)
+        return ab_pass(potential, sign, g, phi, radius)
 
     monkeypatch.setattr(charfn, "_ab_pass", no_rays)
     with pytest.raises(IntegrationError) as info:

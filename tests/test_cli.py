@@ -6,7 +6,7 @@ import pytest
 from conftest import GAUSSIAN_EIGENVALUES, GAUSSIAN_GAP
 from zigzagspec import rootfinder
 from zigzagspec.charfn import CharFunctionHandle
-from zigzagspec.cli import RunConfig, main, parse_complex, parse_config_text
+from zigzagspec.cli import main, parse_complex, parse_config_text
 
 # a tight region holding just the stationary eigenvalue and the gap pair
 # keeps every CLI invocation fast
@@ -32,8 +32,7 @@ def test_parse_complex_accepts_both_imaginary_suffixes():
 
 
 def test_config_round_trip():
-    cfg = RunConfig(potential="gaussian:1", im_max=1.6, seed=3, out="a.json")
-    parsed = parse_config_text(cfg.to_text())
+    parsed = parse_config_text("potential = 'gaussian:1'\nim-max = 1.6\nseed = 3\nout = 'a.json'\n")
     assert parsed["potential"] == "gaussian:1"
     assert parsed["im-max"] == "1.6"
     assert parsed["seed"] == "3"

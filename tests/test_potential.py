@@ -133,6 +133,13 @@ def test_parse_potential_round_trip():
         parse_potential("gaussian:xyz")
 
 
+@pytest.mark.parametrize("text", ["gaussian:1:2", "beta:2.5:junk"])
+def test_a_descriptor_with_extra_fields_is_refused(text):
+    # these once parsed as gaussian:1 and beta:2.5, the extra field dropped
+    with pytest.raises(DomainError, match="more than one ':' field"):
+        parse_potential(text)
+
+
 def test_scale_gaussian_collapses_to_wider_gaussian():
     assert scale(gaussian(1.0), 2.0).sigma == 4.0 / 2.0  # descriptor sigma = 2
     pot = scale(beta_family(2.5), 3.0)

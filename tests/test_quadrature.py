@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import skewed_well
 from zigzagspec.errors import DomainError, IntegrationError, TruncationError
+from zigzagspec.operator import inner_product_mu
 from zigzagspec.potential import beta_family, custom, gaussian
 from zigzagspec.quadrature import (
     _GAUSS_W,
@@ -134,6 +135,28 @@ def test_truncation_radius_refuses_past_the_table_end():
         truncation_radius(beta_family(1.05), np.array([0.0, 8.0]))
 
 
+def _unit(x, theta):
+    return np.ones_like(x)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, np.array([0.0, math.nan])], ids=["nan", "inf", "-inf", "array"])
+def test_truncation_radius_refuses_a_rate_that_is_not_finite(alpha):
+    # a nan rate once read as "no truncation radius below 1.045e+05 reaches envelope exp(-40)"
+    with pytest.raises(DomainError, match="truncation rate must be finite"):
+        truncation_radius(gaussian(1.0), alpha)
+    with pytest.raises(DomainError, match="truncation rate must be finite"):  # the public pairing reaches it
+        inner_product_mu(_unit, _unit, gaussian(1.0), growth=np.max(alpha))
+
+
+@pytest.mark.parametrize("oscillation", [math.inf, math.nan, -1.0])
+def test_integrate_finite_refuses_an_oscillation_that_is_not_finite_and_nonnegative(oscillation):
+    # inf once raised ZeroDivisionError while cutting the initial panels; nan and -1 were ignored
+    with pytest.raises(DomainError, match="oscillation must be finite and >= 0"):
+        integrate_finite(np.cos, 0.0, 1.0, oscillation=oscillation)
+    with pytest.raises(DomainError, match="oscillation must be finite and >= 0"):  # the public pairing reaches it
+        inner_product_mu(_unit, _unit, gaussian(1.0), oscillation=oscillation)
+
+
 def _semiinfinite(f, potential, alpha, side=+1):
     """A half-line integral the way callers build one: integrate_finite up
     to the certified truncation radius, with the tail bound in the error."""
@@ -195,10 +218,6 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("truncation_margin", 0.0),
-        ("truncation_margin", -5.0),
-        ("truncation_margin", math.nan),
-        ("truncation_margin", math.inf),
         ("rel_tol", math.inf),
         ("abs_tol", math.nan),
         ("max_depth", math.nan),
@@ -206,7 +225,6 @@ def test_config_validation():
     ],
 )
 def test_config_refuses_settings_that_are_not_finite_and_positive(field, value):
-    # margin 0 once returned psi(beta:2, +1, 0.5+1j) off by 0.171 with no error
     with pytest.raises(DomainError, match=field):
         QuadratureConfig(**{field: value})
 
