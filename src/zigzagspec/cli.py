@@ -30,7 +30,7 @@ import numpy as np
 
 from .charfn import CharFunctionHandle, z_log_derivative_batch
 from .errors import DomainError, ZigzagError
-from .operator import _check_gamma_tol, default_grid, eigenfunction_table
+from .operator import EIGENVALUE_TOL, _check_gamma_tol, default_grid, eigenfunction_table
 from .perturbation import perturbed_spectrum
 from .potential import PotentialModel, SwitchingRateSpec, parse_potential
 from .rootfinder import ComplexRegion, _check_root_tol, newton_polish
@@ -337,7 +337,7 @@ def cmd_perturb(cfg: RunConfig, parser) -> int:
 def cmd_eigfun(cfg: RunConfig, parser) -> int:
     potential = parse_potential(_require(cfg, "potential", parser))
     guess = parse_complex(_require(cfg, "gamma", parser))
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+    tol = cfg.tol if cfg.tol is not None else EIGENVALUE_TOL
     _check_gamma_tol(guess, tol)  # eigenfunction_table's refusal, before Newton evaluates psi
     ld = functools.partial(z_log_derivative_batch, CharFunctionHandle(potential))
     gamma = newton_polish(ld, guess)

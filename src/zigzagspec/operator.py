@@ -70,6 +70,7 @@ __all__ = [
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _LOG_GRID_TARGET = 14.0 * math.log(10.0)  # e^{-U(R)} < 1e-14
+EIGENVALUE_TOL = 1e-8  # |Z(gamma)| at or below this: gamma is an eigenvalue
 SIMPLICITY_TOL = 1e-8  # |Z'(gamma)| at or below this: not a simple root
 _CELL_PHASE = 2.0  # |2 gamma + U'| times a pt cell's width: GK15 at roundoff
 _MAX_RANGE = 600.0  # growth factors e^{..} one pt sweep spans without underflow
@@ -351,7 +352,7 @@ class PiecewiseEigenfunction:
         return float(np.sum(np.real(val)))
 
 
-def _check_gamma_tol(gamma, tol: float) -> complex:
+def _check_gamma_tol(gamma, tol: float = EIGENVALUE_TOL) -> complex:
     """gamma as a complex; DomainError unless gamma is finite and tol finite and > 0."""
     gamma = complex(gamma)
     if not np.isfinite(gamma):
@@ -365,7 +366,7 @@ def eigenfunction(
     potential: PotentialModel,
     gamma: complex,
     variant: str = "full",
-    tol: float = 1e-8,
+    tol: float = EIGENVALUE_TOL,
 ) -> PiecewiseEigenfunction:
     """Closed-form eigenfunction at gamma; raises unless |Z_branch(gamma)| <= tol."""
     if variant not in ("full", "plus", "minus"):
@@ -383,7 +384,7 @@ def eigenfunction_table(
     potential: PotentialModel,
     gamma: complex,
     xs,
-    tol: float = 1e-8,
+    tol: float = EIGENVALUE_TOL,
 ) -> np.ndarray:
     """Columns [x, Re f+, Im f+, Re f-, Im f-] for CSV export."""
     xs = np.asarray(xs, dtype=float)
@@ -545,9 +546,9 @@ def _resolvent_sums(potential, gamma, h):
     return k1, k2, pos, neg
 
 
-def _k_plus_minus(potential, gamma, h, tol):
+def _k_plus_minus(potential, gamma, h):
     """(k+, k-, pos, neg) with (k+, k-) = Z^{-1} [[1, psi+], [psi-, 1]] (k1, k2)
-    at a gamma off the spectrum; ResolventAtEigenvalueError where |Z| <= tol,
+    at a gamma off the spectrum; ResolventAtEigenvalueError where |Z| <= EIGENVALUE_TOL,
     DomainError where the sweep's e^{|Re gamma| R + U(R)} leaves float range
     or, at Re gamma < 0, it cancels from a peak of e^{2 |Re gamma| |x| - U} past e^16."""
     r, xs = h.radius, h.xs
@@ -558,8 +559,8 @@ def _k_plus_minus(potential, gamma, h, tol):
     values = CharFunctionHandle(potential, "full").values_batch(gamma)
     z = complex(_z_and_dz("full", *values)[0][0])
     pp, _, pm, _ = (complex(v[0]) for v in values)
-    if abs(z) <= tol:
-        raise ResolventAtEigenvalueError(gamma, abs(z), tol)
+    if abs(z) <= EIGENVALUE_TOL:
+        raise ResolventAtEigenvalueError(gamma, abs(z), EIGENVALUE_TOL)
     k1, k2, pos, neg = _resolvent_sums(potential, gamma, h)
     return (k1 + pp * k2) / z, (pm * k1 + k2) / z, pos, neg
 
@@ -568,7 +569,6 @@ def apply_resolvent(
     potential: PotentialModel,
     gamma: complex,
     h: GridFunction,
-    tol: float = 1e-8,
 ) -> GridFunction:
     """f = (gamma - L)^{-1} h on h's grid, which must hold x = 0.
 
@@ -577,10 +577,10 @@ def apply_resolvent(
     cell by cell with one GK15 panel per grid cell plus the analytic tail.
     One sweep per outward half line gives both k1, k2 (hence k+, k-) and f.
     """
-    gamma = _check_gamma_tol(gamma, tol)
+    gamma = _check_gamma_tol(gamma)
     if not np.any(h.xs == 0.0):
         raise DomainError("resolvent grid must contain x = 0 exactly")
-    kp, km, pos, neg = _k_plus_minus(potential, gamma, h, tol)
+    kp, km, pos, neg = _k_plus_minus(potential, gamma, h)
     (xpos, c_minus, a_pos, w_pos, fac_pos), (xneg, d_plus, a_neg, w_neg, fac_neg) = pos, neg
 
     # f+ on x > 0: suffix sums of the cells of e^{-g xi - U}(h+ + U' f-)
@@ -603,14 +603,13 @@ def k_coefficients(
     potential: PotentialModel,
     gamma: complex,
     h: GridFunction,
-    tol: float = 1e-8,
 ) -> Tuple[complex, complex]:
     """(k+, k-) = Z(gamma)^{-1} [[1, psi+], [psi-, 1]] (k1, k2).
 
     These are the x = 0 values of the resolvent, f+(0) and f-(0), taken
     from the half-line sums without assembling f on the grid.
     """
-    kp, km, _, _ = _k_plus_minus(potential, _check_gamma_tol(gamma, tol), h, tol)
+    kp, km, _, _ = _k_plus_minus(potential, _check_gamma_tol(gamma), h)
     return complex(kp), complex(km)
 
 
@@ -666,19 +665,13 @@ def _pair(h: Callable, growth: float, f: PiecewiseEigenfunction) -> complex:
 
 
 def _pairing_rows(f: PiecewiseEigenfunction, x):
-    """The self-pairing rows [f+^2, f-^2, f+ f-] e^{-U} on E, [f(x)^2, f(x) f(-x)] e^{-U} on R,
-    from one evaluation of each component of f."""
-    if f.variant == "full":
-        fp, fm = f.component(x, +1), f.component(x, -1)
-        prods = [fp * fp, fm * fm, fp * fm]
-    else:
-        both = f.component(np.concatenate([x, -x]))
-        prods = [both[: x.size] ** 2, both[: x.size] * both[x.size :]]
-    return np.stack(prods) * np.exp(-f.potential.U(x))
+    """The self-pairing rows [f+^2, f-^2] e^{-U} on E, [f^2] e^{-U} on R, one evaluation per component."""
+    return np.stack([f.component(x, th) ** 2 for th, _, _ in f._pieces]) * np.exp(-f.potential.U(x))
 
 
-def _self_pairings(fs: Tuple[PiecewiseEigenfunction, ...]) -> List[Tuple[complex, complex]]:
-    """(<f, conj f>, <f, F conj f>) on E, (<f, conj f>_nu, <f, J conj f>_nu) on R, for each f in fs.
+def _self_pairings(fs: Tuple[PiecewiseEigenfunction, ...]) -> List[complex]:
+    """<f, conj f> on E, <f, conj f>_nu on R, for each f in fs; the reflected pairing
+    <f, F conj f> (<f, J conj f>_nu) is Z'/psi- (f.z_prime / f._scale) and takes none.
 
     fs share one potential and variant.  Each f takes one adaptive pass over
     [-rl, rr], where e^{2 |Re gamma| |x| - U} is negligible (one cut per side
@@ -703,16 +696,12 @@ def _self_pairings(fs: Tuple[PiecewiseEigenfunction, ...]) -> List[Tuple[complex
             call, blocks = blocks[:n], blocks[n:]
             s, t = 15 * call[0][1], 15 * call[-1][2]
             which = np.repeat([i for i, _, _ in call], [15 * (k - j) for _, j, k in call])
-            which = which if variant == "full" else np.concatenate([which, which])  # R's rows take f at x and -x
             v = _pairing_rows(PiecewiseEigenfunction(g[which], pot, variant, pp[which], None, None), x[s:t])
             parts += [_gk_reduce(v[:, 15 * j - s : 15 * k - s], h[j:k], x[15 * j : 15 * k]) for _, j, k in call]
         *sums, _ = zip(*parts)
         return (*map(np.concatenate, sums), True)
 
-    vals = [val for val, _, _ in _adaptive(panels, edges, DEFAULT_CONFIG)]
-    if variant == "full":
-        return [(complex(v[0] + v[1]), complex(2.0 * v[2])) for v in vals]
-    return [(complex(v[0]), complex(v[1])) for v in vals]
+    return [complex(np.sum(val)) for val, _, _ in _adaptive(panels, edges, DEFAULT_CONFIG)]
 
 
 def spectral_projection(
@@ -720,7 +709,6 @@ def spectral_projection(
     gamma: complex,
     h: Union[GridFunction, Callable],
     variant: str = "full",
-    tol: float = 1e-8,
     growth: float = 0.0,
 ) -> Tuple[complex, PiecewiseEigenfunction]:
     """Rank-one projection P_gamma h = coefficient * f_gamma at a simple root.
@@ -734,7 +722,7 @@ def spectral_projection(
     """
     if variant != "full" and isinstance(h, GridFunction):
         raise DomainError(f"the {variant!r} projection takes a function on R, not a GridFunction on E")
-    f = _require_simple(eigenfunction(potential, gamma, variant, tol))
+    f = _require_simple(eigenfunction(potential, gamma, variant))
     if isinstance(h, GridFunction):
         k1, k2, _, _ = _resolvent_sums(potential, f.gamma, h)
         num = k1 + f.psi_plus * k2
@@ -743,16 +731,16 @@ def spectral_projection(
     return num / (f.z_prime / f._scale), f
 
 
-def z_prime_consistency(
-    potential: PotentialModel, gamma: complex, variant: str = "full", tol: float = 1e-8
-) -> Tuple[complex, complex]:
+def z_prime_consistency(potential: PotentialModel, gamma: complex, variant: str = "full") -> Tuple[complex, complex]:
     """Two routes to Z'(gamma) at an eigenvalue.
 
     full:  (Z'(gamma) by quadrature/closed form,  psi-(gamma) <f, F conj(f)>).
     plus/minus:  (dZ^pm/dgamma,  <f^pm, J conj(f^pm)>_nu).
+    The pairing is spectral_projection's callable route, _pair, not the
+    refreshment coefficients' _self_pairings, which take Z' for it.
     """
-    f = eigenfunction(potential, gamma, variant, tol)
-    return f.z_prime, f._scale * _self_pairings((f,))[0][1]
+    f = eigenfunction(potential, gamma, variant)
+    return f.z_prime, f._scale * _pair(f.component, abs(f.gamma.real), f)
 
 
 # -------------------------------------------------------------------- generator

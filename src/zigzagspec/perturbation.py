@@ -9,9 +9,12 @@ where both pairings are the bilinear (not sesquilinear) integrals of f
 against itself.  On the symmetric branches the same expansion reads
 +/- <f, conj f>_nu / <f, J conj f>_nu - 1.  Both coefficients share one body,
 sign <f, conj f> / <f, R conj f> - 1, with R = F on E (sign +1) or J on R
-(the branch's sign).  A spectrum's coefficients come from one lockstep
-batch of adaptive passes, a single coefficient from a batch of one, so both
-agree bit for bit.  Only the first-order term is modeled here.
+(the branch's sign).  Its denominator is the spectral projection's,
+<f, R conj f> = Z'(gamma) / psi-(gamma) (dZ+-/dgamma on a branch); only the
+numerator <f, conj f> takes quadrature, a spectrum's from one lockstep batch
+of adaptive passes, a single coefficient's from a batch of one, so both agree
+bit for bit.  At gamma = 0, f is the constant and B 1 = 0: mu = 0, no pass.
+Only the first-order term is modeled here.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ __all__ = ["PerturbedEigenvalue", "PerturbedSpectrum", "refreshment_coefficient"
 
 
 def _mus(fs, sign):
-    """sign <f, conj f> / <f, R conj f> - 1 for B = sign R - I, R the variant's reflection, for each f in fs."""
-    return [(num if sign > 0 else -num) / den - 1.0 for num, den in (_self_pairings(tuple(fs)) if fs else ())]
+    """sign <f, conj f> / (Z'/psi-) - 1 for B = sign R - I, R the variant's reflection, for each f in fs;
+    0j at gamma = 0, whose eigenfunction, the constant, B annihilates."""
+    nums = iter(_self_pairings(moving) if (moving := tuple(f for f in fs if f.gamma != 0)) else ())
+    return [sign * next(nums) / (f.z_prime / f._scale) - 1.0 if f.gamma != 0 else 0j for f in fs]
 
 
 def refreshment_coefficient(potential: PotentialModel, gamma: complex) -> complex:

@@ -155,10 +155,12 @@ def _table(w_of):
 def truncation_radius(potential: PotentialModel, alpha, side: int = +1, center: float = 0.0):
     """(R, tail bound) by _cut for e^{|alpha| t - (U(center + side t) - U(center))}, arrays for an array
     of rates alpha, all cut on one table; TruncationError if one has none, DomainError for a rate
-    that is not finite."""
+    or center that is not finite or a side other than +1 or -1."""
     rate = np.abs(np.atleast_1d(alpha))
     if not np.isfinite(rate).all():
         raise DomainError(f"truncation rate must be finite, got {rate[~np.isfinite(rate)][0]!r}")
+    if side not in (1, -1) or not math.isfinite(center):
+        raise DomainError(f"truncation needs side +1 or -1 and a finite center, got side={side!r}, center={center!r}")
     u, rise = _table(lambda t: potential.U(center + side * t))  # u[0] = U(center)
     first, _, tail = _cut(rate, u - u[0], rise)
     if first.min() < 0:
@@ -227,6 +229,8 @@ def _initial_edges(a, b, oscillation, breakpoints):
     """Cut points for the initial subdivision: user breakpoints plus enough
     uniform cuts that each panel spans at most one oscillation period."""
     inner = np.asarray(() if breakpoints is None else breakpoints, dtype=float).ravel()
+    if not np.isfinite(inner).all():
+        raise DomainError(f"breakpoints must be finite, got {inner[~np.isfinite(inner)][0]!r}")
     pts = sorted({a, b, *(float(p) for p in inner if a < p < b)})
     if oscillation > 0.0:
         period = 2.0 * math.pi / oscillation

@@ -650,15 +650,10 @@ def test_resolvent_rejects_spectrum_points(gaussian_potential):
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
 def test_tol_must_be_finite_and_positive(gaussian_potential, tol):
-    ones = GridFunction.from_callable(
-        gaussian_potential, lambda x, th: np.ones_like(np.asarray(x, dtype=float))
-    )
     xs = np.linspace(-1.0, 1.0, 5)
     for call in (
-        lambda: apply_resolvent(gaussian_potential, 0.0, ones, tol=tol),
         lambda: eigenfunction(gaussian_potential, G1, tol=tol),
         lambda: eigenfunction_table(gaussian_potential, -0.4 + 1.0j, xs, tol=tol),
-        lambda: spectral_projection(gaussian_potential, G1, ones, tol=tol),
     ):
         with pytest.raises(DomainError, match="tol"):
             call()

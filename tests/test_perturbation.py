@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import GAUSSIAN_BRANCHES, GAUSSIAN_EIGENVALUES, GAUSSIAN_GAP
+from conftest import GAUSSIAN_BRANCHES, GAUSSIAN_EIGENVALUES, GAUSSIAN_GAP, skewed_well
 from zigzagspec import operator
 from zigzagspec.errors import DomainError
 from zigzagspec.operator import eigenfunction, inner_product_mu, inner_product_nu
@@ -27,6 +27,13 @@ def test_coefficient_vanishes_at_zero(gaussian_potential):
     assert (
         abs(refreshment_coefficient_symmetric(gaussian_potential, 0.0, "plus")) < 1e-10
     )
+
+
+@pytest.mark.parametrize("pot", [gaussian(1.0), beta_family(2.5), skewed_well()], ids=lambda p: p.descriptor())
+def test_coefficient_at_zero_is_exactly_zero(pot):
+    # f_0 is the constant and B 1 = (F - I) 1 = 0: mu(0) is 0 by construction,
+    # not by two quadratures that happen to agree
+    assert refreshment_coefficient(pot, 0.0) == 0j
 
 
 def test_coefficient_conjugation(gaussian_potential):
@@ -94,7 +101,7 @@ def test_one_pass_coefficients_match_two_pairings(family, beta25_spectrum):
 
 
 def test_a_coefficient_evaluates_each_component_once_per_call(monkeypatch):
-    # the rows [f+^2, f-^2, f+ f-] (on R: [f(x)^2, f(x) f(-x)]) share one
+    # the numerator rows [f+^2, f-^2] (on R: [f(x)^2], at x only) take one
     # component evaluation per theta per call of the pairings' evaluator
     pot = beta_family(2.5)
     gamma = -0.38831292790997046 + 1.1558647440283112j
@@ -119,6 +126,57 @@ def test_a_coefficient_evaluates_each_component_once_per_call(monkeypatch):
     calls.clear()
     refreshment_coefficient_symmetric(pot, gamma, "minus")
     assert len(calls) >= 1 and thetas == [+1] * len(calls)
+
+
+def test_a_branch_coefficient_evaluates_one_row_at_x_only(monkeypatch):
+    # on R the numerator <f, conj f>_nu is the one row f(x)^2 e^{-U}: f is
+    # taken at the panel nodes x, never at their mirror images -x
+    pot = beta_family(2.5)
+    gamma = -0.38831292790997046 + 1.1558647440283112j
+    seen, shapes = [], []
+    component = operator.PiecewiseEigenfunction.component
+    rows = operator._pairing_rows
+
+    def counted_component(self, x, theta=+1):
+        seen.append(np.array(x))
+        return component(self, x, theta)
+
+    def counted_rows(f, x):
+        seen.clear()
+        v = rows(f, x)
+        assert len(seen) == 1 and np.array_equal(seen[0], x)
+        shapes.append((v.shape, x.size))
+        return v
+
+    monkeypatch.setattr(operator.PiecewiseEigenfunction, "component", counted_component)
+    monkeypatch.setattr(operator, "_pairing_rows", counted_rows)
+    refreshment_coefficient_symmetric(pot, gamma, "minus")
+    assert shapes and all(shape == (1, n) for shape, n in shapes)
+
+
+def test_the_stationary_eigenvalue_takes_no_pairing_pass(gaussian_spectrum, monkeypatch):
+    # mu(0) = 0 needs no pairing; each of the other 21 passes integrates only
+    # the numerator rows [f+^2, f-^2] e^{-U}, its denominator being Z'/psi-
+    passes, shapes = [], []
+    adaptive, rows = operator._adaptive, operator._pairing_rows
+
+    def counted_adaptive(panels, edges, cfg):
+        passes.append(len(edges))
+        return adaptive(panels, edges, cfg)
+
+    def counted_rows(f, x):
+        assert np.all(f.gamma != 0)
+        v = rows(f, x)
+        shapes.append((v.shape, x.size))
+        return v
+
+    monkeypatch.setattr(operator, "_adaptive", counted_adaptive)
+    monkeypatch.setattr(operator, "_pairing_rows", counted_rows)
+    p = perturbed_spectrum(gaussian_spectrum, 0.5)
+    assert passes == [21]
+    assert shapes and all(shape == (2, n) for shape, n in shapes)
+    zero = next(e for e in p.entries if e.gamma == 0)
+    assert zero.coefficient == 0j and zero.shifted == 0j and zero.resolved
 
 
 def test_symmetric_route_rejects_bad_branch(gaussian_potential):
@@ -256,8 +314,9 @@ def test_the_batch_gives_each_coefficient_of_its_batch_of_one(spectrum, request)
 
 
 def test_the_batch_refines_in_few_evaluator_calls(gaussian_spectrum, monkeypatch):
-    # 22 passes share each round's evaluation: one call per 256 panels at most,
-    # where one pass after another took 123 rounds of one call each
+    # 21 passes (gamma = 0 takes none) share each round's evaluation: one call
+    # per 256 panels at most, where one pass after another took 123 rounds of
+    # one call each
     rounds, calls = [], []
     adaptive, rows = operator._adaptive, operator._pairing_rows
 
@@ -271,7 +330,7 @@ def test_the_batch_refines_in_few_evaluator_calls(gaussian_spectrum, monkeypatch
     monkeypatch.setattr(operator, "_adaptive", counted_adaptive)
     monkeypatch.setattr(operator, "_pairing_rows", counted_rows)
     perturbed_spectrum(gaussian_spectrum, 0.5)
-    assert rounds[0] == 22 and len(rounds) <= 12
+    assert rounds[0] == 21 and len(rounds) <= 12
     assert len(calls) <= 20 and max(calls) <= 256
 
 

@@ -157,6 +157,21 @@ def test_integrate_finite_refuses_an_oscillation_that_is_not_finite_and_nonnegat
         inner_product_mu(_unit, _unit, gaussian(1.0), oscillation=oscillation)
 
 
+@pytest.mark.parametrize("side, center", [(2, 0.0), (0, 0.0), (1, math.nan), (-1, math.inf)])
+def test_truncation_radius_refuses_a_bad_side_or_center(side, center):
+    # side 2 once returned R = 4.5, as if U were sampled at twice the radius;
+    # side 0 and a nan center read as "no truncation radius below 1.045e+05 ..."
+    with pytest.raises(DomainError, match="side \\+1 or -1 and a finite center"):
+        truncation_radius(gaussian(1.0), 0.0, side, center)
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_integrate_finite_refuses_a_breakpoint_that_is_not_finite(point):
+    # a nan breakpoint was once dropped without a word
+    with pytest.raises(DomainError, match="breakpoints must be finite"):
+        integrate_finite(np.cos, 0.0, 1.0, breakpoints=(0.5, point))
+
+
 def _semiinfinite(f, potential, alpha, side=+1):
     """A half-line integral the way callers build one: integrate_finite up
     to the certified truncation radius, with the tail bound in the error."""
