@@ -48,7 +48,7 @@ import numpy as np
 from .errors import DomainError, IntegrationError, NearZeroError
 from .potential import PotentialModel
 from .quadrature import _EPS, _KD, _NODES, _RADII, _adaptive, _blocks, _cut, _gk_reduce, _initial_edges, _table
-from .quadrature import DEFAULT_CONFIG, _MAX_INITIAL, _tolerance, integrate_finite, truncation_radius
+from .quadrature import DEFAULT_CONFIG, _MAX_INITIAL, _tolerance, truncation_radius
 from .specialfn import erfcx_complex
 
 __all__ = [
@@ -304,43 +304,14 @@ def _psi_quadrature_batch(potential: PotentialModel, sign: int, g):
     return value, deriv, err, phi, radii, tails
 
 
-def _psi_defining_integral(potential: PotentialModel, sign: int, gamma: complex, phi: float, radius: float, tail: float):
-    """psi via the defining integral with the U' factor (verification path),
-    along the ray, to the radius and with the tail bound of the partially
-    integrated form."""
-    u_of, w_of, rot = _path(potential, sign, phi)
-
-    def f(t):
-        u = u_of(t)
-        return rot * sign * potential.dU(sign * u) * np.exp(-2.0 * gamma * u - w_of(u))
-
-    oscillation = abs(2.0 * (gamma * rot).imag)
-    value, err = integrate_finite(f, 0.0, radius, oscillation=oscillation)
-    return complex(value), float(err) + tail * (1.0 + radius)
-
-
-def psi(potential: PotentialModel, sign: int, gamma: complex, verify: bool = False) -> complex:
-    """psi_plus (sign=+1) or psi_minus (sign=-1) by quadrature.
+def psi(potential: PotentialModel, sign: int, gamma: complex) -> complex:
+    """psi_plus (sign=+1) or psi_minus (sign=-1) by quadrature, a batch of one.
 
     Integrates along the real axis, or along a rotated ray where the real
     axis misses quadrature's default tolerance; raises IntegrationError where
     neither meets it (see the module docstring).
-
-    verify=True also evaluates the defining integral with the U' factor and
-    insists the two routes agree within their combined error estimates.
     """
-    gamma = complex(gamma)
-    rows = _psi_quadrature_batch(potential, sign, np.array([gamma]))
-    value, _, err, *ray = (v.item() for v in rows)  # the batch of one
-    if verify:
-        alt, alt_err = _psi_defining_integral(potential, sign, gamma, *ray)
-        budget = err + alt_err + 1e-11
-        if abs(value - alt) > budget:
-            raise IntegrationError(
-                f"psi backends disagree at gamma={gamma}: partial-integration form "
-                f"{value} vs defining integral {alt} (budget {budget:.2e})"
-            )
-    return value
+    return _psi_quadrature_batch(potential, sign, np.array([complex(gamma)]))[0].item()
 
 
 def psi_batch(potential: PotentialModel, sign: int, gammas):

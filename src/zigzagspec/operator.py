@@ -46,8 +46,8 @@ from .errors import (
     ResolventAtEigenvalueError,
 )
 from .potential import PotentialModel, SwitchingRateSpec, switching_rate
-from .quadrature import (DEFAULT_CONFIG, _BLOCK, _KD, _NODES, _adaptive, _gk_reduce, _initial_edges, _panels,
-                         _tolerance, integrate_finite, truncation_radius)
+from .quadrature import (DEFAULT_CONFIG, _BLOCK, _EPS, _KD, _NODES, _adaptive, _gk_reduce, _initial_edges, _panels,
+                         _tolerance, _truncation, integrate_finite, truncation_radius)
 from .specialfn import erfcx_complex
 
 __all__ = [
@@ -76,6 +76,7 @@ _CELL_PHASE = 2.0  # |2 gamma + U'| times a pt cell's width: GK15 at roundoff
 _MAX_RANGE = 600.0  # growth factors e^{..} one pt sweep spans without underflow
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _MAX_CANCEL = 16.0  # log of the sweep's largest cancellation at Re gamma < 0: defect 5e-7 at 14, 2e-5 at 18
+_MAX_PT_CANCEL = -math.log(_EPS)  # log of pt's largest cancellation: past it no digit survives
 _DEFECT_EXCLUDE = 0.05  # resolvent_defect skips |x| below this: U' kinks at the mode
 _FD_STEP = 1e-4  # apply_generator's central-difference step
 
@@ -141,8 +142,11 @@ def psi_tilde(potential: PotentialModel, gamma, x, side: int = +1):
     e^{L(x)}, L(x) = 2 side gamma x + U(x), times the sum of the cells
     outward of x.  Their |K - G| and roundoff floors, summed alike, and the
     tail bound must pass _adaptive's acceptance rule at every x,
-    or IntegrationError names gamma and x.  Points whose Re L exceeds the
-    innermost one's by _MAX_RANGE get a sweep of their own: no cell underflows.
+    or IntegrationError names gamma and x.  So must the folded integrand's
+    peak, max_t 2 |Re gamma| t - (U(x0 + side t) - U(x0)) from the innermost x0:
+    past _MAX_PT_CANCEL the sum cancels from further than float64 carries.
+    Points whose Re L exceeds the innermost one's by _MAX_RANGE get a sweep of
+    their own: no cell underflows.
     """
     xs = np.asarray(x, dtype=float)
     if side not in (1, -1):
@@ -175,7 +179,10 @@ def psi_tilde(potential: PotentialModel, gamma, x, side: int = +1):
         out[far] = psi_tilde(potential, gamma, side * dist[far], side)
     near, log_grow = dist[~far], log_grow[~far]
     alpha = max(0.0, -2.0 * gamma.real)
-    r, tail = truncation_radius(potential, alpha, side, side * near[0])
+    r, tail, peak = _truncation(potential, alpha, side, side * near[0])
+    if peak > _MAX_PT_CANCEL:
+        x_0, need = float(side * near[0]), f"it needs cancellation from e^{peak:.4g}, past e^{_MAX_PT_CANCEL:.4g}"
+        raise IntegrationError(f"{_pt_head(potential, side, gamma, x_0)} misses its tolerance: {need}", location=x_0)
     pts = np.append(near, near[-1] + r)
     gap = np.diff(pts)
     rate = 2.0 * abs(gamma) + np.abs(potential.dU(side * pts))

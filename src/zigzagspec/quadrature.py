@@ -156,17 +156,22 @@ def truncation_radius(potential: PotentialModel, alpha, side: int = +1, center: 
     """(R, tail bound) by _cut for e^{|alpha| t - (U(center + side t) - U(center))}, arrays for an array
     of rates alpha, all cut on one table; TruncationError if one has none, DomainError for a rate
     or center that is not finite or a side other than +1 or -1."""
+    return _truncation(potential, alpha, side, center)[:2]
+
+
+def _truncation(potential, alpha, side, center):
+    """truncation_radius's (R, tail bound) and, from the same _cut, the envelope's peak log."""
     rate = np.abs(np.atleast_1d(alpha))
     if not np.isfinite(rate).all():
         raise DomainError(f"truncation rate must be finite, got {rate[~np.isfinite(rate)][0]!r}")
     if side not in (1, -1) or not math.isfinite(center):
         raise DomainError(f"truncation needs side +1 or -1 and a finite center, got side={side!r}, center={center!r}")
     u, rise = _table(lambda t: potential.U(center + side * t))  # u[0] = U(center)
-    first, _, tail = _cut(rate, u - u[0], rise)
+    first, peak, tail = _cut(rate, u - u[0], rise)
     if first.min() < 0:
         msg = f"no truncation radius below {_RADII[-1]:.4g} reaches envelope exp({-_TRUNCATION_MARGIN:g})"
         raise TruncationError(msg, location=float(_RADII[-1]))
-    return (float(_RADII[first[0]]), float(tail[0])) if np.ndim(alpha) == 0 else (_RADII[first], tail)
+    return (float(_RADII[first[0]]), float(tail[0]), float(peak[0])) if np.ndim(alpha) == 0 else (_RADII[first], tail, peak)
 
 
 _EPS = np.finfo(float).eps

@@ -41,6 +41,8 @@ def skewed_well():
 
 # one verdict line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []
+# family -> worst error of psi against tests/reference/psi_table.json, echoed likewise
+PSI_TABLE_WORST = {}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -48,6 +50,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    if PSI_TABLE_WORST:
+        terminalreporter.section("psi table: worst |psi - table| / max(1, |table|) per family")
+        for family, (worst, at, answered, refused) in PSI_TABLE_WORST.items():
+            terminalreporter.write_line(f"{family}: {worst:.2e} at gamma={at} ({answered} answered, {refused} refused)")
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import pytest
 from conftest import skewed_well
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from psi_oracle import cross_checked_psi
 
 from zigzagspec import charfn, quadrature
 from zigzagspec.charfn import (
@@ -76,9 +77,9 @@ def test_psi_minus_equals_psi_plus_for_even_potential():
         assert abs(psi(pot, +1, g) - psi(pot, -1, g)) < 5e-12
 
 
-def test_psi_verify_mode_cross_checks_defining_integral():
+def test_psi_cross_checks_defining_integral():
     pot = gaussian(1.0)
-    v = psi(pot, +1, -0.4 + 0.9j, verify=True)
+    v = cross_checked_psi(pot, +1, -0.4 + 0.9j)
     assert abs(v - gaussian_closed_form(-0.4 + 0.9j)[0]) < 5e-11
 
 
@@ -174,7 +175,7 @@ def test_batch_matches_scalar():
         pot = parse_potential(descriptor)
         value, _ = psi_batch(pot, sign, [g])
         assert psi(pot, sign, g) == value[0]
-        assert psi(pot, sign, g, verify=True) == value[0]
+        assert cross_checked_psi(pot, sign, g) == value[0]
 
 
 def test_values_batch_does_not_depend_on_call_history():
@@ -240,7 +241,7 @@ def test_beta2_quadrature_psi_matches_gaussian_closed_form_under_cancellation(mo
     batch = CharFunctionHandle(pot).values_batch(CANCELLATION_POINTS)[0]
     assert np.all(np.abs(batch - closed) <= 1e-9 * scale)
     # the defining integral follows the same rotated ray
-    psi(pot, +1, CANCELLATION_POINTS[0], verify=True)
+    cross_checked_psi(pot, +1, CANCELLATION_POINTS[0])
     # the gammas the real axis misses share one ray pass per angle: with a
     # shifted copy of each point, every angle serves two of them
     points = np.concatenate([CANCELLATION_POINTS, CANCELLATION_POINTS + 0.1])

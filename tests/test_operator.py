@@ -181,6 +181,22 @@ def test_a_scaled_model_refusing_pt_names_the_callers_gamma_x_and_model():
     assert info.value.location == 2.0
 
 
+@pytest.mark.parametrize("side", [+1, -1])
+@pytest.mark.parametrize("xs", [[0.0, 0.5], [1.0], [1.0, 1.5], [0.5, 1.0]])
+def test_pt_refuses_cancellation_that_float64_cannot_carry(xs, side):
+    # custom x^2/2 at gamma = -6 - 8i: from x0 = 0 the folded integrand
+    # peaks near e^72 (e^60 from x0 = 1), where gaussian:1's erfcx pt is
+    # -6.8e-4 - 2.4e-3i at x = 0; the sweep once returned 4.07e17 - 1.34e18i
+    # there, or refused x = 1 alone only on roundoff noise
+    quad = custom(lambda x: 0.5 * np.asarray(x) ** 2, np.asarray, label="quad")
+    x = side * np.array(xs)
+    with pytest.raises(IntegrationError) as info:
+        psi_tilde(quad, -6.0 - 8.0j, x, side)
+    head = f"pt^{side:+d} of quad at gamma=(-6-8j), x={x[0]:.6g} misses its tolerance: it needs cancellation from e^"
+    assert str(info.value).startswith(head) and str(info.value).endswith(", past e^36.04")
+    assert info.value.location == x[0]
+
+
 def test_psi_tilde_far_points_are_swept_on_their_own():
     # e^{U(30)} on beta:2.5 is e^1972: one sweep from x = 0 would underflow
     pot = beta_family(2.5)
